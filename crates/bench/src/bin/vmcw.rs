@@ -414,7 +414,8 @@ fn cmd_health(args: &[String]) -> Result<(), CliError> {
 
 /// `vmcw bench` — the reproducible wall-clock harness: times trace
 /// generation, each evaluated planner, and plan replay at each `--scale`
-/// and writes `BENCH_emulator.json` / `BENCH_planners.json` to `--out`
+/// (fastest and median of three runs per stage) and writes
+/// `BENCH_emulator.json` / `BENCH_planners.json` to `--out`
 /// (default: the current directory). Methodology: docs/PERFORMANCE.md.
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args).map_err(usage)?;
@@ -467,8 +468,8 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         println!("suite {}:", suite.suite);
         for e in &suite.entries {
             println!(
-                "  {:<14} scale {:<5} {:>9.3}s  ({} items)",
-                e.stage, e.scale, e.seconds, e.items
+                "  {:<14} scale {:<5} {:>9.3}s  median {:>9.3}s  ({} items)",
+                e.stage, e.scale, e.seconds, e.median_seconds, e.items
             );
         }
         let path = Path::new(out_dir).join(file);

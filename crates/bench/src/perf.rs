@@ -7,8 +7,9 @@
 //! * **planners** — one entry per evaluated planner kind, the
 //!   placement-search cost that dominates large grids.
 //!
-//! Each suite times its stages with [`Instant`] at every requested
-//! population scale and serialises to a small stable JSON document
+//! Each suite times every stage [`REPEATS`] times with [`Instant`] at
+//! every requested population scale, keeping the fastest and the median
+//! run, and serialises to a small stable JSON document
 //! (`vmcw-bench/v1`) written as `BENCH_emulator.json` /
 //! `BENCH_planners.json`, so successive runs can be diffed by scripts
 //! without a JSON library on either side. The same stages back the
@@ -27,6 +28,9 @@ use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 pub const HISTORY_DAYS: usize = 7;
 /// Evaluation days replayed by the emulator suite.
 pub const EVAL_DAYS: usize = 3;
+/// Timed runs per stage. The minimum filters out scheduler noise; the
+/// median shows how far a typical run sits above it.
+pub const REPEATS: usize = 3;
 
 /// One timed stage at one population scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +39,11 @@ pub struct BenchEntry {
     pub stage: String,
     /// Population scale the stage ran at.
     pub scale: f64,
-    /// Wall-clock duration of the stage, seconds.
+    /// Fastest wall-clock duration of the stage over [`REPEATS`] runs,
+    /// seconds.
     pub seconds: f64,
+    /// Median wall-clock duration over the same runs, seconds.
+    pub median_seconds: f64,
     /// Work items processed (VMs generated, hours replayed, moves
     /// planned) — turns the timing into a throughput.
     pub items: usize,
@@ -67,10 +74,11 @@ impl BenchSuite {
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"scale\": {}, \"seconds\": {:.6}, \"items\": {}}}{}\n",
+                "    {{\"stage\": \"{}\", \"scale\": {}, \"seconds\": {:.6}, \"median_seconds\": {:.6}, \"items\": {}}}{}\n",
                 e.stage,
                 json_f64(e.scale),
                 e.seconds,
+                e.median_seconds,
                 e.items,
                 if i + 1 < self.entries.len() { "," } else { "" },
             ));
@@ -92,10 +100,37 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
+/// Runs `f` [`REPEATS`] times; returns the last value with the minimum
+/// and the median wall-clock seconds.
+fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64, f64) {
+    timed_each(&[()], |()| f())
+        .pop()
+        .expect("one item, one result")
+}
+
+/// [`timed`] for every item, running the repeats round-robin across the
+/// items: each item's fastest run then comes from the same stretch of
+/// machine time, so ratios between items (the scaling check) do not
+/// depend on which item ran while the machine was busy.
+fn timed_each<I, T>(items: &[I], mut f: impl FnMut(&I) -> T) -> Vec<(T, f64, f64)> {
+    let mut secs = vec![Vec::with_capacity(REPEATS); items.len()];
+    let mut values: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    for _ in 0..REPEATS {
+        for ((item, value), secs) in items.iter().zip(&mut values).zip(&mut secs) {
+            let start = Instant::now();
+            *value = Some(f(item));
+            secs.push(start.elapsed().as_secs_f64());
+        }
+    }
+    values
+        .into_iter()
+        .zip(secs)
+        .map(|(value, mut secs)| {
+            secs.sort_by(f64::total_cmp);
+            let value = value.expect("REPEATS is positive");
+            (value, secs[0], secs[secs.len() / 2])
+        })
+        .collect()
 }
 
 /// The data center every suite runs on. Banking is the largest
@@ -103,7 +138,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 pub const BENCH_DC: DataCenterId = DataCenterId::Banking;
 
 /// Times trace generation and plan replay (plain and fault-injected) at
-/// each scale.
+/// each scale. The replays of all scales are timed round-robin (see
+/// [`timed_each`]), since CI compares them across scales.
 ///
 /// # Panics
 ///
@@ -111,44 +147,55 @@ pub const BENCH_DC: DataCenterId = DataCenterId::Banking;
 /// well-formed, so a failure is a bug worth surfacing loudly.
 #[must_use]
 pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
-    let mut entries = Vec::new();
+    let mut generated = Vec::new();
+    let mut replays = Vec::new();
     for &scale in scales {
-        let (workload, gen_secs) = timed(|| {
+        let (workload, gen_secs, gen_median) = timed(|| {
             GeneratorConfig::new(BENCH_DC)
                 .scale(scale)
                 .days(HISTORY_DAYS + EVAL_DAYS)
                 .generate(seed)
         });
-        entries.push(BenchEntry {
+        generated.push(BenchEntry {
             stage: "trace-gen".into(),
             scale,
             seconds: gen_secs,
+            median_seconds: gen_median,
             items: workload.servers.len(),
         });
-
         let input =
             PlanningInput::from_workload(&workload, HISTORY_DAYS, VirtualizationModel::baseline());
-        let planner = Planner::baseline();
-        let plan = planner.plan_dynamic(&input).expect("dynamic plan");
-        let cfg = EmulatorConfig::default();
+        let plan = Planner::baseline()
+            .plan_dynamic(&input)
+            .expect("dynamic plan");
+        replays.push((input, plan));
+    }
 
-        let (report, replay_secs) = timed(|| emulate(&input, &plan, &cfg).expect("replay"));
-        entries.push(BenchEntry {
-            stage: "replay-plain".into(),
-            scale,
-            seconds: replay_secs,
-            items: report.hours,
-        });
-
-        let faults = FaultConfig::baseline(seed);
-        let (report, faulted_secs) =
-            timed(|| emulate_with_faults(&input, &plan, &cfg, &faults).expect("faulted replay"));
-        entries.push(BenchEntry {
-            stage: "replay-faulted".into(),
-            scale,
-            seconds: faulted_secs,
-            items: report.hours,
-        });
+    let cfg = EmulatorConfig::default();
+    let faults = FaultConfig::baseline(seed);
+    let plain = timed_each(&replays, |(input, plan)| {
+        emulate(input, plan, &cfg).expect("replay").hours
+    });
+    let faulted = timed_each(&replays, |(input, plan)| {
+        emulate_with_faults(input, plan, &cfg, &faults)
+            .expect("faulted replay")
+            .hours
+    });
+    let mut entries = Vec::new();
+    for ((gen, plain), faulted) in generated.into_iter().zip(plain).zip(faulted) {
+        let scale = gen.scale;
+        entries.push(gen);
+        for (stage, (hours, seconds, median_seconds)) in
+            [("replay-plain", plain), ("replay-faulted", faulted)]
+        {
+            entries.push(BenchEntry {
+                stage: stage.into(),
+                scale,
+                seconds,
+                median_seconds,
+                items: hours,
+            });
+        }
     }
     BenchSuite {
         suite: "emulator",
@@ -169,11 +216,12 @@ pub fn run_planner_suite(scales: &[f64], seed: u64) -> BenchSuite {
         let input = crate::bench_input(BENCH_DC, scale, HISTORY_DAYS, EVAL_DAYS, seed);
         let planner = Planner::baseline();
         for kind in PlannerKind::EVALUATED {
-            let (plan, secs) = timed(|| planner.plan(kind, &input).expect("plan"));
+            let (plan, secs, median) = timed(|| planner.plan(kind, &input).expect("plan"));
             entries.push(BenchEntry {
                 stage: kind.label().to_string(),
                 scale,
                 seconds: secs,
+                median_seconds: median,
                 items: plan.migrations.len().max(input.vms.len()),
             });
         }
@@ -203,6 +251,11 @@ mod tests {
         );
         for e in emu.entries.iter().chain(&planners.entries) {
             assert!(e.seconds >= 0.0);
+            assert!(
+                e.median_seconds >= e.seconds,
+                "{}: median below minimum",
+                e.stage
+            );
             assert!(e.items > 0, "{} must report work items", e.stage);
         }
     }
@@ -217,12 +270,14 @@ mod tests {
                     stage: "trace-gen".into(),
                     scale: 0.1,
                     seconds: 0.25,
+                    median_seconds: 0.3,
                     items: 42,
                 },
                 BenchEntry {
                     stage: "replay-plain".into(),
                     scale: 1.0,
                     seconds: 1.5,
+                    median_seconds: 1.5,
                     items: 72,
                 },
             ],
@@ -231,6 +286,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"vmcw-bench/v1\""));
         assert!(json.contains("\"suite\": \"emulator\""));
         assert!(json.contains("\"scale\": 0.1"));
+        assert!(json.contains("\"median_seconds\": 0.300000"));
         // Exactly one trailing comma between the two entries, none after
         // the last — the document must parse as strict JSON.
         assert_eq!(json.matches("}},").count() + json.matches("},\n").count(), 1);

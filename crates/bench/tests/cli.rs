@@ -7,14 +7,17 @@ fn vmcw() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vmcw"))
 }
 
-fn trace_path() -> PathBuf {
-    let dir = std::env::temp_dir().join("vmcw-cli-test");
+/// A fresh temp directory per test, so tests running in parallel never
+/// share files.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vmcw-cli-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("trace.csv")
+    dir
 }
 
-fn generate() -> PathBuf {
-    let path = trace_path();
+fn generate(test: &str) -> PathBuf {
+    let path = test_dir(test).join("trace.csv");
     let out = vmcw()
         .args([
             "generate", "--dc", "beverage", "--scale", "0.03", "--days", "9", "--seed", "5",
@@ -29,7 +32,7 @@ fn generate() -> PathBuf {
 
 #[test]
 fn generate_analyze_plan_pipeline() {
-    let path = generate();
+    let path = generate("pipeline");
     assert!(path.exists());
 
     let analyze = vmcw().arg("analyze").arg(&path).args(["--dc", "beverage"]).output().unwrap();
@@ -48,11 +51,12 @@ fn generate_analyze_plan_pipeline() {
     let stdout = String::from_utf8_lossy(&plan.stdout);
     assert!(stdout.contains("Semi-Static"), "{stdout}");
     assert!(stdout.contains("Dynamic"));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]
 fn estate_reports_fit_or_exhaustion() {
-    let path = generate();
+    let path = generate("estate");
     let big = vmcw()
         .arg("estate")
         .arg(&path)
@@ -71,6 +75,7 @@ fn estate_reports_fit_or_exhaustion() {
     assert!(tiny.status.success());
     let stdout = String::from_utf8_lossy(&tiny.stdout);
     assert!(stdout.contains("fits") || stdout.contains("exhausted"), "{stdout}");
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
 #[test]

@@ -29,6 +29,7 @@ use crate::ffd::{self, OrderKey};
 use crate::input::PlanningInput;
 use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
+use crate::ranking::Ranking;
 use crate::sizing::SizingFunction;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -195,6 +196,24 @@ pub fn plan_dynamic(
     dc: &mut DataCenter,
     config: &DynamicConfig,
 ) -> Result<DynamicOutcome, PackError> {
+    plan_dynamic_with(input, dc, config, find_destination, consolidate)
+}
+
+/// Phase 1's destination search for one evicted group.
+type FindDestination =
+    fn(&Interval<'_, '_>, usize, HostId, &mut DataCenter) -> Result<HostId, PackError>;
+/// Phase 2, the least-cost consolidation pass over one interval.
+type Consolidate = fn(&mut Interval<'_, '_>, &DataCenter);
+
+/// [`plan_dynamic`] with its two per-interval searches passed in, so the
+/// tests can run the reference versions against them.
+fn plan_dynamic_with(
+    input: &PlanningInput,
+    dc: &mut DataCenter,
+    config: &DynamicConfig,
+    find_destination: FindDestination,
+    consolidate: Consolidate,
+) -> Result<DynamicOutcome, PackError> {
     let w = config.window_hours;
     let eval = input.eval_range();
     let eval_hours = eval.len();
@@ -341,52 +360,35 @@ pub fn plan_dynamic(
     placements.push(placement_of(&groups, &assignment));
 
     let idle_w = dc.template().power.idle_w();
-    let interval_saving_wh = idle_w * w as f64;
+    let ctx = Ctx {
+        input,
+        groups: &groups,
+        config,
+        capacity,
+        effective,
+        effective_net,
+        budget_secs: w as f64 * 3600.0 * config.migration_time_budget_frac,
+        interval_saving_wh: idle_w * w as f64,
+    };
 
     for win in 1..n_windows {
-        let demand_of = |gi: usize| groups[gi].predicted[win];
-        // Current load per host.
-        let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *loads.entry(h).or_insert(Resources::ZERO) += demand_of(gi);
-        }
-        // Loads under the *previous* window's demand: consolidation
-        // actions run at the interval boundary, so a migration executes
-        // while its source still carries the old load — this is what the
-        // pre-copy simulation must see.
-        let mut exec_loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *exec_loads.entry(h).or_insert(Resources::ZERO) += groups[gi].predicted[win - 1];
-        }
-        let mut residents: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            residents.entry(h).or_default().push(gi);
-        }
-        let mut net_loads: BTreeMap<HostId, f64> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *net_loads.entry(h).or_insert(0.0) += groups[gi].net_mbps;
-        }
-
-        // Per-host migration-link busy time committed this interval; the
-        // planner keeps every link under `migration_time_budget_frac` of
-        // the window so the migration schedule stays feasible (§7).
-        let mut link_busy: BTreeMap<HostId, f64> = BTreeMap::new();
-        let budget_secs = w as f64 * 3600.0 * config.migration_time_budget_frac;
+        let mut iv = Interval::new(&ctx, win, &mut assignment, &mut migrations);
 
         // --- Phase 1: repair predicted overloads -----------------------
-        let overloaded: Vec<HostId> = loads
+        let overloaded: Vec<HostId> = iv
+            .loads
             .iter()
             .filter(|(_, &l)| !l.fits_within(&effective))
             .map(|(&h, _)| h)
             .collect();
         for host in overloaded {
             loop {
-                let load = loads.get(&host).copied().unwrap_or(Resources::ZERO);
+                let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
                 if load.fits_within(&effective) {
                     break;
                 }
                 // Cheapest movable group on this host.
-                let Some(&gi) = residents.get(&host).and_then(|list| {
+                let Some(&gi) = iv.residents.get(&host).and_then(|list| {
                     list.iter()
                         .filter(|&&gi| !groups[gi].pinned)
                         .min_by(|&&a, &&b| {
@@ -398,181 +400,13 @@ pub fn plan_dynamic(
                 }) else {
                     break; // only pinned groups left: contention stands
                 };
-                let dest = find_destination(
-                    gi,
-                    host,
-                    &groups,
-                    &assignment,
-                    &loads,
-                    &residents,
-                    dc,
-                    input,
-                    &effective,
-                    demand_of(gi),
-                    &link_busy,
-                    budget_secs,
-                    &net_loads,
-                    effective_net,
-                )?;
-                record_move(
-                    win,
-                    gi,
-                    host,
-                    dest,
-                    &mut assignment,
-                    &mut loads,
-                    &mut residents,
-                    &groups,
-                    demand_of(gi),
-                    capacity,
-                    config,
-                    &mut migrations,
-                    &mut link_busy,
-                    &exec_loads,
-                    &mut net_loads,
-                );
+                let dest = find_destination(&iv, gi, host, dc)?;
+                iv.commit(gi, host, dest);
             }
         }
 
         // --- Phase 2: least-cost consolidation -------------------------
-        // Ascending load: cheap-to-evacuate hosts first.
-        let mut by_load: Vec<(HostId, Resources)> = loads
-            .iter()
-            .filter(|(_, &l)| l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0)
-            .map(|(&h, &l)| (h, l))
-            .collect();
-        by_load.sort_by(|a, b| {
-            a.1.dominant_share(&effective)
-                .total_cmp(&b.1.dominant_share(&effective))
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        for (host, load) in by_load {
-            if load.dominant_share(&effective) > config.underload_threshold {
-                // This host (and every later one in ascending-load order)
-                // is too full to be worth evacuating.
-                break;
-            }
-            let Some(members) = residents.get(&host).cloned() else {
-                continue;
-            };
-            if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
-                continue;
-            }
-            // Tentative: can every group move to another *active* host?
-            let mut tentative_loads = loads.clone();
-            tentative_loads.remove(&host);
-            let mut tentative_net = net_loads.clone();
-            tentative_net.remove(&host);
-            let mut moves: Vec<(usize, HostId)> = Vec::new();
-            let mut ok = true;
-            let mut members_sorted = members.clone();
-            members_sorted.sort_by(|&a, &b| {
-                demand_of(b)
-                    .dominant_share(&effective)
-                    .total_cmp(&demand_of(a).dominant_share(&effective))
-                    .then_with(|| a.cmp(&b))
-            });
-            for &gi in &members_sorted {
-                let mut placed = false;
-                // Most-loaded first keeps the footprint minimal.
-                let mut candidates: Vec<(HostId, Resources)> = tentative_loads
-                    .iter()
-                    .filter(|(&h, &l)| h != host && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
-                    .map(|(&h, &l)| (h, l))
-                    .collect();
-                candidates.sort_by(|a, b| {
-                    b.1.dominant_share(&effective)
-                        .total_cmp(&a.1.dominant_share(&effective))
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                for (cand, cand_load) in candidates {
-                    if !(cand_load + demand_of(gi)).fits_within(&effective) {
-                        continue;
-                    }
-                    if link_busy.get(&cand).copied().unwrap_or(0.0) > budget_secs {
-                        continue; // this destination's link is saturated
-                    }
-                    if effective_net > 0.0
-                        && tentative_net.get(&cand).copied().unwrap_or(0.0) + groups[gi].net_mbps
-                            > effective_net
-                    {
-                        continue; // §3.1 link-bandwidth admission
-                    }
-                    let location = dc.host(cand).expect("provisioned").location();
-                    let dest_residents = residents.get(&cand).map_or_else(Vec::new, |l| {
-                        l.iter()
-                            .flat_map(|&g| groups[g].vms.iter().copied())
-                            .collect()
-                    });
-                    if !input
-                        .constraints
-                        .allows_group(&groups[gi].vms, location, &dest_residents)
-                    {
-                        continue;
-                    }
-                    *tentative_loads.entry(cand).or_insert(Resources::ZERO) += demand_of(gi);
-                    *tentative_net.entry(cand).or_insert(0.0) += groups[gi].net_mbps;
-                    moves.push((gi, cand));
-                    placed = true;
-                    break;
-                }
-                if !placed {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            // Least-cost comparison: migration cost vs. interval power
-            // saving from switching this host off.
-            let src_load = exec_loads.get(&host).copied().unwrap_or(Resources::ZERO);
-            let src = HostLoad::new(
-                src_load.cpu_rpe2 / capacity.cpu_rpe2,
-                src_load.mem_mb / capacity.mem_mb,
-            );
-            let mut total_cost = 0.0;
-            let mut projected: BTreeMap<HostId, f64> = BTreeMap::new();
-            let mut within_budget = true;
-            for &(gi, dest) in &moves {
-                let g = &groups[gi];
-                let profile = migration_profile(g, demand_of(gi));
-                let report = config.cost_model.estimate(&config.precopy, &profile, src);
-                total_cost += report.cost_wh;
-                for endpoint in [host, dest] {
-                    let busy = projected
-                        .entry(endpoint)
-                        .or_insert_with(|| link_busy.get(&endpoint).copied().unwrap_or(0.0));
-                    *busy += report.outcome.total_secs;
-                    if *busy > budget_secs {
-                        within_budget = false;
-                    }
-                }
-            }
-            if !within_budget || total_cost >= interval_saving_wh {
-                continue;
-            }
-            for (gi, dest) in moves {
-                record_move(
-                    win,
-                    gi,
-                    host,
-                    dest,
-                    &mut assignment,
-                    &mut loads,
-                    &mut residents,
-                    &groups,
-                    demand_of(gi),
-                    capacity,
-                    config,
-                    &mut migrations,
-                    &mut link_busy,
-                    &exec_loads,
-                    &mut net_loads,
-                );
-            }
-            let _ = projected;
-        }
+        consolidate(&mut iv, dc);
 
         placements.push(placement_of(&groups, &assignment));
     }
@@ -582,6 +416,320 @@ pub fn plan_dynamic(
         migrations,
         window_hours: w,
     })
+}
+
+/// Planning constants shared by every consolidation interval.
+struct Ctx<'a> {
+    input: &'a PlanningInput,
+    groups: &'a [Group],
+    config: &'a DynamicConfig,
+    /// Raw host capacity (migration source loads are relative to it).
+    capacity: Resources,
+    /// Host capacity under the migration reservation.
+    effective: Resources,
+    /// Host-link bandwidth under the migration reservation, Mbit/s.
+    effective_net: f64,
+    /// Per-host migration-link busy time allowed per interval, seconds.
+    budget_secs: f64,
+    /// Power saved by switching one host off for one interval, Wh.
+    interval_saving_wh: f64,
+}
+
+/// One consolidation interval's working state: per-host loads and
+/// residents under the window's predictions, and the migrations
+/// committed so far.
+struct Interval<'c, 'a> {
+    ctx: &'c Ctx<'a>,
+    win: usize,
+    assignment: &'c mut [HostId],
+    migrations: &'c mut Vec<MigrationEvent>,
+    /// Current load per host.
+    loads: BTreeMap<HostId, Resources>,
+    /// Loads under the *previous* window's demand: consolidation actions
+    /// run at the interval boundary, so a migration executes while its
+    /// source still carries the old load — this is what the pre-copy
+    /// simulation must see.
+    exec_loads: BTreeMap<HostId, Resources>,
+    residents: BTreeMap<HostId, Vec<usize>>,
+    net_loads: BTreeMap<HostId, f64>,
+    /// Per-host migration-link busy time committed this interval; the
+    /// planner keeps every link under `migration_time_budget_frac` of the
+    /// window so the migration schedule stays feasible (§7).
+    link_busy: BTreeMap<HostId, f64>,
+    /// Active hosts as destinations, kept in step with `loads`.
+    ranking: Ranking,
+}
+
+impl<'c, 'a> Interval<'c, 'a> {
+    fn new(
+        ctx: &'c Ctx<'a>,
+        win: usize,
+        assignment: &'c mut [HostId],
+        migrations: &'c mut Vec<MigrationEvent>,
+    ) -> Self {
+        let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
+        let mut exec_loads: BTreeMap<HostId, Resources> = BTreeMap::new();
+        let mut residents: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
+        let mut net_loads: BTreeMap<HostId, f64> = BTreeMap::new();
+        for (gi, &h) in assignment.iter().enumerate() {
+            let g = &ctx.groups[gi];
+            *loads.entry(h).or_insert(Resources::ZERO) += g.predicted[win];
+            *exec_loads.entry(h).or_insert(Resources::ZERO) += g.predicted[win - 1];
+            residents.entry(h).or_default().push(gi);
+            *net_loads.entry(h).or_insert(0.0) += g.net_mbps;
+        }
+        Self {
+            ctx,
+            win,
+            assignment,
+            migrations,
+            ranking: Ranking::new(
+                loads
+                    .iter()
+                    .filter(|(_, l)| is_active(l))
+                    .map(|(&h, &l)| (h, l)),
+                ctx.effective,
+            ),
+            loads,
+            exec_loads,
+            residents,
+            net_loads,
+            link_busy: BTreeMap::new(),
+        }
+    }
+
+    /// Predicted demand of group `gi` in this window.
+    fn demand(&self, gi: usize) -> Resources {
+        self.ctx.groups[gi].predicted[self.win]
+    }
+
+    fn link_busy(&self, host: HostId) -> f64 {
+        self.link_busy.get(&host).copied().unwrap_or(0.0)
+    }
+
+    /// Whether the deployment constraints let group `gi` join `host`'s
+    /// current residents.
+    fn allows(&self, gi: usize, host: HostId, dc: &DataCenter) -> bool {
+        let groups = self.ctx.groups;
+        let location = dc.host(host).expect("provisioned").location();
+        let dest_residents: Vec<VmId> = self.residents.get(&host).map_or_else(Vec::new, |l| {
+            l.iter()
+                .flat_map(|&g| groups[g].vms.iter().copied())
+                .collect()
+        });
+        self.ctx
+            .input
+            .constraints
+            .allows_group(&groups[gi].vms, location, &dest_residents)
+    }
+
+    /// The source load a migration off `host` runs against.
+    fn exec_load(&self, host: HostId) -> HostLoad {
+        let l = self
+            .exec_loads
+            .get(&host)
+            .copied()
+            .unwrap_or(Resources::ZERO);
+        let cap = self.ctx.capacity;
+        HostLoad::new(l.cpu_rpe2 / cap.cpu_rpe2, l.mem_mb / cap.mem_mb)
+    }
+
+    /// Moves group `gi` from `from` to `to` and records its migrations.
+    fn commit(&mut self, gi: usize, from: HostId, to: HostId) {
+        debug_assert_ne!(from, to);
+        let demand = self.demand(gi);
+        let config = self.ctx.config;
+        let group = &self.ctx.groups[gi];
+        let profile = migration_profile(group, demand);
+        let report = config
+            .cost_model
+            .estimate(&config.precopy, &profile, self.exec_load(from));
+
+        self.assignment[gi] = to;
+        let before = [from, to].map(|h| self.loads.get(&h).copied());
+        if let Some(l) = self.loads.get_mut(&from) {
+            *l = l.saturating_sub(&demand);
+            if l.cpu_rpe2 == 0.0 && l.mem_mb == 0.0 {
+                self.loads.remove(&from);
+            }
+        }
+        *self.loads.entry(to).or_insert(Resources::ZERO) += demand;
+        for (h, old) in [from, to].into_iter().zip(before) {
+            let new = self.loads.get(&h).copied();
+            self.ranking.update(h, ranked(old), ranked(new));
+        }
+        if let Some(list) = self.residents.get_mut(&from) {
+            list.retain(|&g| g != gi);
+            if list.is_empty() {
+                self.residents.remove(&from);
+            }
+        }
+        self.residents.entry(to).or_default().push(gi);
+
+        *self.link_busy.entry(from).or_insert(0.0) += report.outcome.total_secs;
+        *self.link_busy.entry(to).or_insert(0.0) += report.outcome.total_secs;
+        if let Some(n) = self.net_loads.get_mut(&from) {
+            *n = (*n - group.net_mbps).max(0.0);
+        }
+        *self.net_loads.entry(to).or_insert(0.0) += group.net_mbps;
+
+        let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
+        for &vm in &group.vms {
+            self.migrations.push(MigrationEvent {
+                interval: self.win,
+                vm,
+                from,
+                to,
+                mem_mb: per_vm_mem,
+                duration_secs: report.outcome.total_secs,
+                converged: report.outcome.converged,
+                cost_wh: report.cost_wh / group.vms.len() as f64,
+            });
+        }
+    }
+
+    /// Active hosts (non-zero load) in ascending-load order, the order
+    /// Phase 2 tries to evacuate them in.
+    fn by_load_ascending(&self) -> Vec<(HostId, Resources)> {
+        let effective = self.ctx.effective;
+        let mut by_load: Vec<(HostId, Resources)> = self
+            .loads
+            .iter()
+            .filter(|(_, l)| is_active(l))
+            .map(|(&h, &l)| (h, l))
+            .collect();
+        by_load.sort_by(|a, b| {
+            a.1.dominant_share(&effective)
+                .total_cmp(&b.1.dominant_share(&effective))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        by_load
+    }
+
+    /// The least-cost test for evacuating `host` through `moves`: it is
+    /// refused if the migrations overrun an endpoint's link budget or
+    /// cost at least the interval's power saving.
+    fn evacuation_refused(&self, host: HostId, moves: &[(usize, HostId)]) -> bool {
+        let config = self.ctx.config;
+        let src = self.exec_load(host);
+        let mut total_cost = 0.0;
+        let mut projected: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut within_budget = true;
+        for &(gi, dest) in moves {
+            let profile = migration_profile(&self.ctx.groups[gi], self.demand(gi));
+            let report = config.cost_model.estimate(&config.precopy, &profile, src);
+            total_cost += report.cost_wh;
+            for endpoint in [host, dest] {
+                let busy = projected
+                    .entry(endpoint)
+                    .or_insert_with(|| self.link_busy(endpoint));
+                *busy += report.outcome.total_secs;
+                if *busy > self.ctx.budget_secs {
+                    within_budget = false;
+                }
+            }
+        }
+        !within_budget || total_cost >= self.ctx.interval_saving_wh
+    }
+}
+
+/// Whether a host load keeps the host powered on.
+fn is_active(load: &Resources) -> bool {
+    load.cpu_rpe2 > 0.0 || load.mem_mb > 0.0
+}
+
+/// A load as the destination [`Ranking`] sees it: only powered-on hosts
+/// are destinations.
+fn ranked(load: Option<Resources>) -> Option<Resources> {
+    load.filter(is_active)
+}
+
+/// Phase 2, least-cost consolidation: walking hosts from the least
+/// loaded, evacuate a host whenever every one of its groups fits on
+/// another active host and the migrations cost less than switching the
+/// host off saves.
+///
+/// A tentative evacuation never copies the load maps. Destination loads
+/// it raises live in a small overlay, and the destination [`Ranking`] is
+/// re-positioned for each raised host and restored if the evacuation is
+/// rejected.
+fn consolidate(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
+    let ctx = iv.ctx;
+    let (groups, effective) = (ctx.groups, ctx.effective);
+    // Tentatively raised hosts: (host, load, net load, load before).
+    let mut raised: Vec<(HostId, Resources, f64, Resources)> = Vec::new();
+    let mut moves: Vec<(usize, HostId)> = Vec::new();
+    for (host, load) in iv.by_load_ascending() {
+        if load.dominant_share(&effective) > ctx.config.underload_threshold {
+            // This host (and every later one in ascending-load order)
+            // is too full to be worth evacuating.
+            break;
+        }
+        let Some(members) = iv.residents.get(&host) else {
+            continue;
+        };
+        if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
+            continue;
+        }
+        let mut members = members.clone();
+        members.sort_by(|&a, &b| {
+            iv.demand(b)
+                .dominant_share(&effective)
+                .total_cmp(&iv.demand(a).dominant_share(&effective))
+                .then_with(|| a.cmp(&b))
+        });
+        // Tentative: can every group move to another *active* host?
+        raised.clear();
+        moves.clear();
+        let mut ok = true;
+        for &gi in &members {
+            let demand = iv.demand(gi);
+            let net = groups[gi].net_mbps;
+            let dest = iv.ranking.may_fit(demand).iter().find_map(|&(_, cand)| {
+                if cand == host {
+                    return None;
+                }
+                let raise = raised.iter().find(|r| r.0 == cand);
+                let cand_load = raise.map_or_else(|| iv.loads[&cand], |r| r.1);
+                let cand_net =
+                    raise.map_or_else(|| iv.net_loads.get(&cand).copied().unwrap_or(0.0), |r| r.2);
+                if !(cand_load + demand).fits_within(&effective) {
+                    return None;
+                }
+                if iv.link_busy(cand) > ctx.budget_secs {
+                    return None; // this destination's link is saturated
+                }
+                if ctx.effective_net > 0.0 && cand_net + net > ctx.effective_net {
+                    return None; // §3.1 link-bandwidth admission
+                }
+                iv.allows(gi, cand, dc)
+                    .then_some((cand, cand_load, cand_net))
+            });
+            let Some((cand, cand_load, cand_net)) = dest else {
+                ok = false;
+                break;
+            };
+            let new_load = cand_load + demand;
+            iv.ranking
+                .update(cand, ranked(Some(cand_load)), ranked(Some(new_load)));
+            match raised.iter_mut().find(|r| r.0 == cand) {
+                Some(r) => (r.1, r.2) = (new_load, cand_net + net),
+                None => raised.push((cand, new_load, cand_net + net, cand_load)),
+            }
+            moves.push((gi, cand));
+        }
+        // The ranking goes back to the committed loads either way.
+        for &(cand, tentative, _, before) in &raised {
+            iv.ranking
+                .update(cand, ranked(Some(tentative)), ranked(Some(before)));
+        }
+        if !ok || iv.evacuation_refused(host, &moves) {
+            continue;
+        }
+        for &(gi, dest) in &moves {
+            iv.commit(gi, host, dest);
+        }
+    }
 }
 
 /// Builds the migration profile of a group for one window.
@@ -598,63 +746,31 @@ fn migration_profile(group: &Group, demand: Resources) -> VmMigrationProfile {
 
 /// Finds a destination for an evicted group: most-loaded active host that
 /// fits, else an empty provisioned host, else a newly provisioned one.
-#[allow(clippy::too_many_arguments)]
 fn find_destination(
+    iv: &Interval<'_, '_>,
     gi: usize,
     from: HostId,
-    groups: &[Group],
-    _assignment: &[HostId],
-    loads: &BTreeMap<HostId, Resources>,
-    residents: &BTreeMap<HostId, Vec<usize>>,
     dc: &mut DataCenter,
-    input: &PlanningInput,
-    effective: &Resources,
-    demand: Resources,
-    link_busy: &BTreeMap<HostId, f64>,
-    budget_secs: f64,
-    net_loads: &BTreeMap<HostId, f64>,
-    effective_net: f64,
 ) -> Result<HostId, PackError> {
-    fn allowed(
-        host: HostId,
-        dc: &DataCenter,
-        residents: &BTreeMap<HostId, Vec<usize>>,
-        groups: &[Group],
-        gi: usize,
-        input: &PlanningInput,
-    ) -> bool {
-        let location = dc.host(host).expect("provisioned").location();
-        let dest_residents: Vec<VmId> = residents.get(&host).map_or_else(Vec::new, |l| {
-            l.iter()
-                .flat_map(|&g| groups[g].vms.iter().copied())
-                .collect()
-        });
-        input
-            .constraints
-            .allows_group(&groups[gi].vms, location, &dest_residents)
-    }
+    let ctx = iv.ctx;
+    let effective = ctx.effective;
+    let demand = iv.demand(gi);
+    let group = &ctx.groups[gi];
     // Active hosts, most-loaded first.
-    let mut candidates: Vec<(HostId, Resources)> = loads
-        .iter()
-        .filter(|(&h, &l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
-        .map(|(&h, &l)| (h, l))
-        .collect();
-    candidates.sort_by(|a, b| {
-        b.1.dominant_share(effective)
-            .total_cmp(&a.1.dominant_share(effective))
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    for (host, load) in candidates {
-        if link_busy.get(&host).copied().unwrap_or(0.0) > budget_secs {
+    for &(_, host) in iv.ranking.may_fit(demand) {
+        if host == from {
+            continue;
+        }
+        let load = iv.loads[&host];
+        if iv.link_busy(host) > ctx.budget_secs {
             continue; // saturated migration link: spread arrivals
         }
-        if effective_net > 0.0
-            && net_loads.get(&host).copied().unwrap_or(0.0) + groups[gi].net_mbps > effective_net
+        if ctx.effective_net > 0.0
+            && iv.net_loads.get(&host).copied().unwrap_or(0.0) + group.net_mbps > ctx.effective_net
         {
             continue; // §3.1 link-bandwidth admission
         }
-        if (load + demand).fits_within(effective) && allowed(host, dc, residents, groups, gi, input)
-        {
+        if (load + demand).fits_within(&effective) && iv.allows(gi, host, dc) {
             return Ok(host);
         }
     }
@@ -664,102 +780,36 @@ fn find_destination(
         if host == from {
             continue;
         }
-        let load = loads.get(&host).copied().unwrap_or(Resources::ZERO);
+        let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
         if load.cpu_rpe2 == 0.0
             && load.mem_mb == 0.0
-            && demand.fits_within(effective)
-            && allowed(host, dc, residents, groups, gi, input)
+            && demand.fits_within(&effective)
+            && iv.allows(gi, host, dc)
         {
             return Ok(host);
         }
     }
     // Provision a new host.
-    if !demand.fits_within(effective) {
+    if !demand.fits_within(&effective) {
         return Err(PackError::ItemTooLarge {
-            vm: groups[gi].vms[0],
+            vm: group.vms[0],
             demand,
-            capacity: *effective,
+            capacity: effective,
         });
     }
     let mut attempts = 0;
     loop {
         let host = dc.provision();
-        if allowed(host, dc, residents, groups, gi, input) {
+        if iv.allows(gi, host, dc) {
             return Ok(host);
         }
         attempts += 1;
         if attempts > 64 {
             return Err(PackError::PinnedHostInfeasible {
-                vm: groups[gi].vms[0],
+                vm: group.vms[0],
                 host,
             });
         }
-    }
-}
-
-/// Applies a group move and records the migration events.
-#[allow(clippy::too_many_arguments)]
-fn record_move(
-    win: usize,
-    gi: usize,
-    from: HostId,
-    to: HostId,
-    assignment: &mut [HostId],
-    loads: &mut BTreeMap<HostId, Resources>,
-    residents: &mut BTreeMap<HostId, Vec<usize>>,
-    groups: &[Group],
-    demand: Resources,
-    capacity: Resources,
-    config: &DynamicConfig,
-    migrations: &mut Vec<MigrationEvent>,
-    link_busy: &mut BTreeMap<HostId, f64>,
-    exec_loads: &BTreeMap<HostId, Resources>,
-    net_loads: &mut BTreeMap<HostId, f64>,
-) {
-    let src_load = exec_loads.get(&from).copied().unwrap_or(Resources::ZERO);
-    let src = HostLoad::new(
-        src_load.cpu_rpe2 / capacity.cpu_rpe2,
-        src_load.mem_mb / capacity.mem_mb,
-    );
-    let group = &groups[gi];
-    let profile = migration_profile(group, demand);
-    let report = config.cost_model.estimate(&config.precopy, &profile, src);
-
-    assignment[gi] = to;
-    if let Some(l) = loads.get_mut(&from) {
-        *l = l.saturating_sub(&demand);
-        if l.cpu_rpe2 == 0.0 && l.mem_mb == 0.0 {
-            loads.remove(&from);
-        }
-    }
-    *loads.entry(to).or_insert(Resources::ZERO) += demand;
-    if let Some(list) = residents.get_mut(&from) {
-        list.retain(|&g| g != gi);
-        if list.is_empty() {
-            residents.remove(&from);
-        }
-    }
-    residents.entry(to).or_default().push(gi);
-
-    *link_busy.entry(from).or_insert(0.0) += report.outcome.total_secs;
-    *link_busy.entry(to).or_insert(0.0) += report.outcome.total_secs;
-    if let Some(n) = net_loads.get_mut(&from) {
-        *n = (*n - group.net_mbps).max(0.0);
-    }
-    *net_loads.entry(to).or_insert(0.0) += group.net_mbps;
-
-    let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
-    for &vm in &group.vms {
-        migrations.push(MigrationEvent {
-            interval: win,
-            vm,
-            from,
-            to,
-            mem_mb: per_vm_mem,
-            duration_secs: report.outcome.total_secs,
-            converged: report.outcome.converged,
-            cost_wh: report.cost_wh / group.vms.len() as f64,
-        });
     }
 }
 
@@ -1001,6 +1051,229 @@ mod tests {
             mean(&out_eager),
             mean(&out_shy)
         );
+    }
+
+    /// The destination search before the ranking: collect and sort every
+    /// active host for every evicted group. Kept as the oracle for
+    /// [`find_destination`].
+    fn find_destination_reference(
+        iv: &Interval<'_, '_>,
+        gi: usize,
+        from: HostId,
+        dc: &mut DataCenter,
+    ) -> Result<HostId, PackError> {
+        let ctx = iv.ctx;
+        let effective = ctx.effective;
+        let demand = iv.demand(gi);
+        let mut candidates: Vec<(HostId, Resources)> = iv
+            .loads
+            .iter()
+            .filter(|(&h, &l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
+            .map(|(&h, &l)| (h, l))
+            .collect();
+        candidates.sort_by(|a, b| {
+            b.1.dominant_share(&effective)
+                .total_cmp(&a.1.dominant_share(&effective))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        for (host, load) in candidates {
+            if iv.link_busy.get(&host).copied().unwrap_or(0.0) > ctx.budget_secs {
+                continue;
+            }
+            if ctx.effective_net > 0.0
+                && iv.net_loads.get(&host).copied().unwrap_or(0.0) + ctx.groups[gi].net_mbps
+                    > ctx.effective_net
+            {
+                continue;
+            }
+            if (load + demand).fits_within(&effective) && iv.allows(gi, host, dc) {
+                return Ok(host);
+            }
+        }
+        for idx in 0..dc.len() {
+            let host = HostId(idx as u32);
+            if host == from {
+                continue;
+            }
+            let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
+            if load.cpu_rpe2 == 0.0
+                && load.mem_mb == 0.0
+                && demand.fits_within(&effective)
+                && iv.allows(gi, host, dc)
+            {
+                return Ok(host);
+            }
+        }
+        if !demand.fits_within(&effective) {
+            return Err(PackError::ItemTooLarge {
+                vm: ctx.groups[gi].vms[0],
+                demand,
+                capacity: effective,
+            });
+        }
+        let mut attempts = 0;
+        loop {
+            let host = dc.provision();
+            if iv.allows(gi, host, dc) {
+                return Ok(host);
+            }
+            attempts += 1;
+            if attempts > 64 {
+                return Err(PackError::PinnedHostInfeasible {
+                    vm: ctx.groups[gi].vms[0],
+                    host,
+                });
+            }
+        }
+    }
+
+    /// The underload pass before the overlay and the ranking: clone the
+    /// load maps for every evicted host and re-sort every active host for
+    /// every evicted group. Kept as the oracle for [`consolidate`].
+    fn consolidate_reference(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
+        let ctx = iv.ctx;
+        let (groups, effective) = (ctx.groups, ctx.effective);
+        for (host, load) in iv.by_load_ascending() {
+            if load.dominant_share(&effective) > ctx.config.underload_threshold {
+                break;
+            }
+            let Some(members) = iv.residents.get(&host).cloned() else {
+                continue;
+            };
+            if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
+                continue;
+            }
+            let mut tentative_loads = iv.loads.clone();
+            tentative_loads.remove(&host);
+            let mut tentative_net = iv.net_loads.clone();
+            tentative_net.remove(&host);
+            let mut moves: Vec<(usize, HostId)> = Vec::new();
+            let mut ok = true;
+            let mut members_sorted = members.clone();
+            members_sorted.sort_by(|&a, &b| {
+                iv.demand(b)
+                    .dominant_share(&effective)
+                    .total_cmp(&iv.demand(a).dominant_share(&effective))
+                    .then_with(|| a.cmp(&b))
+            });
+            for &gi in &members_sorted {
+                let mut placed = false;
+                let mut candidates: Vec<(HostId, Resources)> = tentative_loads
+                    .iter()
+                    .filter(|(&h, &l)| h != host && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
+                    .map(|(&h, &l)| (h, l))
+                    .collect();
+                candidates.sort_by(|a, b| {
+                    b.1.dominant_share(&effective)
+                        .total_cmp(&a.1.dominant_share(&effective))
+                        .then_with(|| a.0.cmp(&b.0))
+                });
+                for (cand, cand_load) in candidates {
+                    if !(cand_load + iv.demand(gi)).fits_within(&effective) {
+                        continue;
+                    }
+                    if iv.link_busy.get(&cand).copied().unwrap_or(0.0) > ctx.budget_secs {
+                        continue;
+                    }
+                    if ctx.effective_net > 0.0
+                        && tentative_net.get(&cand).copied().unwrap_or(0.0) + groups[gi].net_mbps
+                            > ctx.effective_net
+                    {
+                        continue;
+                    }
+                    if !iv.allows(gi, cand, dc) {
+                        continue;
+                    }
+                    *tentative_loads.entry(cand).or_insert(Resources::ZERO) += iv.demand(gi);
+                    *tentative_net.entry(cand).or_insert(0.0) += groups[gi].net_mbps;
+                    moves.push((gi, cand));
+                    placed = true;
+                    break;
+                }
+                if !placed {
+                    ok = false;
+                    break;
+                }
+            }
+            if !ok || iv.evacuation_refused(host, &moves) {
+                continue;
+            }
+            for (gi, dest) in moves {
+                iv.commit(gi, host, dest);
+            }
+        }
+    }
+
+    /// `input` relabelled, plus a few colocation and anti-colocation
+    /// constraints on the new ids.
+    fn relabelled_with_constraints(input: &PlanningInput, seed: u64, spread: u32) -> PlanningInput {
+        use vmcw_cluster::constraints::{Constraint, ConstraintSet};
+        let input = crate::testing::relabelled(input, seed, spread);
+        let mut constraints = ConstraintSet::new();
+        for pair in input.vms.chunks(2).step_by(5).take(6) {
+            if let [a, b] = pair {
+                let c = if a.vm.id.0 % 2 == 0 {
+                    Constraint::Colocate(a.vm.id, b.vm.id)
+                } else {
+                    Constraint::AntiColocate(a.vm.id, b.vm.id)
+                };
+                let _ = constraints.add(c);
+            }
+        }
+        input.with_constraints(constraints)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The ranked, overlay-based searches plan exactly what the
+        /// reference searches plan: same placements, same migrations, same
+        /// provisioned fleet — over random populations, configurations,
+        /// and shuffled sparse ids with constraints.
+        #[test]
+        fn ranked_searches_match_the_reference(
+            population in (0usize..4, 0u64..1_000, 2u32..7),
+            knobs in (10u32..95, 2u32..80, 0usize..3),
+            variant in (0u32..2, 0u32..3, 1u32..40),
+        ) {
+            let (dc_pick, seed, scale_pct) = population;
+            let (threshold_pct, budget_pct, window_pick) = knobs;
+            let (free_moves, relabel, spread) = variant;
+            let dcid = DataCenterId::ALL[dc_pick];
+            let w = GeneratorConfig::new(dcid)
+                .scale(f64::from(scale_pct) / 100.0)
+                .days(6)
+                .generate(seed);
+            let mut input = PlanningInput::from_workload(&w, 4, VirtualizationModel::baseline());
+            match relabel {
+                1 => input = relabelled_with_constraints(&input, seed, spread),
+                2 => input = crate::testing::three_templates(&input),
+                _ => {}
+            }
+            let config = DynamicConfig {
+                window_hours: [1, 2, 4][window_pick],
+                underload_threshold: f64::from(threshold_pct) / 100.0,
+                migration_time_budget_frac: f64::from(budget_pct) / 100.0,
+                cost_model: if free_moves == 1 {
+                    MigrationCostModel::free()
+                } else {
+                    MigrationCostModel::default_calibration()
+                },
+                ..DynamicConfig::baseline()
+            };
+            let mut dc_fast = DataCenter::hs23_default();
+            let mut dc_ref = DataCenter::hs23_default();
+            let fast = plan_dynamic(&input, &mut dc_fast, &config);
+            let reference = plan_dynamic_with(
+                &input,
+                &mut dc_ref,
+                &config,
+                find_destination_reference,
+                consolidate_reference,
+            );
+            proptest::prop_assert_eq!(&fast, &reference);
+            proptest::prop_assert_eq!(dc_fast.len(), dc_ref.len());
+        }
     }
 
     #[test]

@@ -122,6 +122,43 @@ pub struct PlanningInput {
     pub history_hours: usize,
     /// Deployment constraints (§2.2.4).
     pub constraints: ConstraintSet,
+    /// `VmId` → position in `vms`, built by the constructors.
+    index: VmIndex,
+}
+
+/// Maps a [`VmId`] to the position of its *first* trace in
+/// [`PlanningInput::vms`] — what a linear `find` would return — in
+/// O(log n) for any id layout, dense or sparse.
+#[derive(Debug, Clone, PartialEq)]
+struct VmIndex {
+    /// One `(id, position)` pair per trace, sorted by id, then position.
+    pairs: Vec<(VmId, u32)>,
+}
+
+impl VmIndex {
+    fn build(vms: &[VmTrace]) -> Self {
+        let mut pairs: Vec<(VmId, u32)> = vms
+            .iter()
+            .enumerate()
+            .map(|(pos, t)| {
+                let pos = u32::try_from(pos).expect("fewer than 2^32 VM traces");
+                (t.vm.id, pos)
+            })
+            .collect();
+        pairs.sort_unstable();
+        Self { pairs }
+    }
+
+    /// Position of `id`'s first trace: the lowest position among its
+    /// pairs, which sort first.
+    #[inline]
+    fn get(&self, id: VmId) -> Option<usize> {
+        let i = self.pairs.partition_point(|&(v, _)| v < id);
+        match self.pairs.get(i) {
+            Some(&(v, pos)) if v == id => Some(pos as usize),
+            _ => None,
+        }
+    }
 }
 
 impl PlanningInput {
@@ -168,11 +205,7 @@ impl PlanningInput {
                 }
             })
             .collect();
-        Self {
-            vms,
-            history_hours: history_days * HOURS_PER_DAY,
-            constraints: ConstraintSet::new(),
-        }
+        Self::from_traces(vms, history_days * HOURS_PER_DAY)
     }
 
     /// Builds the input from the monitoring warehouse plus configuration
@@ -213,10 +246,19 @@ impl PlanningInput {
                 net_peak_mbps: spec.net_peak_mbps,
             });
         }
+        Self::from_traces(vms, history_hours)
+    }
+
+    /// Builds the input from ready-made traces, in the given order, with
+    /// no deployment constraints.
+    #[must_use]
+    pub fn from_traces(vms: Vec<VmTrace>, history_hours: usize) -> Self {
+        let index = VmIndex::build(&vms);
         Self {
             vms,
             history_hours,
             constraints: ConstraintSet::new(),
+            index,
         }
     }
 
@@ -251,10 +293,40 @@ impl PlanningInput {
         self.history_hours.min(self.total_hours())..self.total_hours()
     }
 
-    /// Looks up a VM trace by id.
+    /// Looks up a VM trace by id: the first trace in `vms` with that id.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::vm_position`], on a stale index.
     #[must_use]
+    #[inline]
     pub fn vm_trace(&self, id: VmId) -> Option<&VmTrace> {
-        self.vms.iter().find(|t| t.vm.id == id)
+        self.vm_position(id).map(|pos| &self.vms[pos])
+    }
+
+    /// Position in `vms` of the first trace with id `id`.
+    ///
+    /// O(log n) through the index the constructors build.
+    ///
+    /// # Panics
+    ///
+    /// If `vms` was resized, reordered or re-ided after construction so
+    /// that the index no longer describes it (every hit is checked
+    /// against its trace's id); rebuild with [`Self::from_traces`].
+    #[must_use]
+    #[inline]
+    pub fn vm_position(&self, id: VmId) -> Option<usize> {
+        let stale = || -> ! {
+            panic!("PlanningInput.vms changed after construction; rebuild with from_traces")
+        };
+        if self.index.pairs.len() != self.vms.len() {
+            stale();
+        }
+        let pos = self.index.get(id)?;
+        if self.vms[pos].vm.id != id {
+            stale();
+        }
+        Some(pos)
     }
 
     /// All VM ids, in input order.
@@ -277,6 +349,7 @@ impl PlanningInput {
 mod tests {
     use super::*;
     use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
+    use vmcw_trace::series::StepSecs;
 
     fn tiny_input() -> PlanningInput {
         let w = GeneratorConfig::new(DataCenterId::Airlines)
@@ -331,6 +404,59 @@ mod tests {
         let first = input.vm_ids()[0];
         assert!(input.vm_trace(first).is_some());
         assert!(input.vm_trace(VmId(9999)).is_none());
+    }
+
+    /// The lookup the index replaces, kept as its oracle.
+    fn linear_position(input: &PlanningInput, id: VmId) -> Option<usize> {
+        input.vms.iter().position(|t| t.vm.id == id)
+    }
+
+    fn trace_with_id(id: u32) -> VmTrace {
+        VmTrace {
+            vm: Vm::new(VmId(id), format!("vm-{id}"), 1024.0),
+            cpu_rpe2: TimeSeries::new(StepSecs::HOUR, vec![f64::from(id); 4]),
+            mem_mb: TimeSeries::new(StepSecs::HOUR, vec![512.0; 4]),
+            net_peak_mbps: 1.0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Dense, shuffled, sparse and repeated ids: the index answers
+        /// exactly what the linear scan does, first match included, and
+        /// `None` for every unknown id.
+        #[test]
+        fn indexed_lookup_matches_linear_find(
+            ids in proptest::collection::vec(0u32..40, 0..30),
+            layout in 0usize..3,
+            probes in proptest::collection::vec(0u32..200_000, 1..20),
+        ) {
+            // Dense, dense with gaps, and sparse.
+            let spread = [1, 3, 4999][layout];
+            let vms: Vec<VmTrace> = ids.iter().map(|&i| trace_with_id(i * spread)).collect();
+            let input = PlanningInput::from_traces(vms, 2);
+            let known = ids.iter().map(|&i| i * spread);
+            for id in known.chain(probes.iter().copied()).map(VmId) {
+                proptest::prop_assert_eq!(input.vm_position(id), linear_position(&input, id));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PlanningInput.vms changed after construction")]
+    fn lookup_panics_after_vms_are_reordered() {
+        let mut input = PlanningInput::from_traces((0..5).map(trace_with_id).collect(), 2);
+        input.vms.swap(0, 4);
+        let _ = input.vm_position(VmId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "PlanningInput.vms changed after construction")]
+    fn lookup_panics_after_vms_are_resized() {
+        let mut input = PlanningInput::from_traces((0..5).map(trace_with_id).collect(), 2);
+        input.vms.push(trace_with_id(77));
+        let _ = input.vm_position(VmId(1));
     }
 
     #[test]

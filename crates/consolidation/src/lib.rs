@@ -71,6 +71,9 @@ pub mod pcp;
 pub mod placement;
 pub mod planner;
 pub mod prediction;
+mod ranking;
+#[cfg(test)]
+mod testing;
 pub mod sizing;
 
 pub use input::{PlanningInput, VirtualizationModel, VmTrace};

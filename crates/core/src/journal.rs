@@ -41,11 +41,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Writes `bytes` to `path` atomically: a sibling temp file is written,
-/// fsynced, and renamed over the target, so readers (and crashes) see
-/// either the old content or the new — never a truncated file.
-///
-/// Parent directories are created as needed.
+/// Writes `bytes` to `path` atomically (see
+/// [`vmcw_trace::io::write_atomic_with`]): readers, crashes and
+/// concurrent writers see either the old content or one writer's whole
+/// new content — never a torn file. Parent directories are created as
+/// needed.
 ///
 /// # Errors
 ///
@@ -55,17 +55,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(dir) = dir {
         fs::create_dir_all(dir)?;
     }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp = path.to_path_buf();
-    tmp.set_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
+    vmcw_trace::io::write_atomic_with(path, |file| file.write_all(bytes))
 }
 
 /// A corrupt or truncated journal tail: everything from `offset` on was
@@ -323,6 +313,43 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn concurrent_write_atomic_leaves_one_whole_payload() {
+        // Every writer's payload is distinct and long enough that a torn
+        // or interleaved write would show; afterwards the file must hold
+        // exactly one of them and no staging file may be left behind.
+        let dir = tmp_dir("concurrent");
+        let path = dir.join("shared.txt");
+        let payloads: Vec<Vec<u8>> = (0..8u8)
+            .map(|i| vec![b'a' + i; 64 * 1024 + usize::from(i)])
+            .collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..10 {
+                        write_atomic(path, payload).expect("concurrent write_atomic");
+                    }
+                });
+            }
+        });
+        let content = fs::read(&path).unwrap();
+        assert!(
+            payloads.contains(&content),
+            "torn file of {} bytes",
+            content.len()
+        );
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != "shared.txt")
+            .collect();
+        assert!(leftovers.is_empty(), "staging files left: {leftovers:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

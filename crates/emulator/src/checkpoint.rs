@@ -155,12 +155,41 @@ pub fn enc_f64(x: f64) -> String {
 /// FNV-1a 64-bit hash, used for resume fingerprints and report digests.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: hashing text as it is formatted gives the same
+/// value as hashing the finished string, without building it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of no bytes.
+    pub(crate) fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes`.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Line cursor over a payload, tracking the byte offset of the current
@@ -756,6 +785,18 @@ pub fn decode_fault_config(t: &mut Toks<'_>) -> Result<FaultConfig, CheckpointEr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn streaming_fnv1a_matches_the_one_shot_hash() {
+        use std::fmt::Write as _;
+        let text = "Dynamic|102|72|3ff0000000000000|faults none|w2|0 3;1 4;|";
+        let mut h = Fnv1a::new();
+        for piece in text.split_inclusive(';') {
+            h.write_str(piece).unwrap();
+        }
+        assert_eq!(h.finish(), fnv1a(text.as_bytes()));
+        assert_eq!(Fnv1a::new().finish(), fnv1a(b""));
+    }
 
     fn sample_checkpoint() -> ReplayCheckpoint {
         ReplayCheckpoint {

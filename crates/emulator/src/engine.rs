@@ -8,7 +8,7 @@
 //! that can not be met within the server's capacity" (§5.3).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,8 +289,95 @@ struct FaultState {
     current: EffectivePlacement,
     was_down: Vec<bool>,
     /// VMs resident on a crashed host, awaiting evacuation or repair.
-    down_vms: BTreeSet<VmId>,
+    down_vms: VmMap<()>,
     precopy: PrecopyConfig,
+}
+
+/// Per-VM replay state, stored densely by the VM's position in the
+/// planning input so the hot loop never searches a tree. Ids the input
+/// does not trace — a traceless VM resident on a crashed host, or an
+/// entry restored from a checkpoint — live in an ordered side map, so
+/// every entry round-trips through a checkpoint unchanged.
+#[derive(Debug)]
+struct VmMap<T> {
+    dense: Vec<Option<T>>,
+    untraced: BTreeMap<VmId, T>,
+    len: usize,
+}
+
+impl<T> VmMap<T> {
+    fn new(input: &PlanningInput) -> Self {
+        Self {
+            dense: std::iter::repeat_with(|| None)
+                .take(input.vms.len())
+                .collect(),
+            untraced: BTreeMap::new(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entry of the VM whose trace sits at `pos` in the input.
+    fn get_mut_at(&mut self, pos: usize) -> Option<&mut T> {
+        self.dense[pos].as_mut()
+    }
+
+    fn contains(&self, input: &PlanningInput, vm: VmId) -> bool {
+        match input.vm_position(vm) {
+            Some(pos) => self.dense[pos].is_some(),
+            None => self.untraced.contains_key(&vm),
+        }
+    }
+
+    /// Inserts or overwrites; returns whether `vm` was absent.
+    fn insert(&mut self, input: &PlanningInput, vm: VmId, value: T) -> bool {
+        match input.vm_position(vm) {
+            Some(pos) => self.insert_at(pos, value),
+            None => {
+                let fresh = self.untraced.insert(vm, value).is_none();
+                self.len += usize::from(fresh);
+                fresh
+            }
+        }
+    }
+
+    /// [`Self::insert`] for the VM whose trace sits at `pos`, for callers
+    /// that already looked the VM up.
+    fn insert_at(&mut self, pos: usize, value: T) -> bool {
+        let fresh = self.dense[pos].replace(value).is_none();
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Removes `vm`; returns whether it was present.
+    fn remove(&mut self, input: &PlanningInput, vm: VmId) -> bool {
+        let removed = match input.vm_position(vm) {
+            Some(pos) => self.dense[pos].take().is_some(),
+            None => self.untraced.remove(&vm).is_some(),
+        };
+        self.len -= usize::from(removed);
+        removed
+    }
+
+    /// Every entry in ascending `VmId` order — the checkpoint order.
+    fn sorted<'s>(&'s self, input: &PlanningInput) -> Vec<(VmId, &'s T)> {
+        let mut out: Vec<(VmId, &T)> = self
+            .dense
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, v)| v.as_ref().map(|v| (input.vms[pos].vm.id, v)))
+            .chain(self.untraced.iter().map(|(&vm, v)| (vm, v)))
+            .collect();
+        out.sort_unstable_by_key(|&(vm, _)| vm);
+        out
+    }
 }
 
 /// Copy-on-write handle for the in-effect placement of a faulted replay.
@@ -444,7 +531,7 @@ pub struct Replay<'a> {
     hour: usize,
     ledger: FaultLedger,
     state: Option<FaultState>,
-    last_good: BTreeMap<VmId, (Resources, usize)>,
+    last_good: VmMap<(Resources, usize)>,
     accs: Vec<HostAcc>,
     per_hour: Vec<HourSummary>,
     energy_wh: f64,
@@ -480,7 +567,7 @@ impl<'a> Replay<'a> {
             schedule: CrashSchedule::generate(f, n_hosts, hours),
             current: EffectivePlacement::Synced(0),
             was_down: vec![false; n_hosts],
-            down_vms: BTreeSet::new(),
+            down_vms: VmMap::new(input),
             precopy: PrecopyConfig::gigabit(),
         });
         Ok(Self {
@@ -494,7 +581,7 @@ impl<'a> Replay<'a> {
             hour: 0,
             ledger: FaultLedger::default(),
             state,
-            last_good: BTreeMap::new(),
+            last_good: VmMap::new(input),
             accs: (0..n_hosts).map(|_| HostAcc::zero()).collect(),
             per_hour: Vec::with_capacity(hours),
             energy_wh: 0.0,
@@ -569,11 +656,9 @@ impl<'a> Replay<'a> {
             .collect();
         fresh.per_hour = ckpt.per_hour.clone();
         fresh.cpu_contention_samples = ckpt.cpu_contention_samples.clone();
-        fresh.last_good = ckpt
-            .last_good
-            .iter()
-            .map(|&(vm, r, stale)| (vm, (r, stale)))
-            .collect();
+        for &(vm, r, stale) in &ckpt.last_good {
+            fresh.last_good.insert(input, vm, (r, stale));
+        }
         if let (Some(fs), Some(st)) = (&ckpt.fault, fresh.state.as_mut()) {
             // Replaying the recorded per-host VM lists through assign()
             // reproduces the engine's exact storage order, hence the
@@ -586,7 +671,9 @@ impl<'a> Replay<'a> {
             }
             st.current = EffectivePlacement::Diverged(current);
             st.was_down = fs.was_down.clone();
-            st.down_vms = fs.down_vms.iter().copied().collect();
+            for &vm in &fs.down_vms {
+                st.down_vms.insert(input, vm, ());
+            }
         }
         Ok(fresh)
     }
@@ -635,8 +722,9 @@ impl<'a> Replay<'a> {
             cpu_contention_samples: self.cpu_contention_samples.clone(),
             last_good: self
                 .last_good
-                .iter()
-                .map(|(&vm, &(r, stale))| (vm, r, stale))
+                .sorted(self.input)
+                .into_iter()
+                .map(|(vm, &(r, stale))| (vm, r, stale))
                 .collect(),
             fault: self.state.as_ref().map(|st| {
                 let current = st.current.resolve(self.plan);
@@ -646,7 +734,12 @@ impl<'a> Replay<'a> {
                         .map(|(h, vms)| (h, vms.to_vec()))
                         .collect(),
                     was_down: st.was_down.clone(),
-                    down_vms: st.down_vms.iter().copied().collect(),
+                    down_vms: st
+                        .down_vms
+                        .sorted(self.input)
+                        .into_iter()
+                        .map(|(vm, ())| vm)
+                        .collect(),
                 }
             }),
         }
@@ -709,16 +802,18 @@ impl<'a> Replay<'a> {
             debug_assert!(!vms.is_empty());
             let mut demand = Resources::ZERO;
             for &vm in vms {
-                let t = self
+                let pos = self
                     .input
-                    .vm_trace(vm)
+                    .vm_position(vm)
                     .ok_or(EmulatorError::MissingTrace { vm })?;
+                let t = &self.input.vms[pos];
                 let sample = t.demand_at(eval.start + h);
                 let sample = match faults {
                     Some(fcfg) => survive_sample(
                         fcfg,
                         &mut self.last_good,
                         t,
+                        pos,
                         vm,
                         h,
                         eval.start,
@@ -852,9 +947,11 @@ fn run_fingerprint(
 ) -> u64 {
     use std::fmt::Write as _;
     use vmcw_consolidation::planner::PlanPlacements;
-    let mut s = String::new();
+    // Hashed as it is formatted: a per-interval plan spells out every
+    // window's placement, far too much text to build just to hash.
+    let mut h = crate::checkpoint::Fnv1a::new();
     let _ = write!(
-        s,
+        h,
         "{}|{n_hosts}|{hours}|{:016x}|{:016x}|{:016x}|",
         plan.kind.label(),
         config.dedup_savings_frac.to_bits(),
@@ -863,29 +960,29 @@ fn run_fingerprint(
     );
     match faults {
         Some(f) => {
-            let _ = write!(s, "faults {}|", crate::checkpoint::encode_fault_config(f));
+            let _ = write!(h, "faults {}|", crate::checkpoint::encode_fault_config(f));
         }
-        None => s.push_str("faults none|"),
+        None => h.update(b"faults none|"),
     }
-    fn hash_placement(s: &mut String, p: &Placement) {
+    fn hash_placement(h: &mut crate::checkpoint::Fnv1a, p: &Placement) {
         for (vm, host) in p.iter() {
-            let _ = write!(s, "{} {};", vm.0, host.0);
+            let _ = write!(h, "{} {};", vm.0, host.0);
         }
-        s.push('|');
+        h.update(b"|");
     }
     match &plan.placements {
-        PlanPlacements::Fixed(p) => hash_placement(&mut s, p),
+        PlanPlacements::Fixed(p) => hash_placement(&mut h, p),
         PlanPlacements::PerInterval {
             placements,
             window_hours,
         } => {
-            let _ = write!(s, "w{window_hours}|");
+            let _ = write!(h, "w{window_hours}|");
             for p in placements {
-                hash_placement(&mut s, p);
+                hash_placement(&mut h, p);
             }
         }
     }
-    crate::checkpoint::fnv1a(s.as_bytes())
+    h.finish()
 }
 
 /// Advances the fault state to hour `h`: crash onsets and recoveries,
@@ -920,11 +1017,11 @@ fn step_faults(
         if down_now && !st.was_down[i] {
             ledger.host_crashes += 1;
             for &vm in st.current.resolve(plan).vms_on(host) {
-                st.down_vms.insert(vm);
+                st.down_vms.insert(input, vm, ());
             }
         } else if !down_now && st.was_down[i] {
             for &vm in st.current.resolve(plan).vms_on(host) {
-                st.down_vms.remove(&vm);
+                st.down_vms.remove(input, vm);
             }
         }
         st.was_down[i] = down_now;
@@ -938,7 +1035,7 @@ fn step_faults(
     if boundary {
         let mut clean = true;
         for (vm, from, to) in st.current.resolve(plan).moved_vms(target) {
-            if st.down_vms.contains(&vm)
+            if st.down_vms.contains(input, vm)
                 || st.schedule.is_down(from, h)
                 || st.schedule.is_down(to, h)
             {
@@ -1007,7 +1104,11 @@ fn step_faults(
             .collect();
         for &host in &down_hosts {
             let cur = st.current.resolve(plan);
-            if !cur.vms_on(host).iter().any(|v| st.down_vms.contains(v)) {
+            if !cur
+                .vms_on(host)
+                .iter()
+                .any(|&v| st.down_vms.contains(input, v))
+            {
                 continue;
             }
             // Other crashed hosts must be invisible to the drain's
@@ -1048,7 +1149,7 @@ fn step_faults(
             if let Ok(dp) = dp {
                 for (vm, dest) in dp.moves {
                     st.current.make_mut(plan).assign(vm, dest);
-                    if st.down_vms.remove(&vm) {
+                    if st.down_vms.remove(input, vm) {
                         ledger.evacuations += 1;
                     }
                 }
@@ -1063,12 +1164,14 @@ fn step_faults(
 /// Survives one (possibly missing) hourly sample: injected dropouts and
 /// NaN samples are replaced by the VM's last good value, tracking
 /// staleness against the configured budget. The hour immediately before
-/// the evaluation window seeds the hold for gaps at hour 0.
+/// the evaluation window seeds the hold for gaps at hour 0. `trace` is
+/// `vm`'s trace, found at position `pos` of the planning input.
 #[allow(clippy::too_many_arguments)]
 fn survive_sample(
     fcfg: &FaultConfig,
-    last_good: &mut BTreeMap<VmId, (Resources, usize)>,
+    last_good: &mut VmMap<(Resources, usize)>,
     trace: &VmTrace,
+    pos: usize,
     vm: VmId,
     h: usize,
     eval_start: usize,
@@ -1078,11 +1181,11 @@ fn survive_sample(
     let missing =
         sample.cpu_rpe2.is_nan() || sample.mem_mb.is_nan() || sample_dropped(fcfg, vm, h);
     if !missing {
-        last_good.insert(vm, (sample, 0));
+        last_good.insert_at(pos, (sample, 0));
         return Ok(sample);
     }
     ledger.stale_sample_hours += 1;
-    match last_good.get_mut(&vm) {
+    match last_good.get_mut_at(pos) {
         Some((good, stale)) => {
             *stale += 1;
             if *stale > fcfg.max_stale_hours {
@@ -1103,7 +1206,7 @@ fn survive_sample(
                 .filter(|d| !d.cpu_rpe2.is_nan() && !d.mem_mb.is_nan());
             match fallback {
                 Some(good) => {
-                    last_good.insert(vm, (good, 1));
+                    last_good.insert_at(pos, (good, 1));
                     Ok(good)
                 }
                 None => Err(TraceGapError {
@@ -1431,6 +1534,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn untraced_checkpoint_entries_round_trip_in_id_order() {
+        // A checkpoint may name VMs the input does not trace. Resuming
+        // keeps them, and the next checkpoint re-encodes every entry in
+        // ascending id order, exactly as the ordered maps did.
+        use crate::faults::FaultConfig;
+        let (input, planner) = setup(DataCenterId::Beverage);
+        let plan = planner.plan_semi_static(&input).unwrap();
+        let cfg = EmulatorConfig::default();
+        let faults = FaultConfig::baseline(3);
+        let mut replay = Replay::new(&input, &plan, &cfg, Some(&faults)).unwrap();
+        for _ in 0..5 {
+            replay.step().unwrap();
+        }
+        let mut ckpt = replay.checkpoint();
+        let traced = ckpt.last_good[0].0;
+        ckpt.last_good
+            .push((VmId(u32::MAX), Resources::new(1.0, 2.0), 3));
+        ckpt.last_good.sort_by_key(|e| e.0);
+        let fault = ckpt.fault.as_mut().unwrap();
+        fault.down_vms = vec![traced, VmId(u32::MAX - 1)];
+        let resumed = Replay::resume(&input, &plan, &cfg, Some(&faults), &ckpt).unwrap();
+        let again = resumed.checkpoint();
+        assert_eq!(again.last_good, ckpt.last_good);
+        assert_eq!(again.fault.unwrap().down_vms, ckpt.fault.unwrap().down_vms);
     }
 
     #[test]

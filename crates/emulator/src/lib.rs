@@ -54,6 +54,8 @@ pub mod apps;
 pub mod checkpoint;
 pub mod engine;
 pub mod faults;
+#[cfg(test)]
+mod reference;
 pub mod report;
 pub mod sla;
 pub mod validate;

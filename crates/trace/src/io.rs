@@ -21,8 +21,10 @@ use crate::workload::{WorkloadClass, HOURS_PER_DAY};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard cap on per-server trace hours accepted from an external CSV
 /// (five leap years of hourly samples — far beyond any study horizon).
@@ -319,22 +321,59 @@ pub fn read_csv<R: Read>(dc: DataCenterId, reader: R) -> Result<GeneratedWorkloa
     })
 }
 
-/// Saves a workload to a CSV file.
+/// Saves a workload to a CSV file, atomically (see [`write_atomic_with`]).
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write errors.
 pub fn save(workload: &GeneratedWorkload, path: &Path) -> io::Result<()> {
-    // Atomic: write a sibling temp file, fsync, then rename over the
-    // target, so a crash mid-save never leaves a torn trace behind.
+    write_atomic_with(path, |file| write_csv(workload, file))
+}
+
+/// Replaces `path` with what `write` puts into a fresh file: a sibling
+/// temp file is written, fsynced, and renamed over the target, so readers
+/// (and crashes) see either the old content or the new — never a torn
+/// file.
+///
+/// Each call stages to its own temp file (named by process id and a
+/// per-process counter), so concurrent writers to one path never rename
+/// each other's half-written file away: the last rename wins whole. The
+/// temp file is removed again if any step fails. The parent directory
+/// must exist.
+///
+/// # Errors
+///
+/// Any error from `write`, and any underlying I/O error.
+pub fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = path.with_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-    let file = std::fs::File::create(&tmp)?;
-    write_csv(workload, &file)?;
+    let tmp = path.with_file_name(format!(
+        ".{}.{}.{}.tmp",
+        file_name.to_string_lossy(),
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let staged = stage_and_rename(&tmp, path, write);
+    if staged.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    staged
+}
+
+fn stage_and_rename(
+    tmp: &Path,
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut file = File::create(tmp)?;
+    write(&mut file)?;
     file.sync_all()?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(tmp, path)
 }
 
 /// Loads a workload from a CSV file.
@@ -349,7 +388,7 @@ pub fn load(dc: DataCenterId, path: &Path) -> Result<GeneratedWorkload, TraceIoE
         path: path.to_path_buf(),
         source: Box::new(source),
     };
-    let file = std::fs::File::open(path).map_err(|e| wrap(TraceIoError::Io(e)))?;
+    let file = File::open(path).map_err(|e| wrap(TraceIoError::Io(e)))?;
     read_csv(dc, file).map_err(wrap)
 }
 
@@ -455,6 +494,83 @@ mod tests {
         save(&original, &path).unwrap();
         let loaded = load(DataCenterId::Beverage, &path).unwrap();
         assert_eq!(loaded.servers.len(), original.servers.len());
+    }
+
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("vmcw-trace-io-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries_besides(dir: &Path, keep: &str) -> Vec<std::ffi::OsString> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n != keep)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_saves_leave_one_whole_trace() {
+        // Distinct workloads saved to one path from many threads at once:
+        // the file must end up as exactly one of them, byte for byte, and
+        // no staging file may be left behind.
+        let dir = fresh_dir("concurrent");
+        let path = dir.join("trace.csv");
+        let workloads: Vec<GeneratedWorkload> = (0..6)
+            .map(|seed| {
+                GeneratorConfig::new(DataCenterId::Beverage)
+                    .scale(0.005)
+                    .days(2)
+                    .generate(seed)
+            })
+            .collect();
+        let csvs: Vec<Vec<u8>> = workloads
+            .iter()
+            .map(|w| {
+                let mut buf = Vec::new();
+                write_csv(w, &mut buf).unwrap();
+                buf
+            })
+            .collect();
+        let start = std::sync::Barrier::new(workloads.len());
+        std::thread::scope(|scope| {
+            for workload in &workloads {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..5 {
+                        save(workload, path).expect("concurrent save");
+                    }
+                });
+            }
+        });
+        let content = std::fs::read(&path).unwrap();
+        assert!(
+            csvs.contains(&content),
+            "torn trace of {} bytes",
+            content.len()
+        );
+        let leftovers = entries_besides(&dir, "trace.csv");
+        assert!(leftovers.is_empty(), "staging files left: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_atomic_write_keeps_the_old_file_and_no_staging_file() {
+        let dir = fresh_dir("failed");
+        let path = dir.join("kept.txt");
+        std::fs::write(&path, b"old").unwrap();
+        let err = write_atomic_with(&path, |file| {
+            file.write_all(b"half")?;
+            Err(io::Error::other("writer gave up"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "writer gave up");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert!(entries_besides(&dir, "kept.txt").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
