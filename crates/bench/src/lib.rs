@@ -4,23 +4,3 @@
 
 pub mod load;
 pub mod perf;
-
-use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
-
-/// Builds a planning input for benchmarking: `scale` of the Table 2
-/// population, `history_days` + `eval_days` of trace.
-#[must_use]
-pub fn bench_input(
-    dc: DataCenterId,
-    scale: f64,
-    history_days: usize,
-    eval_days: usize,
-    seed: u64,
-) -> PlanningInput {
-    let workload = GeneratorConfig::new(dc)
-        .scale(scale)
-        .days(history_days + eval_days)
-        .generate(seed);
-    PlanningInput::from_workload(&workload, history_days, VirtualizationModel::baseline())
-}

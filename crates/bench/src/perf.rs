@@ -12,9 +12,8 @@
 //! run, and serialises to a small stable JSON document
 //! (`vmcw-bench/v1`) written as `BENCH_emulator.json` /
 //! `BENCH_planners.json`, so successive runs can be diffed by scripts
-//! without a JSON library on either side. The same stages back the
-//! criterion target `perf_suite`, keeping `cargo bench` and `vmcw bench`
-//! measurements comparable. Methodology: docs/PERFORMANCE.md.
+//! without a JSON library on either side. Methodology:
+//! docs/PERFORMANCE.md.
 
 use std::time::Instant;
 
@@ -213,7 +212,12 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
 pub fn run_planner_suite(scales: &[f64], seed: u64) -> BenchSuite {
     let mut entries = Vec::new();
     for &scale in scales {
-        let input = crate::bench_input(BENCH_DC, scale, HISTORY_DAYS, EVAL_DAYS, seed);
+        let workload = GeneratorConfig::new(BENCH_DC)
+            .scale(scale)
+            .days(HISTORY_DAYS + EVAL_DAYS)
+            .generate(seed);
+        let input =
+            PlanningInput::from_workload(&workload, HISTORY_DAYS, VirtualizationModel::baseline());
         let planner = Planner::baseline();
         for kind in PlannerKind::EVALUATED {
             let (plan, secs, median) = timed(|| planner.plan(kind, &input).expect("plan"));

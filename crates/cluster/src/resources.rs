@@ -6,13 +6,12 @@
 //! for demands, capacities and headroom throughout the workspace. CPU is
 //! measured in RPE2 units, memory in megabytes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// A (CPU, memory) resource vector.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources {
     /// CPU in RPE2 units.
     pub cpu_rpe2: f64,

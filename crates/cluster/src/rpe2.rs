@@ -10,8 +10,6 @@
 //! 128 GB) with a CPU/memory ratio of 160 RPE2 per GB, i.e. a rating of
 //! 20480.
 
-use serde::{Deserialize, Serialize};
-
 /// RPE2 rating of the IBM HS23 Elite virtualisation blade.
 ///
 /// Derived from Fig 6: "the CPU to memory ratio for a high-end blade
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub const HS23_ELITE_RPE2: f64 = 20_480.0;
 
 /// A catalog entry: a server generation and its RPE2 rating.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rpe2Rating {
     /// Model name.
     pub model: &'static str,

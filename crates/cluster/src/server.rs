@@ -3,10 +3,9 @@
 use crate::power::PowerModel;
 use crate::resources::Resources;
 use crate::rpe2;
-use serde::{Deserialize, Serialize};
 
 /// Hardware specification of a physical server model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerModel {
     /// Model name.
     pub name: String,

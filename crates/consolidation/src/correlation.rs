@@ -11,13 +11,12 @@
 //! hour-of-week demand *signature*. On a candidate host, a VM whose
 //! signature correlates above a threshold with any resident is charged
 //! its tail (its peaks will coincide with theirs); uncorrelated VMs are
-//! charged their body. The ablation benches compare it against PCP.
+//! charged their body. The `ablation` experiment compares it against PCP.
 
 use crate::ffd::{pack, BinPackModel, OrderKey};
 use crate::input::VmTrace;
 use crate::placement::{PackError, Placement};
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::datacenter::DataCenter;
@@ -26,7 +25,7 @@ use vmcw_cluster::vm::VmId;
 use vmcw_trace::stats;
 
 /// Configuration of the correlation-aware planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelationConfig {
     /// Body sizing (aggressive; \[27\] suggests mean to P90).
     pub body: SizingFunction,

@@ -10,7 +10,6 @@
 use crate::input::PlanningInput;
 use crate::placement::Placement;
 use crate::ranking::Ranking;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -49,7 +48,7 @@ impl fmt::Display for DrainError {
 impl Error for DrainError {}
 
 /// A planned drain: where each VM goes and the migration schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrainPlan {
     /// The host being drained.
     pub host: HostId,

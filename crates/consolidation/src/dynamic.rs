@@ -31,7 +31,6 @@ use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
 use crate::ranking::Ranking;
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
 use vmcw_cluster::resources::Resources;
@@ -42,7 +41,7 @@ use vmcw_migration::reliability::ReservationPolicy;
 use vmcw_trace::workload::HOURS_PER_DAY;
 
 /// Configuration of the dynamic planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicConfig {
     /// Consolidation-interval length in hours (Table 3: 2).
     pub window_hours: usize,
@@ -113,7 +112,7 @@ impl Default for DynamicConfig {
 }
 
 /// One live migration decided by the dynamic planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationEvent {
     /// Consolidation interval in which the migration runs.
     pub interval: usize,
@@ -134,7 +133,7 @@ pub struct MigrationEvent {
 }
 
 /// Output of the dynamic planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicOutcome {
     /// One placement per consolidation interval.
     pub placements: Vec<Placement>,

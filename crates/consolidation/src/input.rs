@@ -6,7 +6,6 @@
 //! replays, Table 3). Demands are absolute: CPU in RPE2, memory in MB.
 
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::{Vm, VmId};
@@ -20,7 +19,7 @@ use vmcw_trace::workload::HOURS_PER_DAY;
 ///
 /// §5.2: "The emulator captures the impact of virtualization overhead as
 /// well as memory savings due to deduplication in a configurable fashion."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualizationModel {
     /// Relative CPU overhead of the hypervisor (0.1 = +10%).
     pub cpu_overhead_frac: f64,
@@ -67,7 +66,7 @@ impl Default for VirtualizationModel {
 /// [`DataWarehouse`] to build a [`PlanningInput`]
 /// (§3.1: "VM consolidation is performed based on resource usage and
 /// configuration data").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceSpec {
     /// Server name.
     pub name: String,
@@ -80,7 +79,7 @@ pub struct SourceSpec {
 }
 
 /// A VM together with its absolute demand traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmTrace {
     /// The VM's static metadata.
     pub vm: Vm,
@@ -114,7 +113,7 @@ impl VmTrace {
 }
 
 /// A complete planning input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanningInput {
     /// VM demand traces (history ++ evaluation, hourly).
     pub vms: Vec<VmTrace>,

@@ -20,7 +20,6 @@ use crate::ffd::{pack, BinPackModel, OrderKey};
 use crate::input::VmTrace;
 use crate::placement::{PackError, Placement};
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use vmcw_cluster::constraints::ConstraintSet;
@@ -29,7 +28,7 @@ use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 
 /// Configuration of the stochastic (PCP-variant) planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcpConfig {
     /// Sizing of the distribution body (paper: 90th percentile).
     pub body: SizingFunction,

@@ -26,7 +26,9 @@
 //! | `fig10`/`fig11` | average/peak utilisation CDFs |
 //! | `fig12`  | running-server distribution (dynamic) |
 //! | `fig13`–`fig16` | sensitivity to the utilization bound |
+//! | `ablation` | the design choices of `DESIGN.md` §4 |
 
+mod ablation;
 mod eval_figs;
 mod extensions;
 mod micro;
@@ -34,6 +36,7 @@ mod sensitivity;
 mod summary;
 mod workload_figs;
 
+pub use ablation::ablation;
 pub use eval_figs::{fig10, fig11, fig12, fig7, fig8, fig9, table3};
 pub use extensions::{
     constraint_cost, correlation_stability_experiment, future_mechanisms, interval_sweep,
@@ -46,13 +49,12 @@ pub use workload_figs::{fig1, fig2, fig3, fig4, fig5, fig6, table1, table2};
 
 use crate::render::Table;
 use crate::study::{Study, StudyConfig, StudyError, StudyRun};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_trace::datacenters::DataCenterId;
 
 /// Configuration shared by the whole figure suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// Server-count scale (1.0 reproduces Table 2's populations).
     pub scale: f64,
@@ -176,13 +178,14 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
 
 /// Extension experiments quantifying the paper's §7 discussion (not
 /// figures of the paper itself).
-pub const EXTENSION_EXPERIMENTS: [&str; 6] = [
+pub const EXTENSION_EXPERIMENTS: [&str; 7] = [
     "intervals",
     "futurework",
     "stability",
     "constraints",
     "timeline",
     "rolling",
+    "ablation",
 ];
 
 /// Runs one experiment by id, returning its table(s).
@@ -233,6 +236,7 @@ pub fn run_experiment(id: &str, suite: &mut Suite) -> Result<Vec<Table>, String>
         "constraints" => constraint_cost(suite).map(|t| vec![t]).map_err(map_err),
         "timeline" => timeline(suite).map(|t| vec![t]).map_err(map_err),
         "rolling" => rolling_sweep(suite).map(|t| vec![t]).map_err(map_err),
+        "ablation" => ablation(suite).map(|t| vec![t]).map_err(map_err),
         other => Err(format!("unknown experiment id: {other}")),
     }
 }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::render::Table;
     pub use crate::study::{Study, StudyConfig, StudyError, StudyRun};
     pub use crate::supervise::{
-        resume_study, run_study, run_study_opts, CancelToken, CellBudget, CellOutcome,
+        resume_study_opts, run_study_opts, CancelToken, CellBudget, CellOutcome,
         CellRetryPolicy, RunOptions, StudyReport, StudySpec,
     };
     pub use vmcw_cluster::cost::FacilityCostModel;

@@ -6,13 +6,12 @@
 //! pulling plotting dependencies into the workspace — any external tool
 //! can render the CSVs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// A rectangular, string-typed result table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Identifier, e.g. `fig7` — used as the output file stem.
     pub name: String,

@@ -4,7 +4,6 @@
 //! receive) a data-center workload, plan it with a consolidation variant,
 //! replay the evaluation window through the emulator, and compute costs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -61,7 +60,7 @@ impl From<EmulatorError> for StudyError {
 }
 
 /// Configuration of one study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// The modelled data center.
     pub dc: DataCenterId,
@@ -121,7 +120,7 @@ impl StudyConfig {
 }
 
 /// One planner's outcome within a study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyRun {
     /// The planner variant.
     pub kind: PlannerKind,
@@ -279,7 +278,7 @@ impl Scenario {
 }
 
 /// One row of a what-if comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Scenario label.
     pub label: String,

@@ -1,10 +1,10 @@
 //! Crash-safe, budgeted execution of multi-cell studies.
 //!
 //! A *study* here is the planner × data-center grid of the paper's
-//! evaluation. [`run_study`] drives every cell through the stepwise
+//! evaluation. [`run_study_opts`] drives every cell through the stepwise
 //! [`Replay`] engine under a cooperative [`CancelToken`] and per-cell
 //! [`CellBudget`]s, journaling a [`ReplayCheckpoint`] at a fixed cadence
-//! and each finished cell's full report. [`resume_study`] rebuilds from
+//! and each finished cell's full report. [`resume_study_opts`] rebuilds from
 //! the journal after a crash or SIGKILL: completed cells are replayed
 //! from their journaled reports (byte-identical by construction), the
 //! interrupted cell resumes from its last checkpoint (bit-identical by
@@ -17,14 +17,15 @@
 //! monotonicity) before it is journaled, failing fast at the boundary
 //! where state first went bad.
 //!
-//! Cells are independent, so [`run_study_jobs`] fans them over a pool of
-//! worker threads. The journal is a shared append-only log behind a
-//! mutex: records from different cells interleave under parallelism, but
-//! resume keys every record by its `(data center, planner)` cell, so
-//! record *order* never matters for correctness. The final `cells.csv` /
-//! `STUDY.md` are merged in grid order (data center major, planner
-//! minor), making them byte-identical for any worker count — see
-//! docs/PERFORMANCE.md for the determinism argument.
+//! Cells are independent, so [`run_study_opts`] fans them over a pool of
+//! [`RunOptions::jobs`] worker threads. The journal is a shared
+//! append-only log behind a mutex: records from different cells
+//! interleave under parallelism, but resume keys every record by its
+//! `(data center, planner)` cell, so record *order* never matters for
+//! correctness. The final `cells.csv` / `STUDY.md` are merged in grid
+//! order (data center major, planner minor), making them byte-identical
+//! for any worker count — see docs/PERFORMANCE.md for the determinism
+//! argument.
 //!
 //! The supervisor is *self-healing* (docs/ROBUSTNESS.md has the
 //! supervision tree): each cell attempt runs under `catch_unwind`, so a
@@ -327,7 +328,7 @@ impl ChaosConfig {
 /// study outputs (chaos aside, and even a healed chaos run matches).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads (see [`run_study_jobs`]).
+    /// Worker threads (see [`run_study_opts`]).
     pub jobs: usize,
     /// Retry budget for crashed / watchdog-stopped cells.
     pub retry: CellRetryPolicy,
@@ -686,23 +687,10 @@ impl From<CheckpointError> for SuperviseError {
 pub const JOURNAL_FILE: &str = "journal.vmcwj";
 
 /// Starts a fresh supervised study in `dir`, journaling to
-/// `dir/journal.vmcwj`.
+/// `dir/journal.vmcwj`, under session [`RunOptions`]: worker count,
+/// retry policy, watchdog deadline and (for tests/CI) chaos injection.
 ///
-/// # Errors
-///
-/// [`JournalError::AlreadyExists`] if the directory already holds a
-/// journal (resume it instead), plus journal/checkpoint errors.
-pub fn run_study(
-    spec: &StudySpec,
-    dir: &Path,
-    token: &CancelToken,
-) -> Result<StudyReport, SuperviseError> {
-    run_study_jobs(spec, dir, token, 1)
-}
-
-/// [`run_study`] with an explicit worker count.
-///
-/// `jobs` worker threads execute independent cells concurrently;
+/// `opts.jobs` worker threads execute independent cells concurrently;
 /// `jobs <= 1` is exactly the serial supervisor (identical journal
 /// record sequence). Any worker count yields byte-identical `cells.csv`,
 /// `STUDY.md` and cell reports; only journal record interleaving and
@@ -710,30 +698,8 @@ pub fn run_study(
 ///
 /// # Errors
 ///
-/// As [`run_study`].
-pub fn run_study_jobs(
-    spec: &StudySpec,
-    dir: &Path,
-    token: &CancelToken,
-    jobs: usize,
-) -> Result<StudyReport, SuperviseError> {
-    run_study_opts(
-        spec,
-        dir,
-        token,
-        &RunOptions {
-            jobs,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// [`run_study`] with full session [`RunOptions`]: worker count, retry
-/// policy, watchdog deadline and (for tests/CI) chaos injection.
-///
-/// # Errors
-///
-/// As [`run_study`].
+/// [`JournalError::AlreadyExists`] if the directory already holds a
+/// journal (resume it instead), plus journal/checkpoint errors.
 pub fn run_study_opts(
     spec: &StudySpec,
     dir: &Path,
@@ -761,56 +727,21 @@ pub fn run_study_opts(
     )
 }
 
-/// Resumes (or idempotently re-finalises) the study journaled in `dir`.
+/// Resumes (or idempotently re-finalises) the study journaled in `dir`
+/// under session [`RunOptions`] (see [`run_study_opts`]).
 ///
 /// Completed cells are restored from their journaled reports, the
 /// interrupted cell from its last checkpoint; the final report is
 /// byte-identical to an uninterrupted run. `budget` overrides the
-/// journaled per-cell budgets for this session when given.
+/// journaled per-cell budgets for this session when given. A journal
+/// written under any worker count resumes under any other: records are
+/// keyed by cell, not by position.
 ///
 /// # Errors
 ///
 /// Journal/spec/checkpoint errors; a checkpoint that fails its
 /// invariants or fingerprint aborts the resume rather than silently
 /// recomputing.
-pub fn resume_study(
-    dir: &Path,
-    budget: Option<CellBudget>,
-    token: &CancelToken,
-) -> Result<StudyReport, SuperviseError> {
-    resume_study_jobs(dir, budget, token, 1)
-}
-
-/// [`resume_study`] with an explicit worker count (see
-/// [`run_study_jobs`]). A journal written under any worker count resumes
-/// under any other: records are keyed by cell, not by position.
-///
-/// # Errors
-///
-/// As [`resume_study`].
-pub fn resume_study_jobs(
-    dir: &Path,
-    budget: Option<CellBudget>,
-    token: &CancelToken,
-    jobs: usize,
-) -> Result<StudyReport, SuperviseError> {
-    resume_study_opts(
-        dir,
-        budget,
-        token,
-        &RunOptions {
-            jobs,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// [`resume_study`] with full session [`RunOptions`] (see
-/// [`run_study_opts`]).
-///
-/// # Errors
-///
-/// As [`resume_study`].
 pub fn resume_study_opts(
     dir: &Path,
     budget: Option<CellBudget>,
@@ -2082,8 +2013,9 @@ mod tests {
 
     #[test]
     fn fresh_study_completes_and_writes_outputs() {
+        let opts = RunOptions::default();
         let dir = tmp_dir("fresh");
-        let report = run_study(&tiny_spec(), &dir, &CancelToken::new()).unwrap();
+        let report = run_study_opts(&tiny_spec(), &dir, &CancelToken::new(), &opts).unwrap();
         assert_eq!(report.status, StudyStatus::Completed);
         assert_eq!(report.cells.len(), 2);
         for cell in &report.cells {
@@ -2093,7 +2025,7 @@ mod tests {
         assert!(dir.join("cells.csv").exists());
         assert!(dir.join("STUDY.md").exists());
         // Starting over in the same directory is refused.
-        let err = run_study(&tiny_spec(), &dir, &CancelToken::new()).unwrap_err();
+        let err = run_study_opts(&tiny_spec(), &dir, &CancelToken::new(), &opts).unwrap_err();
         assert!(matches!(
             err,
             SuperviseError::Journal(JournalError::AlreadyExists { .. })
@@ -2103,10 +2035,11 @@ mod tests {
 
     #[test]
     fn over_budget_cells_degrade_instead_of_killing_the_study() {
+        let opts = RunOptions::default();
         let dir = tmp_dir("degraded");
         let mut spec = tiny_spec();
         spec.budget.max_hours = Some(10);
-        let report = run_study(&spec, &dir, &CancelToken::new()).unwrap();
+        let report = run_study_opts(&spec, &dir, &CancelToken::new(), &opts).unwrap();
         assert_eq!(report.status, StudyStatus::Completed);
         for cell in &report.cells {
             match &cell.outcome {
@@ -2122,18 +2055,19 @@ mod tests {
 
     #[test]
     fn cancelled_study_resumes_to_identical_reports() {
+        let opts = RunOptions::default();
         let clean_dir = tmp_dir("clean");
         let spec = tiny_spec();
-        let clean = run_study(&spec, &clean_dir, &CancelToken::new()).unwrap();
+        let clean = run_study_opts(&spec, &clean_dir, &CancelToken::new(), &opts).unwrap();
 
         let killed_dir = tmp_dir("killed");
         let token = CancelToken::new();
         token.cancel_after_hours(30); // mid second cell
-        let partial = run_study(&spec, &killed_dir, &token).unwrap();
+        let partial = run_study_opts(&spec, &killed_dir, &token, &opts).unwrap();
         assert_eq!(partial.status, StudyStatus::Interrupted);
         assert!(partial.cells.len() < clean.cells.len() || partial.cells.is_empty());
 
-        let resumed = resume_study(&killed_dir, None, &CancelToken::new()).unwrap();
+        let resumed = resume_study_opts(&killed_dir, None, &CancelToken::new(), &opts).unwrap();
         assert_eq!(resumed.status, StudyStatus::Completed);
         assert_eq!(resumed.cells.len(), clean.cells.len());
         for (a, b) in clean.cells.iter().zip(&resumed.cells) {
@@ -2151,7 +2085,7 @@ mod tests {
             std::fs::read(killed_dir.join("cells.csv")).unwrap()
         );
         // Resuming a completed journal is idempotent.
-        let again = resume_study(&killed_dir, None, &CancelToken::new()).unwrap();
+        let again = resume_study_opts(&killed_dir, None, &CancelToken::new(), &opts).unwrap();
         assert_eq!(again.cells.len(), clean.cells.len());
         let _ = std::fs::remove_dir_all(&clean_dir);
         let _ = std::fs::remove_dir_all(&killed_dir);
@@ -2159,15 +2093,20 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_outputs() {
+        let jobs4 = RunOptions {
+            jobs: 4,
+            ..RunOptions::default()
+        };
+        let opts = RunOptions::default();
         let spec = StudySpec {
             dcs: vec![DataCenterId::Airlines, DataCenterId::Banking],
             planners: vec![PlannerKind::SemiStatic, PlannerKind::Dynamic],
             ..StudySpec::new(0.02, 5, 5, 1)
         };
         let serial_dir = tmp_dir("jobs-serial");
-        let serial = run_study_jobs(&spec, &serial_dir, &CancelToken::new(), 1).unwrap();
+        let serial = run_study_opts(&spec, &serial_dir, &CancelToken::new(), &opts).unwrap();
         let parallel_dir = tmp_dir("jobs-parallel");
-        let parallel = run_study_jobs(&spec, &parallel_dir, &CancelToken::new(), 4).unwrap();
+        let parallel = run_study_opts(&spec, &parallel_dir, &CancelToken::new(), &jobs4).unwrap();
         assert_eq!(serial.status, StudyStatus::Completed);
         assert_eq!(parallel.status, StudyStatus::Completed);
         assert_eq!(serial.cells.len(), parallel.cells.len());
@@ -2194,22 +2133,31 @@ mod tests {
 
     #[test]
     fn parallel_study_killed_and_resumed_matches_serial() {
+        let jobs2 = RunOptions {
+            jobs: 2,
+            ..RunOptions::default()
+        };
+        let jobs4 = RunOptions {
+            jobs: 4,
+            ..RunOptions::default()
+        };
+        let opts = RunOptions::default();
         let spec = StudySpec {
             dcs: vec![DataCenterId::Airlines, DataCenterId::Banking],
             planners: vec![PlannerKind::SemiStatic, PlannerKind::Dynamic],
             ..StudySpec::new(0.02, 5, 5, 1)
         };
         let clean_dir = tmp_dir("par-clean");
-        let clean = run_study_jobs(&spec, &clean_dir, &CancelToken::new(), 1).unwrap();
+        let clean = run_study_opts(&spec, &clean_dir, &CancelToken::new(), &opts).unwrap();
 
         let killed_dir = tmp_dir("par-killed");
         let token = CancelToken::new();
         token.cancel_after_hours(30); // fires with several cells in flight
-        let partial = run_study_jobs(&spec, &killed_dir, &token, 4).unwrap();
+        let partial = run_study_opts(&spec, &killed_dir, &token, &jobs4).unwrap();
         assert_eq!(partial.status, StudyStatus::Interrupted);
 
         // Resume under a different worker count than the original run.
-        let resumed = resume_study_jobs(&killed_dir, None, &CancelToken::new(), 2).unwrap();
+        let resumed = resume_study_opts(&killed_dir, None, &CancelToken::new(), &jobs2).unwrap();
         assert_eq!(resumed.status, StudyStatus::Completed);
         assert_eq!(resumed.cells.len(), clean.cells.len());
         for (a, b) in clean.cells.iter().zip(&resumed.cells) {
@@ -2231,9 +2179,10 @@ mod tests {
 
     #[test]
     fn resume_without_journal_fails_cleanly() {
+        let opts = RunOptions::default();
         let dir = tmp_dir("nojournal");
         std::fs::create_dir_all(&dir).unwrap();
-        let err = resume_study(&dir, None, &CancelToken::new()).unwrap_err();
+        let err = resume_study_opts(&dir, None, &CancelToken::new(), &opts).unwrap_err();
         assert!(matches!(err, SuperviseError::Journal(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2284,6 +2233,7 @@ mod tests {
     /// the crash/retry records and resumes idempotently.
     #[test]
     fn panicking_cell_quarantines_and_spares_siblings() {
+        let plain = RunOptions::default();
         let dir = tmp_dir("quarantine");
         let opts = RunOptions {
             retry: CellRetryPolicy {
@@ -2344,7 +2294,7 @@ mod tests {
         assert!(md.contains("## Failure matrix"), "{md}");
 
         // Resuming the quarantined study is idempotent.
-        let again = resume_study(&dir, None, &CancelToken::new()).unwrap();
+        let again = resume_study_opts(&dir, None, &CancelToken::new(), &plain).unwrap();
         assert_eq!(again.status, StudyStatus::Completed);
         assert_eq!(again.cells[1].outcome, dynamic.outcome);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2354,9 +2304,10 @@ mod tests {
     /// byte-identical to a run that never crashed.
     #[test]
     fn one_shot_panic_heals_byte_identically() {
+        let plain = RunOptions::default();
         let clean_dir = tmp_dir("heal-clean");
         let spec = tiny_spec();
-        let clean = run_study(&spec, &clean_dir, &CancelToken::new()).unwrap();
+        let clean = run_study_opts(&spec, &clean_dir, &CancelToken::new(), &plain).unwrap();
 
         let chaos_dir = tmp_dir("heal-chaos");
         let opts = RunOptions {
@@ -2397,9 +2348,10 @@ mod tests {
     /// partial report instead of wedging or quarantining silence.
     #[test]
     fn watchdog_turns_hangs_into_retries_or_degraded() {
+        let plain = RunOptions::default();
         let clean_dir = tmp_dir("hang-clean");
         let spec = tiny_spec();
-        let clean = run_study(&spec, &clean_dir, &CancelToken::new()).unwrap();
+        let clean = run_study_opts(&spec, &clean_dir, &CancelToken::new(), &plain).unwrap();
 
         // One-shot hang: watchdog fires, the retry heals the cell.
         let healed_dir = tmp_dir("hang-healed");

@@ -7,7 +7,6 @@
 //! physical server captures the additional demand from virtual machines
 //! that can not be met within the server's capacity" (§5.3).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -82,7 +81,7 @@ impl From<TraceGapError> for EmulatorError {
 }
 
 /// Emulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmulatorConfig {
     /// Fraction of co-located VMs' memory recovered by page deduplication
     /// when two or more VMs share a host (§5.2: configurable; 0 for the
@@ -103,7 +102,7 @@ impl Default for EmulatorConfig {
 }
 
 /// Per-host aggregate over the whole evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostSummary {
     /// The host.
     pub host: HostId,
@@ -125,7 +124,7 @@ pub struct HostSummary {
 }
 
 /// Per-hour aggregate across all hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HourSummary {
     /// Evaluation-relative hour.
     pub hour: usize,
@@ -143,7 +142,7 @@ pub struct HourSummary {
 }
 
 /// Full emulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationReport {
     /// Planner that produced the plan.
     pub planner: vmcw_consolidation::planner::PlannerKind,
@@ -171,7 +170,7 @@ pub struct EmulationReport {
 
 /// Per-consolidation-interval aggregate (the paper reports most
 /// evaluation numbers per 2-hour interval, not per hour).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalSummary {
     /// Interval index.
     pub interval: usize,

@@ -6,12 +6,11 @@
 //! active-server distribution (Fig 12).
 
 use crate::engine::EmulationReport;
-use serde::{Deserialize, Serialize};
 use vmcw_cluster::cost::FacilityCostModel;
 use vmcw_trace::stats::Cdf;
 
 /// Space and power cost of one emulated plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostSummary {
     /// Provisioned servers (max across intervals).
     pub provisioned_hosts: usize,

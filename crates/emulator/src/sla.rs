@@ -9,7 +9,6 @@
 //! violation statistics.
 
 use crate::engine::EmulatorError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
@@ -18,7 +17,7 @@ use vmcw_consolidation::planner::ConsolidationPlan;
 use vmcw_trace::stats::Cdf;
 
 /// Violation statistics of one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSla {
     /// The VM.
     pub vm: VmId,
@@ -43,7 +42,7 @@ impl VmSla {
 }
 
 /// SLA analysis of a whole plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlaReport {
     /// Per-VM statistics, ascending VM id.
     pub per_vm: Vec<VmSla>,

@@ -17,10 +17,8 @@
 //! guest dirties pages faster (memory pressure → paging). This reproduces
 //! the paper's ESXi measurements that motivate the 20% reservation rule.
 
-use serde::{Deserialize, Serialize};
-
 /// Load on the source host at migration time, as utilisation fractions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostLoad {
     /// CPU utilisation in `0..=1` (may exceed 1 under contention).
     pub cpu_util: f64,
@@ -46,7 +44,7 @@ impl HostLoad {
 }
 
 /// Migration-relevant profile of a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmMigrationProfile {
     /// Allocated memory to transfer in the first round, in MB.
     pub mem_mb: f64,
@@ -91,7 +89,7 @@ impl VmMigrationProfile {
 }
 
 /// Configuration of the pre-copy engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecopyConfig {
     /// Link bandwidth available to migration, in Mbit/s.
     pub link_mbps: f64,
@@ -209,7 +207,7 @@ impl Default for PrecopyConfig {
 }
 
 /// Result of a simulated live migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationOutcome {
     /// Whether pre-copy converged within the downtime budget. A `false`
     /// here is the "prolonged or failed live migration, which is

@@ -8,7 +8,6 @@
 //! implements that policy as a pure, deterministic state machine so the
 //! emulator's fault injection can replay it byte-identically per seed.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -38,7 +37,7 @@ impl fmt::Display for MigrationError {
 impl Error for MigrationError {}
 
 /// Why a migration was abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbandonReason {
     /// Every allowed attempt failed.
     AttemptsExhausted,
@@ -47,7 +46,7 @@ pub enum AbandonReason {
 }
 
 /// Bounded-retry policy for failed live migrations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum transfer attempts per migration (including the first).
     pub max_attempts: u32,
@@ -174,7 +173,7 @@ impl Default for RetryPolicy {
 }
 
 /// The result of running one migration under a [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryOutcome {
     /// Attempts actually performed (≤ the policy's cap).
     pub attempts: u32,

@@ -11,13 +11,12 @@
 //! is feasible.
 
 use crate::precopy::{HostLoad, MigrationOutcome, PrecopyConfig, VmMigrationProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vmcw_cluster::datacenter::HostId;
 use vmcw_cluster::vm::VmId;
 
 /// One migration to schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRequest {
     /// The VM to move.
     pub vm: VmId,
@@ -32,7 +31,7 @@ pub struct MigrationRequest {
 }
 
 /// A scheduled migration with its time slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledMigration {
     /// The request being scheduled.
     pub request: MigrationRequest,
@@ -45,7 +44,7 @@ pub struct ScheduledMigration {
 }
 
 /// A complete schedule for one consolidation interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationSchedule {
     /// The migrations in start order.
     pub items: Vec<ScheduledMigration>,

@@ -333,7 +333,8 @@ pub fn save(workload: &GeneratedWorkload, path: &Path) -> io::Result<()> {
 /// Replaces `path` with what `write` puts into a fresh file: a sibling
 /// temp file is written, fsynced, and renamed over the target, so readers
 /// (and crashes) see either the old content or the new — never a torn
-/// file.
+/// file. The parent directory is fsynced after the rename, so once this
+/// returns `Ok` the rename itself survives a power cut.
 ///
 /// Each call stages to its own temp file (named by process id and a
 /// per-process counter), so concurrent writers to one path never rename
@@ -373,7 +374,15 @@ fn stage_and_rename(
     let mut file = File::create(tmp)?;
     write(&mut file)?;
     file.sync_all()?;
-    std::fs::rename(tmp, path)
+    std::fs::rename(tmp, path)?;
+    // The rename lives in the parent directory's entries; fsync those
+    // too (directories only open as files on Unix).
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Loads a workload from a CSV file.

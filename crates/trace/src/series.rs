@@ -7,14 +7,13 @@
 //! consolidation windows of 1, 2 or 4 hours; [`TimeSeries::fold_windows`]
 //! and the resampling helpers implement exactly those operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Step width between consecutive samples of a [`TimeSeries`], in seconds.
 ///
 /// A newtype is used so that a step width can never be confused with a
 /// sample index or a duration measured in other units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StepSecs(pub u32);
 
 impl StepSecs {
@@ -55,7 +54,7 @@ impl fmt::Display for StepSecs {
 /// by the surrounding context (the generator and the emulator both treat
 /// index 0 as "midnight, Monday, first day of the month" so that diurnal,
 /// weekly and monthly structure line up across servers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     step: StepSecs,
     values: Vec<f64>,

@@ -7,14 +7,13 @@
 //! body of the demand.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Pareto distribution truncated to `[lo, hi]`.
 ///
 /// Sampling uses the inverse-CDF of the bounded Pareto. Small `alpha`
 /// (≈1) gives the heavy tails of web workloads; large `alpha` (≳3) gives
 /// the milder variability of batch jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
     alpha: f64,
     lo: f64,

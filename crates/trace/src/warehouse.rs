@@ -15,12 +15,11 @@
 
 use crate::metrics::{Metric, Sample};
 use crate::series::{StepSecs, TimeSeries};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifier of a monitored source server (physical or virtual).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SourceId(pub u32);
 
 impl fmt::Display for SourceId {
@@ -30,7 +29,7 @@ impl fmt::Display for SourceId {
 }
 
 /// Retention and expiration policy of the warehouse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// How long raw per-minute samples are kept, in days.
     pub raw_days: u32,
@@ -57,7 +56,7 @@ impl Default for RetentionPolicy {
 }
 
 /// Aggregate of all samples that fell into one hour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HourlyAggregate {
     /// Mean of the samples.
     pub avg: f64,

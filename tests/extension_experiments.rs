@@ -1,9 +1,12 @@
 //! The extension experiments run end-to-end at reduced scale, and every
 //! registered experiment id resolves.
 
+use vmcw_repro::consolidation::planner::PlannerKind;
 use vmcw_repro::core::experiments::{
-    run_experiment, Suite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
+    ablation, run_experiment, Suite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
+use vmcw_repro::core::render::fnum;
+use vmcw_repro::trace::datacenters::DataCenterId;
 
 fn suite() -> Suite {
     Suite::new(SuiteConfig {
@@ -52,5 +55,64 @@ fn csvs_are_parseable_back() {
                 );
             }
         }
+    }
+}
+
+/// Every (knob, setting) pair of `DESIGN.md` §4; the first setting of
+/// each knob is the Table 3 baseline.
+const ABLATION_SETTINGS: [(&str, &[&str]); 7] = [
+    ("pcp-body", &["p90", "p80", "p95"]),
+    ("predictor", &["recent+periodic", "oracle", "prev", "ewma"]),
+    ("migration-cost", &["calibrated", "free", "heavy"]),
+    ("order-key", &["dominant", "cpu", "mem", "l2"]),
+    ("packing", &["ffd", "bfd"]),
+    (
+        "stochastic-variant",
+        &["peak-clustering", "correlation-aware"],
+    ),
+    ("power-curve", &["linear", "spec-like"]),
+];
+
+#[test]
+fn ablation_covers_every_setting_and_its_baselines_match_the_suite() {
+    let mut suite = suite();
+    let t = ablation(&mut suite).unwrap();
+    let mut expected: Vec<(&str, &str)> = ABLATION_SETTINGS
+        .iter()
+        .flat_map(|&(knob, settings)| settings.iter().map(move |&s| (knob, s)))
+        .collect();
+    let mut got: Vec<(&str, &str)> = t
+        .rows
+        .iter()
+        .map(|r| (r[0].as_str(), r[1].as_str()))
+        .collect();
+    expected.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, expected, "one row per (knob, setting)");
+
+    // A knob's baseline setting changes nothing, so its row must be the
+    // suite's own baseline run of that cell.
+    for (knob, settings) in ABLATION_SETTINGS {
+        let row = t
+            .rows
+            .iter()
+            .find(|r| r[0] == knob && r[1] == settings[0])
+            .unwrap();
+        let dc = DataCenterId::ALL
+            .into_iter()
+            .find(|dc| dc.industry() == row[2])
+            .unwrap();
+        let kind = PlannerKind::parse(&row[3]).unwrap();
+        let run = suite.run(dc, kind).unwrap();
+        let baseline = [
+            run.cost.provisioned_hosts.to_string(),
+            run.report.migrations.to_string(),
+            fnum(run.cost.energy_kwh, 1),
+        ];
+        assert_eq!(
+            row[4..],
+            baseline,
+            "{knob}: baseline row differs from the suite's run"
+        );
     }
 }

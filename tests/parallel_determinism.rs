@@ -16,8 +16,8 @@ use std::path::PathBuf;
 use vmcw_bench::perf::{run_emulator_suite, run_planner_suite};
 use vmcw_repro::consolidation::planner::PlannerKind;
 use vmcw_repro::core::supervise::{
-    resume_study_jobs, run_study_jobs, CancelToken, CellOutcome, StudySpec, StudyStatus,
-    JOURNAL_FILE,
+    resume_study_opts, run_study_opts, CancelToken, CellOutcome, RunOptions, StudySpec,
+    StudyStatus, JOURNAL_FILE,
 };
 use vmcw_repro::emulator::checkpoint::encode_report;
 use vmcw_repro::emulator::FaultConfig;
@@ -46,24 +46,29 @@ fn golden_spec() -> StudySpec {
 
 #[test]
 fn four_workers_are_byte_identical_to_one_even_across_a_kill() {
+    let jobs4 = RunOptions {
+        jobs: 4,
+        ..RunOptions::default()
+    };
+    let opts = RunOptions::default();
     let serial_dir = tmp_dir("serial");
-    let serial = run_study_jobs(&golden_spec(), &serial_dir, &CancelToken::new(), 1).unwrap();
+    let serial = run_study_opts(&golden_spec(), &serial_dir, &CancelToken::new(), &opts).unwrap();
     assert_eq!(serial.status, StudyStatus::Completed);
     assert_eq!(serial.cells.len(), 12, "4 data centers x 3 planners");
 
     // Uninterrupted four-worker run.
     let par_dir = tmp_dir("jobs4");
-    let parallel = run_study_jobs(&golden_spec(), &par_dir, &CancelToken::new(), 4).unwrap();
+    let parallel = run_study_opts(&golden_spec(), &par_dir, &CancelToken::new(), &jobs4).unwrap();
     assert_eq!(parallel.status, StudyStatus::Completed);
 
     // Four-worker run killed mid-flight, then resumed with four workers.
     let killed_dir = tmp_dir("jobs4-killed");
     let token = CancelToken::new();
     token.cancel_after_hours(17);
-    let partial = run_study_jobs(&golden_spec(), &killed_dir, &token, 4).unwrap();
+    let partial = run_study_opts(&golden_spec(), &killed_dir, &token, &jobs4).unwrap();
     assert_eq!(partial.status, StudyStatus::Interrupted);
     assert!(killed_dir.join(JOURNAL_FILE).exists());
-    let resumed = resume_study_jobs(&killed_dir, None, &CancelToken::new(), 4).unwrap();
+    let resumed = resume_study_opts(&killed_dir, None, &CancelToken::new(), &jobs4).unwrap();
     assert_eq!(resumed.status, StudyStatus::Completed);
 
     for (label, other) in [("jobs=4", &parallel), ("jobs=4 killed+resumed", &resumed)] {
