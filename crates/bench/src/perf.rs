@@ -10,15 +10,17 @@
 //! Each suite times every stage [`REPEATS`] times with [`Instant`] at
 //! every requested population scale, keeping the fastest and the median
 //! run, and serialises to a small stable JSON document
-//! (`vmcw-bench/v1`) written as `BENCH_emulator.json` /
-//! `BENCH_planners.json`, so successive runs can be diffed by scripts
-//! without a JSON library on either side. Methodology:
+//! (`vmcw-bench/v1`, written by [`vmcw_core::json`]) saved as
+//! `BENCH_emulator.json` / `BENCH_planners.json`: one entry per line,
+//! so successive runs can be diffed line by line. Methodology:
 //! docs/PERFORMANCE.md.
 
 use std::time::Instant;
 
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
 use vmcw_consolidation::planner::{Planner, PlannerKind};
+use vmcw_core::json::Json;
+use vmcw_core::object;
 use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulatorConfig};
 use vmcw_emulator::faults::FaultConfig;
 use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
@@ -63,39 +65,22 @@ impl BenchSuite {
     /// Serialises the suite as a `vmcw-bench/v1` JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 96 * self.entries.len());
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"vmcw-bench/v1\",\n");
-        out.push_str(&format!("  \"suite\": \"{}\",\n", self.suite));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"history_days\": {HISTORY_DAYS},\n"));
-        out.push_str(&format!("  \"eval_days\": {EVAL_DAYS},\n"));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"scale\": {}, \"seconds\": {:.6}, \"median_seconds\": {:.6}, \"items\": {}}}{}\n",
-                e.stage,
-                json_f64(e.scale),
-                e.seconds,
-                e.median_seconds,
-                e.items,
-                if i + 1 < self.entries.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Formats an `f64` as a JSON number (never `NaN`/`inf`, always with
-/// enough digits to round-trip a scale like `0.1`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers like `1` are valid JSON numbers already.
-        s
-    } else {
-        "0".to_string()
+        let entries: Vec<Json> = self
+            .entries
+            .iter()
+            .map(|e| {
+                object! {
+                    "stage": e.stage.as_str(), "scale": e.scale, "seconds": e.seconds,
+                    "median_seconds": e.median_seconds, "items": e.items,
+                }
+                .into()
+            })
+            .collect();
+        let doc = object! {
+            "schema": "vmcw-bench/v1", "suite": self.suite, "seed": self.seed,
+            "history_days": HISTORY_DAYS, "eval_days": EVAL_DAYS, "entries": entries,
+        };
+        Json::from(doc).pretty()
     }
 }
 
@@ -118,7 +103,8 @@ fn timed_each<I, T>(items: &[I], mut f: impl FnMut(&I) -> T) -> Vec<(T, f64, f64
         for ((item, value), secs) in items.iter().zip(&mut values).zip(&mut secs) {
             let start = Instant::now();
             *value = Some(f(item));
-            secs.push(start.elapsed().as_secs_f64());
+            // Timings keep microsecond precision.
+            secs.push((start.elapsed().as_secs_f64() * 1e6).round() / 1e6);
         }
     }
     values
@@ -287,30 +273,47 @@ mod tests {
             ],
         };
         let json = suite.to_json();
-        assert!(json.contains("\"schema\": \"vmcw-bench/v1\""));
-        assert!(json.contains("\"suite\": \"emulator\""));
-        assert!(json.contains("\"scale\": 0.1"));
-        assert!(json.contains("\"median_seconds\": 0.300000"));
-        // Exactly one trailing comma between the two entries, none after
-        // the last — the document must parse as strict JSON.
-        assert_eq!(json.matches("}},").count() + json.matches("},\n").count(), 1);
-        assert!(balanced(&json), "unbalanced braces/brackets:\n{json}");
-    }
-
-    fn balanced(s: &str) -> bool {
-        let mut depth = 0i32;
-        let mut in_str = false;
-        for c in s.chars() {
-            match c {
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            if depth < 0 {
-                return false;
-            }
-        }
-        depth == 0 && !in_str
+        let doc = Json::parse(&json).expect("strict JSON");
+        let top = doc.as_object("top level").unwrap();
+        let text = |key: &str| top.get(key).and_then(|v| v.as_str(key));
+        let int = |key: &str| top.get(key).and_then(|v| v.as_u64(key));
+        assert_eq!(
+            (text("schema"), text("suite")),
+            (Ok("vmcw-bench/v1"), Ok("emulator"))
+        );
+        assert_eq!(
+            (int("seed"), int("history_days"), int("eval_days")),
+            (Ok(7), Ok(7), Ok(3))
+        );
+        let entries: Vec<(String, f64, f64, f64, u64)> = top
+            .get("entries")
+            .and_then(|v| v.as_array("entries"))
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let e = e.as_object("entry").unwrap();
+                let num = |key: &str| e.get(key).and_then(|v| v.as_number(key)).unwrap();
+                let stage = e.get("stage").and_then(|v| v.as_str("stage")).unwrap();
+                let items = e.get("items").and_then(|v| v.as_u64("items")).unwrap();
+                (
+                    stage.to_owned(),
+                    num("scale"),
+                    num("seconds"),
+                    num("median_seconds"),
+                    items,
+                )
+            })
+            .collect();
+        let want = [
+            ("trace-gen", 0.1, 0.25, 0.3, 42),
+            ("replay-plain", 1.0, 1.5, 1.5, 72),
+        ];
+        assert_eq!(
+            entries,
+            want.map(|(s, a, b, c, d)| (s.to_owned(), a, b, c, d))
+        );
+        // One line per entry: `{`, five scalar members, `"entries": [`,
+        // the two entries, `]` and `}`.
+        assert_eq!(json.lines().count(), 11, "{json}");
     }
 }

@@ -12,6 +12,8 @@
 //! * [`render`] — plain-text/CSV rendering of experiment outputs.
 //! * [`journal`] — checksummed write-ahead journal and atomic file
 //!   writes backing crash-safe studies.
+//! * [`json`] — the one JSON parser and writer behind `health.json`,
+//!   the `vmcw serve` bodies and the `vmcw bench` documents.
 //! * [`supervise`] — budgeted, resumable execution of planner ×
 //!   data-center study grids with checkpoint/restore and degraded
 //!   partial reports.
@@ -44,6 +46,7 @@
 pub mod experiments;
 pub mod health;
 pub mod journal;
+pub mod json;
 pub mod render;
 pub mod serve;
 pub mod signals;

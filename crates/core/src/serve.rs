@@ -54,15 +54,16 @@ use std::time::{Duration, Instant};
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_emulator::checkpoint::fnv1a;
 use vmcw_emulator::faults::FaultConfig;
-use vmcw_trace::datacenters::DataCenterId;
+use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
+use vmcw_trace::io::MAX_TRACE_ROWS;
 
-use crate::health::{
-    json_string, opt, HealthSnapshot, InflightJob, Json, ServeHealth, HEALTH_FILE,
-};
+use crate::health::{HealthSnapshot, InflightJob, ServeHealth, HEALTH_FILE};
 use crate::journal::{write_atomic, Journal};
+use crate::json::{Json, JsonError};
+use crate::object;
 use crate::supervise::{
-    resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
-    RunOptions, StudyReport, StudySpec, StudyStatus, JOURNAL_FILE,
+    journal_spec, resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy,
+    ChaosConfig, RunOptions, StudyReport, StudySpec, StudyStatus, JOURNAL_FILE,
 };
 
 use self::http::{read_request, HttpError, Request, Response};
@@ -284,30 +285,26 @@ struct JobSpec {
     deadline_ms: Option<u64>,
 }
 
-fn spec_err(detail: impl Into<String>) -> String {
-    detail.into()
-}
-
 /// Parses a `POST /v1/plan` / `POST /v1/replay` JSON body. All fields
 /// optional; defaults are the paper baseline grid. `allow_faults`
 /// distinguishes the two endpoints.
-fn parse_job_spec(body: &[u8], allow_faults: bool) -> Result<JobSpec, String> {
+fn parse_job_spec(body: &[u8], allow_faults: bool) -> Result<JobSpec, JsonError> {
     let text =
-        std::str::from_utf8(body).map_err(|_| spec_err("request body is not UTF-8"))?;
-    let value = Json::parse(text).map_err(|e| e.to_string())?;
-    let obj = value.as_object("request body").map_err(|e| e.to_string())?;
+        std::str::from_utf8(body).map_err(|_| JsonError::invalid("request body is not UTF-8"))?;
+    let value = Json::parse(text)?;
+    let obj = value.as_object("request body")?;
 
-    let id = match opt(obj, "id") {
+    let id = match obj.opt("id") {
         None => None,
         Some(v) => {
-            let raw = v.as_str("id").map_err(|e| e.to_string())?;
+            let raw = v.as_str("id")?;
             if raw.is_empty()
                 || raw.len() > 64
                 || !raw
                     .bytes()
                     .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
             {
-                return Err(spec_err(
+                return Err(JsonError::invalid(
                     "id must be 1-64 chars of [A-Za-z0-9._-] (it names a directory)",
                 ));
             }
@@ -315,81 +312,76 @@ fn parse_job_spec(body: &[u8], allow_faults: bool) -> Result<JobSpec, String> {
         }
     };
 
-    let num = |key: &str, default: f64| -> Result<f64, String> {
-        match opt(obj, key) {
-            None => Ok(default),
-            Some(v) => v.as_number(key).map_err(|e| e.to_string()),
-        }
-    };
-    let scale = num("scale", 1.0)?;
+    let scale = obj.opt("scale").map_or(Ok(1.0), |v| v.as_number("scale"))?;
     if !(scale.is_finite() && scale > 0.0) {
-        return Err(spec_err(format!("scale must be finite and > 0, got {scale}")));
+        return Err(JsonError::invalid(format!(
+            "scale must be finite and > 0, got {scale}"
+        )));
     }
-    let seed = num("seed", 42.0)? as u64;
-    let history_days = num("history_days", 30.0)? as usize;
-    let eval_days = num("eval_days", 14.0)? as usize;
-    if history_days == 0 || eval_days == 0 {
-        return Err(spec_err("history_days and eval_days must be >= 1"));
-    }
-    let checkpoint_every_hours = (num("checkpoint_every_hours", 6.0)? as usize).max(1);
-    let deadline_ms = match opt(obj, "deadline_ms") {
-        None => None,
-        Some(v) => {
-            let ms = v.as_number("deadline_ms").map_err(|e| e.to_string())?;
-            if !(ms.is_finite() && ms >= 1.0) {
-                return Err(spec_err("deadline_ms must be >= 1"));
-            }
-            Some(ms as u64)
+    let count = |key: &str, default: u64| obj.opt(key).map_or(Ok(default), |v| v.as_u64(key));
+    // A count of at least 1; anything below 1 gets the `below` message.
+    let positive = |key: &str, below: &str| -> Result<Option<u64>, JsonError> {
+        let Some(v) = obj.opt(key) else {
+            return Ok(None);
+        };
+        if v.as_number(key)? < 1.0 {
+            return Err(JsonError::invalid(below));
         }
+        v.as_u64(key).map(Some)
     };
+    let seed = count("seed", 42)?;
+    let days = "history_days and eval_days must be >= 1";
+    let history_days = positive("history_days", days)?.unwrap_or(30) as usize;
+    let eval_days = positive("eval_days", days)?.unwrap_or(14) as usize;
+    let checkpoint_every_hours = (count("checkpoint_every_hours", 6)? as usize).max(1);
+    let deadline_ms = positive("deadline_ms", "deadline_ms must be >= 1")?;
 
-    let dcs: Vec<DataCenterId> = match opt(obj, "dcs") {
+    let dcs: Vec<DataCenterId> = match obj.opt("dcs") {
         None => DataCenterId::ALL.to_vec(),
         Some(v) => {
-            let letters = v.as_str("dcs").map_err(|e| e.to_string())?;
+            let letters = v.as_str("dcs")?;
             let mut out = Vec::new();
             for c in letters.chars() {
                 let c = c.to_ascii_uppercase();
-                let dc = DataCenterId::ALL
-                    .into_iter()
-                    .find(|d| d.letter() == c)
-                    .ok_or_else(|| spec_err(format!("unknown data center `{c}`")))?;
+                let dc = DataCenterId::from_letter(c)
+                    .ok_or_else(|| JsonError::invalid(format!("unknown data center `{c}`")))?;
                 if !out.contains(&dc) {
                     out.push(dc);
                 }
             }
             if out.is_empty() {
-                return Err(spec_err("dcs must name at least one data center"));
+                return Err(JsonError::invalid("dcs must name at least one data center"));
             }
             out
         }
     };
-    let planners: Vec<PlannerKind> = match opt(obj, "planners") {
+    let planners: Vec<PlannerKind> = match obj.opt("planners") {
         None => PlannerKind::EVALUATED.to_vec(),
         Some(v) => {
-            let arr = v.as_array("planners").map_err(|e| e.to_string())?;
             let mut out = Vec::new();
-            for p in arr {
-                let label = p.as_str("planner").map_err(|e| e.to_string())?;
+            for p in v.as_array("planners")? {
+                let label = p.as_str("planner")?;
                 let kind = PlannerKind::parse(label)
-                    .ok_or_else(|| spec_err(format!("unknown planner `{label}`")))?;
+                    .ok_or_else(|| JsonError::invalid(format!("unknown planner `{label}`")))?;
                 if !out.contains(&kind) {
                     out.push(kind);
                 }
             }
             if out.is_empty() {
-                return Err(spec_err("planners must name at least one planner"));
+                return Err(JsonError::invalid(
+                    "planners must name at least one planner",
+                ));
             }
             out
         }
     };
 
-    let faults = match opt(obj, "faults") {
+    let faults = match obj.opt("faults") {
         None => None,
         Some(v) => {
-            let wanted = v.as_bool("faults").map_err(|e| e.to_string())?;
+            let wanted = v.as_bool("faults")?;
             if wanted && !allow_faults {
-                return Err(spec_err(
+                return Err(JsonError::invalid(
                     "fault injection is only available on /v1/replay",
                 ));
             }
@@ -402,11 +394,41 @@ fn parse_job_spec(body: &[u8], allow_faults: bool) -> Result<JobSpec, String> {
     spec.planners = planners;
     spec.faults = faults;
     spec.checkpoint_every_hours = checkpoint_every_hours;
+    check_job_size(&spec).map_err(JsonError::invalid)?;
     Ok(JobSpec {
         id,
         spec,
         deadline_ms,
     })
+}
+
+/// Refuses a job whose generated traces would exceed the cap already
+/// enforced on external CSV traces: [`MAX_TRACE_ROWS`] server-hours,
+/// summed over the job's data centers. Fresh submissions (400) and
+/// journals recovered at boot (failed job) both go through here, so a
+/// journal left behind by an oversized job cannot crash every boot.
+/// `spec.scale` is positive, as in every body [`parse_job_spec`] accepts.
+fn check_job_size(spec: &StudySpec) -> Result<(), String> {
+    let hours = spec
+        .history_days
+        .saturating_add(spec.eval_days)
+        .saturating_mul(24);
+    let server_hours = spec.dcs.iter().fold(0usize, |sum, &dc| {
+        let servers = GeneratorConfig::new(dc).scale(spec.scale).server_count();
+        sum.saturating_add(servers.saturating_mul(hours))
+    });
+    if server_hours > MAX_TRACE_ROWS {
+        return Err(format!(
+            "job would generate {server_hours} server-hours of trace, over the cap of \
+             {MAX_TRACE_ROWS}"
+        ));
+    }
+    Ok(())
+}
+
+/// A plain error response: `{"error": detail}`.
+fn error(status: u16, detail: &str) -> Response {
+    Response::json(status, object! {"error": detail}.to_string())
 }
 
 /// One queued unit of work.
@@ -443,6 +465,15 @@ impl JobRecord {
             hours_done: 0,
             deadline,
             token: None,
+        }
+    }
+
+    /// A job that reached `state` in a previous process.
+    fn recovered(state: &'static str, detail: String) -> Self {
+        Self {
+            state,
+            detail,
+            ..Self::queued(None)
         }
     }
 }
@@ -596,13 +627,8 @@ fn drain(shared: &Arc<Shared>) {
             r.detail = "shed during drain".into();
         });
         if let Some(tx) = job.respond {
-            let _ = tx.send(
-                Response::json(
-                    503,
-                    "{\"status\": \"cancelled\", \"error\": \"server is draining\"}",
-                )
-                .header("Retry-After", 1),
-            );
+            let body = object! {"status": "cancelled", "error": "server is draining"};
+            let _ = tx.send(Response::json(503, body.to_string()).header("Retry-After", 1));
         }
     }
     shared.queue_cv.notify_all();
@@ -753,8 +779,9 @@ impl Server {
 
 /// Boot recovery: a job directory whose journal never reached
 /// `run-done` is re-enqueued as resume work (nobody waits on the
-/// response; `GET /v1/jobs/<id>` observes it). Completed jobs are
-/// registered so their status survives restarts.
+/// response; `GET /v1/jobs/<id>` observes it), unless its spec fails
+/// [`check_job_size`], which registers it as failed instead. Completed
+/// jobs are registered so their status survives restarts.
 fn recover_jobs(shared: &Arc<Shared>, jobs_dir: &Path) {
     let Ok(entries) = std::fs::read_dir(jobs_dir) else {
         return;
@@ -766,26 +793,24 @@ fn recover_jobs(shared: &Arc<Shared>, jobs_dir: &Path) {
         .collect();
     ids.sort(); // deterministic recovery order
     for id in ids {
-        let done = Journal::open(&jobs_dir.join(&id).join(JOURNAL_FILE))
-            .map(|(j, _)| {
-                j.records()
-                    .iter()
-                    .any(|r| r.starts_with(b"run-done"))
-            })
-            .unwrap_or(false);
+        let path = jobs_dir.join(&id).join(JOURNAL_FILE);
+        let journal = Journal::open(&path).ok().map(|(j, _)| j);
+        let done = journal
+            .as_ref()
+            .is_some_and(|j| j.records().iter().any(|r| r.starts_with(b"run-done")));
+        let refused = journal
+            .as_ref()
+            .filter(|_| !done)
+            .and_then(|j| journal_spec(j, &path).ok())
+            .and_then(|spec| check_job_size(&spec).err());
         let mut jobs = shared.lock_jobs();
         if done {
             jobs.insert(
                 id,
-                JobRecord {
-                    state: "completed",
-                    resumable: false,
-                    detail: "recovered from a previous run".into(),
-                    hours_done: 0,
-                    deadline: None,
-                    token: None,
-                },
+                JobRecord::recovered("completed", "recovered from a previous run".into()),
             );
+        } else if let Some(detail) = refused {
+            jobs.insert(id, JobRecord::recovered("failed", detail));
         } else {
             jobs.insert(id.clone(), JobRecord::queued(None));
             drop(jobs);
@@ -856,10 +881,7 @@ fn error_response(e: &HttpError) -> Option<Response> {
         HttpError::TooLarge { detail } if detail.contains("body") => 413,
         HttpError::TooLarge { .. } => 431,
     };
-    Some(Response::json(
-        status,
-        format!("{{\"error\": {}}}", json_string(&e.to_string())),
-    ))
+    Some(error(status, &e.to_string()))
 }
 
 fn route(shared: &Arc<Shared>, req: &Request) -> Response {
@@ -869,9 +891,12 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
         ("GET", "/healthz") => Response::json(200, shared.health_snapshot().to_json()),
         ("GET", "/readyz") => {
             if shared.draining() {
-                Response::json(503, "{\"ready\": false, \"reason\": \"draining\"}")
+                Response::json(
+                    503,
+                    object! {"ready": false, "reason": "draining"}.to_string(),
+                )
             } else {
-                Response::json(200, "{\"ready\": true}")
+                Response::json(200, object! {"ready": true}.to_string())
             }
         }
         ("GET", p) if p.starts_with("/v1/jobs/") => {
@@ -879,61 +904,38 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Response {
         }
         ("POST", "/v1/plan") => submit(shared, &req.body, false),
         ("POST", "/v1/replay") => submit(shared, &req.body, true),
-        (_, "/healthz" | "/readyz" | "/v1/plan" | "/v1/replay") => Response::json(
-            405,
-            format!(
-                "{{\"error\": {}}}",
-                json_string(&format!("method {method} not allowed here"))
-            ),
-        ),
-        _ => Response::json(
-            404,
-            format!(
-                "{{\"error\": {}}}",
-                json_string(&format!("no route for {method} {path}"))
-            ),
-        ),
+        (_, "/healthz" | "/readyz" | "/v1/plan" | "/v1/replay") => {
+            error(405, &format!("method {method} not allowed here"))
+        }
+        _ => error(404, &format!("no route for {method} {path}")),
     }
 }
 
 fn job_status(shared: &Arc<Shared>, id: &str) -> Response {
     let rec = shared.lock_jobs().get(id).cloned();
     let Some(rec) = rec else {
-        return Response::json(404, "{\"error\": \"no such job\"}");
+        return error(404, "no such job");
     };
     let hours_done = match rec.state {
         "running" | "timeout" | "interrupted" => shared.job_hours_done(id).max(rec.hours_done),
         _ => rec.hours_done,
     };
-    Response::json(
-        200,
-        format!(
-            "{{\"job\": {}, \"state\": {}, \"resumable\": {}, \"hours_done\": {}, \
-             \"detail\": {}}}",
-            json_string(id),
-            json_string(rec.state),
-            rec.resumable,
-            hours_done,
-            json_string(&rec.detail),
-        ),
-    )
+    let body = object! {
+        "job": id, "state": rec.state, "resumable": rec.resumable, "hours_done": hours_done,
+        "detail": rec.detail,
+    };
+    Response::json(200, body.to_string())
 }
 
 /// `POST /v1/plan` / `POST /v1/replay`: admission control, then block
 /// until a worker finishes (or sheds) the job.
 fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
     if shared.draining() {
-        return Response::json(503, "{\"error\": \"server is draining\"}")
-            .header("Retry-After", 1);
+        return error(503, "server is draining").header("Retry-After", 1);
     }
     let job = match parse_job_spec(body, allow_faults) {
         Ok(j) => j,
-        Err(detail) => {
-            return Response::json(
-                400,
-                format!("{{\"error\": {}}}", json_string(&detail)),
-            );
-        }
+        Err(e) => return error(400, &e.to_string()),
     };
 
     let (tx, rx) = mpsc::channel();
@@ -951,13 +953,7 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
         let id = match job.id {
             Some(id) => {
                 if exists(&id) {
-                    return Response::json(
-                        409,
-                        format!(
-                            "{{\"error\": {}}}",
-                            json_string(&format!("job `{id}` already exists"))
-                        ),
-                    );
+                    return error(409, &format!("job `{id}` already exists"));
                 }
                 id
             }
@@ -982,31 +978,21 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
         // the flag is visible now, or our push lands before the flush
         // and the flush answers the client with the drain 503.
         if shared.draining() {
-            return Response::json(503, "{\"error\": \"server is draining\"}")
-                .header("Retry-After", 1);
+            return error(503, "server is draining").header("Retry-After", 1);
         }
         if queue.len() >= shared.config.queue_depth {
             shared.shed_total.fetch_add(1, Ordering::SeqCst);
-            return Response::json(
+            return error(
                 503,
-                format!(
-                    "{{\"error\": {}}}",
-                    json_string(&format!(
-                        "admission queue is full ({} waiting)",
-                        queue.len()
-                    ))
-                ),
+                &format!("admission queue is full ({} waiting)", queue.len()),
             )
             .header("Retry-After", shared.config.queue_depth.max(1));
         }
         let probe = match shared.lock_breaker().admit() {
             Ok(probe) => probe,
             Err(retry_secs) => {
-                return Response::json(
-                    503,
-                    "{\"error\": \"circuit breaker is open: recent jobs failed\"}",
-                )
-                .header("Retry-After", retry_secs.ceil().max(1.0) as u64);
+                return error(503, "circuit breaker is open: recent jobs failed")
+                    .header("Retry-After", retry_secs.ceil().max(1.0) as u64);
             }
         };
         jobs.insert(id.clone(), JobRecord::queued(deadline));
@@ -1026,7 +1012,7 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
     // channel means a worker died un-catchably.
     match rx.recv() {
         Ok(resp) => resp,
-        Err(_) => Response::json(500, "{\"error\": \"worker disappeared\"}"),
+        Err(_) => error(500, "worker disappeared"),
     }
 }
 
@@ -1075,13 +1061,11 @@ fn run_job(shared: &Arc<Shared>, job: QueuedJob) {
             r.detail = "deadline elapsed while queued".into();
         });
         if let Some(tx) = job.respond {
-            let _ = tx.send(Response::json(
-                504,
-                format!(
-                    "{{\"status\": \"timeout\", \"resumable\": {resumable}, \
-                     \"hours_done\": 0, \"detail\": \"deadline elapsed while queued\"}}"
-                ),
-            ));
+            let body = object! {
+                "status": "timeout", "resumable": resumable, "hours_done": 0usize,
+                "detail": "deadline elapsed while queued",
+            };
+            let _ = tx.send(Response::json(504, body.to_string()));
         }
         return;
     }
@@ -1167,15 +1151,12 @@ fn conclude(
                 .map(|r| r.hours)
                 .sum();
             if sick.is_empty() {
-                let cells: Vec<String> = report
+                let cells: Vec<Json> = report
                     .cells
                     .iter()
                     .map(|c| {
-                        format!(
-                            "{{\"cell\": {}, \"outcome\": {}}}",
-                            json_string(&format!("{}/{}", c.dc.letter(), c.kind.label())),
-                            json_string(c.outcome.label()),
-                        )
+                        let cell = format!("{}/{}", c.dc.letter(), c.kind.label());
+                        object! {"cell": cell, "outcome": c.outcome.label()}.into()
                     })
                     .collect();
                 shared.set_job(id, |r| {
@@ -1183,19 +1164,9 @@ fn conclude(
                     r.resumable = false;
                     r.hours_done = hours;
                 });
-                (
-                    Response::json(
-                        200,
-                        format!(
-                            "{{\"status\": \"completed\", \"job\": {}, \"hours_done\": {}, \
-                             \"cells\": [{}]}}",
-                            json_string(id),
-                            hours,
-                            cells.join(", "),
-                        ),
-                    ),
-                    Verdict::Success,
-                )
+                let body =
+                    object! {"status": "completed", "job": id, "hours_done": hours, "cells": cells};
+                (Response::json(200, body.to_string()), Verdict::Success)
             } else {
                 let detail = format!("cells failed permanently: {}", sick.join(", "));
                 shared.set_job(id, |r| {
@@ -1204,17 +1175,7 @@ fn conclude(
                     r.detail = detail.clone();
                     r.hours_done = hours;
                 });
-                (
-                    Response::json(
-                        500,
-                        format!(
-                            "{{\"status\": \"failed\", \"job\": {}, \"error\": {}}}",
-                            json_string(id),
-                            json_string(&detail),
-                        ),
-                    ),
-                    Verdict::Failure,
-                )
+                (failed(id, &detail), Verdict::Failure)
             }
         }
         Ok(_) => {
@@ -1230,19 +1191,12 @@ fn conclude(
                     r.hours_done = hours;
                     r.detail = "deadline exceeded; checkpointed".into();
                 });
-                (
-                    Response::json(
-                        504,
-                        format!(
-                            "{{\"status\": \"timeout\", \"job\": {}, \"resumable\": true, \
-                             \"hours_done\": {hours}, \
-                             \"detail\": \"cancelled at deadline; resume by rebooting \
-                             the server or re-posting the id\"}}",
-                            json_string(id),
-                        ),
-                    ),
-                    Verdict::Neutral,
-                )
+                let body = object! {
+                    "status": "timeout", "job": id, "resumable": true, "hours_done": hours,
+                    "detail": "cancelled at deadline; resume by rebooting the server or \
+                               re-posting the id",
+                };
+                (Response::json(504, body.to_string()), Verdict::Neutral)
             } else {
                 shared.set_job(id, |r| {
                     r.state = "interrupted";
@@ -1250,16 +1204,11 @@ fn conclude(
                     r.hours_done = hours;
                     r.detail = "interrupted by drain; checkpointed".into();
                 });
+                let body = object! {
+                    "status": "interrupted", "job": id, "resumable": true, "hours_done": hours,
+                };
                 (
-                    Response::json(
-                        503,
-                        format!(
-                            "{{\"status\": \"interrupted\", \"job\": {}, \
-                             \"resumable\": true, \"hours_done\": {hours}}}",
-                            json_string(id),
-                        ),
-                    )
-                    .header("Retry-After", 1),
+                    Response::json(503, body.to_string()).header("Retry-After", 1),
                     Verdict::Neutral,
                 )
             }
@@ -1271,19 +1220,17 @@ fn conclude(
                 r.resumable = false;
                 r.detail = detail.clone();
             });
-            (
-                Response::json(
-                    500,
-                    format!(
-                        "{{\"status\": \"failed\", \"job\": {}, \"error\": {}}}",
-                        json_string(id),
-                        json_string(&detail),
-                    ),
-                ),
-                Verdict::Failure,
-            )
+            (failed(id, &detail), Verdict::Failure)
         }
     }
+}
+
+/// The `500` answer for a job that ran and failed.
+fn failed(id: &str, detail: &str) -> Response {
+    Response::json(
+        500,
+        object! {"status": "failed", "job": id, "error": detail}.to_string(),
+    )
 }
 
 #[cfg(test)]
@@ -1366,6 +1313,21 @@ mod tests {
             (&b"{\"deadline_ms\": 0}"[..], false),
             (&b"{\"faults\": true}"[..], false), // plan endpoint
             (&b"\xff\xfe"[..], false),
+            // Counts are whole numbers in 0..=2^53.
+            (&b"{\"eval_days\": 1.9}"[..], false),
+            (&b"{\"seed\": -5}"[..], false),
+            (&b"{\"seed\": 1e300}"[..], false),
+            (&b"{\"checkpoint_every_hours\": 0.5}"[..], false),
+            (&b"{\"deadline_ms\": 2.5}"[..], false),
+            // Over MAX_TRACE_ROWS generated server-hours.
+            (
+                &b"{\"dcs\":\"A\",\"planners\":[\"Semi-Static\"],\"scale\":0.02,\
+                   \"history_days\":2,\"eval_days\":1e9}"[..],
+                false,
+            ),
+            (&b"{\"dcs\": \"A\", \"scale\": 1e300}"[..], false),
+            (&b"{\"history_days\": 1e15}"[..], false),
+            (&b"{\"dcs\": \"C\", \"scale\": 7}"[..], false),
         ] {
             assert!(
                 parse_job_spec(body, allow).is_err(),
@@ -1375,6 +1337,53 @@ mod tests {
         }
         // The same faulted body is fine on /v1/replay.
         assert!(parse_job_spec(b"{\"faults\": true}", true).is_ok());
+        // The perfbench body and the largest CI body stay under the cap.
+        for body in [
+            &b"{\"dcs\": \"B\", \"scale\": 0.1, \"history_days\": 7, \"eval_days\": 1}"[..],
+            &b"{\"dcs\": \"A\", \"scale\": 2.0, \"history_days\": 30, \"eval_days\": 14}"[..],
+        ] {
+            assert!(
+                parse_job_spec(body, false).is_ok(),
+                "{}",
+                String::from_utf8_lossy(body)
+            );
+        }
+        // A request body's type error does not blame a health schema.
+        let err = parse_job_spec(b"{\"id\": 5}", false).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "id is a number where a string was expected"
+        );
+    }
+
+    #[test]
+    fn boot_recovery_fails_an_oversized_journal_instead_of_running_it() {
+        let shared = bare_shared();
+        let jobs_dir =
+            std::env::temp_dir().join(format!("vmcw-serve-recover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&jobs_dir);
+        let mut spec = StudySpec::new(0.02, 42, 2, 1_000_000_000);
+        spec.dcs = vec![DataCenterId::Banking];
+        for (id, spec) in [("big", &spec), ("small", &StudySpec::new(0.02, 42, 2, 1))] {
+            std::fs::create_dir_all(jobs_dir.join(id)).unwrap();
+            let mut journal = Journal::create(&jobs_dir.join(id).join(JOURNAL_FILE)).unwrap();
+            journal
+                .append(format!("config {}", spec.encode()).as_bytes())
+                .unwrap();
+        }
+        recover_jobs(&shared, &jobs_dir);
+        let jobs = shared.lock_jobs();
+        assert_eq!(jobs["big"].state, "failed");
+        assert!(
+            jobs["big"].detail.contains("server-hours"),
+            "{}",
+            jobs["big"].detail
+        );
+        assert_eq!(jobs["small"].state, "queued");
+        let queued: Vec<String> = shared.lock_queue().iter().map(|j| j.id.clone()).collect();
+        assert_eq!(queued, ["small"]);
+        drop(jobs);
+        let _ = std::fs::remove_dir_all(&jobs_dir);
     }
 
     #[test]

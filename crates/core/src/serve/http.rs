@@ -1,9 +1,10 @@
 //! A deliberately small HTTP/1.1 server-side codec.
 //!
 //! `vmcw serve` needs five routes, `Connection: close` semantics and
-//! nothing else, so — like the hand-rolled JSON in
-//! [`health`](crate::health) — the parser lives here instead of pulling
-//! a dependency into this offline workspace. The head parser is a pure
+//! nothing else, so — like the JSON codec in [`json`](crate::json),
+//! which reads the request bodies and writes the response bodies — the
+//! parser lives here instead of pulling a dependency into this offline
+//! workspace. The head parser is a pure
 //! function over bytes ([`parse_head`]) so adversarial property tests
 //! can hammer it without sockets.
 //!

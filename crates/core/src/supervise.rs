@@ -284,7 +284,7 @@ impl ChaosConfig {
     pub fn for_cell(cell_id: &str, hour: usize, mode: ChaosMode, one_shot: bool) -> Option<Self> {
         let (letter, planner) = cell_id.split_once('/')?;
         let dc = letter.trim().to_ascii_uppercase().chars().next()?;
-        dc_from_letter(dc)?;
+        DataCenterId::from_letter(dc)?;
         let kind = PlannerKind::parse(planner.trim())?;
         Some(Self {
             dc,
@@ -545,7 +545,7 @@ impl StudySpec {
         let dcs_tok = t.str().map_err(SuperviseError::Checkpoint)?;
         let dcs = dcs_tok
             .chars()
-            .map(|c| dc_from_letter(c).ok_or_else(|| bad("unknown data-center letter")))
+            .map(|c| DataCenterId::from_letter(c).ok_or_else(|| bad("unknown data-center letter")))
             .collect::<Result<Vec<_>, _>>()?;
         take(&mut t, "planners")?;
         let planners_tok = t.str().map_err(SuperviseError::Checkpoint)?;
@@ -597,10 +597,6 @@ impl StudySpec {
             },
         })
     }
-}
-
-fn dc_from_letter(c: char) -> Option<DataCenterId> {
-    DataCenterId::ALL.into_iter().find(|d| d.letter() == c)
 }
 
 /// Whether the whole grid ran to the end.
@@ -727,6 +723,25 @@ pub fn run_study_opts(
     )
 }
 
+/// The spec a study journal was started with: its leading `config`
+/// record. `path` names the journal in the error.
+///
+/// # Errors
+///
+/// [`SuperviseError::MissingConfig`] when the first record is not a
+/// config record, [`SuperviseError::Spec`] when it does not decode.
+pub fn journal_spec(journal: &Journal, path: &Path) -> Result<StudySpec, SuperviseError> {
+    let config_line = journal
+        .records()
+        .first()
+        .and_then(|first| std::str::from_utf8(first).ok())
+        .and_then(|s| s.strip_prefix("config "))
+        .ok_or_else(|| SuperviseError::MissingConfig {
+            path: path.to_path_buf(),
+        })?;
+    StudySpec::decode(config_line.trim_end())
+}
+
 /// Resumes (or idempotently re-finalises) the study journaled in `dir`
 /// under session [`RunOptions`] (see [`run_study_opts`]).
 ///
@@ -751,14 +766,7 @@ pub fn resume_study_opts(
     let path = dir.join(JOURNAL_FILE);
     let (journal, tail) = Journal::open(&path)?;
     let records = journal.records();
-    let first = records.first().ok_or_else(|| SuperviseError::MissingConfig {
-        path: path.clone(),
-    })?;
-    let config_line = std::str::from_utf8(first)
-        .ok()
-        .and_then(|s| s.strip_prefix("config "))
-        .ok_or_else(|| SuperviseError::MissingConfig { path: path.clone() })?;
-    let mut spec = StudySpec::decode(config_line.trim_end())?;
+    let mut spec = journal_spec(&journal, &path)?;
     if let Some(b) = budget {
         spec.budget = b;
     }
@@ -888,7 +896,7 @@ fn cell_key<'a>(
         .next()
         .and_then(|s| (s.len() == 1).then(|| s.chars().next().unwrap()))
         .ok_or_else(|| bad(format!("journal record {record}: missing data-center letter")))?;
-    let dc = dc_from_letter(letter)
+    let dc = DataCenterId::from_letter(letter)
         .ok_or_else(|| bad(format!("journal record {record}: unknown data center `{letter}`")))?;
     let kind = toks
         .next()
@@ -1515,6 +1523,8 @@ impl Executor<'_> {
             .health
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Telemetry keeps millisecond precision.
+        let round_ms = |secs: f64| (secs * 1e3).round() / 1e3;
         let mut cells = Vec::new();
         for &dc in &self.spec.dcs {
             for &kind in &self.spec.planners {
@@ -1532,10 +1542,10 @@ impl Executor<'_> {
                     .find(|w| w.dc == key.0 && w.planner == key.1)
                 {
                     steps = w.heartbeat.steps();
-                    beat_age_secs = w.heartbeat.secs_since_last_beat();
+                    beat_age_secs = round_ms(w.heartbeat.secs_since_last_beat());
                     let elapsed = w.started.elapsed().as_secs_f64();
                     if elapsed > 0.0 {
-                        steps_per_sec = steps as f64 / elapsed;
+                        steps_per_sec = round_ms(steps as f64 / elapsed);
                     }
                     if state == "running" {
                         hours_done = w.hours.load(Ordering::SeqCst);

@@ -61,6 +61,13 @@ impl DataCenterId {
         }
     }
 
+    /// The data center named by its single letter (A–D), the inverse
+    /// of [`letter`](Self::letter).
+    #[must_use]
+    pub fn from_letter(letter: char) -> Option<Self> {
+        Self::ALL.into_iter().find(|d| d.letter() == letter)
+    }
+
     /// Industry label from Table 2.
     #[must_use]
     pub fn industry(self) -> &'static str {

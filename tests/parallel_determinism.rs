@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use vmcw_bench::perf::{run_emulator_suite, run_planner_suite};
 use vmcw_repro::consolidation::planner::PlannerKind;
+use vmcw_repro::core::json::Json;
 use vmcw_repro::core::supervise::{
     resume_study_opts, run_study_opts, CancelToken, CellOutcome, RunOptions, StudySpec,
     StudyStatus, JOURNAL_FILE,
@@ -108,156 +109,57 @@ fn four_workers_are_byte_identical_to_one_even_across_a_kill() {
     }
 }
 
-/// Minimal strict-JSON validator — the workspace has no JSON crate, and
-/// the bench documents are small enough that a recursive-descent walk is
-/// the honest check that `vmcw bench` output parses everywhere.
-fn parse_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    fn skip_ws(b: &[u8], p: &mut usize) {
-        while *p < b.len() && (b[*p] as char).is_ascii_whitespace() {
-            *p += 1;
-        }
-    }
-    fn value(b: &[u8], p: &mut usize) -> Result<(), String> {
-        skip_ws(b, p);
-        match b.get(*p) {
-            Some(b'{') => {
-                *p += 1;
-                skip_ws(b, p);
-                if b.get(*p) == Some(&b'}') {
-                    *p += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, p);
-                    string(b, p)?;
-                    skip_ws(b, p);
-                    if b.get(*p) != Some(&b':') {
-                        return Err(format!("expected ':' at {p:?}"));
-                    }
-                    *p += 1;
-                    value(b, p)?;
-                    skip_ws(b, p);
-                    match b.get(*p) {
-                        Some(b',') => *p += 1,
-                        Some(b'}') => {
-                            *p += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *p += 1;
-                skip_ws(b, p);
-                if b.get(*p) == Some(&b']') {
-                    *p += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, p)?;
-                    skip_ws(b, p);
-                    match b.get(*p) {
-                        Some(b',') => *p += 1,
-                        Some(b']') => {
-                            *p += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("expected ',' or ']', got {other:?}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, p),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = *p;
-                *p += 1;
-                while *p < b.len()
-                    && (b[*p].is_ascii_digit() || matches!(b[*p], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *p += 1;
-                }
-                std::str::from_utf8(&b[start..*p])
-                    .ok()
-                    .and_then(|t| t.parse::<f64>().ok())
-                    .map(|_| ())
-                    .ok_or_else(|| format!("bad number at {start}"))
-            }
-            other => Err(format!("unexpected {other:?} at {p:?}")),
-        }
-    }
-    fn string(b: &[u8], p: &mut usize) -> Result<(), String> {
-        if b.get(*p) != Some(&b'"') {
-            return Err(format!("expected '\"' at {p:?}"));
-        }
-        *p += 1;
-        while let Some(&c) = b.get(*p) {
-            match c {
-                b'\\' => *p += 2,
-                b'"' => {
-                    *p += 1;
-                    return Ok(());
-                }
-                _ => *p += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(format!("trailing bytes at {pos}"))
-    }
-}
-
 #[test]
 fn bench_artifacts_are_strict_json_with_the_v1_schema() {
     let scales = [0.02, 0.03];
-    let seed = 11;
-    let dir = tmp_dir("bench-json");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    for (name, suite) in [
-        ("BENCH_emulator.json", run_emulator_suite(&scales, seed)),
-        ("BENCH_planners.json", run_planner_suite(&scales, seed)),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, suite.to_json()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        parse_json(&text).unwrap_or_else(|e| panic!("{name} is not strict JSON: {e}\n{text}"));
-        assert!(text.contains("\"schema\": \"vmcw-bench/v1\""), "{name}");
-        assert!(text.contains("\"seed\": 11"), "{name}");
-        for scale in scales {
-            assert!(
-                text.contains(&format!("\"scale\": {scale}")),
-                "{name} must cover scale {scale}"
-            );
-        }
-    }
-
     // The emulator suite names its stages; the planner suite uses the
-    // evaluated planner labels. Both must be complete.
-    let emu = std::fs::read_to_string(dir.join("BENCH_emulator.json")).unwrap();
-    for stage in ["trace-gen", "replay-plain", "replay-faulted"] {
+    // evaluated planner labels. Each must time every stage once per
+    // scale, in that order.
+    let planner_stages = PlannerKind::EVALUATED.map(|k| k.label());
+    for (suite, stages) in [
+        (
+            run_emulator_suite(&scales, 11),
+            &["trace-gen", "replay-plain", "replay-faulted"][..],
+        ),
+        (run_planner_suite(&scales, 11), &planner_stages[..]),
+    ] {
+        let name = suite.suite;
+        let doc = Json::parse(&suite.to_json())
+            .unwrap_or_else(|e| panic!("{name} suite is not strict JSON: {e}"));
+        let top = doc.as_object(name).unwrap();
+        let schema = top.get("schema").and_then(|v| v.as_str("schema"));
+        assert_eq!(schema, Ok("vmcw-bench/v1"), "{name}");
         assert_eq!(
-            emu.matches(&format!("\"stage\": \"{stage}\"")).count(),
-            scales.len(),
-            "emulator suite must time `{stage}` once per scale"
+            top.get("seed").and_then(|v| v.as_u64("seed")),
+            Ok(11),
+            "{name}"
+        );
+        let entries = top
+            .get("entries")
+            .and_then(|v| v.as_array("entries"))
+            .unwrap();
+        let timed: Vec<(String, f64)> = entries
+            .iter()
+            .map(|entry| {
+                let e = entry.as_object("entry").unwrap();
+                assert!(
+                    e.get("items").and_then(|v| v.as_u64("items")).unwrap() > 0,
+                    "{name}"
+                );
+                let stage = e.get("stage").and_then(|v| v.as_str("stage")).unwrap();
+                (
+                    stage.to_owned(),
+                    e.get("scale").and_then(|v| v.as_number("scale")).unwrap(),
+                )
+            })
+            .collect();
+        let want: Vec<(String, f64)> = scales
+            .iter()
+            .flat_map(|&scale| stages.iter().map(move |s| ((*s).to_owned(), scale)))
+            .collect();
+        assert_eq!(
+            timed, want,
+            "{name} suite must time every stage once per scale"
         );
     }
-    let planners = std::fs::read_to_string(dir.join("BENCH_planners.json")).unwrap();
-    for kind in PlannerKind::EVALUATED {
-        assert_eq!(
-            planners
-                .matches(&format!("\"stage\": \"{}\"", kind.label()))
-                .count(),
-            scales.len(),
-            "planner suite must time `{}` once per scale",
-            kind.label()
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
