@@ -294,15 +294,7 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
         if let Some(v) = args.flags.get("ckpt-hours") {
             spec.checkpoint_every_hours = v
                 .parse()
-                .map_err(|e| format!("bad --ckpt-hours: {e}"))
-                .and_then(|n: usize| {
-                    if n == 0 {
-                        Err("--ckpt-hours must be at least 1".to_owned())
-                    } else {
-                        Ok(n)
-                    }
-                })
-                .map_err(usage)?;
+                .map_err(|e| usage(format!("bad --ckpt-hours: {e}")))?;
         }
         match args.flags.get("faults").map_or("off", String::as_str) {
             "on" => spec.faults = Some(vmcw_emulator::FaultConfig::baseline(seed)),
@@ -326,7 +318,6 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
             CellOutcome::Completed => String::new(),
             CellOutcome::Degraded { reason, .. } => reason.clone(),
             CellOutcome::Aborted { error } => error.clone(),
-            CellOutcome::Crashed { message, .. } => message.clone(),
             CellOutcome::Quarantined { attempts, .. } => {
                 format!("quarantined after {attempts} attempt(s)")
             }
@@ -1142,6 +1133,23 @@ mod tests {
             2
         );
         assert_eq!(exit_code_for(&dispatch("load", &argv(&[]))), 2);
+        // A well-formed spec that cannot run is refused before any
+        // journal is written.
+        let out = std::env::temp_dir().join(format!("vmcw-cli-bad-spec-{}", std::process::id()));
+        let out_flag = ["--out", out.to_str().unwrap()];
+        for bad in [
+            &["--scale", "nan"][..],
+            &["--scale", "0"],
+            &["--scale", "-1", "--history-days", "0"],
+            &["--eval-days", "0"],
+            &["--ckpt-hours", "0"],
+            &["--max-secs", "nan"],
+        ] {
+            let args: Vec<&str> = out_flag.iter().chain(bad).copied().collect();
+            assert_eq!(exit_code_for(&dispatch("study", &argv(&args))), 2, "{bad:?}");
+            let journal = out.join(vmcw_core::supervise::JOURNAL_FILE);
+            assert!(!journal.exists(), "{bad:?} wrote a journal");
+        }
     }
 
     #[test]

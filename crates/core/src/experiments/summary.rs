@@ -284,7 +284,6 @@ pub fn study_markdown(report: &crate::supervise::StudyReport) -> String {
             CellOutcome::Completed => String::new(),
             CellOutcome::Degraded { reason, .. } => reason.clone(),
             CellOutcome::Aborted { error } => error.clone(),
-            CellOutcome::Crashed { message, .. } => message.clone(),
             CellOutcome::Quarantined { attempts, .. } => {
                 format!("quarantined after {attempts} attempt(s)")
             }
@@ -309,12 +308,7 @@ pub fn study_markdown(report: &crate::supervise::StudyReport) -> String {
     let aborted = report
         .cells
         .iter()
-        .filter(|c| {
-            matches!(
-                c.outcome,
-                CellOutcome::Aborted { .. } | CellOutcome::Crashed { .. }
-            )
-        })
+        .filter(|c| matches!(c.outcome, CellOutcome::Aborted { .. }))
         .count();
     if degraded + aborted > 0 {
         let _ = writeln!(

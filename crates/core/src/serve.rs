@@ -63,7 +63,7 @@ use crate::json::{Json, JsonError};
 use crate::object;
 use crate::supervise::{
     journal_spec, resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy,
-    ChaosConfig, RunOptions, StudyReport, StudySpec, StudyStatus, JOURNAL_FILE,
+    ChaosConfig, Record, RunOptions, StudyReport, StudySpec, StudyStatus, JOURNAL_FILE,
 };
 
 use self::http::{read_request, HttpError, Request, Response};
@@ -795,9 +795,10 @@ fn recover_jobs(shared: &Arc<Shared>, jobs_dir: &Path) {
     for id in ids {
         let path = jobs_dir.join(&id).join(JOURNAL_FILE);
         let journal = Journal::open(&path).ok().map(|(j, _)| j);
-        let done = journal
-            .as_ref()
-            .is_some_and(|j| j.records().iter().any(|r| r.starts_with(b"run-done")));
+        let done = journal.as_ref().is_some_and(|j| {
+            let mut records = j.records().iter().enumerate();
+            records.any(|(i, r)| matches!(Record::decode(i, r, false), Ok(Some(Record::RunDone))))
+        });
         let refused = journal
             .as_ref()
             .filter(|_| !done)
@@ -1136,12 +1137,7 @@ fn conclude(
             let sick: Vec<String> = report
                 .cells
                 .iter()
-                .filter(|c| {
-                    matches!(
-                        c.outcome,
-                        CellOutcome::Quarantined { .. } | CellOutcome::Crashed { .. }
-                    )
-                })
+                .filter(|c| matches!(c.outcome, CellOutcome::Quarantined { .. }))
                 .map(|c| format!("{}/{}", c.dc.letter(), c.kind.label()))
                 .collect();
             let hours: usize = report
@@ -1367,9 +1363,8 @@ mod tests {
         for (id, spec) in [("big", &spec), ("small", &StudySpec::new(0.02, 42, 2, 1))] {
             std::fs::create_dir_all(jobs_dir.join(id)).unwrap();
             let mut journal = Journal::create(&jobs_dir.join(id).join(JOURNAL_FILE)).unwrap();
-            journal
-                .append(format!("config {}", spec.encode()).as_bytes())
-                .unwrap();
+            let config = Record::Config(std::borrow::Cow::Borrowed(spec));
+            journal.append(config.encode().as_bytes()).unwrap();
         }
         recover_jobs(&shared, &jobs_dir);
         let jobs = shared.lock_jobs();

@@ -24,13 +24,6 @@ pub enum StudyError {
     Pack(PackError),
     /// The emulator rejected the plan or its fault configuration.
     Emulator(EmulatorError),
-    /// A resumed or externally-supplied study references cells the
-    /// spec does not contain (corrupted journal, edited spec, version
-    /// skew). Degrades the cell instead of killing the supervisor.
-    SpecMismatch {
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
 }
 
 impl fmt::Display for StudyError {
@@ -38,9 +31,6 @@ impl fmt::Display for StudyError {
         match self {
             StudyError::Pack(e) => e.fmt(f),
             StudyError::Emulator(e) => e.fmt(f),
-            StudyError::SpecMismatch { detail } => {
-                write!(f, "study spec mismatch: {detail}")
-            }
         }
     }
 }

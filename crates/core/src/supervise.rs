@@ -25,12 +25,13 @@
 //! correctness. The final `cells.csv` / `STUDY.md` are merged in grid
 //! order (data center major, planner minor), making them byte-identical
 //! for any worker count — see docs/PERFORMANCE.md for the determinism
-//! argument.
+//! argument. One private codec, `Record`, defines every journal record
+//! (docs/DURABILITY.md, "Record kinds").
 //!
 //! The supervisor is *self-healing* (docs/ROBUSTNESS.md has the
 //! supervision tree): each cell attempt runs under `catch_unwind`, so a
-//! panicking planner becomes a journaled [`CellOutcome::Crashed`]
-//! incident instead of killing the run; a monitor thread watches
+//! panicking planner becomes a journaled `cell-crashed` incident and a
+//! retry instead of killing the run; a monitor thread watches
 //! per-cell [`Heartbeat`]s and cooperatively cancels cells that stop
 //! beating (hangs become `Degraded`, never wedged studies); crashed and
 //! watchdog-stopped cells are retried from their last journaled
@@ -42,12 +43,13 @@
 //! `health.json` ([`crate::health`]) so `vmcw health <dir>` can inspect
 //! a live or dead run.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use vmcw_consolidation::planner::PlannerKind;
@@ -67,7 +69,7 @@ use vmcw_trace::datacenters::DataCenterId;
 use crate::health::{CellHealth, HealthSnapshot, HEALTH_FILE};
 use crate::journal::{write_atomic, Journal, JournalError, TailCorruption};
 use crate::render::{fnum, Table};
-use crate::study::{Study, StudyConfig, StudyError};
+use crate::study::{Study, StudyConfig};
 
 /// Cooperative cancellation shared between a supervisor and whoever
 /// wants to stop it (a signal handler, a test, a deadline).
@@ -117,21 +119,13 @@ impl CancelToken {
     /// poll (the supervisor polls at every hour boundary, so a replay
     /// checkpoints and yields within one step of the deadline).
     pub fn cancel_at(&self, deadline: Instant) {
-        *self
-            .inner
-            .deadline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(deadline);
+        *lock(&self.inner.deadline) = Some(deadline);
     }
 
     /// The armed deadline, if any.
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
-        *self
-            .inner
-            .deadline
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock(&self.inner.deadline)
     }
 
     /// Whether the armed deadline (if any) has passed.
@@ -370,17 +364,6 @@ pub enum CellOutcome {
         /// The failure.
         error: String,
     },
-    /// An attempt panicked or was stopped by the watchdog. Transient:
-    /// the supervisor retries from the last journaled checkpoint, so
-    /// this is only ever a *terminal* outcome in journals written by
-    /// defensive paths — normally a crash ends as `Completed` (healed)
-    /// or [`Quarantined`](Self::Quarantined) (exhausted).
-    Crashed {
-        /// Single-line panic or watchdog message.
-        message: String,
-        /// Captured backtrace of the crash site (may be empty).
-        backtrace: String,
-    },
     /// Every retry attempt crashed or hung. The cell is excluded from
     /// aggregate results; its incident log feeds `STUDY.md`'s failure
     /// matrix.
@@ -400,7 +383,6 @@ impl CellOutcome {
             CellOutcome::Completed => "completed",
             CellOutcome::Degraded { .. } => "degraded",
             CellOutcome::Aborted { .. } => "aborted",
-            CellOutcome::Crashed { .. } => "crashed",
             CellOutcome::Quarantined { .. } => "quarantined",
         }
     }
@@ -510,7 +492,8 @@ impl StudySpec {
     ///
     /// # Errors
     ///
-    /// [`SuperviseError::Spec`] on malformed input.
+    /// [`SuperviseError::Spec`] on malformed input or a spec that cannot
+    /// run.
     pub fn decode(line: &str) -> Result<Self, SuperviseError> {
         let bad = |detail: &str| SuperviseError::Spec {
             detail: detail.to_owned(),
@@ -582,7 +565,7 @@ impl StudySpec {
             let mut ft = Toks::new(faults_payload, 0);
             Some(decode_fault_config(&mut ft).map_err(SuperviseError::Checkpoint)?)
         };
-        Ok(Self {
+        let spec = Self {
             dcs,
             planners,
             scale,
@@ -595,7 +578,31 @@ impl StudySpec {
                 max_wall_secs,
                 max_hours,
             },
-        })
+        };
+        spec.check()?;
+        Ok(spec)
+    }
+
+    /// Rejects a spec that cannot run: a scale that is not finite and
+    /// positive, zero history or evaluation days, a zero checkpoint
+    /// cadence, an empty grid, or a wall-clock budget that is not finite
+    /// and positive (`elapsed > NaN` would never fire).
+    fn check(&self) -> Result<(), SuperviseError> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let problem = if !positive(self.scale) {
+            format!("scale must be finite and positive, got {}", self.scale)
+        } else if self.history_days == 0 || self.eval_days == 0 {
+            "history and evaluation days must be at least 1".to_owned()
+        } else if self.checkpoint_every_hours == 0 {
+            "the checkpoint cadence must be at least 1 hour".to_owned()
+        } else if self.dcs.is_empty() || self.planners.is_empty() {
+            "the grid needs at least one data center and one planner".to_owned()
+        } else if let Some(secs) = self.budget.max_wall_secs.filter(|&s| !positive(s)) {
+            format!("the wall-clock budget must be finite and positive, got {secs}s")
+        } else {
+            return Ok(());
+        };
+        Err(SuperviseError::Spec { detail: problem })
     }
 }
 
@@ -694,14 +701,17 @@ pub const JOURNAL_FILE: &str = "journal.vmcwj";
 ///
 /// # Errors
 ///
-/// [`JournalError::AlreadyExists`] if the directory already holds a
-/// journal (resume it instead), plus journal/checkpoint errors.
+/// [`SuperviseError::Spec`] for a spec that cannot run (checked before
+/// anything is written), [`JournalError::AlreadyExists`] if the
+/// directory already holds a journal (resume it instead), plus
+/// journal/checkpoint errors.
 pub fn run_study_opts(
     spec: &StudySpec,
     dir: &Path,
     token: &CancelToken,
     opts: &RunOptions,
 ) -> Result<StudyReport, SuperviseError> {
+    spec.check()?;
     std::fs::create_dir_all(dir).map_err(|source| {
         SuperviseError::Journal(JournalError::Io {
             path: dir.to_path_buf(),
@@ -709,18 +719,8 @@ pub fn run_study_opts(
         })
     })?;
     let mut journal = Journal::create(&dir.join(JOURNAL_FILE))?;
-    journal.append(format!("config {}", spec.encode()).as_bytes())?;
-    drive(
-        spec.clone(),
-        journal,
-        BTreeMap::new(),
-        BTreeMap::new(),
-        false,
-        None,
-        dir,
-        token,
-        opts,
-    )
+    journal.append(Record::Config(Cow::Borrowed(spec)).encode().as_bytes())?;
+    drive(spec.clone(), journal, Resumed::default(), dir, token, opts)
 }
 
 /// The spec a study journal was started with: its leading `config`
@@ -728,18 +728,17 @@ pub fn run_study_opts(
 ///
 /// # Errors
 ///
-/// [`SuperviseError::MissingConfig`] when the first record is not a
-/// config record, [`SuperviseError::Spec`] when it does not decode.
+/// [`SuperviseError::MissingConfig`] when the journal is empty or opens
+/// with another record kind, [`SuperviseError::Spec`] when its first
+/// record does not decode.
 pub fn journal_spec(journal: &Journal, path: &Path) -> Result<StudySpec, SuperviseError> {
-    let config_line = journal
-        .records()
-        .first()
-        .and_then(|first| std::str::from_utf8(first).ok())
-        .and_then(|s| s.strip_prefix("config "))
-        .ok_or_else(|| SuperviseError::MissingConfig {
+    let first = journal.records().first();
+    match first.map(|rec| Record::decode(0, rec, false)).transpose()? {
+        Some(Some(Record::Config(spec))) => Ok(spec.into_owned()),
+        _ => Err(SuperviseError::MissingConfig {
             path: path.to_path_buf(),
-        })?;
-    StudySpec::decode(config_line.trim_end())
+        }),
+    }
 }
 
 /// Resumes (or idempotently re-finalises) the study journaled in `dir`
@@ -764,145 +763,293 @@ pub fn resume_study_opts(
     opts: &RunOptions,
 ) -> Result<StudyReport, SuperviseError> {
     let path = dir.join(JOURNAL_FILE);
-    let (journal, tail) = Journal::open(&path)?;
-    let records = journal.records();
+    let (journal, tail_dropped) = Journal::open(&path)?;
     let mut spec = journal_spec(&journal, &path)?;
     if let Some(b) = budget {
         spec.budget = b;
+        spec.check()?;
     }
-
-    let mut done: BTreeMap<(char, &'static str), CellReport> = BTreeMap::new();
-    let mut ckpts: BTreeMap<(char, &'static str), ReplayCheckpoint> = BTreeMap::new();
-    let mut run_done = false;
-    for (i, rec) in records.iter().enumerate().skip(1) {
-        let text = std::str::from_utf8(rec).map_err(|_| SuperviseError::Spec {
-            detail: format!("journal record {i} is not UTF-8"),
-        })?;
-        let (head, body) = text.split_once('\n').unwrap_or((text, ""));
-        let mut toks = head.split_whitespace();
-        match toks.next() {
-            // Informational records: cell lifecycle markers, retry
-            // bookkeeping and heartbeat progress watermarks carry no
-            // state that resume needs — checkpoints and cell-done
-            // records are authoritative.
-            Some("cell-start" | "cell-crashed" | "cell-retried" | "heartbeat") => {}
-            Some("run-done") => run_done = true,
-            Some("checkpoint") => {
-                let (dc, kind) = cell_key(&mut toks, i)?;
-                let ckpt = ReplayCheckpoint::decode(body)?;
-                ckpts.insert((dc.letter(), kind.label()), ckpt);
-            }
-            Some("cell-done") => {
-                let (dc, kind) = cell_key(&mut toks, i)?;
-                let outcome_word = toks.next().ok_or_else(|| SuperviseError::Spec {
-                    detail: format!("journal record {i}: missing cell outcome"),
-                })?;
-                let cell = match outcome_word {
-                    "aborted" => CellReport {
-                        dc,
-                        kind,
-                        outcome: CellOutcome::Aborted {
-                            error: toks.collect::<Vec<_>>().join(" "),
-                        },
-                        report: None,
-                        cost: None,
-                    },
-                    "crashed" => CellReport {
-                        dc,
-                        kind,
-                        outcome: CellOutcome::Crashed {
-                            message: toks.collect::<Vec<_>>().join(" "),
-                            backtrace: body.to_owned(),
-                        },
-                        report: None,
-                        cost: None,
-                    },
-                    "quarantined" => {
-                        let attempts = toks
-                            .next()
-                            .and_then(|a| a.parse().ok())
-                            .ok_or_else(|| SuperviseError::Spec {
-                                detail: format!("journal record {i}: bad quarantine attempts"),
-                            })?;
-                        let incidents = if body.is_empty() {
-                            Vec::new()
-                        } else {
-                            body.lines().map(str::to_owned).collect()
-                        };
-                        CellReport {
-                            dc,
-                            kind,
-                            outcome: CellOutcome::Quarantined {
-                                attempts,
-                                incidents,
-                            },
-                            report: None,
-                            cost: None,
-                        }
-                    }
-                    word @ ("completed" | "degraded") => {
-                        let outcome = if word == "completed" {
-                            CellOutcome::Completed
-                        } else {
-                            let hours_done = toks
-                                .next()
-                                .and_then(|h| h.parse().ok())
-                                .ok_or_else(|| SuperviseError::Spec {
-                                    detail: format!("journal record {i}: bad degraded hours"),
-                                })?;
-                            CellOutcome::Degraded {
-                                reason: toks.collect::<Vec<_>>().join(" "),
-                                hours_done,
-                            }
-                        };
-                        let (cost_line, report_wire) =
-                            body.split_once('\n').ok_or_else(|| SuperviseError::Spec {
-                                detail: format!("journal record {i}: missing cell body"),
-                            })?;
-                        CellReport {
-                            dc,
-                            kind,
-                            outcome,
-                            report: Some(decode_report(report_wire)?),
-                            cost: Some(decode_cost(cost_line)?),
-                        }
-                    }
-                    other => {
-                        return Err(SuperviseError::Spec {
-                            detail: format!("journal record {i}: unknown outcome `{other}`"),
-                        })
-                    }
-                };
-                ckpts.remove(&(dc.letter(), kind.label()));
-                done.insert((dc.letter(), kind.label()), cell);
-            }
-            other => {
-                return Err(SuperviseError::Spec {
-                    detail: format!("journal record {i}: unknown record `{other:?}`"),
-                })
-            }
-        }
-    }
-
-    drive(spec, journal, done, ckpts, run_done, tail, dir, token, opts)
+    let resumed = journal.records().iter().enumerate().skip(1).try_fold(
+        Resumed {
+            tail_dropped,
+            ..Resumed::default()
+        },
+        Resumed::fold,
+    )?;
+    drive(spec, journal, resumed, dir, token, opts)
 }
 
-fn cell_key<'a>(
-    toks: &mut impl Iterator<Item = &'a str>,
+/// A grid cell: one data center under one planner.
+type Cell = (DataCenterId, PlannerKind);
+
+/// One journal record, one variant per row of docs/DURABILITY.md's
+/// "Record kinds" table. [`encode`](Self::encode) and
+/// [`decode`](Self::decode) are the only code that knows the wire
+/// format: a head line `<kind> [<dc letter> <planner label>] <fields>`
+/// whose last text field runs to the end of the line, then, for
+/// `checkpoint`, `cell-done` and `cell-crashed`, a body after the first
+/// newline. Encoding borrows, so journaling never clones a checkpoint
+/// or a report.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Record<'a> {
+    /// The study spec; always record 0.
+    Config(Cow<'a, StudySpec>),
+    /// A cell began replaying from hour 0.
+    CellStart(Cell),
+    /// A cell's replay state at an hour boundary.
+    Checkpoint(Cell, Cow<'a, ReplayCheckpoint>),
+    /// A cell's terminal outcome, with its report and costs if it has
+    /// them.
+    CellDone(Cow<'a, CellReport>),
+    /// One attempt panicked or was stopped by the watchdog.
+    CellCrashed {
+        cell: Cell,
+        attempt: usize,
+        /// `panic` or `watchdog`.
+        incident: Cow<'a, str>,
+        /// Single-line message.
+        message: Cow<'a, str>,
+        /// The crash site's backtrace; may be empty.
+        backtrace: Cow<'a, str>,
+    },
+    /// The supervisor re-runs the cell as `attempt`.
+    CellRetried { cell: Cell, attempt: usize },
+    /// Best-effort progress watermark.
+    Heartbeat { cell: Cell, hours: usize },
+    /// The whole grid reached terminal outcomes.
+    RunDone,
+}
+
+impl Record<'_> {
+    /// The record's wire bytes (as text).
+    pub(crate) fn encode(&self) -> String {
+        let key = |(dc, kind): &Cell| format!("{} {}", dc.letter(), kind.label());
+        match self {
+            Record::Config(spec) => format!("config {}", spec.encode()),
+            Record::CellStart(cell) => format!("cell-start {}", key(cell)),
+            Record::Checkpoint(cell, ck) => format!("checkpoint {}\n{}", key(cell), ck.encode()),
+            Record::CellDone(c) => {
+                let head = format!("cell-done {}", key(&(c.dc, c.kind)));
+                let mut out = match &c.outcome {
+                    CellOutcome::Completed => format!("{head} completed"),
+                    CellOutcome::Degraded { reason, hours_done } => {
+                        format!("{head} degraded {hours_done} {reason}")
+                    }
+                    CellOutcome::Aborted { error } => format!("{head} aborted {error}"),
+                    CellOutcome::Quarantined {
+                        attempts,
+                        incidents,
+                    } => {
+                        let mut out = format!("{head} quarantined {attempts}");
+                        for incident in incidents {
+                            out.push('\n');
+                            out.push_str(incident);
+                        }
+                        return out;
+                    }
+                };
+                if let (Some(cost), Some(report)) = (&c.cost, &c.report) {
+                    out.push('\n');
+                    out.push_str(&encode_cost(cost));
+                    out.push('\n');
+                    out.push_str(&encode_report(report));
+                }
+                out
+            }
+            Record::CellCrashed {
+                cell,
+                attempt,
+                incident,
+                message,
+                backtrace,
+            } => {
+                let head = format!("cell-crashed {} {attempt} {incident} {message}", key(cell));
+                if backtrace.is_empty() {
+                    head
+                } else {
+                    format!("{head}\n{backtrace}")
+                }
+            }
+            Record::CellRetried { cell, attempt } => {
+                format!("cell-retried {} {attempt}", key(cell))
+            }
+            Record::Heartbeat { cell, hours } => format!("heartbeat {} {hours}", key(cell)),
+            Record::RunDone => "run-done".to_owned(),
+        }
+    }
+}
+
+impl Record<'static> {
+    /// Decodes journal record `i` (errors name the index). Without
+    /// `bodies`, a `checkpoint` or `cell-done` record decodes to `None`
+    /// with its body unread, so finding `config` or `run-done` costs one
+    /// head parse per record.
+    pub(crate) fn decode(
+        i: usize,
+        rec: &[u8],
+        bodies: bool,
+    ) -> Result<Option<Self>, SuperviseError> {
+        let split = rec.iter().position(|&b| b == b'\n');
+        let (head, body) = split.map_or((rec, &[][..]), |n| (&rec[..n], &rec[n + 1..]));
+        let text = |bytes| {
+            std::str::from_utf8(bytes).map_err(|_| record_error(i, "record is not UTF-8"))
+        };
+        let mut f = Fields {
+            rest: text(head)?,
+            record: i,
+        };
+        let record = match f.next() {
+            "checkpoint" | "cell-done" if !bodies => return Ok(None),
+            "config" => Record::Config(Cow::Owned(StudySpec::decode(f.rest.trim_end())?)),
+            "cell-start" => Record::CellStart(f.cell()?),
+            "checkpoint" => {
+                let cell = f.cell()?;
+                Record::Checkpoint(cell, Cow::Owned(ReplayCheckpoint::decode(text(body)?)?))
+            }
+            "cell-done" => {
+                let (dc, kind) = f.cell()?;
+                let body = text(body)?;
+                let outcome = match f.next() {
+                    "completed" => CellOutcome::Completed,
+                    "degraded" => CellOutcome::Degraded {
+                        hours_done: f.number("degraded hours")?,
+                        reason: f.rest.to_owned(),
+                    },
+                    "aborted" => CellOutcome::Aborted {
+                        error: f.rest.to_owned(),
+                    },
+                    "quarantined" => CellOutcome::Quarantined {
+                        attempts: f.number("quarantine attempts")?,
+                        incidents: if body.is_empty() {
+                            Vec::new()
+                        } else {
+                            body.split('\n').map(str::to_owned).collect()
+                        },
+                    },
+                    other => return Err(f.error(format_args!("unknown outcome `{other}`"))),
+                };
+                let (mut report, mut cost) = (None, None);
+                if matches!(outcome, CellOutcome::Completed | CellOutcome::Degraded { .. }) {
+                    let (cost_line, report_wire) =
+                        body.split_once('\n').ok_or_else(|| f.error("missing cell body"))?;
+                    cost = Some(decode_cost(cost_line)?);
+                    report = Some(decode_report(report_wire)?);
+                }
+                Record::CellDone(Cow::Owned(CellReport {
+                    dc,
+                    kind,
+                    outcome,
+                    report,
+                    cost,
+                }))
+            }
+            "cell-crashed" => Record::CellCrashed {
+                cell: f.cell()?,
+                attempt: f.number("attempt")?,
+                incident: Cow::Owned(f.next().to_owned()),
+                message: Cow::Owned(f.rest.to_owned()),
+                backtrace: Cow::Owned(text(body)?.to_owned()),
+            },
+            "cell-retried" => Record::CellRetried {
+                cell: f.cell()?,
+                attempt: f.number("attempt")?,
+            },
+            "heartbeat" => Record::Heartbeat {
+                cell: f.cell()?,
+                hours: f.number("hours")?,
+            },
+            "run-done" => Record::RunDone,
+            other => return Err(f.error(format_args!("unknown record `{other}`"))),
+        };
+        Ok(Some(record))
+    }
+}
+
+fn record_error(record: usize, what: impl fmt::Display) -> SuperviseError {
+    SuperviseError::Spec {
+        detail: format!("journal record {record}: {what}"),
+    }
+}
+
+/// The space-separated fields of a record head, taken left to right;
+/// `rest` is what is left of the line.
+struct Fields<'h> {
+    rest: &'h str,
     record: usize,
-) -> Result<(DataCenterId, PlannerKind), SuperviseError> {
-    let bad = |detail: String| SuperviseError::Spec { detail };
-    let letter = toks
-        .next()
-        .and_then(|s| (s.len() == 1).then(|| s.chars().next().unwrap()))
-        .ok_or_else(|| bad(format!("journal record {record}: missing data-center letter")))?;
-    let dc = DataCenterId::from_letter(letter)
-        .ok_or_else(|| bad(format!("journal record {record}: unknown data center `{letter}`")))?;
-    let kind = toks
-        .next()
-        .and_then(PlannerKind::parse)
-        .ok_or_else(|| bad(format!("journal record {record}: unknown planner")))?;
-    Ok((dc, kind))
+}
+
+impl<'h> Fields<'h> {
+    fn next(&mut self) -> &'h str {
+        let (field, rest) = self.rest.split_once(' ').unwrap_or((self.rest, ""));
+        self.rest = rest;
+        field
+    }
+
+    fn error(&self, what: impl fmt::Display) -> SuperviseError {
+        record_error(self.record, what)
+    }
+
+    fn number(&mut self, what: &str) -> Result<usize, SuperviseError> {
+        let field = self.next();
+        field
+            .parse()
+            .map_err(|_| self.error(format_args!("bad {what} `{field}`")))
+    }
+
+    fn cell(&mut self) -> Result<Cell, SuperviseError> {
+        let letter = self.next();
+        let mut chars = letter.chars();
+        let dc = match (chars.next(), chars.next()) {
+            (Some(c), None) => DataCenterId::from_letter(c),
+            _ => None,
+        }
+        .ok_or_else(|| self.error(format_args!("unknown data center `{letter}`")))?;
+        let label = self.next();
+        let kind = PlannerKind::parse(label)
+            .ok_or_else(|| self.error(format_args!("unknown planner `{label}`")))?;
+        Ok((dc, kind))
+    }
+}
+
+/// What a journal holds for [`drive`] to continue from.
+#[derive(Default)]
+struct Resumed {
+    /// Terminal cells, restored from their `cell-done` records.
+    done: BTreeMap<Cell, CellReport>,
+    /// Last checkpoint of each cell that has not finished.
+    ckpts: BTreeMap<Cell, ReplayCheckpoint>,
+    /// Whether `run-done` was journaled.
+    run_done: bool,
+    /// A corrupt/truncated journal tail discarded on open.
+    tail_dropped: Option<TailCorruption>,
+}
+
+impl Resumed {
+    /// Folds journal record `i` in. Lifecycle markers, retry bookkeeping
+    /// and heartbeat watermarks carry no state that resume needs:
+    /// checkpoints and `cell-done` records are authoritative.
+    fn fold(mut self, (i, rec): (usize, &Vec<u8>)) -> Result<Self, SuperviseError> {
+        match Record::decode(i, rec, true)? {
+            Some(Record::Config(_)) => return Err(record_error(i, "a second config record")),
+            Some(Record::Checkpoint(cell, ck)) => {
+                self.ckpts.insert(cell, ck.into_owned());
+            }
+            Some(Record::CellDone(cell)) => {
+                let key = (cell.dc, cell.kind);
+                self.ckpts.remove(&key);
+                self.done.insert(key, cell.into_owned());
+            }
+            Some(Record::RunDone) => self.run_done = true,
+            _ => {}
+        }
+        Ok(self)
+    }
+}
+
+/// Locks `m`, tolerating poison: a panicking cell must not take the
+/// supervisor's shared state down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -961,8 +1108,6 @@ fn catch_cell_panic<T>(f: impl FnOnce() -> T) -> Result<T, (String, String)> {
 /// Live telemetry and cancellation surface of one running cell attempt,
 /// shared between the worker running the cell and the monitor thread.
 struct CellWatch {
-    dc: char,
-    planner: &'static str,
     heartbeat: Arc<Heartbeat>,
     /// Replay hours completed by this attempt so far.
     hours: AtomicUsize,
@@ -979,10 +1124,8 @@ struct CellWatch {
 }
 
 impl CellWatch {
-    fn new(dc: DataCenterId, kind: PlannerKind) -> Self {
+    fn new() -> Self {
         Self {
-            dc: dc.letter(),
-            planner: kind.label(),
             heartbeat: Arc::new(Heartbeat::new()),
             hours: AtomicUsize::new(0),
             started: Instant::now(),
@@ -1010,12 +1153,27 @@ enum CellRun {
     },
 }
 
-/// Mutable health-board entry for one cell (see [`crate::health`]).
+/// Health-board entry for one cell (see [`crate::health`]).
 struct CellHealthState {
     state: &'static str,
     attempt: usize,
     hours_done: usize,
     incidents: Vec<String>,
+    /// The current (or, once it ended, the last) attempt's watch; the
+    /// monitor sweeps these.
+    watch: Option<Arc<CellWatch>>,
+}
+
+impl Default for CellHealthState {
+    fn default() -> Self {
+        Self {
+            state: "pending",
+            attempt: 0,
+            hours_done: 0,
+            incidents: Vec::new(),
+            watch: None,
+        }
+    }
 }
 
 /// Shared per-run executor state, borrowed by every worker thread.
@@ -1023,6 +1181,8 @@ struct Executor<'a> {
     spec: &'a StudySpec,
     opts: &'a RunOptions,
     dir: &'a Path,
+    /// Every cell in output order (data center major, planner minor).
+    grid: &'a [Cell],
     journal: Mutex<Journal>,
     token: &'a CancelToken,
     /// Lazily prepared per-data-center studies, indexed as `spec.dcs`.
@@ -1034,7 +1194,7 @@ struct Executor<'a> {
     /// Latest known checkpoint per cell: seeded from the journal on
     /// resume, updated as cells checkpoint, and the restart point for
     /// retried attempts.
-    latest: Mutex<BTreeMap<(char, &'static str), ReplayCheckpoint>>,
+    latest: Mutex<BTreeMap<Cell, ReplayCheckpoint>>,
     /// Next position in the pending list to claim.
     next: AtomicUsize,
     /// Set when any worker hits a supervisor-fatal error; others stop at
@@ -1042,12 +1202,8 @@ struct Executor<'a> {
     abort: AtomicBool,
     /// Set when the cancel token stopped a worker mid-grid.
     interrupted: AtomicBool,
-    fatal: Mutex<Option<SuperviseError>>,
-    finished: Mutex<Vec<(usize, CellReport)>>,
-    /// One watch per attempt, newest last; the monitor sweeps these.
-    watches: Mutex<Vec<Arc<CellWatch>>>,
-    /// Health board keyed by cell, rendered to `health.json`.
-    health: Mutex<BTreeMap<(char, &'static str), CellHealthState>>,
+    /// Health board, rendered to `health.json`.
+    health: Mutex<BTreeMap<Cell, CellHealthState>>,
     /// One-shot chaos bookkeeping: set once the hook has fired.
     chaos_fired: AtomicBool,
     /// Tells the monitor thread to exit.
@@ -1055,113 +1211,61 @@ struct Executor<'a> {
 }
 
 impl Executor<'_> {
-    fn journal(&self) -> std::sync::MutexGuard<'_, Journal> {
-        self.journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Encodes `rec` (outside the lock) and appends it to the journal.
+    fn append(&self, rec: &Record<'_>) -> Result<(), SuperviseError> {
+        let bytes = rec.encode();
+        lock(&self.journal).append(bytes.as_bytes())?;
+        Ok(())
     }
 
     /// Claims and runs pending cells until the grid is drained, the
     /// token fires, or a fatal error (here or in a sibling) stops the
-    /// run.
-    fn work(&self, grid: &[(DataCenterId, PlannerKind)], pending: &[usize]) {
-        loop {
-            if self.abort.load(Ordering::SeqCst) {
-                return;
-            }
+    /// run. Returns the cells it finished, by grid index.
+    fn work(&self, pending: &[usize]) -> Result<Vec<(usize, CellReport)>, SuperviseError> {
+        let mut finished = Vec::new();
+        while !self.abort.load(Ordering::SeqCst) {
             let slot = self.next.fetch_add(1, Ordering::SeqCst);
             let Some(&idx) = pending.get(slot) else {
-                return;
+                break;
             };
-            let (dc, kind) = grid[idx];
             if self.token.is_cancelled() {
                 self.interrupted.store(true, Ordering::SeqCst);
-                return;
+                break;
             }
-            // A resumed spec can disagree with the journaled grid
-            // (edited spec file, version skew). Degrade the cell with a
-            // typed error instead of panicking and killing this worker.
-            let Some(di) = self.spec.dcs.iter().position(|d| *d == dc) else {
-                let error = StudyError::SpecMismatch {
-                    detail: format!(
-                        "grid cell {} {} names a data center absent from the spec",
-                        dc.letter(),
-                        kind.label()
-                    ),
-                }
-                .to_string();
-                let cell = CellReport {
-                    dc,
-                    kind,
-                    outcome: CellOutcome::Aborted { error },
-                    report: None,
-                    cost: None,
-                };
-                let journaled = append_cell_done(&mut self.journal(), &cell);
-                self.set_health(dc, kind, "aborted", 1, None);
-                match journaled {
-                    Ok(()) => {
-                        self.finished
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push((idx, cell));
-                        continue;
-                    }
-                    Err(e) => {
-                        self.fatal
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .get_or_insert(e);
-                        self.abort.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            };
-            match self.run_cell_supervised(dc, kind, di) {
-                Ok(Some(cell)) => self
-                    .finished
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push((idx, cell)),
-                Ok(None) => return,
+            match self.run_cell_supervised(idx) {
+                Ok(Some(cell)) => finished.push((idx, cell)),
+                Ok(None) => break,
                 Err(e) => {
-                    let mut fatal = self
-                        .fatal
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    fatal.get_or_insert(e);
                     self.abort.store(true, Ordering::SeqCst);
-                    return;
+                    return Err(e);
                 }
             }
         }
+        Ok(finished)
     }
 
-    /// Runs one cell to a terminal outcome (`Some`) or yields (`None`)
-    /// on cancellation / sibling abort, retrying transient failures —
-    /// panics and watchdog stops — from the last journaled checkpoint
-    /// under the session's [`CellRetryPolicy`], and quarantining the
-    /// cell once attempts are exhausted.
-    fn run_cell_supervised(
-        &self,
-        dc: DataCenterId,
-        kind: PlannerKind,
-        di: usize,
-    ) -> Result<Option<CellReport>, SuperviseError> {
+    /// Runs grid cell `idx` to a terminal outcome (`Some`) or yields
+    /// (`None`) on cancellation / sibling abort, retrying transient
+    /// failures — panics and watchdog stops — from the last journaled
+    /// checkpoint under the session's [`CellRetryPolicy`], and
+    /// quarantining the cell once attempts are exhausted.
+    fn run_cell_supervised(&self, idx: usize) -> Result<Option<CellReport>, SuperviseError> {
+        let cell = self.grid[idx];
+        let (dc, kind) = cell;
+        let study = &self.studies[idx / self.spec.planners.len()];
         let max_attempts = self.opts.retry.max_attempts.max(1);
         let mut incidents: Vec<String> = Vec::new();
         let mut attempt = 1usize;
         loop {
-            self.set_health(dc, kind, "running", attempt, None);
-            let watch = Arc::new(CellWatch::new(dc, kind));
-            self.watches
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(Arc::clone(&watch));
+            let watch = Arc::new(CellWatch::new());
+            self.board(cell, |h| {
+                h.state = "running";
+                h.attempt = attempt;
+                h.watch = Some(Arc::clone(&watch));
+            });
             let caught = catch_cell_panic(|| {
-                let study =
-                    self.studies[di].get_or_init(|| Study::prepare(&self.spec.study_config(dc)));
-                self.run_attempt(dc, kind, study, &watch, attempt, attempt >= max_attempts)
+                let study = study.get_or_init(|| Study::prepare(&self.spec.study_config(dc)));
+                self.run_attempt(cell, study, &watch, attempt, attempt >= max_attempts)
             });
             watch.armed.store(false, Ordering::SeqCst);
             let run = match caught {
@@ -1173,17 +1277,17 @@ impl Executor<'_> {
                 },
             };
             match run {
-                CellRun::Done(cell) => {
-                    let hours = cell.report.as_ref().map_or(0, |r| r.hours);
-                    self.set_health(dc, kind, cell.outcome.label(), attempt, Some(hours));
-                    return Ok(Some(*cell));
+                CellRun::Done(done) => {
+                    let hours = done.report.as_ref().map_or(0, |r| r.hours);
+                    self.set_health(cell, done.outcome.label(), attempt, Some(hours));
+                    return Ok(Some(*done));
                 }
                 CellRun::Yielded => {
                     // Record how far the attempt got so health.json
                     // carries partial progress for interrupted cells
                     // (serve's 504 body reads it back).
                     let hours = watch.hours.load(Ordering::SeqCst);
-                    self.set_health(dc, kind, "interrupted", attempt, Some(hours));
+                    self.set_health(cell, "interrupted", attempt, Some(hours));
                     return Ok(None);
                 }
                 CellRun::Transient {
@@ -1191,36 +1295,37 @@ impl Executor<'_> {
                     message,
                     backtrace,
                 } => {
-                    append_cell_crashed(
-                        &mut self.journal(),
-                        dc,
-                        kind,
+                    self.append(&Record::CellCrashed {
+                        cell,
                         attempt,
-                        incident_kind,
-                        &message,
-                        &backtrace,
-                    )?;
+                        incident: Cow::Borrowed(incident_kind),
+                        message: Cow::Borrowed(&message),
+                        backtrace: Cow::Borrowed(&backtrace),
+                    })?;
                     let incident = format!("attempt {attempt}: {incident_kind}: {message}");
                     incidents.push(incident.clone());
-                    self.push_incident(dc, kind, incident);
+                    self.board(cell, |h| h.incidents.push(incident));
                     if attempt >= max_attempts {
-                        let cell = CellReport {
+                        let quarantined = CellReport {
                             dc,
                             kind,
                             outcome: CellOutcome::Quarantined {
                                 attempts: attempt,
-                                incidents: incidents.clone(),
+                                incidents,
                             },
                             report: None,
                             cost: None,
                         };
-                        append_cell_done(&mut self.journal(), &cell)?;
-                        self.set_health(dc, kind, "quarantined", attempt, None);
-                        return Ok(Some(cell));
+                        self.append(&Record::CellDone(Cow::Borrowed(&quarantined)))?;
+                        self.set_health(cell, "quarantined", attempt, None);
+                        return Ok(Some(quarantined));
                     }
                     let next = attempt + 1;
-                    append_cell_retried(&mut self.journal(), dc, kind, next)?;
-                    self.set_health(dc, kind, "backoff", attempt, None);
+                    self.append(&Record::CellRetried {
+                        cell,
+                        attempt: next,
+                    })?;
+                    self.set_health(cell, "backoff", attempt, None);
                     let delay =
                         self.opts
                             .retry
@@ -1230,7 +1335,7 @@ impl Executor<'_> {
                             self.interrupted.store(true, Ordering::SeqCst);
                         }
                         let hours = watch.hours.load(Ordering::SeqCst);
-                        self.set_health(dc, kind, "interrupted", attempt, Some(hours));
+                        self.set_health(cell, "interrupted", attempt, Some(hours));
                         return Ok(None);
                     }
                     attempt = next;
@@ -1253,19 +1358,12 @@ impl Executor<'_> {
         true
     }
 
-    fn latest_ckpt(&self, dc: DataCenterId, kind: PlannerKind) -> Option<ReplayCheckpoint> {
-        self.latest
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&(dc.letter(), kind.label()))
-            .cloned()
-    }
-
-    fn remember_ckpt(&self, dc: DataCenterId, kind: PlannerKind, ck: ReplayCheckpoint) {
-        self.latest
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert((dc.letter(), kind.label()), ck);
+    /// Journals checkpoint `ck` of `cell` and keeps it as the cell's
+    /// restart point.
+    fn checkpoint(&self, cell: Cell, ck: ReplayCheckpoint) -> Result<(), SuperviseError> {
+        self.append(&Record::Checkpoint(cell, Cow::Borrowed(&ck)))?;
+        lock(&self.latest).insert(cell, ck);
+        Ok(())
     }
 
     /// Whether the chaos hook should fire now (consumes the one-shot).
@@ -1277,47 +1375,48 @@ impl Executor<'_> {
         }
     }
 
+    /// The supervisor error for an invariant violation found now.
+    fn violated(&self, violation: InvariantViolation) -> SuperviseError {
+        let record = lock(&self.journal).records().len();
+        SuperviseError::Invariant { violation, record }
+    }
+
     /// Runs one attempt of one cell. Journal appends take the lock per
     /// record and never hold it across replay work. On a watchdog stop
     /// with retries left, checkpoints and reports `Transient`; on the
     /// final attempt the cell degrades with its partial report instead.
     fn run_attempt(
         &self,
-        dc: DataCenterId,
-        kind: PlannerKind,
+        cell: Cell,
         study: &Study,
         watch: &CellWatch,
         attempt: usize,
         final_attempt: bool,
     ) -> Result<CellRun, SuperviseError> {
         let spec = self.spec;
-        let abort_cell = |error: String| CellReport {
-            dc,
-            kind,
-            outcome: CellOutcome::Aborted { error },
-            report: None,
-            cost: None,
+        let (dc, kind) = cell;
+        let abort = |error: String| {
+            self.finish(CellReport {
+                dc,
+                kind,
+                outcome: CellOutcome::Aborted { error },
+                report: None,
+                cost: None,
+            })
         };
         let config = *study.config();
         let plan = match study.plan(kind) {
             Ok(p) => p,
-            Err(e) => {
-                let cell = abort_cell(e.to_string());
-                append_cell_done(&mut self.journal(), &cell)?;
-                return Ok(CellRun::Done(Box::new(cell)));
-            }
+            Err(e) => return abort(e.to_string()),
         };
         let n_hosts = plan.dc.len();
         let mut scratch = CheckScratch::default();
-        let mut prev_ckpt = self.latest_ckpt(dc, kind);
+        let mut prev_ckpt = lock(&self.latest).get(&cell).cloned();
         if attempt > 1 {
             // The previous attempt died uncleanly; re-validate the
             // restart point before trusting it.
             if let Some(ck) = prev_ckpt.as_ref() {
-                if let Err(violation) = check_retry_checkpoint(ck, n_hosts) {
-                    let record = self.journal().records().len();
-                    return Err(SuperviseError::Invariant { violation, record });
-                }
+                check_retry_checkpoint(ck, n_hosts).map_err(|v| self.violated(v))?;
             }
         }
         let mut replay = match prev_ckpt.as_ref() {
@@ -1330,9 +1429,7 @@ impl Executor<'_> {
             )?,
             None => {
                 if attempt == 1 {
-                    self.journal().append(
-                        format!("cell-start {} {}", dc.letter(), kind.label()).as_bytes(),
-                    )?;
+                    self.append(&Record::CellStart(cell))?;
                 }
                 match Replay::new(
                     study.input(),
@@ -1341,11 +1438,7 @@ impl Executor<'_> {
                     spec.faults.as_ref(),
                 ) {
                     Ok(r) => r,
-                    Err(e) => {
-                        let cell = abort_cell(e.to_string());
-                        append_cell_done(&mut self.journal(), &cell)?;
-                        return Ok(CellRun::Done(Box::new(cell)));
-                    }
+                    Err(e) => return abort(e.to_string()),
                 }
             }
         };
@@ -1357,19 +1450,14 @@ impl Executor<'_> {
         let cell_started = Instant::now();
         let outcome = loop {
             if self.token.is_cancelled() || self.abort.load(Ordering::SeqCst) {
-                let ck = replay.checkpoint();
-                append_checkpoint(&mut self.journal(), dc, kind, &ck)?;
-                self.remember_ckpt(dc, kind, ck);
+                self.checkpoint(cell, replay.checkpoint())?;
                 if self.token.is_cancelled() {
                     self.interrupted.store(true, Ordering::SeqCst);
                 }
                 return Ok(CellRun::Yielded);
             }
             if watch.fired.load(Ordering::SeqCst) {
-                let reason = watch
-                    .reason
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                let reason = lock(&watch.reason)
                     .take()
                     .unwrap_or_else(|| "watchdog fired".to_owned());
                 if final_attempt {
@@ -1380,9 +1468,7 @@ impl Executor<'_> {
                         hours_done: replay.hour(),
                     };
                 }
-                let ck = replay.checkpoint();
-                append_checkpoint(&mut self.journal(), dc, kind, &ck)?;
-                self.remember_ckpt(dc, kind, ck);
+                self.checkpoint(cell, replay.checkpoint())?;
                 return Ok(CellRun::Transient {
                     kind: "watchdog",
                     message: reason,
@@ -1436,134 +1522,90 @@ impl Executor<'_> {
                 }
             }
             if let Err(e) = replay.step() {
-                break CellOutcome::Aborted {
-                    error: e.to_string(),
-                };
+                return abort(e.to_string());
             }
             self.token.note_hour();
             watch.hours.store(replay.hour(), Ordering::SeqCst);
             if replay.hour() % spec.checkpoint_every_hours == 0 || replay.is_done() {
                 let ck = replay.checkpoint();
-                if let Err(violation) =
-                    check_checkpoint_with(&mut scratch, &ck, n_hosts, prev_ckpt.as_ref())
-                {
-                    let record = self.journal().records().len();
-                    return Err(SuperviseError::Invariant { violation, record });
-                }
-                append_checkpoint(&mut self.journal(), dc, kind, &ck)?;
-                self.remember_ckpt(dc, kind, ck.clone());
+                check_checkpoint_with(&mut scratch, &ck, n_hosts, prev_ckpt.as_ref())
+                    .map_err(|v| self.violated(v))?;
+                self.checkpoint(cell, ck.clone())?;
                 prev_ckpt = Some(ck);
             }
         };
 
-        let cell = match outcome {
-            CellOutcome::Aborted { error } => abort_cell(error),
-            outcome => {
-                let report = replay.into_report();
-                let cost = cost_summary(&report, &config.cost_model);
-                CellReport {
-                    dc,
-                    kind,
-                    outcome,
-                    report: Some(report),
-                    cost: Some(cost),
-                }
-            }
-        };
-        append_cell_done(&mut self.journal(), &cell)?;
+        let report = replay.into_report();
+        let cost = cost_summary(&report, &config.cost_model);
+        self.finish(CellReport {
+            dc,
+            kind,
+            outcome,
+            cost: Some(cost),
+            report: Some(report),
+        })
+    }
+
+    /// Journals a terminal outcome and hands it to the supervisor.
+    fn finish(&self, cell: CellReport) -> Result<CellRun, SuperviseError> {
+        self.append(&Record::CellDone(Cow::Borrowed(&cell)))?;
         Ok(CellRun::Done(Box::new(cell)))
     }
 
-    fn set_health(
-        &self,
-        dc: DataCenterId,
-        kind: PlannerKind,
-        state: &'static str,
-        attempt: usize,
-        hours_done: Option<usize>,
-    ) {
-        let mut health = self
-            .health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = health
-            .entry((dc.letter(), kind.label()))
-            .or_insert_with(|| CellHealthState {
-                state: "pending",
-                attempt: 0,
-                hours_done: 0,
-                incidents: Vec::new(),
-            });
-        entry.state = state;
-        entry.attempt = attempt;
-        if let Some(hours) = hours_done {
-            entry.hours_done = hours;
-        }
+    /// Updates `cell`'s health-board entry.
+    fn board(&self, cell: Cell, update: impl FnOnce(&mut CellHealthState)) {
+        update(lock(&self.health).entry(cell).or_default());
     }
 
-    fn push_incident(&self, dc: DataCenterId, kind: PlannerKind, incident: String) {
-        let mut health = self
-            .health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = health.get_mut(&(dc.letter(), kind.label())) {
-            entry.incidents.push(incident);
-        }
+    fn set_health(&self, cell: Cell, state: &'static str, attempt: usize, hours: Option<usize>) {
+        self.board(cell, |h| {
+            h.state = state;
+            h.attempt = attempt;
+            if let Some(hours) = hours {
+                h.hours_done = hours;
+            }
+        });
     }
 
-    /// Composes the health board and live watch telemetry into one
+    /// Composes the health board and its live watch telemetry into one
     /// snapshot, grid order.
     fn health_snapshot(&self, status: &str) -> HealthSnapshot {
         let hours_total = self.spec.eval_days * 24;
-        let watches = self
-            .watches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let health = self
-            .health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let board = lock(&self.health);
+        let pending = CellHealthState::default();
         // Telemetry keeps millisecond precision.
         let round_ms = |secs: f64| (secs * 1e3).round() / 1e3;
-        let mut cells = Vec::new();
-        for &dc in &self.spec.dcs {
-            for &kind in &self.spec.planners {
-                let key = (dc.letter(), kind.label());
-                let (state, attempt, mut hours_done, incidents) = match health.get(&key) {
-                    Some(h) => (h.state, h.attempt, h.hours_done, h.incidents.clone()),
-                    None => ("pending", 0, 0, Vec::new()),
-                };
-                let mut steps = 0;
-                let mut beat_age_secs = 0.0;
-                let mut steps_per_sec = 0.0;
-                if let Some(w) = watches
-                    .iter()
-                    .rev()
-                    .find(|w| w.dc == key.0 && w.planner == key.1)
-                {
+        let cells = self
+            .grid
+            .iter()
+            .map(|cell| {
+                let h = board.get(cell).unwrap_or(&pending);
+                let mut hours_done = h.hours_done;
+                let (mut steps, mut beat_age_secs, mut steps_per_sec) = (0, 0.0, 0.0);
+                if let Some(w) = &h.watch {
                     steps = w.heartbeat.steps();
                     beat_age_secs = round_ms(w.heartbeat.secs_since_last_beat());
                     let elapsed = w.started.elapsed().as_secs_f64();
                     if elapsed > 0.0 {
                         steps_per_sec = round_ms(steps as f64 / elapsed);
                     }
-                    if state == "running" {
+                    if h.state == "running" {
                         hours_done = w.hours.load(Ordering::SeqCst);
                     }
                 }
-                cells.push(CellHealth {
-                    cell: format!("{}/{}", key.0, key.1),
-                    state: state.to_owned(),
-                    attempt,
+                CellHealth {
+                    cell: format!("{}/{}", cell.0.letter(), cell.1.label()),
+                    state: h.state.to_owned(),
+                    attempt: h.attempt,
                     hours_done,
                     hours_total,
                     steps,
                     beat_age_secs,
                     steps_per_sec,
-                    incidents,
-                });
-            }
-        }
+                    incidents: h.incidents.clone(),
+                }
+            })
+            .collect();
         HealthSnapshot {
             status: status.to_owned(),
             cells,
@@ -1578,16 +1620,15 @@ impl Executor<'_> {
         let _ = write_atomic(&self.dir.join(HEALTH_FILE), snapshot.to_json().as_bytes());
     }
 
-    /// Monitor loop: watchdog sweep, heartbeat watermarks, periodic
-    /// `health.json` rewrites. Exits when `monitor_stop` is set.
+    /// Monitor loop: board sweeps and periodic `health.json` rewrites.
+    /// Exits when `monitor_stop` is set.
     fn monitor(&self) {
         let mut last_health = Instant::now();
         loop {
             if self.monitor_stop.load(Ordering::SeqCst) {
                 return;
             }
-            self.sweep_watchdog();
-            self.journal_watermarks();
+            self.sweep();
             if last_health.elapsed() >= Duration::from_millis(500) {
                 let status = if self.token.is_cancelled() {
                     "interrupted"
@@ -1601,83 +1642,57 @@ impl Executor<'_> {
         }
     }
 
-    /// Fires the cooperative watchdog on any armed cell whose heartbeat
-    /// is older than the session deadline.
-    fn sweep_watchdog(&self) {
-        let Some(timeout) = self.opts.heartbeat_timeout_secs else {
-            return;
-        };
-        let watches = self
-            .watches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for w in watches.iter() {
-            if !w.armed.load(Ordering::SeqCst) || w.fired.load(Ordering::SeqCst) {
-                continue;
-            }
-            let age = w.heartbeat.secs_since_last_beat();
-            if age > timeout {
-                *w.reason
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(format!(
-                    "watchdog: no heartbeat for {age:.1}s (timeout {timeout}s)"
-                ));
-                w.fired.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Journals a `heartbeat` progress watermark (at most one per cell
+    /// Sweeps the board's armed attempts: fires the cooperative watchdog
+    /// on any whose heartbeat is older than the session deadline, and
+    /// journals a `heartbeat` progress watermark (at most one per cell
     /// per ~2s, only when hours advanced) so a post-mortem can tell how
     /// far a dead cell actually got between checkpoints. Best-effort.
-    fn journal_watermarks(&self) {
-        let watches = self
-            .watches
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for w in watches.iter() {
-            if !w.armed.load(Ordering::SeqCst) {
+    fn sweep(&self) {
+        let timeout = self.opts.heartbeat_timeout_secs;
+        let mut beats = Vec::new();
+        for (&cell, h) in lock(&self.health).iter() {
+            let Some(w) = h.watch.as_ref().filter(|w| w.armed.load(Ordering::SeqCst)) else {
                 continue;
+            };
+            let age = w.heartbeat.secs_since_last_beat();
+            if let Some(timeout) = timeout.filter(|&t| age > t) {
+                if !w.fired.load(Ordering::SeqCst) {
+                    *lock(&w.reason) = Some(format!(
+                        "watchdog: no heartbeat for {age:.1}s (timeout {timeout}s)"
+                    ));
+                    w.fired.store(true, Ordering::SeqCst);
+                }
             }
             let hours = w.hours.load(Ordering::SeqCst);
-            let mut wm = w
-                .watermark
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut wm = lock(&w.watermark);
             if wm.0.elapsed() >= Duration::from_secs(2) && hours > wm.1 {
                 *wm = (Instant::now(), hours);
-                drop(wm);
-                let _ = self
-                    .journal()
-                    .append(format!("heartbeat {} {} {hours}", w.dc, w.planner).as_bytes());
+                beats.push(Record::Heartbeat { cell, hours });
             }
+        }
+        for beat in beats {
+            let _ = self.append(&beat);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drive(
     spec: StudySpec,
     journal: Journal,
-    done: BTreeMap<(char, &'static str), CellReport>,
-    ckpts: BTreeMap<(char, &'static str), ReplayCheckpoint>,
-    run_done: bool,
-    tail_dropped: Option<TailCorruption>,
+    mut resumed: Resumed,
     dir: &Path,
     token: &CancelToken,
     opts: &RunOptions,
 ) -> Result<StudyReport, SuperviseError> {
     // The grid in output order (data center major, planner minor); done
     // cells slot straight in, the rest are claimed by workers.
-    let grid: Vec<(DataCenterId, PlannerKind)> = spec
+    let grid: Vec<Cell> = spec
         .dcs
         .iter()
         .flat_map(|&dc| spec.planners.iter().map(move |&kind| (dc, kind)))
         .collect();
-    let mut slots: Vec<Option<CellReport>> = grid
-        .iter()
-        .map(|&(dc, kind)| done.get(&(dc.letter(), kind.label())).cloned())
-        .collect();
+    let mut slots: Vec<Option<CellReport>> =
+        grid.iter().map(|cell| resumed.done.remove(cell)).collect();
     let mut pending: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
 
     let workers = opts.jobs.max(1).min(pending.len().max(1));
@@ -1686,7 +1701,7 @@ fn drive(
         // data centers and their `Study::prepare` calls overlap instead
         // of serialising on one `OnceLock`. Output order is unaffected:
         // finished cells are merged back by grid index.
-        let planners = spec.planners.len().max(1);
+        let planners = spec.planners.len();
         pending.sort_by_key(|&idx| (idx % planners, idx / planners));
     }
 
@@ -1694,16 +1709,14 @@ fn drive(
         spec: &spec,
         opts,
         dir,
+        grid: &grid,
         journal: Mutex::new(journal),
         token,
         studies: spec.dcs.iter().map(|_| OnceLock::new()).collect(),
-        latest: Mutex::new(ckpts),
+        latest: Mutex::new(resumed.ckpts),
         next: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
         interrupted: AtomicBool::new(false),
-        fatal: Mutex::new(None),
-        finished: Mutex::new(Vec::new()),
-        watches: Mutex::new(Vec::new()),
         health: Mutex::new(BTreeMap::new()),
         chaos_fired: AtomicBool::new(false),
         monitor_stop: AtomicBool::new(false),
@@ -1717,53 +1730,35 @@ fn drive(
             _ => 1,
         };
         let hours = cell.report.as_ref().map_or(0, |r| r.hours);
-        exec.set_health(cell.dc, cell.kind, cell.outcome.label(), attempt, Some(hours));
+        exec.set_health((cell.dc, cell.kind), cell.outcome.label(), attempt, Some(hours));
     }
     exec.write_health(if pending.is_empty() { "completed" } else { "running" });
 
-    if !pending.is_empty() {
-        if token.is_cancelled() {
-            exec.interrupted.store(true, Ordering::SeqCst);
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| s.spawn(|| exec.work(&grid, &pending)))
-                    .collect();
-                let monitor = s.spawn(|| exec.monitor());
-                let mut worker_panic = None;
-                for h in handles {
-                    if let Err(p) = h.join() {
-                        worker_panic = Some(p);
-                    }
-                }
-                exec.monitor_stop.store(true, Ordering::SeqCst);
-                if let Err(p) = monitor.join() {
-                    worker_panic = Some(p);
-                }
-                // Cell panics are caught inside the workers; anything
-                // arriving here is a supervisor bug and must surface.
-                if let Some(p) = worker_panic {
-                    std::panic::resume_unwind(p);
-                }
-            });
-        }
-    }
-
-    if let Some(e) = exec
-        .fatal
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        exec.write_health("failed");
-        return Err(e);
-    }
-    for (idx, cell) in exec
-        .finished
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .drain(..)
-    {
+    let ran = if pending.is_empty() {
+        Ok(Vec::new())
+    } else if token.is_cancelled() {
+        exec.interrupted.store(true, Ordering::SeqCst);
+        Ok(Vec::new())
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| s.spawn(|| exec.work(&pending)))
+                .collect();
+            let monitor = s.spawn(|| exec.monitor());
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            exec.monitor_stop.store(true, Ordering::SeqCst);
+            let monitored = monitor.join();
+            // Cell panics are caught inside the workers; anything
+            // arriving here is a supervisor bug and must surface.
+            monitored.unwrap_or_else(|p| std::panic::resume_unwind(p));
+            joined
+                .into_iter()
+                .map(|j| j.unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Result<Vec<_>, _>>()
+        })
+    };
+    let ran = ran.inspect_err(|_| exec.write_health("failed"))?;
+    for (idx, cell) in ran.into_iter().flatten() {
         slots[idx] = Some(cell);
     }
     let cells: Vec<CellReport> = slots.into_iter().flatten().collect();
@@ -1774,123 +1769,23 @@ fn drive(
         StudyStatus::Completed
     };
     if status == StudyStatus::Completed {
-        if !run_done {
-            exec.journal().append(b"run-done")?;
+        if !resumed.run_done {
+            exec.append(&Record::RunDone)?;
         }
         exec.write_health("completed");
-        let report = StudyReport {
-            spec,
-            status,
-            cells,
-            tail_dropped,
-        };
-        write_outputs(dir, &report)?;
-        return Ok(report);
+    } else {
+        exec.write_health("interrupted");
     }
-    exec.write_health("interrupted");
-    Ok(StudyReport {
+    let report = StudyReport {
         spec,
         status,
         cells,
-        tail_dropped,
-    })
-}
-
-fn append_checkpoint(
-    journal: &mut Journal,
-    dc: DataCenterId,
-    kind: PlannerKind,
-    ck: &ReplayCheckpoint,
-) -> Result<(), SuperviseError> {
-    let payload = format!(
-        "checkpoint {} {}\n{}",
-        dc.letter(),
-        kind.label(),
-        ck.encode()
-    );
-    journal.append(payload.as_bytes())?;
-    Ok(())
-}
-
-fn append_cell_done(journal: &mut Journal, cell: &CellReport) -> Result<(), SuperviseError> {
-    let head = match &cell.outcome {
-        CellOutcome::Completed => {
-            format!("cell-done {} {} completed", cell.dc.letter(), cell.kind.label())
-        }
-        CellOutcome::Degraded { reason, hours_done } => format!(
-            "cell-done {} {} degraded {hours_done} {reason}",
-            cell.dc.letter(),
-            cell.kind.label()
-        ),
-        CellOutcome::Aborted { error } => format!(
-            "cell-done {} {} aborted {error}",
-            cell.dc.letter(),
-            cell.kind.label()
-        ),
-        CellOutcome::Crashed { message, .. } => format!(
-            "cell-done {} {} crashed {message}",
-            cell.dc.letter(),
-            cell.kind.label()
-        ),
-        CellOutcome::Quarantined { attempts, .. } => format!(
-            "cell-done {} {} quarantined {attempts}",
-            cell.dc.letter(),
-            cell.kind.label()
-        ),
+        tail_dropped: resumed.tail_dropped,
     };
-    let payload = match &cell.outcome {
-        CellOutcome::Quarantined { incidents, .. } if !incidents.is_empty() => {
-            format!("{head}\n{}", incidents.join("\n"))
-        }
-        CellOutcome::Crashed { backtrace, .. } if !backtrace.is_empty() => {
-            format!("{head}\n{backtrace}")
-        }
-        _ => match (&cell.cost, &cell.report) {
-            (Some(cost), Some(report)) => {
-                format!("{head}\n{}\n{}", encode_cost(cost), encode_report(report))
-            }
-            _ => head,
-        },
-    };
-    journal.append(payload.as_bytes())?;
-    Ok(())
-}
-
-/// Journals a `cell-crashed` incident: head carries the attempt number,
-/// incident kind (`panic` | `watchdog`) and single-line message, the
-/// body the backtrace.
-fn append_cell_crashed(
-    journal: &mut Journal,
-    dc: DataCenterId,
-    kind: PlannerKind,
-    attempt: usize,
-    incident_kind: &str,
-    message: &str,
-    backtrace: &str,
-) -> Result<(), SuperviseError> {
-    let head = format!(
-        "cell-crashed {} {} {attempt} {incident_kind} {message}",
-        dc.letter(),
-        kind.label()
-    );
-    let payload = if backtrace.is_empty() {
-        head
-    } else {
-        format!("{head}\n{backtrace}")
-    };
-    journal.append(payload.as_bytes())?;
-    Ok(())
-}
-
-/// Journals the decision to re-run a cell as `attempt`.
-fn append_cell_retried(
-    journal: &mut Journal,
-    dc: DataCenterId,
-    kind: PlannerKind,
-    attempt: usize,
-) -> Result<(), SuperviseError> {
-    journal.append(format!("cell-retried {} {} {attempt}", dc.letter(), kind.label()).as_bytes())?;
-    Ok(())
+    if status == StudyStatus::Completed {
+        write_outputs(dir, &report)?;
+    }
+    Ok(report)
 }
 
 /// Renders the per-cell results table (`cells.csv`). Deterministic: no
@@ -1990,6 +1885,7 @@ fn write_outputs(dir: &Path, report: &StudyReport) -> Result<(), SuperviseError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -2275,20 +2171,35 @@ mod tests {
         }
         assert!(dynamic.report.is_none());
 
-        // The journal narrates the incident.
+        // The journal narrates the incident. Its record heads (first
+        // lines, heartbeats aside) pin the wire format.
         let (journal, tail) = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
         assert!(tail.is_none());
-        let texts: Vec<String> = journal
+        let heads: Vec<String> = journal
             .records()
             .iter()
-            .map(|r| String::from_utf8_lossy(r).into_owned())
+            .map(|r| String::from_utf8_lossy(r).lines().next().unwrap_or("").to_owned())
+            .filter(|head| !head.starts_with("heartbeat "))
             .collect();
-        assert_eq!(
-            texts.iter().filter(|t| t.starts_with("cell-crashed B Dynamic")).count(),
-            2
-        );
-        assert!(texts.iter().any(|t| t.starts_with("cell-retried B Dynamic 2")));
-        assert!(texts.iter().any(|t| t.starts_with("cell-done B Dynamic quarantined 2")));
+        let crash = "panic chaos: injected panic in cell B/Dynamic before hour 2";
+        let expected = [
+            "config spec v1 seed 5 scale 3f947ae147ae147b history 5 eval 1 ckpt 6 dcs B \
+             planners Semi-Static,Dynamic maxhours none maxsecs none faults none"
+                .to_owned(),
+            "cell-start B Semi-Static".to_owned(),
+            "checkpoint B Semi-Static".to_owned(),
+            "checkpoint B Semi-Static".to_owned(),
+            "checkpoint B Semi-Static".to_owned(),
+            "checkpoint B Semi-Static".to_owned(),
+            "cell-done B Semi-Static completed".to_owned(),
+            "cell-start B Dynamic".to_owned(),
+            format!("cell-crashed B Dynamic 1 {crash}"),
+            "cell-retried B Dynamic 2".to_owned(),
+            format!("cell-crashed B Dynamic 2 {crash}"),
+            "cell-done B Dynamic quarantined 2".to_owned(),
+            "run-done".to_owned(),
+        ];
+        assert_eq!(heads, expected);
 
         // Health telemetry reflects the quarantine.
         let health_text = std::fs::read_to_string(dir.join(HEALTH_FILE)).unwrap();
@@ -2422,5 +2333,242 @@ mod tests {
         let _ = std::fs::remove_dir_all(&clean_dir);
         let _ = std::fs::remove_dir_all(&healed_dir);
         let _ = std::fs::remove_dir_all(&degraded_dir);
+    }
+
+    #[test]
+    fn specs_that_cannot_run_are_refused_before_a_journal_exists() {
+        let opts = RunOptions::default();
+        let nan = CellBudget {
+            max_wall_secs: Some(f64::NAN),
+            max_hours: None,
+        };
+        let bad = [
+            StudySpec {
+                scale: f64::NAN,
+                ..tiny_spec()
+            },
+            StudySpec {
+                scale: 0.0,
+                ..tiny_spec()
+            },
+            StudySpec {
+                scale: -1.0,
+                history_days: 0,
+                ..tiny_spec()
+            },
+            StudySpec::new(0.02, 5, 0, 1),
+            StudySpec::new(0.02, 5, 5, 0),
+            StudySpec {
+                checkpoint_every_hours: 0,
+                ..tiny_spec()
+            },
+            StudySpec {
+                dcs: Vec::new(),
+                ..tiny_spec()
+            },
+            StudySpec {
+                planners: Vec::new(),
+                ..tiny_spec()
+            },
+            StudySpec {
+                budget: nan,
+                ..tiny_spec()
+            },
+        ];
+        let dir = tmp_dir("bad-spec");
+        for spec in bad {
+            let err = run_study_opts(&spec, &dir, &CancelToken::new(), &opts).unwrap_err();
+            assert!(matches!(err, SuperviseError::Spec { .. }), "{spec:?}: {err}");
+            assert!(!dir.join(JOURNAL_FILE).exists(), "{spec:?}: journal created");
+            let err = StudySpec::decode(&spec.encode()).unwrap_err();
+            assert!(matches!(err, SuperviseError::Spec { .. }), "{spec:?}: {err}");
+        }
+        // A resume's budget override is checked too.
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut journal = Journal::create(&dir.join(JOURNAL_FILE)).unwrap();
+        let config = Record::Config(Cow::Owned(tiny_spec())).encode();
+        journal.append(config.as_bytes()).unwrap();
+        let err = resume_study_opts(&dir, Some(nan), &CancelToken::new(), &opts).unwrap_err();
+        assert!(matches!(err, SuperviseError::Spec { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint, report and cost from a few faulted replay hours.
+    fn replay_fixture() -> &'static (ReplayCheckpoint, EmulationReport, CostSummary) {
+        static FIXTURE: OnceLock<(ReplayCheckpoint, EmulationReport, CostSummary)> =
+            OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let study = Study::prepare(&tiny_spec().study_config(DataCenterId::Airlines));
+            let plan = study.plan(PlannerKind::Dynamic).unwrap();
+            let faults = FaultConfig::baseline(3);
+            let emulator = &study.config().emulator;
+            let mut replay = Replay::new(study.input(), &plan, emulator, Some(&faults)).unwrap();
+            for _ in 0..5 {
+                replay.step().unwrap();
+            }
+            let ck = replay.checkpoint();
+            let report = replay.into_report();
+            let cost = cost_summary(&report, &study.config().cost_model);
+            (ck, report, cost)
+        })
+    }
+
+    /// Turns a word stream into random records, so the offline proptest
+    /// stand-in (ranges and vecs only) can drive the codec.
+    struct Entropy<'a>(std::slice::Iter<'a, u32>);
+
+    impl Entropy<'_> {
+        fn next(&mut self) -> usize {
+            self.0.next().map_or(0, |&w| w as usize)
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.next() % from.len()]
+        }
+
+        /// One line of text: spaces, runs of spaces, tabs, non-ASCII,
+        /// possibly empty — never a newline.
+        fn line(&mut self) -> String {
+            (0..self.next() % 12)
+                .map(|_| self.pick(&[' ', ' ', 'a', 'Z', '7', ':', '`', '\t', 'é', '😀', '/']))
+                .collect()
+        }
+
+        fn cell(&mut self) -> Cell {
+            (self.pick(&DataCenterId::ALL), self.pick(&PlannerKind::EVALUATED))
+        }
+
+        fn cell_report(&mut self) -> CellReport {
+            let (_, report, cost) = replay_fixture();
+            let (dc, kind) = self.cell();
+            let (outcome, with_report) = match self.next() % 4 {
+                0 => (CellOutcome::Completed, true),
+                1 => {
+                    let (hours_done, reason) = (self.next() % 400, self.line());
+                    (CellOutcome::Degraded { reason, hours_done }, true)
+                }
+                2 => (CellOutcome::Aborted { error: self.line() }, false),
+                _ => {
+                    let incidents = (0..self.next() % 4)
+                        .map(|n| format!("attempt {}: panic: {}", n + 1, self.line()))
+                        .collect();
+                    let attempts = self.next() % 9;
+                    (CellOutcome::Quarantined { attempts, incidents }, false)
+                }
+            };
+            CellReport {
+                dc,
+                kind,
+                outcome,
+                report: with_report.then(|| report.clone()),
+                cost: with_report.then_some(*cost),
+            }
+        }
+
+        fn record(&mut self) -> Record<'static> {
+            match self.next() % 8 {
+                0 => {
+                    let mut spec = StudySpec::new(
+                        (self.next() % 1000 + 1) as f64 / 97.0,
+                        self.next() as u64,
+                        self.next() % 60 + 1,
+                        self.next() % 30 + 1,
+                    );
+                    spec.checkpoint_every_hours = self.next() % 24 + 1;
+                    spec.dcs.truncate(self.next() % 4 + 1);
+                    spec.planners.rotate_left(self.next() % 3);
+                    spec.planners.truncate(self.next() % 3 + 1);
+                    if self.next().is_multiple_of(2) {
+                        spec.faults = Some(FaultConfig::baseline(self.next() as u64));
+                        spec.budget = CellBudget {
+                            max_wall_secs: Some((self.next() % 5000 + 1) as f64 / 8.0),
+                            max_hours: Some(self.next() % 500),
+                        };
+                    }
+                    Record::Config(Cow::Owned(spec))
+                }
+                1 => Record::CellStart(self.cell()),
+                2 => Record::Checkpoint(self.cell(), Cow::Owned(replay_fixture().0.clone())),
+                3 => Record::CellDone(Cow::Owned(self.cell_report())),
+                4 => {
+                    let cell = self.cell();
+                    let attempt = self.next() % 9 + 1;
+                    let incident = self.pick(&["panic", "watchdog"]);
+                    let message = self.line();
+                    let backtrace = (0..self.next() % 4)
+                        .map(|_| self.line())
+                        .collect::<Vec<_>>()
+                        .join("\n");
+                    Record::CellCrashed {
+                        cell,
+                        attempt,
+                        incident: Cow::Borrowed(incident),
+                        message: Cow::Owned(message),
+                        backtrace: Cow::Owned(backtrace),
+                    }
+                }
+                5 => Record::CellRetried {
+                    cell: self.cell(),
+                    attempt: self.next() % 9 + 2,
+                },
+                6 => Record::Heartbeat {
+                    cell: self.cell(),
+                    hours: self.next() % 400,
+                },
+                _ => Record::RunDone,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn every_record_round_trips_through_the_codec(
+            words in proptest::collection::vec(0u32..u32::MAX, 40..80),
+            index in 1usize..10_000,
+        ) {
+            let record = Entropy(words.iter()).record();
+            let wire = record.encode();
+            let decode = |bodies| {
+                Record::decode(index, wire.as_bytes(), bodies).map_err(|e| e.to_string())
+            };
+            let (decoded, heads_only) = (decode(true), decode(false));
+            if matches!(record, Record::Checkpoint(..) | Record::CellDone(_)) {
+                prop_assert_eq!(heads_only, Ok(None));
+            } else {
+                prop_assert_eq!(&heads_only, &decoded);
+            }
+            prop_assert_eq!(decoded, Ok(Some(record)));
+        }
+    }
+
+    #[test]
+    fn decode_errors_name_the_record() {
+        for (wire, problem) in [
+            ("bogus B Dynamic", "unknown record `bogus`"),
+            ("", "unknown record ``"),
+            ("cell-done B Dynamic exploded", "unknown outcome `exploded`"),
+            ("cell-done B Dynamic crashed boom\ntrace", "unknown outcome `crashed`"),
+            ("cell-done B Dynamic completed", "missing cell body"),
+            ("cell-start Z Dynamic", "unknown data center `Z`"),
+            ("cell-start BB Dynamic", "unknown data center `BB`"),
+            ("heartbeat b Dynamic 3", "unknown data center `b`"),
+            ("cell-retried B Nope 2", "unknown planner `Nope`"),
+            ("checkpoint B dynamic\n", "unknown planner `dynamic`"),
+            ("cell-crashed B Dynamic one panic x", "bad attempt `one`"),
+        ] {
+            let err = Record::decode(7, wire.as_bytes(), true).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid study spec: journal record 7: {problem}"),
+                "{wire:?}"
+            );
+        }
+        // A head-only scan leaves bodies unread, so even a garbage
+        // checkpoint body does not stop it.
+        let garbage = b"checkpoint B Dynamic\nnot a checkpoint";
+        assert!(Record::decode(3, garbage, false).unwrap().is_none());
+        assert!(Record::decode(3, garbage, true).is_err());
     }
 }
