@@ -207,15 +207,7 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
         .get("heartbeat-timeout")
         .map(|v| {
             v.parse()
-                .map_err(|e| format!("bad --heartbeat-timeout: {e}"))
-                .and_then(|s: f64| {
-                    if s.is_finite() && s > 0.0 {
-                        Ok(s)
-                    } else {
-                        Err(format!("--heartbeat-timeout must be positive, got {s}"))
-                    }
-                })
-                .map_err(usage)
+                .map_err(|e| usage(format!("bad --heartbeat-timeout: {e}")))
         })
         .transpose()?;
     let chaos = ChaosConfig::from_env();
@@ -960,6 +952,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     config.chaos = ChaosConfig::from_env();
 
+    // Install the handlers before the listener exists: a client can get
+    // a 200 from /readyz and signal at once, and a SIGTERM that beat the
+    // handler would kill the process instead of draining it. A signal
+    // that lands before the watcher below is registered is counted, and
+    // the watcher drains as soon as it starts.
+    let signals = vmcw_core::signals::install();
     let server = Server::bind(config).map_err(|e| match e {
         ServeError::Config { .. } => usage(e),
         ServeError::Io { .. } => run_err(e),
@@ -969,7 +967,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
          GET /v1/jobs/<id>, GET /healthz, GET /readyz)",
         server.port()
     );
-    if vmcw_core::signals::install() {
+    if signals {
         let handle = server.drain_handle();
         vmcw_core::signals::on_first_signal(move || {
             eprintln!("signal received: draining (signal again to hard-exit)");
@@ -1144,11 +1142,23 @@ mod tests {
             &["--eval-days", "0"],
             &["--ckpt-hours", "0"],
             &["--max-secs", "nan"],
+            &["--heartbeat-timeout", "-1"],
+            &["--heartbeat-timeout", "0"],
+            &["--heartbeat-timeout", "nan"],
+            &["--heartbeat-timeout", "inf"],
         ] {
             let args: Vec<&str> = out_flag.iter().chain(bad).copied().collect();
             assert_eq!(exit_code_for(&dispatch("study", &argv(&args))), 2, "{bad:?}");
             let journal = out.join(vmcw_core::supervise::JOURNAL_FILE);
             assert!(!journal.exists(), "{bad:?} wrote a journal");
+        }
+        // `vmcw serve` refuses the same watchdog deadlines before it
+        // creates its state directory.
+        let dir = std::env::temp_dir().join(format!("vmcw-cli-bad-serve-{}", std::process::id()));
+        for secs in ["-1", "0", "nan", "inf"] {
+            let args = [dir.to_str().unwrap(), "--heartbeat-timeout", secs];
+            assert_eq!(exit_code_for(&dispatch("serve", &argv(&args))), 2, "{secs}");
+            assert!(!dir.exists(), "--heartbeat-timeout {secs} created {}", dir.display());
         }
     }
 

@@ -43,7 +43,7 @@ pub mod http;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -62,8 +62,9 @@ use crate::journal::{write_atomic, Journal};
 use crate::json::{Json, JsonError};
 use crate::object;
 use crate::supervise::{
-    journal_spec, resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy,
-    ChaosConfig, Record, RunOptions, StudyReport, StudySpec, StudyStatus, JOURNAL_FILE,
+    check_heartbeat_timeout, journal_spec, resume_study_opts, run_study_opts, CancelToken,
+    CellOutcome, CellRetryPolicy, ChaosConfig, Record, RunOptions, StopLatch, StudyReport,
+    StudySpec, StudyStatus, JOURNAL_FILE,
 };
 
 use self::http::{read_request, HttpError, Request, Response};
@@ -152,7 +153,7 @@ impl ServeConfig {
                 self.drain_grace_secs
             ));
         }
-        Ok(())
+        check_heartbeat_timeout(self.heartbeat_timeout_secs).or_else(bad)
     }
 }
 
@@ -490,7 +491,9 @@ struct Shared {
     shed_total: AtomicU64,
     deadline_timeouts: AtomicU64,
     draining: AtomicBool,
-    stop: AtomicBool,
+    /// Set by [`Server::join`] once the workers have exited; stops the
+    /// accept loop and the sweeper.
+    stop: StopLatch,
 }
 
 impl Shared {
@@ -675,7 +678,7 @@ impl Server {
             shed_total: AtomicU64::new(0),
             deadline_timeouts: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
+            stop: StopLatch::default(),
         });
 
         recover_jobs(&shared, &jobs_dir);
@@ -693,12 +696,6 @@ impl Server {
                 source,
             })?
             .port();
-        listener
-            .set_nonblocking(true)
-            .map_err(|source| ServeError::Io {
-                context: "set listener nonblocking".into(),
-                source,
-            })?;
 
         let workers = (0..shared.config.workers)
             .map(|i| {
@@ -752,7 +749,10 @@ impl Server {
     /// Blocks until the server has drained: workers finish their
     /// current job and exit once [`DrainHandle::drain`] has run and the
     /// queue is empty; then the accept loop and sweeper stop and a
-    /// final `health.json` is written.
+    /// final `health.json` is written. Once the workers are done it
+    /// never hangs: if the connection that wakes the blocked `accept`
+    /// cannot be made, the accept thread is left to die with the
+    /// process.
     pub fn join(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -765,9 +765,15 @@ impl Server {
                 self.shared.config.drain_grace_secs,
             ));
         }
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        if let Some(a) = self.accept.take() {
+        self.shared.stop.set();
+        // `accept` blocks; one connection to our own port wakes it, and
+        // the loop then sees `stop`.
+        let woken = TcpStream::connect_timeout(
+            &SocketAddr::from((Ipv4Addr::LOCALHOST, self.port)),
+            Duration::from_secs(1),
+        )
+        .is_ok();
+        if let Some(a) = self.accept.take().filter(|_| woken) {
             let _ = a.join();
         }
         if let Some(s) = self.sweeper.take() {
@@ -827,24 +833,24 @@ fn recover_jobs(shared: &Arc<Shared>, jobs_dir: &Path) {
     }
 }
 
-/// Accept loop: nonblocking accept + 25 ms poll so `stop` is observed
-/// promptly; one detached handler thread per connection
+/// Accept loop: a blocking accept, so a connection is handled as soon
+/// as it arrives; one detached handler thread per connection
 /// (`Connection: close`, so handlers are short-lived — at most one
-/// queued job wait each).
+/// queued job wait each). Returns on the first accept after `stop`,
+/// which [`Server::join`] forces by connecting once. A failed accept
+/// (say, out of file descriptors) backs off 25 ms rather than spin.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        if shared.stop.is_set() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _addr)) => {
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("vmcw-serve-conn".into())
                     .spawn(move || handle_connection(&shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
@@ -852,11 +858,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 /// Telemetry sweeper: rewrites `DIR/health.json` four times a second
-/// while the server runs.
+/// while the server runs, and exits as soon as `stop` is set.
 fn sweeper_loop(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.stop.is_set() {
         shared.write_health();
-        std::thread::sleep(Duration::from_millis(250));
+        shared.stop.wait_timeout(Duration::from_millis(250));
     }
 }
 
@@ -1018,27 +1024,25 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
 }
 
 /// Worker: pop → enforce deadline → run as a supervised study → map the
-/// outcome onto an HTTP response + breaker verdict. Exits when draining
-/// with an empty queue, or on `stop`.
+/// outcome onto an HTTP response + breaker verdict. Sleeps on `queue_cv`
+/// with no timeout; exits when draining with an empty queue. No wake-up
+/// is lost: every path that pushes work or sets `draining` (submit,
+/// boot recovery, drain) notifies after it has taken the queue lock.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
             let mut queue = shared.lock_queue();
             loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
                 if let Some(job) = queue.pop_front() {
                     break job;
                 }
                 if shared.draining() {
                     return;
                 }
-                let (q, _) = shared
+                queue = shared
                     .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
+                    .wait(queue)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
-                queue = q;
             }
         };
         run_job(shared, job);
@@ -1425,7 +1429,7 @@ mod tests {
             shed_total: AtomicU64::new(0),
             deadline_timeouts: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
+            stop: StopLatch::default(),
         })
     }
 
@@ -1478,5 +1482,34 @@ mod tests {
         let mut c = ServeConfig::new("/tmp/x", 0);
         c.breaker_cooldown_secs = f64::NAN;
         assert!(c.validate().is_err());
+        for secs in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let mut c = ServeConfig::new("/tmp/x", 0);
+            c.heartbeat_timeout_secs = Some(secs);
+            assert!(c.validate().is_err(), "heartbeat timeout {secs}");
+        }
+        let mut c = ServeConfig::new("/tmp/x", 0);
+        c.heartbeat_timeout_secs = Some(2.0);
+        assert!(c.validate().is_ok());
+    }
+
+    /// `join` wakes the blocking `accept` itself: a server that drains
+    /// without any client ever connecting still shuts down.
+    #[test]
+    fn join_returns_with_no_client_ever_connecting() {
+        let dir = std::env::temp_dir().join(format!("vmcw-serve-join-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(ServeConfig::new(&dir, 0)).expect("bind");
+        server.drain_handle().drain();
+        let (tx, rx) = mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            server.join();
+            tx.send(()).unwrap();
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+            "join did not return: accept was never woken"
+        );
+        joiner.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -49,7 +49,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use vmcw_consolidation::planner::PlannerKind;
@@ -166,6 +166,40 @@ impl CancelToken {
 impl Default for CancelToken {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A one-way stop signal for a periodic background thread (the study
+/// monitor, serve's telemetry sweeper). The thread waits between rounds
+/// with [`wait_timeout`](Self::wait_timeout), which returns as soon as
+/// [`set`](Self::set) runs, so stopping it costs no leftover sleep.
+#[derive(Default)]
+pub(crate) struct StopLatch {
+    stopped: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl StopLatch {
+    /// Sets the latch and wakes every waiter. Idempotent.
+    pub(crate) fn set(&self) {
+        *lock(&self.stopped) = true;
+        self.cv.notify_all();
+    }
+
+    /// Whether [`set`](Self::set) has run.
+    pub(crate) fn is_set(&self) -> bool {
+        *lock(&self.stopped)
+    }
+
+    /// Waits until the latch is set or `timeout` elapses, whichever
+    /// comes first; returns whether it is set. Spurious wake-ups do not
+    /// shorten the wait.
+    pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
+        let (stopped, _) = self
+            .cv
+            .wait_timeout_while(lock(&self.stopped), timeout, |stopped| !*stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        *stopped
     }
 }
 
@@ -343,6 +377,19 @@ impl Default for RunOptions {
             heartbeat_timeout_secs: None,
             chaos: None,
         }
+    }
+}
+
+/// Rejects a watchdog deadline ([`RunOptions::heartbeat_timeout_secs`])
+/// that is not finite and positive: a zero or negative one fires on
+/// every sweep, and `age > NaN` never fires. `vmcw study` and
+/// `vmcw serve` both check through here.
+pub(crate) fn check_heartbeat_timeout(secs: Option<f64>) -> Result<(), String> {
+    match secs {
+        Some(s) if !(s.is_finite() && s > 0.0) => Err(format!(
+            "the heartbeat timeout must be finite and positive, got {s}s"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -644,7 +691,8 @@ pub enum SuperviseError {
         /// Journal record index at which it was detected.
         record: usize,
     },
-    /// The study spec (journal config record or CLI) is malformed.
+    /// The study spec (journal config record or CLI) or a session
+    /// option is malformed.
     Spec {
         /// What was wrong.
         detail: String,
@@ -701,8 +749,9 @@ pub const JOURNAL_FILE: &str = "journal.vmcwj";
 ///
 /// # Errors
 ///
-/// [`SuperviseError::Spec`] for a spec that cannot run (checked before
-/// anything is written), [`JournalError::AlreadyExists`] if the
+/// [`SuperviseError::Spec`] for a spec or watchdog deadline that cannot
+/// run (checked before anything is written),
+/// [`JournalError::AlreadyExists`] if the
 /// directory already holds a journal (resume it instead), plus
 /// journal/checkpoint errors.
 pub fn run_study_opts(
@@ -712,6 +761,8 @@ pub fn run_study_opts(
     opts: &RunOptions,
 ) -> Result<StudyReport, SuperviseError> {
     spec.check()?;
+    check_heartbeat_timeout(opts.heartbeat_timeout_secs)
+        .map_err(|detail| SuperviseError::Spec { detail })?;
     std::fs::create_dir_all(dir).map_err(|source| {
         SuperviseError::Journal(JournalError::Io {
             path: dir.to_path_buf(),
@@ -753,15 +804,18 @@ pub fn journal_spec(journal: &Journal, path: &Path) -> Result<StudySpec, Supervi
 ///
 /// # Errors
 ///
-/// Journal/spec/checkpoint errors; a checkpoint that fails its
-/// invariants or fingerprint aborts the resume rather than silently
-/// recomputing.
+/// Journal/spec/checkpoint errors, [`SuperviseError::Spec`] for a
+/// watchdog deadline that cannot run (checked before the journal is
+/// opened); a checkpoint that fails its invariants or fingerprint aborts
+/// the resume rather than silently recomputing.
 pub fn resume_study_opts(
     dir: &Path,
     budget: Option<CellBudget>,
     token: &CancelToken,
     opts: &RunOptions,
 ) -> Result<StudyReport, SuperviseError> {
+    check_heartbeat_timeout(opts.heartbeat_timeout_secs)
+        .map_err(|detail| SuperviseError::Spec { detail })?;
     let path = dir.join(JOURNAL_FILE);
     let (journal, tail_dropped) = Journal::open(&path)?;
     let mut spec = journal_spec(&journal, &path)?;
@@ -1206,8 +1260,9 @@ struct Executor<'a> {
     health: Mutex<BTreeMap<Cell, CellHealthState>>,
     /// One-shot chaos bookkeeping: set once the hook has fired.
     chaos_fired: AtomicBool,
-    /// Tells the monitor thread to exit.
-    monitor_stop: AtomicBool,
+    /// Tells the monitor thread to exit; set once the last worker has
+    /// returned.
+    monitor_stop: StopLatch,
 }
 
 impl Executor<'_> {
@@ -1620,14 +1675,12 @@ impl Executor<'_> {
         let _ = write_atomic(&self.dir.join(HEALTH_FILE), snapshot.to_json().as_bytes());
     }
 
-    /// Monitor loop: board sweeps and periodic `health.json` rewrites.
-    /// Exits when `monitor_stop` is set.
+    /// Monitor loop: a board sweep every 50 ms and a `health.json`
+    /// rewrite every 500 ms or more. Exits as soon as `monitor_stop` is
+    /// set, without waiting out the rest of its 50 ms.
     fn monitor(&self) {
         let mut last_health = Instant::now();
-        loop {
-            if self.monitor_stop.load(Ordering::SeqCst) {
-                return;
-            }
+        while !self.monitor_stop.is_set() {
             self.sweep();
             if last_health.elapsed() >= Duration::from_millis(500) {
                 let status = if self.token.is_cancelled() {
@@ -1638,7 +1691,7 @@ impl Executor<'_> {
                 self.write_health(status);
                 last_health = Instant::now();
             }
-            std::thread::sleep(Duration::from_millis(50));
+            self.monitor_stop.wait_timeout(Duration::from_millis(50));
         }
     }
 
@@ -1719,7 +1772,7 @@ fn drive(
         interrupted: AtomicBool::new(false),
         health: Mutex::new(BTreeMap::new()),
         chaos_fired: AtomicBool::new(false),
-        monitor_stop: AtomicBool::new(false),
+        monitor_stop: StopLatch::default(),
     };
 
     // Seed the health board with terminal outcomes restored from the
@@ -1746,7 +1799,7 @@ fn drive(
                 .collect();
             let monitor = s.spawn(|| exec.monitor());
             let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            exec.monitor_stop.store(true, Ordering::SeqCst);
+            exec.monitor_stop.set();
             let monitored = monitor.join();
             // Cell panics are caught inside the workers; anything
             // arriving here is a supervisor bug and must surface.
@@ -2570,5 +2623,66 @@ mod tests {
         let garbage = b"checkpoint B Dynamic\nnot a checkpoint";
         assert!(Record::decode(3, garbage, false).unwrap().is_none());
         assert!(Record::decode(3, garbage, true).is_err());
+    }
+
+    /// A stop set before the wait returns at once; the waiter reports the
+    /// stop, not its 10 s timeout.
+    #[test]
+    fn stop_latch_set_before_the_wait_returns_at_once() {
+        let latch = StopLatch::default();
+        assert!(!latch.is_set());
+        latch.set();
+        let started = Instant::now();
+        assert!(latch.wait_timeout(Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A stop set from another thread while the waiter is parked wakes
+    /// it. The setter starts only once the waiter is about to wait, so
+    /// the stop lands during the wait (or, at worst, just before it,
+    /// which must return the stop as well).
+    #[test]
+    fn stop_latch_set_during_the_wait_wakes_the_waiter() {
+        let latch = Arc::new(StopLatch::default());
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let latch = Arc::clone(&latch);
+            std::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                let started = Instant::now();
+                (latch.wait_timeout(Duration::from_secs(10)), started.elapsed())
+            })
+        };
+        ready_rx.recv().unwrap();
+        latch.set();
+        let (stopped, waited) = waiter.join().unwrap();
+        assert!(stopped);
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+    }
+
+    /// Both entry points refuse a watchdog deadline that is not finite
+    /// and positive before they touch the study directory.
+    #[test]
+    fn bad_heartbeat_timeouts_are_refused_before_any_write() {
+        let dir = tmp_dir("bad-heartbeat");
+        for secs in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let opts = RunOptions {
+                heartbeat_timeout_secs: Some(secs),
+                ..RunOptions::default()
+            };
+            let fresh = run_study_opts(&tiny_spec(), &dir, &CancelToken::new(), &opts);
+            assert!(
+                matches!(&fresh, Err(SuperviseError::Spec { detail }) if detail.contains("heartbeat")),
+                "{secs}: {fresh:?}"
+            );
+            assert!(!dir.exists(), "{secs} created the study directory");
+            let resumed = resume_study_opts(&dir, None, &CancelToken::new(), &opts);
+            assert!(
+                matches!(&resumed, Err(SuperviseError::Spec { .. })),
+                "{secs}: {resumed:?}"
+            );
+        }
+        assert!(check_heartbeat_timeout(None).is_ok());
+        assert!(check_heartbeat_timeout(Some(1.5)).is_ok());
     }
 }
