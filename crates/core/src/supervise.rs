@@ -67,7 +67,7 @@ use vmcw_emulator::ReplayCheckpoint;
 use vmcw_trace::datacenters::DataCenterId;
 
 use crate::health::{CellHealth, HealthSnapshot, HEALTH_FILE};
-use crate::journal::{write_atomic, Journal, JournalError, TailCorruption};
+use crate::journal::{write_atomic, Frame, Journal, JournalError, TailCorruption};
 use crate::render::{fnum, Table};
 use crate::study::{Study, StudyConfig};
 
@@ -881,7 +881,11 @@ impl Record<'_> {
         match self {
             Record::Config(spec) => format!("config {}", spec.encode()),
             Record::CellStart(cell) => format!("cell-start {}", key(cell)),
-            Record::Checkpoint(cell, ck) => format!("checkpoint {}\n{}", key(cell), ck.encode()),
+            Record::Checkpoint(cell, ck) => {
+                let mut out = format!("checkpoint {}\n", key(cell));
+                ck.encode_into(&mut out);
+                out
+            }
             Record::CellDone(c) => {
                 let head = format!("cell-done {}", key(&(c.dc, c.kind)));
                 let mut out = match &c.outcome {
@@ -1071,7 +1075,7 @@ struct Resumed {
     /// Terminal cells, restored from their `cell-done` records.
     done: BTreeMap<Cell, CellReport>,
     /// Last checkpoint of each cell that has not finished.
-    ckpts: BTreeMap<Cell, ReplayCheckpoint>,
+    ckpts: BTreeMap<Cell, Arc<ReplayCheckpoint>>,
     /// Whether `run-done` was journaled.
     run_done: bool,
     /// A corrupt/truncated journal tail discarded on open.
@@ -1086,7 +1090,7 @@ impl Resumed {
         match Record::decode(i, rec, true)? {
             Some(Record::Config(_)) => return Err(record_error(i, "a second config record")),
             Some(Record::Checkpoint(cell, ck)) => {
-                self.ckpts.insert(cell, ck.into_owned());
+                self.ckpts.insert(cell, Arc::new(ck.into_owned()));
             }
             Some(Record::CellDone(cell)) => {
                 let key = (cell.dc, cell.kind);
@@ -1248,7 +1252,7 @@ struct Executor<'a> {
     /// Latest known checkpoint per cell: seeded from the journal on
     /// resume, updated as cells checkpoint, and the restart point for
     /// retried attempts.
-    latest: Mutex<BTreeMap<Cell, ReplayCheckpoint>>,
+    latest: Mutex<BTreeMap<Cell, Arc<ReplayCheckpoint>>>,
     /// Next position in the pending list to claim.
     next: AtomicUsize,
     /// Set when any worker hits a supervisor-fatal error; others stop at
@@ -1266,10 +1270,12 @@ struct Executor<'a> {
 }
 
 impl Executor<'_> {
-    /// Encodes `rec` (outside the lock) and appends it to the journal.
+    /// Encodes, frames and checksums `rec` outside the lock, then
+    /// appends it to the journal: only the write and its fsync hold the
+    /// lock.
     fn append(&self, rec: &Record<'_>) -> Result<(), SuperviseError> {
-        let bytes = rec.encode();
-        lock(&self.journal).append(bytes.as_bytes())?;
+        let frame = Frame::new(rec.encode().as_bytes());
+        lock(&self.journal).append_frame(&frame)?;
         Ok(())
     }
 
@@ -1414,11 +1420,16 @@ impl Executor<'_> {
     }
 
     /// Journals checkpoint `ck` of `cell` and keeps it as the cell's
-    /// restart point.
-    fn checkpoint(&self, cell: Cell, ck: ReplayCheckpoint) -> Result<(), SuperviseError> {
+    /// restart point, shared with the caller.
+    fn checkpoint(
+        &self,
+        cell: Cell,
+        ck: ReplayCheckpoint,
+    ) -> Result<Arc<ReplayCheckpoint>, SuperviseError> {
         self.append(&Record::Checkpoint(cell, Cow::Borrowed(&ck)))?;
-        lock(&self.latest).insert(cell, ck);
-        Ok(())
+        let ck = Arc::new(ck);
+        lock(&self.latest).insert(cell, Arc::clone(&ck));
+        Ok(ck)
     }
 
     /// Whether the chaos hook should fire now (consumes the one-shot).
@@ -1432,7 +1443,7 @@ impl Executor<'_> {
 
     /// The supervisor error for an invariant violation found now.
     fn violated(&self, violation: InvariantViolation) -> SuperviseError {
-        let record = lock(&self.journal).records().len();
+        let record = lock(&self.journal).record_count();
         SuperviseError::Invariant { violation, record }
     }
 
@@ -1583,10 +1594,9 @@ impl Executor<'_> {
             watch.hours.store(replay.hour(), Ordering::SeqCst);
             if replay.hour() % spec.checkpoint_every_hours == 0 || replay.is_done() {
                 let ck = replay.checkpoint();
-                check_checkpoint_with(&mut scratch, &ck, n_hosts, prev_ckpt.as_ref())
+                check_checkpoint_with(&mut scratch, &ck, n_hosts, prev_ckpt.as_deref())
                     .map_err(|v| self.violated(v))?;
-                self.checkpoint(cell, ck.clone())?;
-                prev_ckpt = Some(ck);
+                prev_ckpt = Some(self.checkpoint(cell, ck)?);
             }
         };
 

@@ -28,8 +28,15 @@ use crate::engine::HourSummary;
 use crate::faults::{FaultConfig, FaultLedger};
 use crate::validate::InvariantViolation;
 
-/// Version of the checkpoint / report wire format.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version of the checkpoint wire format. v2 lists only the last-good
+/// samples a resume cannot rebuild from the trace (see
+/// [`ReplayCheckpoint::last_good`]); v1 checkpoints are refused.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// Version of the report wire format ([`encode_report`]). Separate from
+/// [`CHECKPOINT_VERSION`]: the report bytes feed the `digest` column of
+/// a study's `cells.csv`, so they change only with the report itself.
+pub const REPORT_VERSION: u32 = 1;
 
 /// Errors raised when decoding, validating, or resuming from a
 /// checkpoint.
@@ -66,7 +73,9 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::Version { found } => write!(
                 f,
-                "checkpoint format v{found} is not supported (expected v{FORMAT_VERSION})"
+                "wire format v{found} is not supported (checkpoints are \
+                 v{CHECKPOINT_VERSION}, reports v{REPORT_VERSION}; a journal from another \
+                 version cannot be resumed)"
             ),
             CheckpointError::Mismatch { detail } => {
                 write!(f, "checkpoint does not match this run: {detail}")
@@ -137,8 +146,21 @@ pub struct ReplayCheckpoint {
     pub per_hour: Vec<HourSummary>,
     /// CPU contention samples collected so far.
     pub cpu_contention_samples: Vec<f64>,
-    /// Last good sample and staleness per VM (dropout survival state).
+    /// Last good sample and staleness per VM (dropout survival state),
+    /// in ascending id order — only the entries a resume cannot rebuild.
+    ///
+    /// In a faulted replay at hour `h > 0` every traced VM has a
+    /// *default* entry, `(trace.demand_at(eval.start + h - 1), 0)`:
+    /// what stepping it through hour `h - 1` leaves behind. Entries equal
+    /// to their default, bit for bit, are left out; [`Self::absent`]
+    /// names the traced VMs with no entry at all. Anything else is
+    /// listed: stale holds, the older sample of a VM whose host was down
+    /// at `h - 1`, every entry of an untraced id, and every entry at
+    /// hour 0 or of a plain replay (which has no defaults).
     pub last_good: Vec<(VmId, Resources, usize)>,
+    /// Traced VMs without a last-good entry although they have a
+    /// default, in ascending id order (see [`Self::last_good`]).
+    pub absent: Vec<VmId>,
     /// Fault bookkeeping, if the replay runs under fault injection.
     pub fault: Option<FaultStateCheckpoint>,
 }
@@ -149,7 +171,28 @@ pub struct ReplayCheckpoint {
 /// makes decode→encode byte-exact.
 #[must_use]
 pub fn enc_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+    let mut out = String::with_capacity(16);
+    push_f64(&mut out, x);
+    out
+}
+
+/// Appends [`enc_f64`]`(x)` to `out` without an intermediate string.
+fn push_f64(out: &mut String, x: f64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = x.to_bits();
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[((bits >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+}
+
+/// Appends `" <hex>"` for each of `xs`.
+fn push_f64s(out: &mut String, xs: &[f64]) {
+    for &x in xs {
+        out.push(' ');
+        push_f64(out, x);
+    }
 }
 
 /// FNV-1a 64-bit hash, used for resume fingerprints and report digests.
@@ -327,62 +370,53 @@ impl ReplayCheckpoint {
     /// Serialises to the versioned wire format.
     #[must_use]
     pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`encode`](Self::encode)'s bytes to `o`, so a caller can
+    /// put a record head and the checkpoint in one buffer.
+    pub fn encode_into(&self, o: &mut String) {
         use std::fmt::Write as _;
-        let mut o = String::new();
-        let _ = writeln!(o, "ckpt v{FORMAT_VERSION}");
+        let _ = writeln!(o, "ckpt v{CHECKPOINT_VERSION}");
         let _ = writeln!(o, "fp {:016x}", self.fingerprint);
         let _ = writeln!(o, "hour {} of {}", self.hour, self.total_hours);
-        let _ = writeln!(o, "energy {}", enc_f64(self.energy_wh));
-        let _ = writeln!(o, "ledger {}", encode_ledger(&self.ledger));
+        o.push_str("energy ");
+        push_f64(o, self.energy_wh);
+        let _ = writeln!(o, "\nledger {}", encode_ledger(&self.ledger));
         let _ = writeln!(o, "accs {}", self.accs.len());
         for a in &self.accs {
-            let _ = writeln!(
-                o,
-                "a {} {} {} {} {} {} {}",
-                a.active_hours,
-                enc_f64(a.cpu_util_sum),
-                enc_f64(a.mem_util_sum),
-                enc_f64(a.peak_cpu),
-                enc_f64(a.peak_mem),
-                a.contention_hours,
-                a.unreliable_hours
-            );
+            let _ = write!(o, "a {}", a.active_hours);
+            push_f64s(o, &[a.cpu_util_sum, a.mem_util_sum, a.peak_cpu, a.peak_mem]);
+            let _ = writeln!(o, " {} {}", a.contention_hours, a.unreliable_hours);
         }
         let _ = writeln!(o, "hours {}", self.per_hour.len());
         for h in &self.per_hour {
-            let _ = writeln!(
-                o,
-                "h {} {} {} {} {} {}",
-                h.hour,
-                h.active_hosts,
-                enc_f64(h.watts),
-                h.contended_hosts,
-                enc_f64(h.cpu_contention),
-                enc_f64(h.mem_contention)
-            );
+            let _ = write!(o, "h {} {}", h.hour, h.active_hosts);
+            push_f64s(o, &[h.watts]);
+            let _ = write!(o, " {}", h.contended_hosts);
+            push_f64s(o, &[h.cpu_contention, h.mem_contention]);
+            o.push('\n');
         }
         let _ = write!(o, "samples {}", self.cpu_contention_samples.len());
-        for s in &self.cpu_contention_samples {
-            let _ = write!(o, " {}", enc_f64(*s));
-        }
+        push_f64s(o, &self.cpu_contention_samples);
         o.push('\n');
         let _ = writeln!(o, "lastgood {}", self.last_good.len());
         for (vm, r, stale) in &self.last_good {
-            let _ = writeln!(
-                o,
-                "g {} {} {} {}",
-                vm.0,
-                enc_f64(r.cpu_rpe2),
-                enc_f64(r.mem_mb),
-                stale
-            );
+            let _ = write!(o, "g {}", vm.0);
+            push_f64s(o, &[r.cpu_rpe2, r.mem_mb]);
+            let _ = writeln!(o, " {stale}");
         }
+        let _ = write!(o, "absent {}", self.absent.len());
+        for vm in &self.absent {
+            let _ = write!(o, " {}", vm.0);
+        }
+        o.push('\n');
         match &self.fault {
-            None => {
-                let _ = writeln!(o, "faults 0");
-            }
+            None => o.push_str("faults 0\n"),
             Some(fs) => {
-                let _ = writeln!(o, "faults 1");
+                o.push_str("faults 1\n");
                 let _ = writeln!(o, "current {}", fs.current.len());
                 for (host, vms) in &fs.current {
                     let _ = write!(o, "c {} {}", host.0, vms.len());
@@ -391,13 +425,9 @@ impl ReplayCheckpoint {
                     }
                     o.push('\n');
                 }
-                let down: String = fs
-                    .was_down
-                    .iter()
-                    .map(|&d| if d { '1' } else { '0' })
-                    .collect();
-                let _ = writeln!(o, "wasdown {down}");
-                let _ = write!(o, "downvms {}", fs.down_vms.len());
+                o.push_str("wasdown ");
+                o.extend(fs.was_down.iter().map(|&d| if d { '1' } else { '0' }));
+                let _ = write!(o, "\ndownvms {}", fs.down_vms.len());
                 for vm in &fs.down_vms {
                     let _ = write!(o, " {}", vm.0);
                 }
@@ -405,7 +435,6 @@ impl ReplayCheckpoint {
             }
         }
         o.push_str("end\n");
-        o
     }
 
     /// Decodes the wire format.
@@ -423,7 +452,7 @@ impl ReplayCheckpoint {
             .strip_prefix('v')
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| lines.corrupt(format!("bad version token `{v}`")))?;
-        if found != FORMAT_VERSION {
+        if found != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version { found });
         }
         let fingerprint = lines.expect("fp")?.u64_hex()?;
@@ -479,6 +508,12 @@ impl ReplayCheckpoint {
                 Resources::new(t.f64()?, t.f64()?),
                 t.usize()?,
             ));
+        }
+        let mut t = lines.expect("absent")?;
+        let n_absent = t.usize()?;
+        let mut absent = Vec::with_capacity(n_absent);
+        for _ in 0..n_absent {
+            absent.push(VmId(t.u32()?));
         }
         let fault = match lines.expect("faults")?.usize()? {
             0 => None,
@@ -536,6 +571,7 @@ impl ReplayCheckpoint {
             per_hour,
             cpu_contention_samples,
             last_good,
+            absent,
             fault,
         })
     }
@@ -578,7 +614,7 @@ fn decode_ledger(t: &mut Toks<'_>) -> Result<FaultLedger, CheckpointError> {
 pub fn encode_report(r: &crate::engine::EmulationReport) -> String {
     use std::fmt::Write as _;
     let mut o = String::new();
-    let _ = writeln!(o, "report v{FORMAT_VERSION}");
+    let _ = writeln!(o, "report v{REPORT_VERSION}");
     let _ = writeln!(o, "planner {}", r.planner.label());
     let _ = writeln!(o, "hours {} provisioned {}", r.hours, r.provisioned_hosts);
     let _ = writeln!(o, "energy {}", enc_f64(r.energy_kwh));
@@ -636,7 +672,7 @@ pub fn decode_report(payload: &str) -> Result<crate::engine::EmulationReport, Ch
         .strip_prefix('v')
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| lines.corrupt(format!("bad version token `{v}`")))?;
-    if found != FORMAT_VERSION {
+    if found != REPORT_VERSION {
         return Err(CheckpointError::Version { found });
     }
     let label = lines.expect("planner")?.str()?.to_owned();
@@ -839,6 +875,7 @@ mod tests {
             }],
             cpu_contention_samples: vec![0.125, f64::MIN_POSITIVE],
             last_good: vec![(VmId(7), Resources::new(12.5, 800.0), 2)],
+            absent: vec![VmId(2), VmId(9)],
             fault: Some(FaultStateCheckpoint {
                 current: vec![(HostId(0), vec![VmId(7), VmId(2)]), (HostId(1), vec![VmId(1)])],
                 was_down: vec![false, true],
@@ -862,6 +899,7 @@ mod tests {
         let mut c = sample_checkpoint();
         c.fault = None;
         c.last_good.clear();
+        c.absent.clear();
         let d = ReplayCheckpoint::decode(&c.encode()).unwrap();
         assert_eq!(c, d);
     }
@@ -888,11 +926,75 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let wire = sample_checkpoint().encode().replace("ckpt v1", "ckpt v9");
+        let wire = sample_checkpoint().encode().replace("ckpt v2", "ckpt v9");
         assert_eq!(
             ReplayCheckpoint::decode(&wire).unwrap_err(),
             CheckpointError::Version { found: 9 }
         );
+    }
+
+    #[test]
+    fn v1_checkpoint_is_refused_cleanly() {
+        // A v1 body: the version line, and every last-good entry listed
+        // with no `absent` line.
+        let v2 = sample_checkpoint().encode();
+        let v1 = v2
+            .replace("ckpt v2", "ckpt v1")
+            .replace("absent 2 2 9\n", "");
+        assert_ne!(v1, v2);
+        let err = ReplayCheckpoint::decode(&v1).unwrap_err();
+        assert_eq!(err, CheckpointError::Version { found: 1 });
+        assert!(err.to_string().contains("v1 is not supported"), "{err}");
+    }
+
+    #[test]
+    fn wire_lines_keep_their_layout() {
+        let wire = sample_checkpoint().encode();
+        let lines: Vec<&str> = wire.lines().collect();
+        assert_eq!(lines[0], "ckpt v2");
+        assert_eq!(lines[3], format!("energy {}", enc_f64(1234.5678)));
+        assert!(wire.contains(&format!(
+            "\na 3 {} {} {} {} 0 1\n",
+            enc_f64(1.25),
+            enc_f64(0.5),
+            enc_f64(0.9),
+            enc_f64(0.4)
+        )));
+        assert!(wire.contains(&format!(
+            "\nh 0 2 {} 0 {} {}\n",
+            enc_f64(700.25),
+            enc_f64(0.0),
+            enc_f64(0.0)
+        )));
+        assert!(wire.contains(&format!(
+            "\nlastgood 1\ng 7 {} {} 2\nabsent 2 2 9\nfaults 1\n",
+            enc_f64(12.5),
+            enc_f64(800.0)
+        )));
+        assert!(wire.ends_with("wasdown 01\ndownvms 1 1\nend\n"), "{wire}");
+        assert_eq!(enc_f64(1.0), format!("{:016x}", 1.0f64.to_bits()));
+        assert_eq!(enc_f64(-0.0), "8000000000000000");
+    }
+
+    #[test]
+    fn report_stays_at_v1() {
+        // The report bytes feed every `cells.csv` digest: their version
+        // line must not follow the checkpoint version.
+        let report = crate::engine::EmulationReport {
+            planner: vmcw_consolidation::planner::PlannerKind::Dynamic,
+            hours: 0,
+            provisioned_hosts: 0,
+            per_host: Vec::new(),
+            per_hour: Vec::new(),
+            energy_kwh: 0.0,
+            cpu_contention_samples: Vec::new(),
+            migrations: 0,
+            failed_migrations: 0,
+            faults: FaultLedger::default(),
+        };
+        let wire = encode_report(&report);
+        assert_eq!(wire.lines().next(), Some("report v1"));
+        assert_eq!(decode_report(&wire).unwrap(), report);
     }
 
     #[test]

@@ -655,6 +655,24 @@ impl<'a> Replay<'a> {
             .collect();
         fresh.per_hour = ckpt.per_hour.clone();
         fresh.cpu_contention_samples = ckpt.cpu_contention_samples.clone();
+        // Defaults first, then the VMs that had no entry, then the
+        // entries that differ from their default (see
+        // `ReplayCheckpoint::last_good`).
+        if fresh.has_last_good_defaults() {
+            for pos in 0..input.vms.len() {
+                if let Some(default) = fresh.last_good_default(pos) {
+                    fresh.last_good.insert_at(pos, default);
+                }
+            }
+        }
+        for &vm in &ckpt.absent {
+            if !fresh.last_good.remove(input, vm) {
+                return Err(mismatch(format!(
+                    "absent VM {} has no default last-good entry",
+                    vm.0
+                )));
+            }
+        }
         for &(vm, r, stale) in &ckpt.last_good {
             fresh.last_good.insert(input, vm, (r, stale));
         }
@@ -695,9 +713,70 @@ impl<'a> Replay<'a> {
         self.hour >= self.hours
     }
 
+    /// Whether a checkpoint at this hour leaves out default last-good
+    /// entries: only a faulted replay holds any, and hour 0 has none.
+    fn has_last_good_defaults(&self) -> bool {
+        self.faults.is_some() && self.hour > 0
+    }
+
+    /// The default last-good entry of the VM traced at `pos` (see
+    /// `ReplayCheckpoint::last_good`), or `None` for a position that is
+    /// not its id's first trace: a repeated id keys only its first.
+    fn last_good_default(&self, pos: usize) -> Option<(Resources, usize)> {
+        let trace = &self.input.vms[pos];
+        (self.input.vm_position(trace.vm.id) == Some(pos)).then(|| {
+            let eval_start = self.input.eval_range().start;
+            (trace.demand_at(eval_start + self.hour - 1), 0)
+        })
+    }
+
+    /// The last-good state in checkpoint form: the entries that differ
+    /// from their default, and the traced VMs without one.
+    fn last_good_wire(&self) -> (Vec<(VmId, Resources, usize)>, Vec<VmId>) {
+        let same = |(a, s): (Resources, usize), (b, t): (Resources, usize)| {
+            s == t
+                && a.cpu_rpe2.to_bits() == b.cpu_rpe2.to_bits()
+                && a.mem_mb.to_bits() == b.mem_mb.to_bits()
+        };
+        let defaults = self.has_last_good_defaults();
+        let mut listed = Vec::new();
+        let mut absent = Vec::new();
+        for (pos, entry) in self.last_good.dense.iter().enumerate() {
+            let vm = self.input.vms[pos].vm.id;
+            let default = defaults.then(|| self.last_good_default(pos)).flatten();
+            match (*entry, default) {
+                (None, Some(_)) => absent.push(vm),
+                (Some(e), Some(d)) if same(e, d) => {}
+                (Some((r, stale)), _) => listed.push((vm, r, stale)),
+                (None, None) => {}
+            }
+        }
+        listed.extend(
+            self.last_good
+                .untraced
+                .iter()
+                .map(|(&vm, &(r, stale))| (vm, r, stale)),
+        );
+        listed.sort_unstable_by_key(|e| e.0);
+        absent.sort_unstable();
+        (listed, absent)
+    }
+
+    /// Every last-good entry, in ascending id order: the full state that
+    /// a checkpoint encodes sparsely.
+    #[cfg(test)]
+    pub(crate) fn last_good_entries(&self) -> Vec<(VmId, Resources, usize)> {
+        self.last_good
+            .sorted(self.input)
+            .into_iter()
+            .map(|(vm, &(r, stale))| (vm, r, stale))
+            .collect()
+    }
+
     /// Captures the complete replay state at the current hour boundary.
     #[must_use]
     pub fn checkpoint(&self) -> ReplayCheckpoint {
+        let (last_good, absent) = self.last_good_wire();
         ReplayCheckpoint {
             fingerprint: self.fingerprint,
             hour: self.hour,
@@ -719,12 +798,8 @@ impl<'a> Replay<'a> {
                 .collect(),
             per_hour: self.per_hour.clone(),
             cpu_contention_samples: self.cpu_contention_samples.clone(),
-            last_good: self
-                .last_good
-                .sorted(self.input)
-                .into_iter()
-                .map(|(vm, &(r, stale))| (vm, r, stale))
-                .collect(),
+            last_good,
+            absent,
             fault: self.state.as_ref().map(|st| {
                 let current = st.current.resolve(self.plan);
                 FaultStateCheckpoint {
@@ -1550,16 +1625,44 @@ mod tests {
             replay.step().unwrap();
         }
         let mut ckpt = replay.checkpoint();
-        let traced = ckpt.last_good[0].0;
+        let traced = input.vms[0].vm.id;
         ckpt.last_good
             .push((VmId(u32::MAX), Resources::new(1.0, 2.0), 3));
         ckpt.last_good.sort_by_key(|e| e.0);
         let fault = ckpt.fault.as_mut().unwrap();
         fault.down_vms = vec![traced, VmId(u32::MAX - 1)];
         let resumed = Replay::resume(&input, &plan, &cfg, Some(&faults), &ckpt).unwrap();
+        // The untraced entry joins the rebuilt defaults.
+        let full = resumed.last_good_entries();
+        assert!(full.contains(&(VmId(u32::MAX), Resources::new(1.0, 2.0), 3)));
+        assert_eq!(full.len(), input.vms.len() - ckpt.absent.len() + 1);
         let again = resumed.checkpoint();
         assert_eq!(again.last_good, ckpt.last_good);
+        assert_eq!(again.absent, ckpt.absent);
         assert_eq!(again.fault.unwrap().down_vms, ckpt.fault.unwrap().down_vms);
+    }
+
+    #[test]
+    fn resume_refuses_absent_vms_without_a_default() {
+        use crate::checkpoint::CheckpointError;
+        use crate::faults::FaultConfig;
+        let (input, planner) = setup(DataCenterId::Beverage);
+        let plan = planner.plan_semi_static(&input).unwrap();
+        let cfg = EmulatorConfig::default();
+        let faults = FaultConfig::baseline(3);
+        let mut replay = Replay::new(&input, &plan, &cfg, Some(&faults)).unwrap();
+        for _ in 0..3 {
+            replay.step().unwrap();
+        }
+        let ckpt = replay.checkpoint();
+        // An untraced id, and a traced id named twice, have no default
+        // to remove.
+        for absent in [vec![VmId(u32::MAX)], vec![input.vms[0].vm.id; 2]] {
+            let mut bad = ckpt.clone();
+            bad.absent = absent;
+            let err = Replay::resume(&input, &plan, &cfg, Some(&faults), &bad).unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+        }
     }
 
     #[test]

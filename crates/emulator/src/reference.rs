@@ -438,31 +438,37 @@ mod tests {
         PlanningInput::from_traces(vms, input.history_hours)
     }
 
-    /// Runs the optimised replay to `kill_at`, checks its checkpoint
-    /// against the reference's state there, resumes from the decoded
-    /// checkpoint and finishes; the final outcome must equal the
-    /// reference's.
+    /// Last-good entries with their floats as bit patterns, so `-0.0`
+    /// and `0.0` differ.
+    fn bits(
+        entries: impl IntoIterator<Item = (VmId, Resources, usize)>,
+    ) -> Vec<(VmId, u64, u64, usize)> {
+        entries
+            .into_iter()
+            .map(|(vm, r, s)| (vm, r.cpu_rpe2.to_bits(), r.mem_mb.to_bits(), s))
+            .collect()
+    }
+
+    /// Runs the optimised replay to `kill_at`, checkpoints it, resumes
+    /// from the decoded wire and checks the rebuilt state — the full
+    /// last-good map, not the sparse list the wire carries — against the
+    /// reference's state there; then finishes, and the final outcome must
+    /// equal the reference's. Returns the checkpoint taken at `kill_at`
+    /// (`None` when the replay ended before it).
     fn compare(
         input: &PlanningInput,
         plan: &ConsolidationPlan,
         faults: Option<&FaultConfig>,
         kill_at: usize,
-    ) -> Result<(), String> {
+    ) -> Result<Option<ReplayCheckpoint>, String> {
         let config = EmulatorConfig::default();
         let mut reference = ReferenceReplay::new(input, plan, &config, faults);
         let mut fast = Replay::new(input, plan, &config, faults).map_err(|e| e.to_string())?;
+        let mut taken = None;
         let mut outcome = Ok(());
         while outcome.is_ok() && !reference.is_done() {
             if reference.hour == kill_at {
                 let ckpt = fast.checkpoint();
-                let good: Vec<_> = reference
-                    .last_good
-                    .iter()
-                    .map(|(&vm, &(r, s))| (vm, r, s))
-                    .collect();
-                if ckpt.last_good != good {
-                    return Err(format!("last-good state differs at hour {kill_at}"));
-                }
                 let down = ckpt
                     .fault
                     .as_ref()
@@ -473,6 +479,16 @@ mod tests {
                 let wire = ReplayCheckpoint::decode(&ckpt.encode()).map_err(|e| e.to_string())?;
                 fast = Replay::resume(input, plan, &config, faults, &wire)
                     .map_err(|e| e.to_string())?;
+                let good = bits(reference.last_good.iter().map(|(&vm, &(r, s))| (vm, r, s)));
+                if bits(fast.last_good_entries()) != good {
+                    return Err(format!("resumed last-good state differs at hour {kill_at}"));
+                }
+                if fast.checkpoint().encode() != ckpt.encode() {
+                    return Err(format!(
+                        "re-checkpointing after resume differs at hour {kill_at}"
+                    ));
+                }
+                taken = Some(ckpt);
             }
             let (a, b) = (reference.step(), fast.step());
             if a != b {
@@ -483,7 +499,7 @@ mod tests {
         if outcome.is_ok() && reference.into_report() != fast.into_report() {
             return Err("reports differ".into());
         }
-        Ok(())
+        Ok(taken)
     }
 
     proptest::proptest! {
@@ -537,6 +553,145 @@ mod tests {
                     proptest::prop_assert!(false, "{kind:?} (traceless VM): {e}");
                 }
             }
+        }
+    }
+
+    fn small_input(seed: u64) -> PlanningInput {
+        let w = GeneratorConfig::new(DataCenterId::Banking)
+            .scale(0.05)
+            .days(5)
+            .generate(seed);
+        PlanningInput::from_workload(&w, 3, VirtualizationModel::baseline())
+    }
+
+    fn with_cpu(input: &PlanningInput, pos: usize, hour: usize, value: f64) -> PlanningInput {
+        let mut vms = input.vms.clone();
+        let t = &mut vms[pos];
+        let mut values = t.cpu_rpe2.values().to_vec();
+        values[hour] = value;
+        t.cpu_rpe2 = vmcw_trace::series::TimeSeries::new(t.cpu_rpe2.step(), values);
+        PlanningInput::from_traces(vms, input.history_hours)
+    }
+
+    /// The first hour at which `fast`'s checkpoint satisfies `wanted`.
+    fn first_hour_where(
+        input: &PlanningInput,
+        plan: &ConsolidationPlan,
+        faults: &FaultConfig,
+        wanted: impl Fn(&ReplayCheckpoint) -> bool,
+    ) -> Option<usize> {
+        let config = EmulatorConfig::default();
+        let mut fast = Replay::new(input, plan, &config, Some(faults)).unwrap();
+        while !fast.is_done() {
+            if wanted(&fast.checkpoint()) {
+                return Some(fast.hour());
+            }
+            fast.step().ok()?;
+        }
+        None
+    }
+
+    #[test]
+    fn sparse_checkpoint_lists_the_older_sample_of_a_vm_on_a_down_host() {
+        // A VM on a crashed host is not stepped, so its entry keeps
+        // staleness 0 with a sample older than hour h - 1: it must be
+        // listed, or resume would rebuild the wrong default.
+        let input = small_input(11);
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
+        // Frequent crashes, and evacuation bounds nothing fits under,
+        // so a crashed host's VMs stay down until it is repaired.
+        let faults = FaultConfig {
+            host_mtbf_hours: 8.0,
+            host_mttr_hours: 4.0,
+            trace_dropout_prob: 0.0,
+            evacuation_bounds: (1e-9, 1e-9),
+            ..FaultConfig::baseline(5)
+        };
+        let hour = first_hour_where(&input, &plan, &faults, |ck| {
+            ck.last_good.iter().any(|&(_, _, stale)| stale == 0)
+        })
+        .expect("some VM sits on a down host with a fresh-looking entry");
+        let ckpt = compare(&input, &plan, Some(&faults), hour)
+            .unwrap()
+            .unwrap();
+        assert!(ckpt.last_good.iter().any(|&(_, _, stale)| stale == 0));
+    }
+
+    #[test]
+    fn sparse_checkpoint_lists_a_held_sample_after_a_nan_or_a_dropout() {
+        let base = small_input(12);
+        let plan = Planner::baseline()
+            .plan(PlannerKind::SemiStatic, &base)
+            .unwrap();
+        let eval_start = base.eval_range().start;
+        // A NaN at hour 4 of VM 0: the checkpoint at hour 5 holds its
+        // hour-3 sample with staleness 1.
+        let input = with_cpu(&base, 0, eval_start + 4, f64::NAN);
+        let vm = input.vms[0].vm.id;
+        let ckpt = compare(&input, &plan, Some(&FaultConfig::disabled()), 5)
+            .unwrap()
+            .unwrap();
+        let held = input.vms[0].demand_at(eval_start + 3);
+        assert_eq!(ckpt.last_good, vec![(vm, held, 1)]);
+        assert!(ckpt.absent.is_empty());
+        // Injected dropouts at hour h - 1 leave stale holds to list.
+        let faults = FaultConfig {
+            trace_dropout_prob: 0.2,
+            max_stale_hours: 48,
+            ..FaultConfig::disabled()
+        };
+        let ckpt = compare(&base, &plan, Some(&faults), 9).unwrap().unwrap();
+        assert!(ckpt.last_good.iter().any(|&(_, _, stale)| stale > 0));
+        assert!(ckpt.last_good.iter().all(|&(_, _, stale)| stale > 0));
+    }
+
+    #[test]
+    fn checkpoint_at_hour_zero_and_plain_checkpoints_have_no_defaults() {
+        let input = small_input(13);
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Stochastic, &input)
+            .unwrap();
+        let faults = FaultConfig::baseline(3);
+        let ckpt = compare(&input, &plan, Some(&faults), 0).unwrap().unwrap();
+        assert!(ckpt.last_good.is_empty() && ckpt.absent.is_empty());
+        let ckpt = compare(&input, &plan, None, 7).unwrap().unwrap();
+        assert!(ckpt.last_good.is_empty() && ckpt.absent.is_empty());
+        // Mid-run, a faulted checkpoint leaves out nearly every entry.
+        let ckpt = compare(&input, &plan, Some(&faults), 7).unwrap().unwrap();
+        assert!(ckpt.last_good.len() + ckpt.absent.len() < input.vms.len() / 2);
+    }
+
+    #[test]
+    fn a_repeated_vm_id_keys_only_its_first_trace() {
+        // A second trace under VM 0's id is never looked up, so it gets
+        // no default and never shows in a checkpoint.
+        let base = small_input(14);
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &base)
+            .unwrap();
+        let mut vms = base.vms.clone();
+        let mut twin = vms[0].clone();
+        twin.cpu_rpe2 = vmcw_trace::series::TimeSeries::new(
+            twin.cpu_rpe2.step(),
+            twin.cpu_rpe2.values().iter().map(|v| v * 3.0).collect(),
+        );
+        vms.push(twin);
+        let input = PlanningInput::from_traces(vms, base.history_hours);
+        let faults = FaultConfig {
+            trace_dropout_prob: 0.1,
+            max_stale_hours: 48,
+            ..FaultConfig::baseline(9)
+        };
+        for kill_at in [0, 1, 6, 23] {
+            let ckpt = compare(&input, &plan, Some(&faults), kill_at)
+                .unwrap()
+                .unwrap();
+            let twin_id = input.vms[0].vm.id;
+            let mentions = ckpt.last_good.iter().filter(|e| e.0 == twin_id).count()
+                + ckpt.absent.iter().filter(|&&vm| vm == twin_id).count();
+            assert!(mentions <= 1, "hour {kill_at}: {mentions} mentions");
         }
     }
 }
