@@ -85,12 +85,18 @@ struct Args {
     flags: std::collections::BTreeMap<String, String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Args, String> {
+/// Splits `args` into positionals and `--flag value` pairs. A flag not
+/// named in the space-separated `known` is an error: a typo must not
+/// silently run with the default.
+fn parse_args(args: &[String], known: &str) -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut flags = std::collections::BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag `--{name}`"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("--{name} needs a value"))?
@@ -160,7 +166,13 @@ fn main() -> ExitCode {
 /// `--resume DIR` continues one after a crash or kill. The final
 /// report of a resumed run is byte-identical to an uninterrupted one.
 fn cmd_study(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(
+        args,
+        "out resume jobs scale seed history-days eval-days faults \
+         ckpt-hours max-hours max-secs kill-after-hours max-retries \
+         heartbeat-timeout",
+    )
+    .map_err(usage)?;
     let token = CancelToken::new();
     // Two-strike shutdown, shared with `vmcw serve`: the first
     // SIGTERM/SIGINT cancels the token cooperatively — in-flight cells
@@ -361,7 +373,7 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
 /// Works on a live run (the supervisor rewrites the file atomically)
 /// and on a dead one (the last snapshot is the post-mortem).
 fn cmd_health(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "").map_err(usage)?;
     let dir = args
         .positional
         .first()
@@ -401,7 +413,7 @@ fn cmd_health(args: &[String]) -> Result<(), CliError> {
 /// `BENCH_emulator.json` / `BENCH_planners.json` to `--out`
 /// (default: the current directory). Methodology: docs/PERFORMANCE.md.
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "scale seed out").map_err(usage)?;
     if !args.positional.is_empty() {
         return Err(usage(format!(
             "bench takes no positional arguments, got `{}`",
@@ -466,7 +478,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc scale days seed out").map_err(usage)?;
     let dc = parse_dc(args.flags.get("dc").ok_or_else(|| usage("--dc is required"))?)
         .map_err(usage)?;
     let scale: f64 = args.flags.get("scale").map_or(Ok(1.0), |v| {
@@ -514,7 +526,7 @@ fn frac_above(samples: &[f64], x: f64) -> f64 {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc").map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     println!(
         "{} servers, {} days, mean CPU {:.2}%\n",
@@ -592,7 +604,7 @@ fn history_days_for(args: &Args, total_days: usize) -> Result<usize, String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), CliError> {
     use vmcw_core::study::{compare, Scenario};
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc history-days").map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     let history_days = history_days_for(&args, w.days).map_err(usage)?;
     let config = StudyConfig {
@@ -645,7 +657,7 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
 fn cmd_drain(args: &[String]) -> Result<(), CliError> {
     use vmcw_consolidation::drain::plan_drain;
     use vmcw_migration::precopy::PrecopyConfig;
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc history-days host fabric").map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     let history_days = history_days_for(&args, w.days).map_err(usage)?;
     let host: u32 = args
@@ -698,7 +710,7 @@ fn cmd_estate(args: &[String]) -> Result<(), CliError> {
     use vmcw_consolidation::ffd::OrderKey;
     use vmcw_consolidation::fixed_pool::{pack_fixed, FixedPoolError};
     use vmcw_consolidation::sizing::SizingFunction;
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc history-days hs23 hs22").map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     let history_days = history_days_for(&args, w.days).map_err(usage)?;
     let hs23: u32 = args
@@ -760,7 +772,11 @@ fn cmd_estate(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_faults(args: &[String]) -> Result<(), CliError> {
     use vmcw_emulator::FaultConfig;
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(
+        args,
+        "dc history-days seed mtbf mttr mig-fail dropout thresholds",
+    )
+    .map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     let history_days = history_days_for(&args, w.days).map_err(usage)?;
     let seed: u64 = args.flags.get("seed").map_or(Ok(42), |v| {
@@ -835,7 +851,7 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(args, "dc history-days planner bound").map_err(usage)?;
     let w = load_trace(&args).map_err(usage)?;
     let history_days = history_days_for(&args, w.days).map_err(usage)?;
     let bound: f64 = args.flags.get("bound").map_or(Ok(0.8), |v| {
@@ -889,7 +905,13 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
 /// and graceful drain on SIGTERM/SIGINT. Blocks until drained.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     use vmcw_core::serve::{ServeConfig, ServeError, Server};
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(
+        args,
+        "port jobs queue breaker-trips breaker-cooldown \
+         default-deadline-ms max-retries heartbeat-timeout \
+         drain-grace seed",
+    )
+    .map_err(usage)?;
     let dir = args
         .positional
         .first()
@@ -987,7 +1009,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// for overload tests.
 fn cmd_load(args: &[String]) -> Result<(), CliError> {
     use vmcw_bench::load::{flood, request};
-    let args = parse_args(args).map_err(usage)?;
+    let args = parse_args(
+        args,
+        "port get post body expect-status expect-body retry-for rps \
+         duration expect-shed expect-ok",
+    )
+    .map_err(usage)?;
     let port: u16 = args
         .flags
         .get("port")
@@ -1092,7 +1119,11 @@ mod tests {
 
     #[test]
     fn parse_args_splits_positionals_and_flags() {
-        let args = parse_args(&argv(&["trace.csv", "--dc", "banking", "--seed", "7"])).unwrap();
+        let args = parse_args(
+            &argv(&["trace.csv", "--dc", "banking", "--seed", "7"]),
+            "dc seed",
+        )
+        .unwrap();
         assert_eq!(args.positional, vec!["trace.csv"]);
         assert_eq!(args.flags.get("dc").map(String::as_str), Some("banking"));
         assert_eq!(args.flags.get("seed").map(String::as_str), Some("7"));
@@ -1100,7 +1131,7 @@ mod tests {
 
     #[test]
     fn parse_args_rejects_a_flag_without_a_value() {
-        let err = parse_args(&argv(&["--out"])).unwrap_err();
+        let err = parse_args(&argv(&["--out"]), "out").unwrap_err();
         assert!(err.contains("--out needs a value"), "{err}");
     }
 
@@ -1131,6 +1162,18 @@ mod tests {
             2
         );
         assert_eq!(exit_code_for(&dispatch("load", &argv(&[]))), 2);
+        // A misspelled flag, refused before the command does any work.
+        for (cmd, args) in [
+            ("generate", &["--dc", "banking", "--sed", "9"][..]),
+            ("plan", &["/nonexistent.csv", "--plnner", "dynamic"]),
+            ("estate", &["/nonexistent.csv", "--hitsory-days", "4"]),
+            ("study", &["--out", "/nonexistent/study", "--jbos", "2"]),
+        ] {
+            let Err(CliError::Usage(msg)) = dispatch(cmd, &argv(args)) else {
+                panic!("{cmd} {args:?} must be a usage error");
+            };
+            assert!(msg.contains("unknown flag"), "{cmd}: {msg}");
+        }
         // A well-formed spec that cannot run is refused before any
         // journal is written.
         let out = std::env::temp_dir().join(format!("vmcw-cli-bad-spec-{}", std::process::id()));

@@ -119,11 +119,9 @@ impl DataCenter {
     /// Creates a *heterogeneous* data center from an explicit inventory:
     /// `counts` of each model, in order. The first model doubles as the
     /// provisioning template should a planner grow the pool, but the
-    /// fixed-pool packer ([`pack_fixed`]) never provisions — it answers
-    /// the engagement question "does the existing estate hold this
-    /// workload?".
-    ///
-    /// [`pack_fixed`]: https://docs.rs/vmcw-consolidation
+    /// fixed-pool packer (`vmcw_consolidation::fixed_pool::pack_fixed`)
+    /// never provisions — it answers the engagement question "does the
+    /// existing estate hold this workload?".
     ///
     /// # Panics
     ///

@@ -335,13 +335,14 @@ fn plan_dynamic_with(
         })
         .collect();
     let net_demands: BTreeMap<VmId, f64> = input.net_demands();
-    let initial = ffd::first_fit_decreasing_with_network(
+    let initial = ffd::pack_scalar(
         &demands0,
         &net_demands,
         dc,
         &input.constraints,
         bounds,
         config.order,
+        ffd::PackingAlgorithm::FirstFitDecreasing,
     )?;
 
     // Group → host assignment mirrors the per-VM placement.

@@ -6,9 +6,11 @@
 //! first-fit-decreasing over an existing [`DataCenter`] inventory with
 //! per-host capacities, the §3.1 link-bandwidth admission and the §2.2.4
 //! deployment constraints, and an explicit
-//! [`FixedPoolError::PoolExhausted`] when the estate is too small.
+//! [`FixedPoolError::PoolExhausted`] when the estate is too small. It is
+//! the scalar [`FfdModel`] of the one packer, [`pack`], over a pool that
+//! cannot grow.
 
-use crate::ffd::{attach_network, build_items, OrderKey, PackItem};
+use crate::ffd::{attach_network, build_items, pack, FfdModel, OrderKey, PackingAlgorithm};
 use crate::placement::{PackError, Placement};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -79,92 +81,20 @@ pub fn pack_fixed(
 ) -> Result<FixedPoolPlacement, FixedPoolError> {
     let mut items = build_items(demands, constraints)?;
     attach_network(&mut items, net);
-
-    // Per-host effective capacities (heterogeneous-aware).
-    let capacities: Vec<Resources> = dc
-        .iter()
-        .map(|h| Resources::new(h.model.cpu_rpe2 * bounds.0, h.model.mem_mb * bounds.1))
-        .collect();
-    let net_caps: Vec<f64> = dc.iter().map(|h| h.model.net_mbps).collect();
-    let mut used = vec![Resources::ZERO; dc.len()];
-    let mut used_net = vec![0.0f64; dc.len()];
-    let mut placement = Placement::new();
-
-    // Reference capacity for ordering: the biggest host.
-    let reference = capacities
-        .iter()
-        .copied()
-        .fold(Resources::ZERO, |a, b| a.max(&b));
-
-    // Pinned items first.
-    let (pinned, mut free): (Vec<PackItem>, Vec<PackItem>) = items
-        .into_iter()
-        .partition(|it| it.vms.iter().any(|&v| constraints.pinned_host(v).is_some()));
-    for item in pinned {
-        let host = item
-            .vms
-            .iter()
-            .find_map(|&v| constraints.pinned_host(v))
-            .expect("partition guarantees a pin");
-        let idx = host.0 as usize;
-        let feasible = idx < dc.len()
-            && (used[idx] + item.demand).fits_within(&capacities[idx])
-            && used_net[idx] + item.net_mbps <= net_caps[idx]
-            && constraints.allows_group(
-                &item.vms,
-                dc.host(host).expect("checked").location(),
-                placement.vms_on(host),
-            );
-        if !feasible {
-            return Err(FixedPoolError::PoolExhausted {
-                vm: item.vms[0],
-                demand: item.demand,
-            });
-        }
-        used[idx] += item.demand;
-        used_net[idx] += item.net_mbps;
-        for &v in &item.vms {
-            placement.assign(v, host);
-        }
-    }
-
-    free.sort_by(|a, b| {
-        order
-            .key(&b.demand, &reference)
-            .total_cmp(&order.key(&a.demand, &reference))
-            .then_with(|| a.vms[0].cmp(&b.vms[0]))
-    });
-
-    for item in free {
-        let mut placed = false;
-        for idx in 0..dc.len() {
-            let host = HostId(idx as u32);
-            if !(used[idx] + item.demand).fits_within(&capacities[idx]) {
-                continue;
-            }
-            if used_net[idx] + item.net_mbps > net_caps[idx] {
-                continue;
-            }
-            let location = dc.host(host).expect("within len").location();
-            if !constraints.allows_group(&item.vms, location, placement.vms_on(host)) {
-                continue;
-            }
-            used[idx] += item.demand;
-            used_net[idx] += item.net_mbps;
-            for &v in &item.vms {
-                placement.assign(v, host);
-            }
-            placed = true;
-            break;
-        }
-        if !placed {
-            return Err(FixedPoolError::PoolExhausted {
-                vm: item.vms[0],
-                demand: item.demand,
-            });
-        }
-    }
-
+    // A refused pin names only the group's first VM.
+    let group_demand: BTreeMap<VmId, Resources> =
+        items.iter().map(|it| (it.vms[0], it.demand)).collect();
+    let mut model =
+        FfdModel::for_pool(dc, bounds, order, PackingAlgorithm::FirstFitDecreasing).fixed();
+    // The model never opens a host, so the pool comes back as it went in.
+    let placement = pack(&mut model, items, &mut dc.clone(), constraints).map_err(|e| match e {
+        PackError::ItemTooLarge { vm, demand, .. } => FixedPoolError::PoolExhausted { vm, demand },
+        PackError::PinnedHostInfeasible { vm, .. } => FixedPoolError::PoolExhausted {
+            vm,
+            demand: group_demand[&vm],
+        },
+        e @ PackError::InconsistentConstraints { .. } => FixedPoolError::Constraints(e),
+    })?;
     let empty_hosts = dc
         .iter()
         .map(|h| h.id)
@@ -293,10 +223,18 @@ mod tests {
         let d = demands(&[(0, 10.0, 10.0)]);
         let out = pack_fixed(&d, &no_net(), &dc, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
         assert_eq!(out.placement.host_of(VmId(0)), Some(HostId(1)));
-        // Pin beyond the pool fails cleanly.
+        // Pin beyond the pool fails cleanly, naming the group's demand.
         let mut cs2 = ConstraintSet::new();
-        cs2.add(Constraint::PinToHost(VmId(0), HostId(5))).unwrap();
-        assert!(pack_fixed(&d, &no_net(), &dc, &cs2, (1.0, 1.0), OrderKey::Cpu).is_err());
+        cs2.add(Constraint::Colocate(VmId(0), VmId(1))).unwrap();
+        cs2.add(Constraint::PinToHost(VmId(1), HostId(5))).unwrap();
+        let d2 = demands(&[(0, 10.0, 10.0), (1, 5.0, 20.0)]);
+        assert_eq!(
+            pack_fixed(&d2, &no_net(), &dc, &cs2, (1.0, 1.0), OrderKey::Cpu).unwrap_err(),
+            FixedPoolError::PoolExhausted {
+                vm: VmId(0),
+                demand: Resources::new(15.0, 30.0)
+            }
+        );
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! * [`prediction`] — the online predictors the dynamic planner uses for
 //!   "estimated peak demand in the consolidation window".
 //! * [`placement`] — placement representation and capacity accounting.
-//! * [`ffd`] — constraint-aware two-dimensional First-Fit-Decreasing.
-//! * [`bfd`] — Best-Fit-Decreasing baseline on the same driver.
+//! * [`ffd`] — the one constraint-aware two-dimensional bin packer
+//!   ([`ffd::pack`]), with the scalar First- and Best-Fit-Decreasing
+//!   model.
 //! * [`pcp`] — the stochastic Peak-Clustering variant.
 //! * [`correlation`] — the second stochastic variant of \[27\]: explicit
 //!   pairwise-correlation charging instead of bucket envelopes.
@@ -36,7 +37,8 @@
 //! * [`drain`] — host maintenance evacuation (§1.2's production use of
 //!   live migration).
 //! * [`fixed_pool`] — packing into an existing, possibly heterogeneous
-//!   estate ("does what we own hold this workload?").
+//!   estate ("does what we own hold this workload?"): the scalar model
+//!   on the same packer, over a pool that cannot grow.
 //! * [`planner`] — the facade tying everything together.
 //!
 //! # Example
@@ -60,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bfd;
 pub mod correlation;
 pub mod drain;
 pub mod dynamic;
@@ -72,14 +73,13 @@ pub mod placement;
 pub mod planner;
 pub mod prediction;
 mod ranking;
+pub mod sizing;
 #[cfg(test)]
 mod testing;
-pub mod sizing;
 
+pub use ffd::PackingAlgorithm;
 pub use input::{PlanningInput, VirtualizationModel, VmTrace};
 pub use placement::{PackError, Placement};
-pub use planner::{
-    ConsolidationPlan, PackingAlgorithm, PlanPlacements, Planner, PlannerKind, StochasticVariant,
-};
+pub use planner::{ConsolidationPlan, PlanPlacements, Planner, PlannerKind, StochasticVariant};
 pub use prediction::Predictor;
 pub use sizing::SizingFunction;

@@ -407,12 +407,14 @@ mod tests {
             .map(|t| (t.vm.id, t.size_over(0..168, SizingFunction::Max)))
             .collect();
         let mut dc2 = DataCenter::new(host_model(), 14, 1);
-        let vanilla = crate::ffd::first_fit_decreasing(
+        let vanilla = crate::ffd::pack_scalar(
             &demands,
+            &BTreeMap::new(),
             &mut dc2,
             &ConstraintSet::new(),
             (1.0, 1.0),
             OrderKey::Dominant,
+            crate::ffd::PackingAlgorithm::FirstFitDecreasing,
         )
         .unwrap();
         assert!(vanilla.active_host_count() > p.active_host_count());

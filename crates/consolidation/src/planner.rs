@@ -1,9 +1,8 @@
 //! Planner facade: one entry point per consolidation variant (§5.1).
 
-use crate::bfd::best_fit_decreasing_with_network;
 use crate::correlation::{correlation_pack, CorrelationConfig};
 use crate::dynamic::{plan_dynamic, DynamicConfig, MigrationEvent};
-use crate::ffd::{first_fit_decreasing_with_network, OrderKey};
+use crate::ffd::{pack_scalar, OrderKey, PackingAlgorithm};
 use crate::input::PlanningInput;
 use crate::pcp::{pcp_pack, PcpConfig};
 use crate::placement::{PackError, Placement};
@@ -132,15 +131,6 @@ impl ConsolidationPlan {
     pub fn provisioned_hosts(&self) -> usize {
         self.dc.len()
     }
-}
-
-/// How scalar demands are packed onto hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackingAlgorithm {
-    /// First-Fit-Decreasing — the paper's choice.
-    FirstFitDecreasing,
-    /// Best-Fit-Decreasing — the classical alternative.
-    BestFitDecreasing,
 }
 
 /// Long-term sizing policy for the semi-static planners (§2.1's
@@ -293,13 +283,14 @@ impl Planner {
             // Each period re-plans from scratch onto a fresh host pool;
             // the provisioned footprint is the largest of the periods.
             let mut period_dc = self.new_dc();
-            let placement = first_fit_decreasing_with_network(
+            let placement = pack_scalar(
                 &demands,
                 &net,
                 &mut period_dc,
                 &input.constraints,
                 (1.0, 1.0),
                 self.order,
+                PackingAlgorithm::FirstFitDecreasing,
             )?;
             while dc.len() < period_dc.len() {
                 dc.provision();
@@ -351,24 +342,15 @@ impl Planner {
         }
         let net = input.net_demands();
         let mut dc = self.new_dc();
-        let placement = match self.packing {
-            PackingAlgorithm::FirstFitDecreasing => first_fit_decreasing_with_network(
-                &demands,
-                &net,
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                self.order,
-            )?,
-            PackingAlgorithm::BestFitDecreasing => best_fit_decreasing_with_network(
-                &demands,
-                &net,
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                self.order,
-            )?,
-        };
+        let placement = pack_scalar(
+            &demands,
+            &net,
+            &mut dc,
+            &input.constraints,
+            (1.0, 1.0),
+            self.order,
+            self.packing,
+        )?;
         Ok(ConsolidationPlan {
             kind,
             placements: PlanPlacements::Fixed(placement),

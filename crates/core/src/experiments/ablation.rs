@@ -8,8 +8,8 @@ use crate::render::{fnum, Table};
 use crate::study::StudyError;
 use vmcw_cluster::datacenter::DataCenter;
 use vmcw_cluster::power::{PowerCurve, PowerModel};
-use vmcw_consolidation::ffd::OrderKey;
-use vmcw_consolidation::planner::{PackingAlgorithm, Planner, PlannerKind, StochasticVariant};
+use vmcw_consolidation::ffd::{OrderKey, PackingAlgorithm};
+use vmcw_consolidation::planner::{Planner, PlannerKind, StochasticVariant};
 use vmcw_consolidation::prediction::Predictor;
 use vmcw_consolidation::sizing::SizingFunction;
 use vmcw_emulator::engine::emulate;

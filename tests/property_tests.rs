@@ -8,7 +8,7 @@ use vmcw_repro::cluster::power::PowerModel;
 use vmcw_repro::cluster::resources::Resources;
 use vmcw_repro::cluster::server::ServerModel;
 use vmcw_repro::cluster::vm::VmId;
-use vmcw_repro::consolidation::ffd::{first_fit_decreasing, FfdModel, OrderKey};
+use vmcw_repro::consolidation::ffd::{pack_scalar, FfdModel, OrderKey, PackingAlgorithm};
 use vmcw_repro::consolidation::sizing::SizingFunction;
 use vmcw_repro::migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_repro::trace::stats;
@@ -29,12 +29,14 @@ fn assert_capacity_respected(
     bounds: (f64, f64),
 ) -> (usize, usize) {
     let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-    let placement = first_fit_decreasing(
+    let placement = pack_scalar(
         demands,
+        &BTreeMap::new(),
         &mut dc,
         &ConstraintSet::new(),
         bounds,
         OrderKey::Dominant,
+        PackingAlgorithm::FirstFitDecreasing,
     )
     .expect("all items fit an empty host by construction");
     let effective = Resources::new(100.0 * bounds.0, 1000.0 * bounds.1);
@@ -107,8 +109,16 @@ proptest! {
             }
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-        let placement =
-            first_fit_decreasing(&map, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let placement = pack_scalar(
+            &map,
+            &BTreeMap::new(),
+            &mut dc,
+            &cs,
+            (1.0, 1.0),
+            OrderKey::Dominant,
+            PackingAlgorithm::FirstFitDecreasing,
+        )
+        .unwrap();
         let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
@@ -129,8 +139,16 @@ proptest! {
             }
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-        let placement =
-            first_fit_decreasing(&map, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let placement = pack_scalar(
+            &map,
+            &BTreeMap::new(),
+            &mut dc,
+            &cs,
+            (1.0, 1.0),
+            OrderKey::Dominant,
+            PackingAlgorithm::FirstFitDecreasing,
+        )
+        .unwrap();
         let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
