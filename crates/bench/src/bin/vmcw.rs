@@ -173,6 +173,23 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
          heartbeat-timeout",
     )
     .map_err(usage)?;
+    if args.flags.contains_key("resume") {
+        // The journal already fixes the study's shape.
+        let shaping = [
+            "out",
+            "scale",
+            "seed",
+            "history-days",
+            "eval-days",
+            "faults",
+            "ckpt-hours",
+        ];
+        if let Some(flag) = shaping.iter().find(|f| args.flags.contains_key(**f)) {
+            return Err(usage(format!(
+                "--{flag} shapes a new study; --resume continues the one in its directory"
+            )));
+        }
+    }
     let token = CancelToken::new();
     // Two-strike shutdown, shared with `vmcw serve`: the first
     // SIGTERM/SIGINT cancels the token cooperatively — in-flight cells
@@ -687,6 +704,7 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
         study.input(),
         placement,
         host,
+        &[],
         &plan.dc,
         0,
         (1.0, 1.0),
@@ -700,8 +718,8 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
         drain.schedule.total_copied_mb(),
         drain.schedule.failed()
     );
-    for (vm, dest) in &drain.moves {
-        println!("  {vm} -> {dest}");
+    for &(pos, dest) in &drain.moves {
+        println!("  {} -> {dest}", study.input().vms[pos].vm.id);
     }
     Ok(())
 }
@@ -1173,6 +1191,31 @@ mod tests {
                 panic!("{cmd} {args:?} must be a usage error");
             };
             assert!(msg.contains("unknown flag"), "{cmd}: {msg}");
+        }
+        // A flag that shapes a new study is refused with --resume, which
+        // continues the study its journal describes.
+        let resumed =
+            std::env::temp_dir().join(format!("vmcw-cli-resume-shape-{}", std::process::id()));
+        let resume_flag = ["--resume", resumed.to_str().unwrap()];
+        for (flag, value) in [
+            ("--scale", "5"),
+            ("--seed", "1"),
+            ("--history-days", "8"),
+            ("--eval-days", "2"),
+            ("--faults", "off"),
+            ("--ckpt-hours", "4"),
+            ("--out", "/tmp/elsewhere"),
+        ] {
+            let args: Vec<&str> = resume_flag.iter().copied().chain([flag, value]).collect();
+            let Err(CliError::Usage(msg)) = dispatch("study", &argv(&args)) else {
+                panic!("{flag} with --resume must be a usage error");
+            };
+            assert!(msg.contains(flag), "{flag}: {msg}");
+            assert!(
+                !resumed.exists(),
+                "{flag} with --resume wrote {}",
+                resumed.display()
+            );
         }
         // A well-formed spec that cannot run is refused before any
         // journal is written.

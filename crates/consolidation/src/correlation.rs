@@ -15,7 +15,7 @@
 
 use crate::ffd::{pack, BinPackModel, OrderKey};
 use crate::input::VmTrace;
-use crate::placement::{PackError, Placement};
+use crate::placement::PackError;
 use crate::sizing::SizingFunction;
 use std::ops::Range;
 use vmcw_cluster::constraints::ConstraintSet;
@@ -255,9 +255,11 @@ impl BinPackModel for CorrelationModel {
 
     fn fits_empty(&self, item: &CorrelationItem) -> bool {
         // Alone on a host an item is charged its tail if its members
-        // correlate internally — conservatively use the tail.
-        item.tail.fits_within(&self.effective_capacity)
-            || item.body.fits_within(&self.effective_capacity)
+        // correlate internally — conservatively use the tail. Its link
+        // demand alone must fit the link, as in `fits`.
+        (self.net_capacity <= 0.0 || item.net_mbps <= self.net_capacity)
+            && (item.tail.fits_within(&self.effective_capacity)
+                || item.body.fits_within(&self.effective_capacity))
     }
 
     fn place(&mut self, host: usize, item: &CorrelationItem) {
@@ -286,7 +288,7 @@ pub fn correlation_pack(
     constraints: &ConstraintSet,
     bounds: (f64, f64),
     config: &CorrelationConfig,
-) -> Result<Placement, PackError> {
+) -> Result<Vec<Vec<VmId>>, PackError> {
     let capacity = dc.template().capacity();
     let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
     let items = build_correlation_items(vms, history, config, constraints)?;
@@ -298,6 +300,7 @@ pub fn correlation_pack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MapPlacement;
     use vmcw_cluster::power::PowerModel;
     use vmcw_cluster::server::ServerModel;
     use vmcw_cluster::vm::Vm;
@@ -361,6 +364,7 @@ mod tests {
             (1.0, 1.0),
             &config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 1);
     }
@@ -378,6 +382,7 @@ mod tests {
             (1.0, 1.0),
             &config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 2);
     }
@@ -399,6 +404,7 @@ mod tests {
             (1.0, 1.0),
             &cfg,
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 1, "bodies 5+5 share one host");
     }
@@ -417,11 +423,51 @@ mod tests {
             (1.0, 1.0),
             &config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         // Tail-sizing bound: 12×55/100 → 7 hosts. Body bound: 1 host.
         assert!(p.active_host_count() <= 7);
         assert!(p.active_host_count() >= 1);
         assert_eq!(p.len(), 12);
+    }
+
+    #[test]
+    fn a_vm_over_the_host_link_is_refused_like_pcp_refuses_it() {
+        // One VM of 1500 Mbit/s on 1000 Mbit/s hosts fits no host, not
+        // even an empty one.
+        let mut big = vm(0, 5.0, 40.0, 2);
+        big.net_peak_mbps = 1500.0;
+        let vms = vec![big];
+        let err = correlation_pack(
+            &vms,
+            0..24 * 14,
+            &mut dc(),
+            &ConstraintSet::new(),
+            (1.0, 1.0),
+            &config(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, PackError::ItemTooLarge { vm: VmId(0), .. }),
+            "{err}"
+        );
+        let pcp = crate::pcp::PcpConfig {
+            buckets: 24,
+            ..crate::pcp::PcpConfig::paper()
+        };
+        let pcp_err = crate::pcp::pcp_pack(
+            &vms,
+            0..24 * 14,
+            &mut dc(),
+            &ConstraintSet::new(),
+            (1.0, 1.0),
+            &pcp,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            pcp_err,
+            PackError::ItemTooLarge { vm: VmId(0), .. }
+        ));
     }
 
     #[test]

@@ -52,8 +52,8 @@ impl Error for DrainError {}
 pub struct DrainPlan {
     /// The host being drained.
     pub host: HostId,
-    /// Planned moves `(vm, destination)` in migration order.
-    pub moves: Vec<(VmId, HostId)>,
+    /// Planned moves `(input position, destination)` in migration order.
+    pub moves: Vec<(usize, HostId)>,
     /// The simulated, link-serialised migration schedule.
     pub schedule: MigrationSchedule,
 }
@@ -72,15 +72,18 @@ impl DrainPlan {
 /// hosts (keeping the footprint tight for the post-maintenance return),
 /// under the capacity `bounds`, the host-link bandwidth and the
 /// deployment constraints. Anti-colocated VMs naturally spread across
-/// destinations.
+/// destinations. The hosts in `hidden` (say, other crashed hosts) are
+/// neither destinations nor seen as residents.
 ///
 /// # Errors
 ///
 /// See [`DrainError`].
+#[allow(clippy::too_many_arguments)]
 pub fn plan_drain(
     input: &PlanningInput,
     placement: &Placement,
     host: HostId,
+    hidden: &[HostId],
     dc: &DataCenter,
     at_hour: usize,
     bounds: (f64, f64),
@@ -95,47 +98,46 @@ pub fn plan_drain(
     let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
     let effective_net = dc.template().net_mbps * bounds.0;
 
-    let demand_of = |vm: VmId| -> Resources {
-        input
-            .vm_trace(vm)
-            .map_or(Resources::ZERO, |t| t.demand_at(hour))
-    };
-    let net_of = |vm: VmId| -> f64 { input.vm_trace(vm).map_or(0.0, |t| t.net_peak_mbps) };
+    let demand_of = |pos: usize| input.vms[pos].demand_at(hour);
+    let net_of = |pos: usize| input.vms[pos].net_peak_mbps;
+    let id_of = |pos: usize| input.vms[pos].vm.id;
 
-    // Current loads of every other host, each summed in ascending VM-id
-    // order.
+    // Current loads of every other visible host, each summed in
+    // ascending VM-id order.
     let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
     let mut nets: BTreeMap<HostId, f64> = BTreeMap::new();
     let mut residents: BTreeMap<HostId, Vec<VmId>> = BTreeMap::new();
+    let mut by_id: Vec<usize> = Vec::new();
     for (h, vms) in placement.active() {
-        if h == host {
+        if h == host || hidden.contains(&h) {
             continue;
         }
-        let mut vms = vms.to_vec();
-        vms.sort_unstable();
-        loads.insert(h, vms.iter().map(|&vm| demand_of(vm)).sum());
-        nets.insert(h, vms.iter().fold(0.0, |n, &vm| n + net_of(vm)));
-        residents.insert(h, vms);
+        by_id.clear();
+        by_id.extend(vms.iter().map(|&pos| pos as usize));
+        by_id.sort_unstable_by_key(|&pos| id_of(pos));
+        loads.insert(h, by_id.iter().map(|&pos| demand_of(pos)).sum());
+        nets.insert(h, by_id.iter().fold(0.0, |n, &pos| n + net_of(pos)));
+        residents.insert(h, by_id.iter().map(|&pos| id_of(pos)).collect());
     }
     // Most-loaded first.
     let mut ranking = Ranking::new(loads.iter().map(|(&h, &l)| (h, l)), effective);
 
     // Evacuate big VMs first (hardest to place).
-    let mut evacuees: Vec<VmId> = placement.vms_on(host).to_vec();
-    for &vm in &evacuees {
-        if input.constraints.pinned_host(vm) == Some(host) {
-            return Err(DrainError::PinnedVm(vm));
+    let mut evacuees: Vec<usize> = placement.vms_on(host).iter().map(|&p| p as usize).collect();
+    for &pos in &evacuees {
+        if input.constraints.pinned_host(id_of(pos)) == Some(host) {
+            return Err(DrainError::PinnedVm(id_of(pos)));
         }
     }
     evacuees.sort_by(|&a, &b| {
         demand_of(b)
             .dominant_share(&effective)
             .total_cmp(&demand_of(a).dominant_share(&effective))
-            .then_with(|| a.cmp(&b))
+            .then_with(|| id_of(a).cmp(&id_of(b)))
     });
 
     let src_load = {
-        let total: Resources = evacuees.iter().map(|&vm| demand_of(vm)).sum();
+        let total: Resources = evacuees.iter().map(|&pos| demand_of(pos)).sum();
         HostLoad::new(
             total.cpu_rpe2 / capacity.cpu_rpe2,
             total.mem_mb / capacity.mem_mb,
@@ -144,15 +146,15 @@ pub fn plan_drain(
 
     let mut moves = Vec::with_capacity(evacuees.len());
     let mut requests = Vec::with_capacity(evacuees.len());
-    for vm in evacuees {
-        let demand = demand_of(vm);
+    for pos in evacuees {
+        let (vm, demand) = (id_of(pos), demand_of(pos));
         let mut dest = None;
         for &(_, cand) in ranking.may_fit(demand) {
             if !(loads[&cand] + demand).fits_within(&effective) {
                 continue;
             }
             if effective_net > 0.0
-                && nets.get(&cand).copied().unwrap_or(0.0) + net_of(vm) > effective_net
+                && nets.get(&cand).copied().unwrap_or(0.0) + net_of(pos) > effective_net
             {
                 continue;
             }
@@ -172,12 +174,11 @@ pub fn plan_drain(
         let before = *load;
         *load += demand;
         ranking.update(dest, Some(before), Some(*load));
-        *nets.entry(dest).or_insert(0.0) += net_of(vm);
+        *nets.entry(dest).or_insert(0.0) += net_of(pos);
         residents.entry(dest).or_default().push(vm);
-        moves.push((vm, dest));
-        let trace = input.vm_trace(vm).expect("placed VM");
+        moves.push((pos, dest));
         let activity = {
-            let peak = trace.cpu_rpe2.max().unwrap_or(1.0).max(1e-9);
+            let peak = input.vms[pos].cpu_rpe2.max().unwrap_or(1.0).max(1e-9);
             (demand.cpu_rpe2 / peak).clamp(0.0, 1.0)
         };
         requests.push(MigrationRequest {
@@ -201,6 +202,7 @@ mod tests {
     use super::*;
     use crate::input::VirtualizationModel;
     use crate::planner::{Planner, PlannerKind};
+    use crate::testing::MapPlacement;
     use vmcw_cluster::constraints::{Constraint, ConstraintSet};
     use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 
@@ -216,12 +218,13 @@ mod tests {
         (input, plan)
     }
 
-    /// The drain planner before the ranking: loads summed through
-    /// per-VM map updates, every host re-sorted for every evacuee. Kept
-    /// as the oracle for [`plan_drain`].
+    /// The drain planner before the ranking and positions: loads summed
+    /// through per-VM map updates over a map-keyed placement (hidden
+    /// hosts already taken out), every host re-sorted for every evacuee.
+    /// Kept as the oracle for [`plan_drain`].
     fn plan_drain_reference(
         input: &PlanningInput,
-        placement: &Placement,
+        placement: &MapPlacement,
         host: HostId,
         dc: &DataCenter,
         at_hour: usize,
@@ -237,12 +240,9 @@ mod tests {
         let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
         let effective_net = dc.template().net_mbps * bounds.0;
 
-        let demand_of = |vm: VmId| -> Resources {
-            input
-                .vm_trace(vm)
-                .map_or(Resources::ZERO, |t| t.demand_at(hour))
-        };
-        let net_of = |vm: VmId| -> f64 { input.vm_trace(vm).map_or(0.0, |t| t.net_peak_mbps) };
+        let trace = |vm: VmId| input.vms.iter().find(|t| t.vm.id == vm);
+        let demand_of = |vm: VmId| trace(vm).map_or(Resources::ZERO, |t| t.demand_at(hour));
+        let net_of = |vm: VmId| trace(vm).map_or(0.0, |t| t.net_peak_mbps);
 
         // Current loads of every other host.
         let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
@@ -316,10 +316,14 @@ mod tests {
             *loads.entry(dest).or_insert(Resources::ZERO) += demand;
             *nets.entry(dest).or_insert(0.0) += net_of(vm);
             residents.entry(dest).or_default().push(vm);
-            moves.push((vm, dest));
-            let trace = input.vm_trace(vm).expect("placed VM");
+            moves.push((input.vm_position(vm).expect("placed VM"), dest));
             let activity = {
-                let peak = trace.cpu_rpe2.max().unwrap_or(1.0).max(1e-9);
+                let peak = trace(vm)
+                    .expect("placed VM")
+                    .cpu_rpe2
+                    .max()
+                    .unwrap_or(1.0)
+                    .max(1e-9);
                 (demand.cpu_rpe2 / peak).clamp(0.0, 1.0)
             };
             requests.push(MigrationRequest {
@@ -380,23 +384,30 @@ mod tests {
                 .expect("plan");
             // Rebuilt in a shuffled order: each host's VM list then runs
             // in an arbitrary order, as after replayed migrations.
-            let pairs: Vec<(VmId, HostId)> = plan.placements.at_hour(hour).iter().collect();
-            let mut placement: Placement = crate::testing::permutation(pairs.len(), seed)
-                .into_iter()
-                .map(|i| pairs[i])
-                .collect();
-            let hosts = placement.active_hosts();
-            for &h in hosts.iter().rev().take(hidden) {
-                for vm in placement.vms_on(h).to_vec() {
-                    placement.remove(vm);
-                }
+            let pairs: Vec<(usize, HostId)> = plan.placements.at_hour(hour).iter().collect();
+            let mut placement = Placement::new(input.vms.len());
+            let mut map = MapPlacement::default();
+            for i in crate::testing::permutation(pairs.len(), seed) {
+                let (pos, h) = pairs[i];
+                placement.assign(pos, h);
+                map.assign(input.vms[pos].vm.id, h);
             }
+            let hosts = placement.active_hosts();
+            let hidden: Vec<HostId> = hosts.iter().rev().take(hidden).copied().collect();
             let bounds = (f64::from(cpu_pct) / 100.0, f64::from(mem_pct) / 100.0);
             let precopy = PrecopyConfig::gigabit();
             for host in hosts.iter().copied().chain([HostId(9_999)]) {
-                let fast = plan_drain(&input, &placement, host, &plan.dc, hour, bounds, &precopy);
+                let fast =
+                    plan_drain(&input, &placement, host, &hidden, &plan.dc, hour, bounds, &precopy);
+                // The reference sees the other hidden hosts taken out.
+                let mut visible = map.clone();
+                for &h in hidden.iter().filter(|&&h| h != host) {
+                    for vm in visible.vms_on(h).to_vec() {
+                        visible.remove(vm);
+                    }
+                }
                 let reference =
-                    plan_drain_reference(&input, &placement, host, &plan.dc, hour, bounds, &precopy);
+                    plan_drain_reference(&input, &visible, host, &plan.dc, hour, bounds, &precopy);
                 proptest::prop_assert_eq!(fast, reference);
             }
         }
@@ -430,21 +441,23 @@ mod tests {
             0,
         );
         let dc = DataCenter::with_hosts(ServerModel::hs23_elite(), 14, 4, 3);
-        let placement: Placement = [(3, 0), (2, 0), (1, 0), (4, 1), (5, 2)]
-            .into_iter()
-            .map(|(vm, host)| (VmId(vm), HostId(host)))
-            .collect();
+        // VM n sits at position n - 1.
+        let mut placement = Placement::new(5);
+        for (vm, host) in [(3, 0), (2, 0), (1, 0), (4, 1), (5, 2)] {
+            placement.assign(vm - 1, HostId(host));
+        }
         let drain = plan_drain(
             &input,
             &placement,
             HostId(2),
+            &[],
             &dc,
             0,
             (1.0, 1.0),
             &PrecopyConfig::gigabit(),
         )
         .unwrap();
-        assert_eq!(drain.moves, vec![(VmId(5), HostId(1))]);
+        assert_eq!(drain.moves, vec![(4, HostId(1))]);
     }
 
     #[test]
@@ -458,6 +471,7 @@ mod tests {
             &input,
             placement,
             host,
+            &[],
             &plan.dc,
             0,
             (1.0, 1.0),
@@ -479,6 +493,7 @@ mod tests {
             &input,
             placement,
             host,
+            &[],
             &plan.dc,
             0,
             (0.9, 0.9),
@@ -489,14 +504,13 @@ mod tests {
         let eval = input.eval_range();
         let capacity = plan.dc.template().capacity();
         let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        for (vm, h) in placement.iter() {
+        for (pos, h) in placement.iter() {
             let h = if h == host {
-                drain.moves.iter().find(|&&(v, _)| v == vm).unwrap().1
+                drain.moves.iter().find(|&&(p, _)| p == pos).unwrap().1
             } else {
                 h
             };
-            *loads.entry(h).or_insert(Resources::ZERO) +=
-                input.vm_trace(vm).unwrap().demand_at(eval.start);
+            *loads.entry(h).or_insert(Resources::ZERO) += input.vms[pos].demand_at(eval.start);
         }
         for (h, load) in loads {
             assert!(
@@ -527,6 +541,7 @@ mod tests {
             &input,
             placement,
             HostId(0),
+            &[],
             &plan.dc,
             0,
             (1.0, 1.0),
@@ -545,6 +560,7 @@ mod tests {
             &input,
             placement,
             HostId(9999),
+            &[],
             &plan.dc,
             0,
             (1.0, 1.0),
@@ -564,6 +580,7 @@ mod tests {
             &input,
             placement,
             host,
+            &[],
             &plan.dc,
             0,
             (0.01, 0.01),

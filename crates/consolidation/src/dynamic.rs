@@ -169,6 +169,8 @@ impl DynamicOutcome {
 /// Internal: a colocation group with per-window predicted demands.
 struct Group {
     vms: Vec<VmId>,
+    /// The members' positions in the planning input.
+    positions: Vec<u32>,
     /// Predicted demand per window (filled lazily window by window).
     predicted: Vec<Resources>,
     /// Configured memory of the group (copied on migration).
@@ -272,23 +274,25 @@ fn plan_dynamic_with(
     let mut groups: Vec<Group> = group_items
         .into_iter()
         .map(|it| {
-            let mem_mb = it
+            let positions: Vec<u32> = it
                 .vms
                 .iter()
-                .map(|v| input.vm_trace(*v).map_or(0.0, |t| t.vm.configured_mem_mb))
-                .sum();
+                .map(|&v| {
+                    let pos = input.vm_position(v).expect("groups hold traced VMs");
+                    u32::try_from(pos).expect("fewer than 2^32 VM traces")
+                })
+                .collect();
+            let traces = || positions.iter().map(|&pos| &input.vms[pos as usize]);
+            let mem_mb = traces().map(|t| t.vm.configured_mem_mb).sum();
             let pinned = it
                 .vms
                 .iter()
                 .any(|&v| input.constraints.pinned_host(v).is_some());
             let hist_peak_cpu = it.vms.iter().map(|v| windows[v].hist_peak_cpu).sum();
-            let net_mbps = it
-                .vms
-                .iter()
-                .map(|v| input.vm_trace(*v).map_or(0.0, |t| t.net_peak_mbps))
-                .sum();
+            let net_mbps = traces().map(|t| t.net_peak_mbps).sum();
             Group {
                 vms: it.vms,
+                positions,
                 predicted: Vec::new(),
                 mem_mb,
                 net_mbps,
@@ -344,20 +348,32 @@ fn plan_dynamic_with(
         config.order,
         ffd::PackingAlgorithm::FirstFitDecreasing,
     )?;
+    let initial = Placement::from_hosts(input, &initial);
 
     // Group → host assignment mirrors the per-VM placement.
     let mut assignment: Vec<HostId> = groups
         .iter()
         .map(|g| {
             initial
-                .host_of(g.vms[0])
+                .host_of(g.positions[0] as usize)
                 .expect("initial placement covers all VMs")
         })
         .collect();
 
+    // Each window's placement: every group's members on its host, in
+    // group order.
+    let place = |assignment: &[HostId]| {
+        let mut p = Placement::new(input.vms.len());
+        for (g, &h) in groups.iter().zip(assignment) {
+            for &pos in &g.positions {
+                p.assign(pos as usize, h);
+            }
+        }
+        p
+    };
     let mut placements = Vec::with_capacity(n_windows);
     let mut migrations = Vec::new();
-    placements.push(placement_of(&groups, &assignment));
+    placements.push(place(&assignment));
 
     let idle_w = dc.template().power.idle_w();
     let ctx = Ctx {
@@ -375,29 +391,28 @@ fn plan_dynamic_with(
         let mut iv = Interval::new(&ctx, win, &mut assignment, &mut migrations);
 
         // --- Phase 1: repair predicted overloads -----------------------
-        let overloaded: Vec<HostId> = iv
-            .loads
-            .iter()
-            .filter(|(_, &l)| !l.fits_within(&effective))
-            .map(|(&h, _)| h)
+        let overloaded: Vec<HostId> = (0..iv.hosts.len())
+            .map(|h| HostId(h as u32))
+            .filter(|&h| !iv.host(h).load.fits_within(&effective))
             .collect();
         for host in overloaded {
             loop {
-                let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
-                if load.fits_within(&effective) {
+                let state = iv.host(host);
+                if state.load.fits_within(&effective) {
                     break;
                 }
                 // Cheapest movable group on this host.
-                let Some(&gi) = iv.residents.get(&host).and_then(|list| {
-                    list.iter()
-                        .filter(|&&gi| !groups[gi].pinned)
-                        .min_by(|&&a, &&b| {
-                            groups[a]
-                                .mem_mb
-                                .total_cmp(&groups[b].mem_mb)
-                                .then_with(|| a.cmp(&b))
-                        })
-                }) else {
+                let Some(&gi) = state
+                    .residents
+                    .iter()
+                    .filter(|&&gi| !groups[gi].pinned)
+                    .min_by(|&&a, &&b| {
+                        groups[a]
+                            .mem_mb
+                            .total_cmp(&groups[b].mem_mb)
+                            .then_with(|| a.cmp(&b))
+                    })
+                else {
                     break; // only pinned groups left: contention stands
                 };
                 let dest = find_destination(&iv, gi, host, dc)?;
@@ -408,7 +423,7 @@ fn plan_dynamic_with(
         // --- Phase 2: least-cost consolidation -------------------------
         consolidate(&mut iv, dc);
 
-        placements.push(placement_of(&groups, &assignment));
+        placements.push(place(&assignment));
     }
 
     Ok(DynamicOutcome {
@@ -435,6 +450,35 @@ struct Ctx<'a> {
     interval_saving_wh: f64,
 }
 
+/// One host's working state in a consolidation interval.
+#[derive(Debug, Clone, Default)]
+struct HostState {
+    /// Load under the window's predictions.
+    load: Resources,
+    /// Load under the *previous* window's demand: consolidation actions
+    /// run at the interval boundary, so a migration executes while its
+    /// source still carries the old load — this is what the pre-copy
+    /// simulation must see.
+    exec_load: Resources,
+    /// Resident groups, in arrival order.
+    residents: Vec<usize>,
+    /// Summed peak network demand of the residents, Mbit/s.
+    net: f64,
+    /// Migration-link busy time committed this interval; the planner
+    /// keeps every link under `migration_time_budget_frac` of the window
+    /// so the migration schedule stays feasible (§7).
+    link_busy: f64,
+}
+
+/// The state of a host that holds nothing and has moved nothing.
+static IDLE_HOST: HostState = HostState {
+    load: Resources::ZERO,
+    exec_load: Resources::ZERO,
+    residents: Vec::new(),
+    net: 0.0,
+    link_busy: 0.0,
+};
+
 /// One consolidation interval's working state: per-host loads and
 /// residents under the window's predictions, and the migrations
 /// committed so far.
@@ -443,20 +487,9 @@ struct Interval<'c, 'a> {
     win: usize,
     assignment: &'c mut [HostId],
     migrations: &'c mut Vec<MigrationEvent>,
-    /// Current load per host.
-    loads: BTreeMap<HostId, Resources>,
-    /// Loads under the *previous* window's demand: consolidation actions
-    /// run at the interval boundary, so a migration executes while its
-    /// source still carries the old load — this is what the pre-copy
-    /// simulation must see.
-    exec_loads: BTreeMap<HostId, Resources>,
-    residents: BTreeMap<HostId, Vec<usize>>,
-    net_loads: BTreeMap<HostId, f64>,
-    /// Per-host migration-link busy time committed this interval; the
-    /// planner keeps every link under `migration_time_budget_frac` of the
-    /// window so the migration schedule stays feasible (§7).
-    link_busy: BTreeMap<HostId, f64>,
-    /// Active hosts as destinations, kept in step with `loads`.
+    /// Per-host state, indexed by host id; hosts past the end are idle.
+    hosts: Vec<HostState>,
+    /// Active hosts as destinations, kept in step with the loads.
     ranking: Ranking,
 }
 
@@ -467,16 +500,14 @@ impl<'c, 'a> Interval<'c, 'a> {
         assignment: &'c mut [HostId],
         migrations: &'c mut Vec<MigrationEvent>,
     ) -> Self {
-        let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        let mut exec_loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        let mut residents: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
-        let mut net_loads: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut hosts: Vec<HostState> = Vec::new();
         for (gi, &h) in assignment.iter().enumerate() {
             let g = &ctx.groups[gi];
-            *loads.entry(h).or_insert(Resources::ZERO) += g.predicted[win];
-            *exec_loads.entry(h).or_insert(Resources::ZERO) += g.predicted[win - 1];
-            residents.entry(h).or_default().push(gi);
-            *net_loads.entry(h).or_insert(0.0) += g.net_mbps;
+            let state = host_mut(&mut hosts, h);
+            state.load += g.predicted[win];
+            state.exec_load += g.predicted[win - 1];
+            state.residents.push(gi);
+            state.net += g.net_mbps;
         }
         Self {
             ctx,
@@ -484,18 +515,20 @@ impl<'c, 'a> Interval<'c, 'a> {
             assignment,
             migrations,
             ranking: Ranking::new(
-                loads
+                hosts
                     .iter()
-                    .filter(|(_, l)| is_active(l))
-                    .map(|(&h, &l)| (h, l)),
+                    .enumerate()
+                    .filter(|(_, s)| is_active(&s.load))
+                    .map(|(h, s)| (HostId(h as u32), s.load)),
                 ctx.effective,
             ),
-            loads,
-            exec_loads,
-            residents,
-            net_loads,
-            link_busy: BTreeMap::new(),
+            hosts,
         }
+    }
+
+    /// The state of `host`.
+    fn host(&self, host: HostId) -> &HostState {
+        self.hosts.get(host.0 as usize).unwrap_or(&IDLE_HOST)
     }
 
     /// Predicted demand of group `gi` in this window.
@@ -503,20 +536,17 @@ impl<'c, 'a> Interval<'c, 'a> {
         self.ctx.groups[gi].predicted[self.win]
     }
 
-    fn link_busy(&self, host: HostId) -> f64 {
-        self.link_busy.get(&host).copied().unwrap_or(0.0)
-    }
-
     /// Whether the deployment constraints let group `gi` join `host`'s
     /// current residents.
     fn allows(&self, gi: usize, host: HostId, dc: &DataCenter) -> bool {
         let groups = self.ctx.groups;
         let location = dc.host(host).expect("provisioned").location();
-        let dest_residents: Vec<VmId> = self.residents.get(&host).map_or_else(Vec::new, |l| {
-            l.iter()
-                .flat_map(|&g| groups[g].vms.iter().copied())
-                .collect()
-        });
+        let dest_residents: Vec<VmId> = self
+            .host(host)
+            .residents
+            .iter()
+            .flat_map(|&g| groups[g].vms.iter().copied())
+            .collect();
         self.ctx
             .input
             .constraints
@@ -525,11 +555,7 @@ impl<'c, 'a> Interval<'c, 'a> {
 
     /// The source load a migration off `host` runs against.
     fn exec_load(&self, host: HostId) -> HostLoad {
-        let l = self
-            .exec_loads
-            .get(&host)
-            .copied()
-            .unwrap_or(Resources::ZERO);
+        let l = self.host(host).exec_load;
         let cap = self.ctx.capacity;
         HostLoad::new(l.cpu_rpe2 / cap.cpu_rpe2, l.mem_mb / cap.mem_mb)
     }
@@ -546,32 +572,27 @@ impl<'c, 'a> Interval<'c, 'a> {
             .estimate(&config.precopy, &profile, self.exec_load(from));
 
         self.assignment[gi] = to;
-        let before = [from, to].map(|h| self.loads.get(&h).copied());
-        if let Some(l) = self.loads.get_mut(&from) {
-            *l = l.saturating_sub(&demand);
-            if l.cpu_rpe2 == 0.0 && l.mem_mb == 0.0 {
-                self.loads.remove(&from);
-            }
-        }
-        *self.loads.entry(to).or_insert(Resources::ZERO) += demand;
+        let before = [from, to].map(|h| self.host(h).load);
+        let src = host_mut(&mut self.hosts, from);
+        let left = src.load.saturating_sub(&demand);
+        // A host whose load reaches zero starts again from +0.0.
+        src.load = if is_active(&left) {
+            left
+        } else {
+            Resources::ZERO
+        };
+        src.residents.retain(|&g| g != gi);
+        src.link_busy += report.outcome.total_secs;
+        src.net = (src.net - group.net_mbps).max(0.0);
+        let dest = host_mut(&mut self.hosts, to);
+        dest.load += demand;
+        dest.residents.push(gi);
+        dest.link_busy += report.outcome.total_secs;
+        dest.net += group.net_mbps;
         for (h, old) in [from, to].into_iter().zip(before) {
-            let new = self.loads.get(&h).copied();
+            let new = self.host(h).load;
             self.ranking.update(h, ranked(old), ranked(new));
         }
-        if let Some(list) = self.residents.get_mut(&from) {
-            list.retain(|&g| g != gi);
-            if list.is_empty() {
-                self.residents.remove(&from);
-            }
-        }
-        self.residents.entry(to).or_default().push(gi);
-
-        *self.link_busy.entry(from).or_insert(0.0) += report.outcome.total_secs;
-        *self.link_busy.entry(to).or_insert(0.0) += report.outcome.total_secs;
-        if let Some(n) = self.net_loads.get_mut(&from) {
-            *n = (*n - group.net_mbps).max(0.0);
-        }
-        *self.net_loads.entry(to).or_insert(0.0) += group.net_mbps;
 
         let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
         for &vm in &group.vms {
@@ -593,10 +614,11 @@ impl<'c, 'a> Interval<'c, 'a> {
     fn by_load_ascending(&self) -> Vec<(HostId, Resources)> {
         let effective = self.ctx.effective;
         let mut by_load: Vec<(HostId, Resources)> = self
-            .loads
+            .hosts
             .iter()
-            .filter(|(_, l)| is_active(l))
-            .map(|(&h, &l)| (h, l))
+            .enumerate()
+            .filter(|(_, s)| is_active(&s.load))
+            .map(|(h, s)| (HostId(h as u32), s.load))
             .collect();
         by_load.sort_by(|a, b| {
             a.1.dominant_share(&effective)
@@ -613,24 +635,37 @@ impl<'c, 'a> Interval<'c, 'a> {
         let config = self.ctx.config;
         let src = self.exec_load(host);
         let mut total_cost = 0.0;
-        let mut projected: BTreeMap<HostId, f64> = BTreeMap::new();
+        let mut projected: Vec<(HostId, f64)> = Vec::new();
         let mut within_budget = true;
         for &(gi, dest) in moves {
             let profile = migration_profile(&self.ctx.groups[gi], self.demand(gi));
             let report = config.cost_model.estimate(&config.precopy, &profile, src);
             total_cost += report.cost_wh;
             for endpoint in [host, dest] {
-                let busy = projected
-                    .entry(endpoint)
-                    .or_insert_with(|| self.link_busy(endpoint));
-                *busy += report.outcome.total_secs;
-                if *busy > self.ctx.budget_secs {
+                let at = match projected.iter().position(|p| p.0 == endpoint) {
+                    Some(at) => at,
+                    None => {
+                        projected.push((endpoint, self.host(endpoint).link_busy));
+                        projected.len() - 1
+                    }
+                };
+                projected[at].1 += report.outcome.total_secs;
+                if projected[at].1 > self.ctx.budget_secs {
                     within_budget = false;
                 }
             }
         }
         !within_budget || total_cost >= self.ctx.interval_saving_wh
     }
+}
+
+/// The state of `host` in `hosts`, growing the vector to reach it.
+fn host_mut(hosts: &mut Vec<HostState>, host: HostId) -> &mut HostState {
+    let i = host.0 as usize;
+    if hosts.len() <= i {
+        hosts.resize_with(i + 1, HostState::default);
+    }
+    &mut hosts[i]
 }
 
 /// Whether a host load keeps the host powered on.
@@ -640,8 +675,8 @@ fn is_active(load: &Resources) -> bool {
 
 /// A load as the destination [`Ranking`] sees it: only powered-on hosts
 /// are destinations.
-fn ranked(load: Option<Resources>) -> Option<Resources> {
-    load.filter(is_active)
+fn ranked(load: Resources) -> Option<Resources> {
+    Some(load).filter(is_active)
 }
 
 /// Phase 2, least-cost consolidation: walking hosts from the least
@@ -665,9 +700,7 @@ fn consolidate(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
             // is too full to be worth evacuating.
             break;
         }
-        let Some(members) = iv.residents.get(&host) else {
-            continue;
-        };
+        let members = &iv.host(host).residents;
         if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
             continue;
         }
@@ -690,13 +723,12 @@ fn consolidate(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
                     return None;
                 }
                 let raise = raised.iter().find(|r| r.0 == cand);
-                let cand_load = raise.map_or_else(|| iv.loads[&cand], |r| r.1);
-                let cand_net =
-                    raise.map_or_else(|| iv.net_loads.get(&cand).copied().unwrap_or(0.0), |r| r.2);
+                let state = iv.host(cand);
+                let (cand_load, cand_net) = raise.map_or((state.load, state.net), |r| (r.1, r.2));
                 if !(cand_load + demand).fits_within(&effective) {
                     return None;
                 }
-                if iv.link_busy(cand) > ctx.budget_secs {
+                if state.link_busy > ctx.budget_secs {
                     return None; // this destination's link is saturated
                 }
                 if ctx.effective_net > 0.0 && cand_net + net > ctx.effective_net {
@@ -710,8 +742,7 @@ fn consolidate(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
                 break;
             };
             let new_load = cand_load + demand;
-            iv.ranking
-                .update(cand, ranked(Some(cand_load)), ranked(Some(new_load)));
+            iv.ranking.update(cand, ranked(cand_load), ranked(new_load));
             match raised.iter_mut().find(|r| r.0 == cand) {
                 Some(r) => (r.1, r.2) = (new_load, cand_net + net),
                 None => raised.push((cand, new_load, cand_net + net, cand_load)),
@@ -720,8 +751,7 @@ fn consolidate(iv: &mut Interval<'_, '_>, dc: &DataCenter) {
         }
         // The ranking goes back to the committed loads either way.
         for &(cand, tentative, _, before) in &raised {
-            iv.ranking
-                .update(cand, ranked(Some(tentative)), ranked(Some(before)));
+            iv.ranking.update(cand, ranked(tentative), ranked(before));
         }
         if !ok || iv.evacuation_refused(host, &moves) {
             continue;
@@ -761,16 +791,14 @@ fn find_destination(
         if host == from {
             continue;
         }
-        let load = iv.loads[&host];
-        if iv.link_busy(host) > ctx.budget_secs {
+        let state = iv.host(host);
+        if state.link_busy > ctx.budget_secs {
             continue; // saturated migration link: spread arrivals
         }
-        if ctx.effective_net > 0.0
-            && iv.net_loads.get(&host).copied().unwrap_or(0.0) + group.net_mbps > ctx.effective_net
-        {
+        if ctx.effective_net > 0.0 && state.net + group.net_mbps > ctx.effective_net {
             continue; // §3.1 link-bandwidth admission
         }
-        if (load + demand).fits_within(&effective) && iv.allows(gi, host, dc) {
+        if (state.load + demand).fits_within(&effective) && iv.allows(gi, host, dc) {
             return Ok(host);
         }
     }
@@ -780,7 +808,7 @@ fn find_destination(
         if host == from {
             continue;
         }
-        let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
+        let load = iv.host(host).load;
         if load.cpu_rpe2 == 0.0
             && load.mem_mb == 0.0
             && demand.fits_within(&effective)
@@ -811,15 +839,6 @@ fn find_destination(
             });
         }
     }
-}
-
-/// Materialises the per-VM placement from the group assignment.
-fn placement_of(groups: &[Group], assignment: &[HostId]) -> Placement {
-    groups
-        .iter()
-        .zip(assignment)
-        .flat_map(|(g, &h)| g.vms.iter().map(move |&v| (v, h)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -875,9 +894,8 @@ mod tests {
             let lo = eval.start + win * 2;
             let hi = (lo + 2).min(eval.end);
             for host in p.active_hosts() {
-                let demand = p.demand_on(host, |vm| {
-                    let t = input.vm_trace(vm).unwrap();
-                    t.size_over(lo..hi, SizingFunction::Max)
+                let demand = p.demand_on(host, |pos| {
+                    input.vms[pos].size_over(lo..hi, SizingFunction::Max)
                 });
                 assert!(
                     demand.fits_within(&(effective * 1.0001)),
@@ -1018,7 +1036,7 @@ mod tests {
                 let net: f64 = p
                     .vms_on(host)
                     .iter()
-                    .map(|&vm| input.vm_trace(vm).unwrap().net_peak_mbps)
+                    .map(|&pos| input.vms[pos as usize].net_peak_mbps)
                     .sum();
                 assert!(
                     net <= effective_net * 1.0001,
@@ -1053,6 +1071,15 @@ mod tests {
         );
     }
 
+    /// Every host's load, ascending by host id.
+    fn loads(iv: &Interval<'_, '_>) -> Vec<(HostId, Resources)> {
+        iv.hosts
+            .iter()
+            .enumerate()
+            .map(|(h, s)| (HostId(h as u32), s.load))
+            .collect()
+    }
+
     /// The destination search before the ranking: collect and sort every
     /// active host for every evicted group. Kept as the oracle for
     /// [`find_destination`].
@@ -1065,11 +1092,9 @@ mod tests {
         let ctx = iv.ctx;
         let effective = ctx.effective;
         let demand = iv.demand(gi);
-        let mut candidates: Vec<(HostId, Resources)> = iv
-            .loads
-            .iter()
-            .filter(|(&h, &l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
-            .map(|(&h, &l)| (h, l))
+        let mut candidates: Vec<(HostId, Resources)> = loads(iv)
+            .into_iter()
+            .filter(|&(h, l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
             .collect();
         candidates.sort_by(|a, b| {
             b.1.dominant_share(&effective)
@@ -1077,12 +1102,11 @@ mod tests {
                 .then_with(|| a.0.cmp(&b.0))
         });
         for (host, load) in candidates {
-            if iv.link_busy.get(&host).copied().unwrap_or(0.0) > ctx.budget_secs {
+            if iv.host(host).link_busy > ctx.budget_secs {
                 continue;
             }
             if ctx.effective_net > 0.0
-                && iv.net_loads.get(&host).copied().unwrap_or(0.0) + ctx.groups[gi].net_mbps
-                    > ctx.effective_net
+                && iv.host(host).net + ctx.groups[gi].net_mbps > ctx.effective_net
             {
                 continue;
             }
@@ -1095,7 +1119,7 @@ mod tests {
             if host == from {
                 continue;
             }
-            let load = iv.loads.get(&host).copied().unwrap_or(Resources::ZERO);
+            let load = iv.host(host).load;
             if load.cpu_rpe2 == 0.0
                 && load.mem_mb == 0.0
                 && demand.fits_within(&effective)
@@ -1137,15 +1161,15 @@ mod tests {
             if load.dominant_share(&effective) > ctx.config.underload_threshold {
                 break;
             }
-            let Some(members) = iv.residents.get(&host).cloned() else {
-                continue;
-            };
+            let members = iv.host(host).residents.clone();
             if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
                 continue;
             }
-            let mut tentative_loads = iv.loads.clone();
+            let mut tentative_loads: BTreeMap<HostId, Resources> = loads(iv).into_iter().collect();
             tentative_loads.remove(&host);
-            let mut tentative_net = iv.net_loads.clone();
+            let mut tentative_net: BTreeMap<HostId, f64> = (0..iv.hosts.len())
+                .map(|h| (HostId(h as u32), iv.hosts[h].net))
+                .collect();
             tentative_net.remove(&host);
             let mut moves: Vec<(usize, HostId)> = Vec::new();
             let mut ok = true;
@@ -1172,7 +1196,7 @@ mod tests {
                     if !(cand_load + iv.demand(gi)).fits_within(&effective) {
                         continue;
                     }
-                    if iv.link_busy.get(&cand).copied().unwrap_or(0.0) > ctx.budget_secs {
+                    if iv.host(cand).link_busy > ctx.budget_secs {
                         continue;
                     }
                     if ctx.effective_net > 0.0

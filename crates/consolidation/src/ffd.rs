@@ -12,7 +12,7 @@
 //! stochastic planners reuse the same FFD skeleton with envelope- or
 //! correlation-based feasibility instead of scalar demands.
 
-use crate::placement::{PackError, Placement};
+use crate::placement::PackError;
 use std::collections::BTreeMap;
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
@@ -204,6 +204,10 @@ pub trait BinPackModel {
 /// under first-fit the lowest-id one — or to a new host if none is
 /// feasible.
 ///
+/// Returns the VMs placed on each host of `dc`, indexed by host id, each
+/// list in assignment order ([`crate::Placement::from_hosts`] keys them
+/// by input position).
+///
 /// # Errors
 ///
 /// * [`PackError::ItemTooLarge`] — an item fits no host and no empty one.
@@ -213,13 +217,13 @@ pub fn pack<M: BinPackModel>(
     items: Vec<M::Item>,
     dc: &mut DataCenter,
     constraints: &ConstraintSet,
-) -> Result<Placement, PackError> {
+) -> Result<Vec<Vec<VmId>>, PackError> {
     debug_assert_eq!(
         model.host_count(),
         dc.len(),
         "model must mirror the data center"
     );
-    let mut placement = Placement::new();
+    let mut hosts: Vec<Vec<VmId>> = vec![Vec::new(); dc.len()];
 
     let (pinned, mut free): (Vec<M::Item>, Vec<M::Item>) = items.into_iter().partition(|it| {
         model
@@ -242,16 +246,15 @@ pub fn pack<M: BinPackModel>(
         while dc.len() <= idx {
             dc.provision();
             model.open_host();
+            hosts.push(Vec::new());
         }
         let location = dc.host(host).expect("just provisioned").location();
         if !model.fits(idx, &item)
-            || !constraints.allows_group(model.vms(&item), location, placement.vms_on(host))
+            || !constraints.allows_group(model.vms(&item), location, &hosts[idx])
         {
             return Err(PackError::PinnedHostInfeasible { vm: vm0, host });
         }
-        for &v in model.vms(&item) {
-            placement.assign(v, host);
-        }
+        hosts[idx].extend_from_slice(model.vms(&item));
         model.place(idx, &item);
     }
 
@@ -265,18 +268,15 @@ pub fn pack<M: BinPackModel>(
 
     for item in free {
         let group = model.vms(&item).to_vec();
-        let found = find_host(model, &item, dc, constraints, &placement);
+        let found = find_host(model, &item, dc, constraints, &hosts);
         #[cfg(test)]
         let found = if tests::REFERENCE_SEARCH.get() {
-            tests::find_host_reference(model, &item, dc, constraints, &placement)
+            tests::find_host_reference(model, &item, dc, constraints, &hosts)
         } else {
             found
         };
         if let Some(idx) = found {
-            let host = HostId(idx as u32);
-            for &v in &group {
-                placement.assign(v, host);
-            }
+            hosts[idx].extend_from_slice(&group);
             model.place(idx, &item);
             continue;
         }
@@ -294,11 +294,10 @@ pub fn pack<M: BinPackModel>(
         loop {
             let host = dc.provision();
             model.open_host();
+            hosts.push(Vec::new());
             let location = dc.host(host).expect("just provisioned").location();
             if constraints.allows_group(&group, location, &[]) {
-                for &v in &group {
-                    placement.assign(v, host);
-                }
+                hosts[host.0 as usize].extend_from_slice(&group);
                 model.place(host.0 as usize, &item);
                 break;
             }
@@ -308,7 +307,7 @@ pub fn pack<M: BinPackModel>(
             }
         }
     }
-    Ok(placement)
+    Ok(hosts)
 }
 
 /// The host search of [`pack`]: the first feasible host in id order, or,
@@ -318,16 +317,16 @@ fn find_host<M: BinPackModel>(
     item: &M::Item,
     dc: &DataCenter,
     constraints: &ConstraintSet,
-    placement: &Placement,
+    hosts: &[Vec<VmId>],
 ) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for idx in 0..dc.len() {
+    for (idx, residents) in hosts.iter().enumerate() {
         let host = HostId(idx as u32);
         if !model.fits(idx, item) {
             continue;
         }
         let location = dc.host(host).expect("within len").location();
-        if !constraints.allows_group(model.vms(item), location, placement.vms_on(host)) {
+        if !constraints.allows_group(model.vms(item), location, residents) {
             continue;
         }
         let Some(pref) = model.preference(idx, item) else {
@@ -489,7 +488,7 @@ pub fn pack_scalar(
     bounds: (f64, f64),
     order: OrderKey,
     fit: PackingAlgorithm,
-) -> Result<Placement, PackError> {
+) -> Result<Vec<Vec<VmId>>, PackError> {
     let mut items = build_items(demands, constraints)?;
     attach_network(&mut items, net);
     let mut model = FfdModel::for_pool(dc, bounds, order, fit);
@@ -501,6 +500,7 @@ mod tests {
     use super::*;
     use crate::input::VmTrace;
     use crate::sizing::SizingFunction;
+    use crate::testing::MapPlacement;
     use std::cell::Cell;
     use vmcw_cluster::constraints::Constraint;
     use vmcw_cluster::server::ServerModel;
@@ -520,16 +520,14 @@ mod tests {
         item: &M::Item,
         dc: &DataCenter,
         constraints: &ConstraintSet,
-        placement: &Placement,
+        hosts: &[Vec<VmId>],
     ) -> Option<usize> {
         let group = model.vms(item);
         let mut best: Option<(usize, f64)> = None;
-        for idx in 0..dc.len() {
+        for (idx, residents) in hosts.iter().enumerate() {
             let host = HostId(idx as u32);
             let location = dc.host(host).expect("within len").location();
-            if model.fits(idx, item)
-                && constraints.allows_group(group, location, placement.vms_on(host))
-            {
+            if model.fits(idx, item) && constraints.allows_group(group, location, residents) {
                 let pref = model.preference(idx, item).unwrap_or(0.0);
                 let better = match best {
                     None => true,
@@ -562,7 +560,7 @@ mod tests {
         constraints: &ConstraintSet,
         bounds: (f64, f64),
         order: OrderKey,
-    ) -> Result<Placement, PackError> {
+    ) -> Result<MapPlacement, PackError> {
         let fit = PackingAlgorithm::FirstFitDecreasing;
         pack_scalar(
             demands,
@@ -573,6 +571,7 @@ mod tests {
             order,
             fit,
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
     }
 
     /// Scalar BFD without network demand.
@@ -582,7 +581,7 @@ mod tests {
         constraints: &ConstraintSet,
         bounds: (f64, f64),
         order: OrderKey,
-    ) -> Result<Placement, PackError> {
+    ) -> Result<MapPlacement, PackError> {
         let fit = PackingAlgorithm::BestFitDecreasing;
         pack_scalar(
             demands,
@@ -593,6 +592,7 @@ mod tests {
             order,
             fit,
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
     }
 
     fn host_model() -> ServerModel {
@@ -823,6 +823,7 @@ mod tests {
             OrderKey::Dominant,
             PackingAlgorithm::FirstFitDecreasing,
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 2);
         for host in p.active_hosts() {

@@ -11,7 +11,7 @@
 //! cannot grow.
 
 use crate::ffd::{attach_network, build_items, pack, FfdModel, OrderKey, PackingAlgorithm};
-use crate::placement::{PackError, Placement};
+use crate::placement::PackError;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -57,8 +57,9 @@ impl From<PackError> for FixedPoolError {
 /// The outcome of a fixed-pool packing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedPoolPlacement {
-    /// The placement over the existing hosts.
-    pub placement: Placement,
+    /// The VMs on each host of the pool, indexed by host id, each list in
+    /// assignment order.
+    pub hosts: Vec<Vec<VmId>>,
     /// Hosts of the pool left completely empty (decommission candidates).
     pub empty_hosts: Vec<HostId>,
 }
@@ -87,7 +88,7 @@ pub fn pack_fixed(
     let mut model =
         FfdModel::for_pool(dc, bounds, order, PackingAlgorithm::FirstFitDecreasing).fixed();
     // The model never opens a host, so the pool comes back as it went in.
-    let placement = pack(&mut model, items, &mut dc.clone(), constraints).map_err(|e| match e {
+    let hosts = pack(&mut model, items, &mut dc.clone(), constraints).map_err(|e| match e {
         PackError::ItemTooLarge { vm, demand, .. } => FixedPoolError::PoolExhausted { vm, demand },
         PackError::PinnedHostInfeasible { vm, .. } => FixedPoolError::PoolExhausted {
             vm,
@@ -98,17 +99,15 @@ pub fn pack_fixed(
     let empty_hosts = dc
         .iter()
         .map(|h| h.id)
-        .filter(|&h| placement.vms_on(h).is_empty())
+        .filter(|h| hosts[h.0 as usize].is_empty())
         .collect();
-    Ok(FixedPoolPlacement {
-        placement,
-        empty_hosts,
-    })
+    Ok(FixedPoolPlacement { hosts, empty_hosts })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MapPlacement;
     use vmcw_cluster::constraints::Constraint;
     use vmcw_cluster::power::PowerModel;
     use vmcw_cluster::server::ServerModel;
@@ -155,7 +154,10 @@ mod tests {
             OrderKey::Cpu,
         )
         .unwrap();
-        assert_eq!(out.placement.host_of(VmId(0)), Some(HostId(1)));
+        assert_eq!(
+            MapPlacement::from_hosts(&out.hosts).host_of(VmId(0)),
+            Some(HostId(1))
+        );
         assert_eq!(out.empty_hosts, vec![HostId(0)]);
     }
 
@@ -209,8 +211,8 @@ mod tests {
         let d = demands(&[(0, 10.0, 10.0), (1, 10.0, 10.0)]);
         let out = pack_fixed(&d, &no_net(), &dc, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
         assert_ne!(
-            out.placement.host_of(VmId(0)),
-            out.placement.host_of(VmId(1))
+            MapPlacement::from_hosts(&out.hosts).host_of(VmId(0)),
+            MapPlacement::from_hosts(&out.hosts).host_of(VmId(1))
         );
         assert!(out.empty_hosts.is_empty());
     }
@@ -222,7 +224,10 @@ mod tests {
         cs.add(Constraint::PinToHost(VmId(0), HostId(1))).unwrap();
         let d = demands(&[(0, 10.0, 10.0)]);
         let out = pack_fixed(&d, &no_net(), &dc, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
-        assert_eq!(out.placement.host_of(VmId(0)), Some(HostId(1)));
+        assert_eq!(
+            MapPlacement::from_hosts(&out.hosts).host_of(VmId(0)),
+            Some(HostId(1))
+        );
         // Pin beyond the pool fails cleanly, naming the group's demand.
         let mut cs2 = ConstraintSet::new();
         cs2.add(Constraint::Colocate(VmId(0), VmId(1))).unwrap();

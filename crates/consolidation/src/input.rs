@@ -292,17 +292,6 @@ impl PlanningInput {
         self.history_hours.min(self.total_hours())..self.total_hours()
     }
 
-    /// Looks up a VM trace by id: the first trace in `vms` with that id.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::vm_position`], on a stale index.
-    #[must_use]
-    #[inline]
-    pub fn vm_trace(&self, id: VmId) -> Option<&VmTrace> {
-        self.vm_position(id).map(|pos| &self.vms[pos])
-    }
-
     /// Position in `vms` of the first trace with id `id`.
     ///
     /// O(log n) through the index the constructors build.
@@ -326,6 +315,28 @@ impl PlanningInput {
             stale();
         }
         Some(pos)
+    }
+
+    /// Every traced id with the position of its first trace, in ascending
+    /// id order: the order of every id-keyed output (checkpoints, the run
+    /// fingerprint, moved VMs, per-VM reports). A repeated id keys only
+    /// its first trace, so its later traces are not listed.
+    ///
+    /// # Panics
+    ///
+    /// If `vms` was resized after construction (see [`Self::vm_position`]).
+    pub fn by_id(&self) -> impl Iterator<Item = (VmId, usize)> + '_ {
+        assert_eq!(
+            self.index.pairs.len(),
+            self.vms.len(),
+            "PlanningInput.vms changed after construction; rebuild with from_traces"
+        );
+        let mut last = None;
+        self.index
+            .pairs
+            .iter()
+            .filter(move |&&(id, _)| last.replace(id) != Some(id))
+            .map(|&(id, pos)| (id, pos as usize))
     }
 
     /// All VM ids, in input order.
@@ -401,8 +412,8 @@ mod tests {
     fn vm_lookup() {
         let input = tiny_input();
         let first = input.vm_ids()[0];
-        assert!(input.vm_trace(first).is_some());
-        assert!(input.vm_trace(VmId(9999)).is_none());
+        assert_eq!(input.vm_position(first), Some(0));
+        assert!(input.vm_position(VmId(9999)).is_none());
     }
 
     /// The lookup the index replaces, kept as its oracle.
@@ -440,6 +451,14 @@ mod tests {
                 proptest::prop_assert_eq!(input.vm_position(id), linear_position(&input, id));
             }
         }
+    }
+
+    #[test]
+    fn by_id_lists_each_id_once_at_its_first_trace() {
+        let input =
+            PlanningInput::from_traces([7, 3, 7, 5, 3].map(trace_with_id).into_iter().collect(), 2);
+        let listed: Vec<(VmId, usize)> = input.by_id().collect();
+        assert_eq!(listed, vec![(VmId(3), 1), (VmId(5), 3), (VmId(7), 0)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   consolidation-window demand estimation.
 //! * [`prediction`] — the online predictors the dynamic planner uses for
 //!   "estimated peak demand in the consolidation window".
-//! * [`placement`] — placement representation and capacity accounting.
+//! * [`placement`] — the one placement type, keyed by input position.
 //! * [`ffd`] — the one constraint-aware two-dimensional bin packer
 //!   ([`ffd::pack`]), with the scalar First- and Best-Fit-Decreasing
 //!   model.

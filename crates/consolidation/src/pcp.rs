@@ -18,7 +18,7 @@
 
 use crate::ffd::{pack, BinPackModel, OrderKey};
 use crate::input::VmTrace;
-use crate::placement::{PackError, Placement};
+use crate::placement::PackError;
 use crate::sizing::SizingFunction;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -271,7 +271,7 @@ pub fn pcp_pack(
     constraints: &ConstraintSet,
     bounds: (f64, f64),
     config: &PcpConfig,
-) -> Result<Placement, PackError> {
+) -> Result<Vec<Vec<VmId>>, PackError> {
     let capacity = dc.template().capacity();
     let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
     let items = build_pcp_items(vms, history, config, constraints)?;
@@ -288,6 +288,7 @@ pub fn pcp_pack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MapPlacement;
     use vmcw_cluster::power::PowerModel;
     use vmcw_cluster::server::ServerModel;
     use vmcw_cluster::vm::Vm;
@@ -357,6 +358,7 @@ mod tests {
             (1.0, 1.0),
             &daily_config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(
             p.active_host_count(),
@@ -378,6 +380,7 @@ mod tests {
             (1.0, 1.0),
             &daily_config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 2, "correlated peaks must not stack");
     }
@@ -398,6 +401,7 @@ mod tests {
             (1.0, 1.0),
             &daily_config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert!(p.active_host_count() <= 4, "got {}", p.active_host_count());
 
@@ -416,6 +420,7 @@ mod tests {
             OrderKey::Dominant,
             crate::ffd::PackingAlgorithm::FirstFitDecreasing,
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert!(vanilla.active_host_count() > p.active_host_count());
     }
@@ -433,6 +438,7 @@ mod tests {
             (1.0, 1.0),
             &daily_config(),
         )
+        .map(|hosts| MapPlacement::from_hosts(&hosts))
         .unwrap();
         assert_eq!(p.active_host_count(), 2); // 2 × 40 ≤ 100 < 3 × 40
     }

@@ -100,6 +100,14 @@ impl PlanPlacements {
         }
     }
 
+    /// Every placement of the plan, in interval order.
+    pub fn iter(&self) -> impl Iterator<Item = &Placement> {
+        match self {
+            PlanPlacements::Fixed(p) => std::slice::from_ref(p).iter(),
+            PlanPlacements::PerInterval { placements, .. } => placements.iter(),
+        }
+    }
+
     /// Number of distinct intervals (1 for fixed plans).
     #[must_use]
     pub fn interval_count(&self) -> usize {
@@ -283,7 +291,7 @@ impl Planner {
             // Each period re-plans from scratch onto a fresh host pool;
             // the provisioned footprint is the largest of the periods.
             let mut period_dc = self.new_dc();
-            let placement = pack_scalar(
+            let hosts = pack_scalar(
                 &demands,
                 &net,
                 &mut period_dc,
@@ -295,7 +303,7 @@ impl Planner {
             while dc.len() < period_dc.len() {
                 dc.provision();
             }
-            placements.push(placement);
+            placements.push(Placement::from_hosts(input, &hosts));
             start += period_hours;
         }
         Ok(ConsolidationPlan {
@@ -342,7 +350,7 @@ impl Planner {
         }
         let net = input.net_demands();
         let mut dc = self.new_dc();
-        let placement = pack_scalar(
+        let hosts = pack_scalar(
             &demands,
             &net,
             &mut dc,
@@ -353,7 +361,7 @@ impl Planner {
         )?;
         Ok(ConsolidationPlan {
             kind,
-            placements: PlanPlacements::Fixed(placement),
+            placements: PlanPlacements::Fixed(Placement::from_hosts(input, &hosts)),
             migrations: Vec::new(),
             dc,
         })
@@ -366,7 +374,7 @@ impl Planner {
     /// Propagates [`PackError`] from the packer.
     pub fn plan_stochastic(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
         let mut dc = self.new_dc();
-        let placement = match self.stochastic_variant {
+        let hosts = match self.stochastic_variant {
             StochasticVariant::PeakClustering => pcp_pack(
                 &input.vms,
                 input.history_range(),
@@ -386,7 +394,7 @@ impl Planner {
         };
         Ok(ConsolidationPlan {
             kind: PlannerKind::Stochastic,
-            placements: PlanPlacements::Fixed(placement),
+            placements: PlanPlacements::Fixed(Placement::from_hosts(input, &hosts)),
             migrations: Vec::new(),
             dc,
         })

@@ -1,9 +1,15 @@
-//! Input transforms shared by the oracle tests: each keeps the planning
-//! problem valid while shaking out an assumption an optimised path might
-//! make about ids, input order or distinct loads.
+//! Shared test support: input transforms that keep the planning problem
+//! valid while shaking out an assumption an optimised path might make
+//! about ids, input order or distinct loads, and the map-keyed placement
+//! the dense [`Placement`](crate::placement::Placement) replaced, kept as
+//! its oracle.
 
 use crate::input::{PlanningInput, VmTrace};
-use vmcw_cluster::vm::VmId;
+use std::collections::BTreeMap;
+use vmcw_cluster::datacenter::HostId;
+use vmcw_cluster::resources::Resources;
+use vmcw_cluster::vm::{Vm, VmId};
+use vmcw_trace::series::{StepSecs, TimeSeries};
 
 /// Deterministic Fisher–Yates permutation of `0..n`.
 pub(crate) fn permutation(n: usize, seed: u64) -> Vec<usize> {
@@ -52,4 +58,116 @@ pub(crate) fn three_templates(input: &PlanningInput) -> PlanningInput {
         })
         .collect();
     PlanningInput::from_traces(vms, input.history_hours)
+}
+
+/// A flat two-hour input tracing `ids` in the given order.
+pub(crate) fn traced(ids: &[u32]) -> PlanningInput {
+    let vms = ids
+        .iter()
+        .map(|&id| VmTrace {
+            vm: Vm::new(VmId(id), format!("vm-{id}"), 1024.0),
+            cpu_rpe2: TimeSeries::new(StepSecs::HOUR, vec![f64::from(id); 2]),
+            mem_mb: TimeSeries::new(StepSecs::HOUR, vec![512.0; 2]),
+            net_peak_mbps: 1.0,
+        })
+        .collect();
+    PlanningInput::from_traces(vms, 1)
+}
+
+/// The placement as it was before it went dense: two ordered maps keyed
+/// by VM id. The oracle for [`Placement`](crate::placement::Placement),
+/// and the view the packer tests read the packers' per-host lists
+/// through.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct MapPlacement {
+    forward: BTreeMap<VmId, HostId>,
+    reverse: BTreeMap<HostId, Vec<VmId>>,
+}
+
+impl MapPlacement {
+    /// The placement of per-host id lists indexed by host id.
+    pub(crate) fn from_hosts(hosts: &[Vec<VmId>]) -> Self {
+        let mut p = Self::default();
+        for (h, vms) in hosts.iter().enumerate() {
+            for &vm in vms {
+                p.assign(vm, HostId(h as u32));
+            }
+        }
+        p
+    }
+
+    pub(crate) fn assign(&mut self, vm: VmId, host: HostId) -> Option<HostId> {
+        let prev = self.forward.insert(vm, host);
+        if let Some(p) = prev {
+            if p == host {
+                return prev;
+            }
+            self.unlist(vm, p);
+        }
+        self.reverse.entry(host).or_default().push(vm);
+        prev
+    }
+
+    pub(crate) fn remove(&mut self, vm: VmId) -> Option<HostId> {
+        let host = self.forward.remove(&vm)?;
+        self.unlist(vm, host);
+        Some(host)
+    }
+
+    fn unlist(&mut self, vm: VmId, host: HostId) {
+        if let Some(list) = self.reverse.get_mut(&host) {
+            list.retain(|&v| v != vm);
+            if list.is_empty() {
+                self.reverse.remove(&host);
+            }
+        }
+    }
+
+    pub(crate) fn host_of(&self, vm: VmId) -> Option<HostId> {
+        self.forward.get(&vm).copied()
+    }
+
+    pub(crate) fn vms_on(&self, host: HostId) -> &[VmId] {
+        self.reverse.get(&host).map_or(&[], Vec::as_slice)
+    }
+
+    pub(crate) fn active(&self) -> Vec<(HostId, Vec<VmId>)> {
+        self.reverse.iter().map(|(&h, l)| (h, l.clone())).collect()
+    }
+
+    pub(crate) fn active_hosts(&self) -> Vec<HostId> {
+        self.reverse.keys().copied().collect()
+    }
+
+    pub(crate) fn active_host_count(&self) -> usize {
+        self.reverse.len()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.forward.len()
+    }
+
+    /// `(vm, host)` pairs in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VmId, HostId)> + '_ {
+        self.forward.iter().map(|(&v, &h)| (v, h))
+    }
+
+    pub(crate) fn demand_on(
+        &self,
+        host: HostId,
+        demand_of: impl Fn(VmId) -> Resources,
+    ) -> Resources {
+        self.vms_on(host).iter().map(|&v| demand_of(v)).sum()
+    }
+
+    /// VMs whose host differs in `next`, in id order.
+    pub(crate) fn moved_vms(&self, next: &Self) -> Vec<(VmId, HostId, HostId)> {
+        self.forward
+            .iter()
+            .filter_map(|(&vm, &from)| {
+                next.host_of(vm)
+                    .and_then(|to| (to != from).then_some((vm, from, to)))
+            })
+            .collect()
+    }
 }

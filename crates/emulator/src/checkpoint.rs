@@ -93,9 +93,9 @@ impl From<InvariantViolation> for CheckpointError {
     }
 }
 
-/// Frozen per-host accumulator state (mirrors the engine's internal
-/// accumulator; converted back losslessly on resume).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A host's running aggregate over the replayed hours: the replay's own
+/// per-host accumulator, checkpointed as it stands.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HostAccState {
     /// Hours the host was powered on so far.
     pub active_hours: usize,
@@ -155,8 +155,8 @@ pub struct ReplayCheckpoint {
     /// to their default, bit for bit, are left out; [`Self::absent`]
     /// names the traced VMs with no entry at all. Anything else is
     /// listed: stale holds, the older sample of a VM whose host was down
-    /// at `h - 1`, every entry of an untraced id, and every entry at
-    /// hour 0 or of a plain replay (which has no defaults).
+    /// at `h - 1`, and every entry at hour 0 or of a plain replay (which
+    /// has no defaults). Every id named must be traced by the input.
     pub last_good: Vec<(VmId, Resources, usize)>,
     /// Traced VMs without a last-good entry although they have a
     /// default, in ascending id order (see [`Self::last_good`]).

@@ -7,7 +7,6 @@
 //! physical server captures the additional demand from virtual machines
 //! that can not be met within the server's capacity" (§5.3).
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,10 +33,13 @@ use crate::faults::{
 /// Errors the replay engine can return instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EmulatorError {
-    /// A placed VM has no demand trace in the planning input.
-    MissingTrace {
-        /// The traceless VM.
-        vm: VmId,
+    /// The plan was built for another input: its placements cover a
+    /// different number of positions than the input traces.
+    ForeignPlan {
+        /// Positions a placement of the plan covers.
+        positions: usize,
+        /// Traces in the planning input.
+        traces: usize,
     },
     /// The plan references a host its data center does not provision.
     UnknownHost {
@@ -58,9 +60,10 @@ pub enum EmulatorError {
 impl fmt::Display for EmulatorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EmulatorError::MissingTrace { vm } => {
-                write!(f, "placed VM {vm} has no demand trace")
-            }
+            EmulatorError::ForeignPlan { positions, traces } => write!(
+                f,
+                "plan covers {positions} VM positions but the input traces {traces}"
+            ),
             EmulatorError::UnknownHost { host } => {
                 write!(f, "plan references unprovisioned host {host}")
             }
@@ -232,8 +235,8 @@ impl EmulationReport {
 ///
 /// # Errors
 ///
-/// Returns [`EmulatorError`] if the plan references hosts missing from
-/// its data center or places a VM without a trace.
+/// Returns [`EmulatorError`] if the plan was built for another input or
+/// references hosts missing from its data center.
 pub fn emulate(
     input: &PlanningInput,
     plan: &ConsolidationPlan,
@@ -285,7 +288,7 @@ struct FaultState {
     schedule: CrashSchedule,
     /// The placement actually in effect, chasing the plan's target
     /// placement through (possibly failing) migrations.
-    current: EffectivePlacement,
+    current: Placement,
     was_down: Vec<bool>,
     /// VMs resident on a crashed host, awaiting evacuation or repair.
     down_vms: VmMap<()>,
@@ -293,14 +296,10 @@ struct FaultState {
 }
 
 /// Per-VM replay state, stored densely by the VM's position in the
-/// planning input so the hot loop never searches a tree. Ids the input
-/// does not trace — a traceless VM resident on a crashed host, or an
-/// entry restored from a checkpoint — live in an ordered side map, so
-/// every entry round-trips through a checkpoint unchanged.
+/// planning input, as the placements are.
 #[derive(Debug)]
 struct VmMap<T> {
     dense: Vec<Option<T>>,
-    untraced: BTreeMap<VmId, T>,
     len: usize,
 }
 
@@ -310,7 +309,6 @@ impl<T> VmMap<T> {
             dense: std::iter::repeat_with(|| None)
                 .take(input.vms.len())
                 .collect(),
-            untraced: BTreeMap::new(),
             len: 0,
         }
     }
@@ -323,126 +321,30 @@ impl<T> VmMap<T> {
         self.len == 0
     }
 
-    /// The entry of the VM whose trace sits at `pos` in the input.
-    fn get_mut_at(&mut self, pos: usize) -> Option<&mut T> {
+    fn get(&self, pos: usize) -> Option<&T> {
+        self.dense[pos].as_ref()
+    }
+
+    fn get_mut(&mut self, pos: usize) -> Option<&mut T> {
         self.dense[pos].as_mut()
     }
 
-    fn contains(&self, input: &PlanningInput, vm: VmId) -> bool {
-        match input.vm_position(vm) {
-            Some(pos) => self.dense[pos].is_some(),
-            None => self.untraced.contains_key(&vm),
-        }
+    fn contains(&self, pos: usize) -> bool {
+        self.dense[pos].is_some()
     }
 
-    /// Inserts or overwrites; returns whether `vm` was absent.
-    fn insert(&mut self, input: &PlanningInput, vm: VmId, value: T) -> bool {
-        match input.vm_position(vm) {
-            Some(pos) => self.insert_at(pos, value),
-            None => {
-                let fresh = self.untraced.insert(vm, value).is_none();
-                self.len += usize::from(fresh);
-                fresh
-            }
-        }
-    }
-
-    /// [`Self::insert`] for the VM whose trace sits at `pos`, for callers
-    /// that already looked the VM up.
-    fn insert_at(&mut self, pos: usize, value: T) -> bool {
+    /// Inserts or overwrites; returns whether `pos` was absent.
+    fn insert(&mut self, pos: usize, value: T) -> bool {
         let fresh = self.dense[pos].replace(value).is_none();
         self.len += usize::from(fresh);
         fresh
     }
 
-    /// Removes `vm`; returns whether it was present.
-    fn remove(&mut self, input: &PlanningInput, vm: VmId) -> bool {
-        let removed = match input.vm_position(vm) {
-            Some(pos) => self.dense[pos].take().is_some(),
-            None => self.untraced.remove(&vm).is_some(),
-        };
+    /// Removes the entry at `pos`; returns whether it was present.
+    fn remove(&mut self, pos: usize) -> bool {
+        let removed = self.dense[pos].take().is_some();
         self.len -= usize::from(removed);
         removed
-    }
-
-    /// Every entry in ascending `VmId` order — the checkpoint order.
-    fn sorted<'s>(&'s self, input: &PlanningInput) -> Vec<(VmId, &'s T)> {
-        let mut out: Vec<(VmId, &T)> = self
-            .dense
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| v.as_ref().map(|v| (input.vms[pos].vm.id, v)))
-            .chain(self.untraced.iter().map(|(&vm, v)| (vm, v)))
-            .collect();
-        out.sort_unstable_by_key(|&(vm, _)| vm);
-        out
-    }
-}
-
-/// Copy-on-write handle for the in-effect placement of a faulted replay.
-///
-/// In the common case — no fault fired this interval — the in-effect
-/// placement is *identical* (content and storage order) to the plan's
-/// placement for some hour, so cloning it every interval is pure
-/// allocation churn. `Synced(k)` records that identity without a copy;
-/// a private buffer is materialised only when the replay actually
-/// diverges (a failed/deferred migration or an evacuation re-homing).
-#[derive(Debug)]
-enum EffectivePlacement {
-    /// Identical — content *and* storage order — to
-    /// `plan.placements.at_hour(k)`.
-    Synced(usize),
-    /// Diverged from the plan; owns the materialised placement.
-    Diverged(Placement),
-}
-
-impl EffectivePlacement {
-    /// The placement this handle denotes.
-    fn resolve<'p>(&'p self, plan: &'p ConsolidationPlan) -> &'p Placement {
-        match self {
-            EffectivePlacement::Synced(k) => plan.placements.at_hour(*k),
-            EffectivePlacement::Diverged(p) => p,
-        }
-    }
-
-    /// Mutable access, materialising the private buffer on first use.
-    /// The clone starts from the synced hour's plan placement, so the
-    /// storage order matches what a clone-eager implementation held.
-    fn make_mut(&mut self, plan: &ConsolidationPlan) -> &mut Placement {
-        if let EffectivePlacement::Synced(k) = self {
-            *self = EffectivePlacement::Diverged(plan.placements.at_hour(*k).clone());
-        }
-        match self {
-            EffectivePlacement::Diverged(p) => p,
-            EffectivePlacement::Synced(_) => unreachable!("just materialised"),
-        }
-    }
-}
-
-/// Per-host running aggregate (checkpointed losslessly as
-/// [`HostAccState`]).
-#[derive(Debug)]
-struct HostAcc {
-    active_hours: usize,
-    cpu_util_sum: f64,
-    mem_util_sum: f64,
-    peak_cpu: f64,
-    peak_mem: f64,
-    contention_hours: usize,
-    unreliable_hours: usize,
-}
-
-impl HostAcc {
-    fn zero() -> Self {
-        Self {
-            active_hours: 0,
-            cpu_util_sum: 0.0,
-            mem_util_sum: 0.0,
-            peak_cpu: 0.0,
-            peak_mem: 0.0,
-            contention_hours: 0,
-            unreliable_hours: 0,
-        }
     }
 }
 
@@ -531,7 +433,7 @@ pub struct Replay<'a> {
     ledger: FaultLedger,
     state: Option<FaultState>,
     last_good: VmMap<(Resources, usize)>,
-    accs: Vec<HostAcc>,
+    accs: Vec<HostAccState>,
     per_hour: Vec<HourSummary>,
     energy_wh: f64,
     cpu_contention_samples: Vec<f64>,
@@ -546,14 +448,16 @@ impl<'a> Replay<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`EmulatorError::InvalidFaultConfig`] for invalid fault
-    /// parameters.
+    /// Returns [`EmulatorError::ForeignPlan`] for a plan built for
+    /// another input, and [`EmulatorError::InvalidFaultConfig`] for
+    /// invalid fault parameters.
     pub fn new(
         input: &'a PlanningInput,
         plan: &'a ConsolidationPlan,
         config: &'a EmulatorConfig,
         faults: Option<&FaultConfig>,
     ) -> Result<Self, EmulatorError> {
+        check_plan_input(input, plan)?;
         if let Some(f) = faults {
             f.validate()?;
         }
@@ -564,7 +468,7 @@ impl<'a> Replay<'a> {
         let capacities: Vec<Resources> = plan.dc.iter().map(|h| h.model.capacity()).collect();
         let state = faults.map(|f| FaultState {
             schedule: CrashSchedule::generate(f, n_hosts, hours),
-            current: EffectivePlacement::Synced(0),
+            current: plan.placements.at_hour(0).clone(),
             was_down: vec![false; n_hosts],
             down_vms: VmMap::new(input),
             precopy: PrecopyConfig::gigabit(),
@@ -575,13 +479,13 @@ impl<'a> Replay<'a> {
             config,
             faults: faults.copied(),
             capacities,
-            fingerprint: run_fingerprint(plan, config, faults, n_hosts, hours),
+            fingerprint: run_fingerprint(input, plan, config, faults, n_hosts, hours),
             hours,
             hour: 0,
             ledger: FaultLedger::default(),
             state,
             last_good: VmMap::new(input),
-            accs: (0..n_hosts).map(|_| HostAcc::zero()).collect(),
+            accs: vec![HostAccState::default(); n_hosts],
             per_hour: Vec::with_capacity(hours),
             energy_wh: 0.0,
             cpu_contention_samples: Vec::new(),
@@ -601,10 +505,11 @@ impl<'a> Replay<'a> {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Mismatch`] if the checkpoint belongs to a
-    /// different plan/config (fingerprint, fleet size, horizon, or fault
-    /// presence differ), [`CheckpointError::Invariant`] if the checkpoint
-    /// violates a replay invariant.
+    /// [`CheckpointError::Mismatch`] if the plan was built for another
+    /// input, if the checkpoint belongs to a different plan/config
+    /// (fingerprint, fleet size, horizon, or fault presence differ) or
+    /// names a VM the input does not trace; [`CheckpointError::Invariant`]
+    /// if the checkpoint violates a replay invariant.
     pub fn resume(
         input: &'a PlanningInput,
         plan: &'a ConsolidationPlan,
@@ -640,33 +545,25 @@ impl<'a> Replay<'a> {
         fresh.hour = ckpt.hour;
         fresh.ledger = ckpt.ledger;
         fresh.energy_wh = ckpt.energy_wh;
-        fresh.accs = ckpt
-            .accs
-            .iter()
-            .map(|a| HostAcc {
-                active_hours: a.active_hours,
-                cpu_util_sum: a.cpu_util_sum,
-                mem_util_sum: a.mem_util_sum,
-                peak_cpu: a.peak_cpu,
-                peak_mem: a.peak_mem,
-                contention_hours: a.contention_hours,
-                unreliable_hours: a.unreliable_hours,
-            })
-            .collect();
+        fresh.accs = ckpt.accs.clone();
         fresh.per_hour = ckpt.per_hour.clone();
         fresh.cpu_contention_samples = ckpt.cpu_contention_samples.clone();
+        let pos_of = |vm: VmId| {
+            input
+                .vm_position(vm)
+                .ok_or_else(|| mismatch(format!("checkpoint names untraced VM {}", vm.0)))
+        };
         // Defaults first, then the VMs that had no entry, then the
         // entries that differ from their default (see
         // `ReplayCheckpoint::last_good`).
         if fresh.has_last_good_defaults() {
-            for pos in 0..input.vms.len() {
-                if let Some(default) = fresh.last_good_default(pos) {
-                    fresh.last_good.insert_at(pos, default);
-                }
+            for (_, pos) in input.by_id() {
+                let default = fresh.last_good_default(pos);
+                fresh.last_good.insert(pos, default);
             }
         }
         for &vm in &ckpt.absent {
-            if !fresh.last_good.remove(input, vm) {
+            if !fresh.last_good.remove(pos_of(vm)?) {
                 return Err(mismatch(format!(
                     "absent VM {} has no default last-good entry",
                     vm.0
@@ -674,22 +571,22 @@ impl<'a> Replay<'a> {
             }
         }
         for &(vm, r, stale) in &ckpt.last_good {
-            fresh.last_good.insert(input, vm, (r, stale));
+            fresh.last_good.insert(pos_of(vm)?, (r, stale));
         }
         if let (Some(fs), Some(st)) = (&ckpt.fault, fresh.state.as_mut()) {
             // Replaying the recorded per-host VM lists through assign()
             // reproduces the engine's exact storage order, hence the
             // exact f64 summation order of the interrupted run.
-            let mut current = Placement::new();
+            let mut current = Placement::new(input.vms.len());
             for (host, vms) in &fs.current {
                 for &vm in vms {
-                    current.assign(vm, *host);
+                    current.assign(pos_of(vm)?, *host);
                 }
             }
-            st.current = EffectivePlacement::Diverged(current);
+            st.current = current;
             st.was_down = fs.was_down.clone();
             for &vm in &fs.down_vms {
-                st.down_vms.insert(input, vm, ());
+                st.down_vms.insert(pos_of(vm)?, ());
             }
         }
         Ok(fresh)
@@ -720,18 +617,16 @@ impl<'a> Replay<'a> {
     }
 
     /// The default last-good entry of the VM traced at `pos` (see
-    /// `ReplayCheckpoint::last_good`), or `None` for a position that is
-    /// not its id's first trace: a repeated id keys only its first.
-    fn last_good_default(&self, pos: usize) -> Option<(Resources, usize)> {
-        let trace = &self.input.vms[pos];
-        (self.input.vm_position(trace.vm.id) == Some(pos)).then(|| {
-            let eval_start = self.input.eval_range().start;
-            (trace.demand_at(eval_start + self.hour - 1), 0)
-        })
+    /// `ReplayCheckpoint::last_good`). Only an id's first trace has one:
+    /// a repeated id keys only its first.
+    fn last_good_default(&self, pos: usize) -> (Resources, usize) {
+        let eval_start = self.input.eval_range().start;
+        (self.input.vms[pos].demand_at(eval_start + self.hour - 1), 0)
     }
 
-    /// The last-good state in checkpoint form: the entries that differ
-    /// from their default, and the traced VMs without one.
+    /// The last-good state in checkpoint form, in ascending id order: the
+    /// entries that differ from their default, and the traced VMs
+    /// without one.
     fn last_good_wire(&self) -> (Vec<(VmId, Resources, usize)>, Vec<VmId>) {
         let same = |(a, s): (Resources, usize), (b, t): (Resources, usize)| {
             s == t
@@ -741,24 +636,14 @@ impl<'a> Replay<'a> {
         let defaults = self.has_last_good_defaults();
         let mut listed = Vec::new();
         let mut absent = Vec::new();
-        for (pos, entry) in self.last_good.dense.iter().enumerate() {
-            let vm = self.input.vms[pos].vm.id;
-            let default = defaults.then(|| self.last_good_default(pos)).flatten();
-            match (*entry, default) {
-                (None, Some(_)) => absent.push(vm),
-                (Some(e), Some(d)) if same(e, d) => {}
-                (Some((r, stale)), _) => listed.push((vm, r, stale)),
-                (None, None) => {}
+        for (vm, pos) in self.input.by_id() {
+            match self.last_good.get(pos).copied() {
+                None if defaults => absent.push(vm),
+                Some(e) if defaults && same(e, self.last_good_default(pos)) => {}
+                Some((r, stale)) => listed.push((vm, r, stale)),
+                None => {}
             }
         }
-        listed.extend(
-            self.last_good
-                .untraced
-                .iter()
-                .map(|(&vm, &(r, stale))| (vm, r, stale)),
-        );
-        listed.sort_unstable_by_key(|e| e.0);
-        absent.sort_unstable();
         (listed, absent)
     }
 
@@ -766,10 +651,9 @@ impl<'a> Replay<'a> {
     /// a checkpoint encodes sparsely.
     #[cfg(test)]
     pub(crate) fn last_good_entries(&self) -> Vec<(VmId, Resources, usize)> {
-        self.last_good
-            .sorted(self.input)
-            .into_iter()
-            .map(|(vm, &(r, stale))| (vm, r, stale))
+        self.input
+            .by_id()
+            .filter_map(|(vm, pos)| self.last_good.get(pos).map(|&(r, stale)| (vm, r, stale)))
             .collect()
     }
 
@@ -783,36 +667,25 @@ impl<'a> Replay<'a> {
             total_hours: self.hours,
             ledger: self.ledger,
             energy_wh: self.energy_wh,
-            accs: self
-                .accs
-                .iter()
-                .map(|a| HostAccState {
-                    active_hours: a.active_hours,
-                    cpu_util_sum: a.cpu_util_sum,
-                    mem_util_sum: a.mem_util_sum,
-                    peak_cpu: a.peak_cpu,
-                    peak_mem: a.peak_mem,
-                    contention_hours: a.contention_hours,
-                    unreliable_hours: a.unreliable_hours,
-                })
-                .collect(),
+            accs: self.accs.clone(),
             per_hour: self.per_hour.clone(),
             cpu_contention_samples: self.cpu_contention_samples.clone(),
             last_good,
             absent,
             fault: self.state.as_ref().map(|st| {
-                let current = st.current.resolve(self.plan);
+                let id_of = |&pos: &u32| self.input.vms[pos as usize].vm.id;
                 FaultStateCheckpoint {
-                    current: current
+                    current: st
+                        .current
                         .active()
-                        .map(|(h, vms)| (h, vms.to_vec()))
+                        .map(|(h, vms)| (h, vms.iter().map(id_of).collect()))
                         .collect(),
                     was_down: st.was_down.clone(),
-                    down_vms: st
-                        .down_vms
-                        .sorted(self.input)
-                        .into_iter()
-                        .map(|(vm, ())| vm)
+                    down_vms: self
+                        .input
+                        .by_id()
+                        .filter(|&(_, pos)| st.down_vms.contains(pos))
+                        .map(|(vm, _)| vm)
                         .collect(),
                 }
             }),
@@ -857,8 +730,7 @@ impl<'a> Replay<'a> {
         }
         let faults = self.faults.as_ref();
         let state = self.state.as_ref();
-        let plan = self.plan;
-        let placement: &Placement = state.map_or(target, |st| st.current.resolve(plan));
+        let placement = state.map_or(target, |st| &st.current);
         let mut active_hosts = 0;
         let mut watts = 0.0;
         let mut contended_hosts = 0;
@@ -875,11 +747,8 @@ impl<'a> Replay<'a> {
             }
             debug_assert!(!vms.is_empty());
             let mut demand = Resources::ZERO;
-            for &vm in vms {
-                let pos = self
-                    .input
-                    .vm_position(vm)
-                    .ok_or(EmulatorError::MissingTrace { vm })?;
+            for &pos in vms {
+                let pos = pos as usize;
                 let t = &self.input.vms[pos];
                 let sample = t.demand_at(eval.start + h);
                 let sample = match faults {
@@ -888,7 +757,6 @@ impl<'a> Replay<'a> {
                         &mut self.last_good,
                         t,
                         pos,
-                        vm,
                         h,
                         eval.start,
                         sample,
@@ -1010,9 +878,26 @@ impl<'a> Replay<'a> {
     }
 }
 
+/// Refuses a plan built for another input: every placement must cover
+/// exactly the input's positions.
+pub(crate) fn check_plan_input(
+    input: &PlanningInput,
+    plan: &ConsolidationPlan,
+) -> Result<(), EmulatorError> {
+    let traces = input.vms.len();
+    match plan.placements.iter().find(|p| p.positions() != traces) {
+        Some(p) => Err(EmulatorError::ForeignPlan {
+            positions: p.positions(),
+            traces,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// FNV-1a fingerprint binding a checkpoint to its (plan, config, faults)
 /// triple, so `--resume` refuses state from a different run.
 fn run_fingerprint(
+    input: &PlanningInput,
     plan: &ConsolidationPlan,
     config: &EmulatorConfig,
     faults: Option<&FaultConfig>,
@@ -1038,23 +923,16 @@ fn run_fingerprint(
         }
         None => h.update(b"faults none|"),
     }
-    fn hash_placement(h: &mut crate::checkpoint::Fnv1a, p: &Placement) {
-        for (vm, host) in p.iter() {
-            let _ = write!(h, "{} {};", vm.0, host.0);
-        }
-        h.update(b"|");
+    if let PlanPlacements::PerInterval { window_hours, .. } = &plan.placements {
+        let _ = write!(h, "w{window_hours}|");
     }
-    match &plan.placements {
-        PlanPlacements::Fixed(p) => hash_placement(&mut h, p),
-        PlanPlacements::PerInterval {
-            placements,
-            window_hours,
-        } => {
-            let _ = write!(h, "w{window_hours}|");
-            for p in placements {
-                hash_placement(&mut h, p);
+    for p in plan.placements.iter() {
+        for (vm, pos) in input.by_id() {
+            if let Some(host) = p.host_of(pos) {
+                let _ = write!(h, "{} {};", vm.0, host.0);
             }
         }
+        h.update(b"|");
     }
     h.finish()
 }
@@ -1076,11 +954,7 @@ fn step_faults(
     ledger: &mut FaultLedger,
 ) {
     let eval_start = input.eval_range().start;
-    let demand_of = |vm: VmId| -> Resources {
-        input
-            .vm_trace(vm)
-            .map_or(Resources::ZERO, |t| t.demand_at(eval_start + h))
-    };
+    let demand_of = |pos: usize| input.vms[pos].demand_at(eval_start + h);
 
     // 1. Crash onsets and recoveries. On a crash the host's VMs go down
     //    but stay resident (awaiting evacuation); on repair any VM still
@@ -1090,12 +964,12 @@ fn step_faults(
         let down_now = st.schedule.is_down(host, h);
         if down_now && !st.was_down[i] {
             ledger.host_crashes += 1;
-            for &vm in st.current.resolve(plan).vms_on(host) {
-                st.down_vms.insert(input, vm, ());
+            for &pos in st.current.vms_on(host) {
+                st.down_vms.insert(pos as usize, ());
             }
         } else if !down_now && st.was_down[i] {
-            for &vm in st.current.resolve(plan).vms_on(host) {
-                st.down_vms.remove(input, vm);
+            for &pos in st.current.vms_on(host) {
+                st.down_vms.remove(pos as usize);
             }
         }
         st.was_down[i] = down_now;
@@ -1108,8 +982,9 @@ fn step_faults(
     //    boundary re-requests them.
     if boundary {
         let mut clean = true;
-        for (vm, from, to) in st.current.resolve(plan).moved_vms(target) {
-            if st.down_vms.contains(input, vm)
+        for (pos, from, to) in st.current.moved_vms(target, input) {
+            let vm = input.vms[pos].vm.id;
+            if st.down_vms.contains(pos)
                 || st.schedule.is_down(from, h)
                 || st.schedule.is_down(to, h)
             {
@@ -1118,7 +993,7 @@ fn step_faults(
                 continue;
             }
             let violates = fcfg.enforce_reliability_thresholds && {
-                let cur = st.current.resolve(plan);
+                let cur = &st.current;
                 let load_of = |host: HostId| -> HostLoad {
                     let cap = capacities
                         .get(host.0 as usize)
@@ -1130,7 +1005,7 @@ fn step_faults(
                 !config.thresholds.is_reliable(load_of(from))
                     || !config.thresholds.is_reliable(load_of(to))
             };
-            let demand = demand_of(vm);
+            let demand = demand_of(pos);
             let cap = capacities
                 .get(from.0 as usize)
                 .copied()
@@ -1140,7 +1015,7 @@ fn step_faults(
                 (demand.cpu_rpe2 / cap.cpu_rpe2).clamp(0.0, 1.0),
             );
             let src_load = {
-                let d = st.current.resolve(plan).demand_on(from, demand_of);
+                let d = st.current.demand_on(from, demand_of);
                 HostLoad::new(d.cpu_rpe2 / cap.cpu_rpe2, d.mem_mb / cap.mem_mb)
             };
             let duration = st.precopy.simulate(&profile, src_load).total_secs;
@@ -1152,18 +1027,17 @@ fn step_faults(
                 ledger.retried_migrations += 1;
             }
             if outcome.succeeded {
-                st.current.make_mut(plan).assign(vm, to);
+                st.current.assign(pos, to);
             } else {
                 ledger.abandoned_migrations += 1;
                 clean = false;
             }
         }
         if clean && st.down_vms.is_empty() {
-            // Fully synced: the in-effect placement is *identical*
-            // (including iteration order) to the plan's target for this
-            // hour — recording that identity instead of cloning is what
-            // makes zero-rate replay bit-identical *and* allocation-free.
-            st.current = EffectivePlacement::Synced(h);
+            // Fully synced: the in-effect placement becomes *identical*
+            // (including per-host order) to the plan's target for this
+            // hour, which keeps zero-rate replay bit-identical.
+            st.current.clone_from(target);
         }
     }
 
@@ -1177,53 +1051,30 @@ fn step_faults(
             .map(|i| HostId(i as u32))
             .collect();
         for &host in &down_hosts {
-            let cur = st.current.resolve(plan);
+            let cur = &st.current;
             if !cur
                 .vms_on(host)
                 .iter()
-                .any(|&v| st.down_vms.contains(input, v))
+                .any(|&pos| st.down_vms.contains(pos as usize))
             {
                 continue;
             }
-            // Other crashed hosts must be invisible to the drain's
-            // destination search: hide their residents. With a single
-            // crashed host there is nothing to hide, so the in-effect
-            // placement already *is* the drain's visible world and the
-            // per-hour clone is skipped.
-            let dp = if down_hosts.len() == 1 {
-                plan_drain(
-                    input,
-                    cur,
-                    host,
-                    &plan.dc,
-                    h,
-                    fcfg.evacuation_bounds,
-                    &st.precopy,
-                )
-            } else {
-                let mut visible = cur.clone();
-                for &other in &down_hosts {
-                    if other == host {
-                        continue;
-                    }
-                    for vm in visible.vms_on(other).to_vec() {
-                        visible.remove(vm);
-                    }
-                }
-                plan_drain(
-                    input,
-                    &visible,
-                    host,
-                    &plan.dc,
-                    h,
-                    fcfg.evacuation_bounds,
-                    &st.precopy,
-                )
-            };
+            // Other crashed hosts are invisible to the drain's
+            // destination search.
+            let dp = plan_drain(
+                input,
+                cur,
+                host,
+                &down_hosts,
+                &plan.dc,
+                h,
+                fcfg.evacuation_bounds,
+                &st.precopy,
+            );
             if let Ok(dp) = dp {
-                for (vm, dest) in dp.moves {
-                    st.current.make_mut(plan).assign(vm, dest);
-                    if st.down_vms.remove(input, vm) {
+                for (pos, dest) in dp.moves {
+                    st.current.assign(pos, dest);
+                    if st.down_vms.remove(pos) {
                         ledger.evacuations += 1;
                     }
                 }
@@ -1238,28 +1089,28 @@ fn step_faults(
 /// Survives one (possibly missing) hourly sample: injected dropouts and
 /// NaN samples are replaced by the VM's last good value, tracking
 /// staleness against the configured budget. The hour immediately before
-/// the evaluation window seeds the hold for gaps at hour 0. `trace` is
-/// `vm`'s trace, found at position `pos` of the planning input.
+/// the evaluation window seeds the hold for gaps at hour 0. `trace` sits
+/// at position `pos` of the planning input.
 #[allow(clippy::too_many_arguments)]
 fn survive_sample(
     fcfg: &FaultConfig,
     last_good: &mut VmMap<(Resources, usize)>,
     trace: &VmTrace,
     pos: usize,
-    vm: VmId,
     h: usize,
     eval_start: usize,
     sample: Resources,
     ledger: &mut FaultLedger,
 ) -> Result<Resources, EmulatorError> {
+    let vm = trace.vm.id;
     let missing =
         sample.cpu_rpe2.is_nan() || sample.mem_mb.is_nan() || sample_dropped(fcfg, vm, h);
     if !missing {
-        last_good.insert_at(pos, (sample, 0));
+        last_good.insert(pos, (sample, 0));
         return Ok(sample);
     }
     ledger.stale_sample_hours += 1;
-    match last_good.get_mut_at(pos) {
+    match last_good.get_mut(pos) {
         Some((good, stale)) => {
             *stale += 1;
             if *stale > fcfg.max_stale_hours {
@@ -1280,7 +1131,7 @@ fn survive_sample(
                 .filter(|d| !d.cpu_rpe2.is_nan() && !d.mem_mb.is_nan());
             match fallback {
                 Some(good) => {
-                    last_good.insert_at(pos, (good, 1));
+                    last_good.insert(pos, (good, 1));
                     Ok(good)
                 }
                 None => Err(TraceGapError {
@@ -1611,10 +1462,10 @@ mod tests {
     }
 
     #[test]
-    fn untraced_checkpoint_entries_round_trip_in_id_order() {
-        // A checkpoint may name VMs the input does not trace. Resuming
-        // keeps them, and the next checkpoint re-encodes every entry in
-        // ascending id order, exactly as the ordered maps did.
+    fn untraced_checkpoint_entries_are_refused() {
+        // A checkpoint naming a VM the input does not trace belongs to
+        // another input: every list it can appear in is refused.
+        use crate::checkpoint::CheckpointError;
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Beverage);
         let plan = planner.plan_semi_static(&input).unwrap();
@@ -1624,22 +1475,25 @@ mod tests {
         for _ in 0..5 {
             replay.step().unwrap();
         }
-        let mut ckpt = replay.checkpoint();
-        let traced = input.vms[0].vm.id;
-        ckpt.last_good
-            .push((VmId(u32::MAX), Resources::new(1.0, 2.0), 3));
-        ckpt.last_good.sort_by_key(|e| e.0);
-        let fault = ckpt.fault.as_mut().unwrap();
-        fault.down_vms = vec![traced, VmId(u32::MAX - 1)];
+        let ckpt = replay.checkpoint();
+        let untraced = VmId(u32::MAX);
+        let mut bad = [ckpt.clone(), ckpt.clone(), ckpt.clone(), ckpt.clone()];
+        bad[0]
+            .last_good
+            .push((untraced, Resources::new(1.0, 2.0), 3));
+        bad[1].absent.push(untraced);
+        bad[2].fault.as_mut().unwrap().down_vms.push(untraced);
+        bad[3].fault.as_mut().unwrap().current[0].1.push(untraced);
+        for bad in &bad {
+            let err = Replay::resume(&input, &plan, &cfg, Some(&faults), bad).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Mismatch { detail } if detail.contains("untraced")),
+                "{err}"
+            );
+        }
+        // The untouched checkpoint resumes and re-encodes identically.
         let resumed = Replay::resume(&input, &plan, &cfg, Some(&faults), &ckpt).unwrap();
-        // The untraced entry joins the rebuilt defaults.
-        let full = resumed.last_good_entries();
-        assert!(full.contains(&(VmId(u32::MAX), Resources::new(1.0, 2.0), 3)));
-        assert_eq!(full.len(), input.vms.len() - ckpt.absent.len() + 1);
-        let again = resumed.checkpoint();
-        assert_eq!(again.last_good, ckpt.last_good);
-        assert_eq!(again.absent, ckpt.absent);
-        assert_eq!(again.fault.unwrap().down_vms, ckpt.fault.unwrap().down_vms);
+        assert_eq!(resumed.checkpoint().encode(), ckpt.encode());
     }
 
     #[test]

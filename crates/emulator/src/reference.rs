@@ -1,10 +1,13 @@
-//! Reference replay: the engine as it was before per-VM state went dense.
+//! Reference replay: the engine as it was before per-VM state and the
+//! placements went dense.
 //!
-//! Every trace lookup is a linear scan of the planning input, fault-path
-//! state is keyed by `VmId` in ordered maps, and the in-effect placement
-//! is cloned eagerly at every clean boundary. It is slow on purpose and
-//! serves only as the oracle the optimised [`Replay`] must match bit for
-//! bit, mid-run checkpoints included.
+//! Every trace lookup is a linear scan of the planning input, the
+//! in-effect placement and the fault-path state are keyed by `VmId` in
+//! ordered maps, the in-effect placement is cloned eagerly at every clean
+//! boundary, and a drain sees a copy with the other crashed hosts' VMs
+//! taken out. It is slow on purpose and serves only as the oracle the
+//! optimised [`Replay`](crate::engine::Replay) must match bit for bit,
+//! mid-run checkpoints included.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,6 +30,78 @@ fn linear_trace(input: &PlanningInput, vm: VmId) -> Option<&VmTrace> {
     input.vms.iter().find(|t| t.vm.id == vm)
 }
 
+/// A placement keyed by VM id, per-host lists in assignment order.
+#[derive(Clone, Default)]
+struct MapPlacement {
+    forward: BTreeMap<VmId, HostId>,
+    reverse: BTreeMap<HostId, Vec<VmId>>,
+}
+
+impl MapPlacement {
+    /// The plan's placement `p`, its per-host lists in the same order.
+    fn of(input: &PlanningInput, p: &Placement) -> Self {
+        let mut out = Self::default();
+        for (host, list) in p.active() {
+            for &pos in list {
+                out.assign(input.vms[pos as usize].vm.id, host);
+            }
+        }
+        out
+    }
+
+    /// The same placement keyed by input position.
+    fn to_dense(&self, input: &PlanningInput) -> Placement {
+        let mut p = Placement::new(input.vms.len());
+        for (&host, list) in &self.reverse {
+            for &vm in list {
+                let pos = input
+                    .vms
+                    .iter()
+                    .position(|t| t.vm.id == vm)
+                    .expect("traced");
+                p.assign(pos, host);
+            }
+        }
+        p
+    }
+
+    fn assign(&mut self, vm: VmId, host: HostId) {
+        if let Some(from) = self.forward.insert(vm, host) {
+            if from == host {
+                return;
+            }
+            self.remove_from(vm, from);
+        }
+        self.reverse.entry(host).or_default().push(vm);
+    }
+
+    fn remove_from(&mut self, vm: VmId, host: HostId) {
+        let list = self.reverse.get_mut(&host).expect("resident host");
+        list.retain(|&v| v != vm);
+        if list.is_empty() {
+            self.reverse.remove(&host);
+        }
+    }
+
+    fn vms_on(&self, host: HostId) -> &[VmId] {
+        self.reverse.get(&host).map_or(&[], Vec::as_slice)
+    }
+
+    fn demand_on(&self, host: HostId, demand_of: impl Fn(VmId) -> Resources) -> Resources {
+        self.vms_on(host).iter().map(|&v| demand_of(v)).sum()
+    }
+
+    fn moved_vms(&self, next: &Self) -> Vec<(VmId, HostId, HostId)> {
+        self.forward
+            .iter()
+            .filter_map(|(&vm, &from)| {
+                let to = *next.forward.get(&vm)?;
+                (to != from).then_some((vm, from, to))
+            })
+            .collect()
+    }
+}
+
 #[derive(Default, Clone, Copy)]
 struct Acc {
     active_hours: usize,
@@ -41,7 +116,7 @@ struct Acc {
 struct Faulted {
     fcfg: FaultConfig,
     schedule: CrashSchedule,
-    current: Placement,
+    current: MapPlacement,
     was_down: Vec<bool>,
     down_vms: BTreeSet<VmId>,
     precopy: PrecopyConfig,
@@ -84,7 +159,7 @@ impl<'a> ReferenceReplay<'a> {
             faulted: faults.map(|f| Faulted {
                 fcfg: *f,
                 schedule: CrashSchedule::generate(f, n_hosts, hours),
-                current: plan.placements.at_hour(0).clone(),
+                current: MapPlacement::of(input, plan.placements.at_hour(0)),
                 was_down: vec![false; n_hosts],
                 down_vms: BTreeSet::new(),
                 precopy: PrecopyConfig::gigabit(),
@@ -126,10 +201,11 @@ impl<'a> ReferenceReplay<'a> {
                 &mut self.ledger,
             );
         }
-        let placement = self.faulted.as_ref().map_or(target, |f| &f.current);
+        let planned = MapPlacement::of(self.input, target);
+        let placement = self.faulted.as_ref().map_or(&planned, |f| &f.current);
         let (mut active_hosts, mut watts, mut contended_hosts) = (0, 0.0, 0);
         let (mut cpu_cont_total, mut mem_cont_total) = (0.0, 0.0);
-        for (host, vms) in placement.active() {
+        for (&host, vms) in &placement.reverse {
             if let Some(f) = &self.faulted {
                 if f.schedule.is_down(host, h) {
                     continue;
@@ -137,7 +213,7 @@ impl<'a> ReferenceReplay<'a> {
             }
             let mut demand = Resources::ZERO;
             for &vm in vms {
-                let t = linear_trace(self.input, vm).ok_or(EmulatorError::MissingTrace { vm })?;
+                let t = linear_trace(self.input, vm).expect("the plan was made on this input");
                 let sample = t.demand_at(eval.start + h);
                 demand += match &self.faulted {
                     Some(f) => survive_sample(
@@ -256,6 +332,7 @@ fn step_faults(
     let demand_of = |vm: VmId| -> Resources {
         linear_trace(input, vm).map_or(Resources::ZERO, |t| t.demand_at(eval_start + h))
     };
+    let target = MapPlacement::of(input, target);
     let cap_of = |host: HostId| {
         capacities
             .get(host.0 as usize)
@@ -277,7 +354,7 @@ fn step_faults(
     }
     if boundary {
         let mut clean = true;
-        for (vm, from, to) in f.current.moved_vms(target) {
+        for (vm, from, to) in f.current.moved_vms(&target) {
             if f.down_vms.contains(&vm) || f.schedule.is_down(from, h) || f.schedule.is_down(to, h)
             {
                 clean = false;
@@ -315,7 +392,7 @@ fn step_faults(
             }
         }
         if clean && f.down_vms.is_empty() {
-            f.current = target.clone();
+            f.current = target;
         }
     }
     if !f.down_vms.is_empty() {
@@ -335,20 +412,23 @@ fn step_faults(
             let mut visible = f.current.clone();
             for &other in down_hosts.iter().filter(|&&o| o != host) {
                 for vm in visible.vms_on(other).to_vec() {
-                    visible.remove(vm);
+                    visible.forward.remove(&vm);
+                    visible.remove_from(vm, other);
                 }
             }
             let dp = plan_drain(
                 input,
-                &visible,
+                &visible.to_dense(input),
                 host,
+                &[],
                 &plan.dc,
                 h,
                 f.fcfg.evacuation_bounds,
                 &f.precopy,
             );
             if let Ok(dp) = dp {
-                for (vm, dest) in dp.moves {
+                for (pos, dest) in dp.moves {
+                    let vm = input.vms[pos].vm.id;
                     f.current.assign(vm, dest);
                     if f.down_vms.remove(&vm) {
                         ledger.evacuations += 1;
@@ -502,13 +582,53 @@ mod tests {
         Ok(taken)
     }
 
+    /// The most hosts `faults` has down at once over `plan`'s horizon.
+    fn most_hosts_down(
+        input: &PlanningInput,
+        plan: &ConsolidationPlan,
+        faults: &FaultConfig,
+    ) -> usize {
+        let hours = input.eval_range().len();
+        let schedule = CrashSchedule::generate(faults, plan.dc.len(), hours);
+        (0..hours)
+            .map(|h| {
+                plan.dc
+                    .iter()
+                    .filter(|host| schedule.is_down(host.id, h))
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A fault config under which at least three hosts of `plan` are down
+    /// at once: frequent, long outages, from the first seed after `seed`
+    /// that gives them.
+    fn multi_crash(
+        input: &PlanningInput,
+        plan: &ConsolidationPlan,
+        base: &FaultConfig,
+        seed: u64,
+    ) -> Option<FaultConfig> {
+        (seed..seed + 64)
+            .map(|seed| FaultConfig {
+                seed,
+                host_mtbf_hours: 6.0,
+                host_mttr_hours: 10.0,
+                max_stale_hours: base.max_stale_hours.max(12),
+                ..*base
+            })
+            .find(|f| most_hosts_down(input, plan, f) >= 3)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
 
-        /// Dense per-VM state and indexed lookups replay exactly what the
-        /// linear-lookup reference does — report, fault ledger, errors and
-        /// mid-run checkpoint state — over random plans, fault seeds, and
-        /// shuffled sparse ids, with and without a traceless placed VM.
+        /// Dense per-VM state and position-keyed placements replay exactly
+        /// what the linear-lookup, id-keyed reference does — report, fault
+        /// ledger, errors and mid-run checkpoint state — over random plans,
+        /// fault seeds, and shuffled sparse ids, with and without three or
+        /// more hosts down at once.
         #[test]
         fn optimised_replay_matches_the_reference(
             population in (0usize..4, 0u64..10_000, 2u32..6),
@@ -543,14 +663,14 @@ mod tests {
             if let Err(e) = compare(&input, &plan, faults.as_ref(), kill_at) {
                 proptest::prop_assert!(false, "{kind:?}: {e}");
             }
-            if fault_mode == 2 {
-                // A placed VM without a trace: lookups miss, and a crashed
-                // host can hold it in the untraced side map.
-                let mut vms = input.vms.clone();
-                vms.remove(seed as usize % vms.len());
-                let partial = PlanningInput::from_traces(vms, input.history_hours);
-                if let Err(e) = compare(&partial, &plan, faults.as_ref(), kill_at) {
-                    proptest::prop_assert!(false, "{kind:?} (traceless VM): {e}");
+            if fault_mode == 2 && plan.dc.len() >= 4 {
+                // Three or more hosts down at once: each drain must hide
+                // the other crashed hosts.
+                let base = faults.expect("fault mode 2 injects faults");
+                let crashes = multi_crash(&input, &plan, &base, seed);
+                let crashes = crashes.expect("frequent long outages overlap");
+                if let Err(e) = compare(&input, &plan, Some(&crashes), kill_at) {
+                    proptest::prop_assert!(false, "{kind:?} (3+ hosts down): {e}");
                 }
             }
         }
@@ -665,20 +785,27 @@ mod tests {
 
     #[test]
     fn a_repeated_vm_id_keys_only_its_first_trace() {
-        // A second trace under VM 0's id is never looked up, so it gets
-        // no default and never shows in a checkpoint.
+        // A second trace under VM 0's id, planned on: the plan places
+        // the id once, at its first trace, so the twin is never stepped,
+        // gets no default and never shows in a checkpoint.
         let base = small_input(14);
-        let plan = Planner::baseline()
-            .plan(PlannerKind::Dynamic, &base)
-            .unwrap();
         let mut vms = base.vms.clone();
         let mut twin = vms[0].clone();
         twin.cpu_rpe2 = vmcw_trace::series::TimeSeries::new(
             twin.cpu_rpe2.step(),
-            twin.cpu_rpe2.values().iter().map(|v| v * 3.0).collect(),
+            twin.cpu_rpe2.values().iter().map(|v| v * 0.5).collect(),
         );
         vms.push(twin);
         let input = PlanningInput::from_traces(vms, base.history_hours);
+        let twin_pos = input.vms.len() - 1;
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
+        assert!(plan
+            .placements
+            .iter()
+            .all(|p| p.host_of(twin_pos).is_none()));
+        assert!(plan.placements.iter().all(|p| p.host_of(0).is_some()));
         let faults = FaultConfig {
             trace_dropout_prob: 0.1,
             max_stale_hours: 48,
@@ -693,5 +820,61 @@ mod tests {
                 + ckpt.absent.iter().filter(|&&vm| vm == twin_id).count();
             assert!(mentions <= 1, "hour {kill_at}: {mentions} mentions");
         }
+    }
+
+    #[test]
+    fn three_crashed_hosts_hide_each_other_in_both_id_layouts() {
+        // Frequent, long outages over a larger fleet: at some hour three
+        // or more hosts are down, and every drain must hide the others,
+        // under plain ids and under shuffled sparse ids.
+        let w = GeneratorConfig::new(DataCenterId::Beverage)
+            .scale(0.1)
+            .days(5)
+            .generate(21);
+        let plain = PlanningInput::from_workload(&w, 3, VirtualizationModel::baseline());
+        for input in [plain.clone(), relabelled(&plain, 21, 13)] {
+            for kind in PlannerKind::EVALUATED {
+                let plan = Planner::baseline().plan(kind, &input).unwrap();
+                let faults = multi_crash(&input, &plan, &FaultConfig::baseline(4), 4)
+                    .expect("frequent long outages overlap");
+                assert!(most_hosts_down(&input, &plan, &faults) >= 3);
+                let ckpt = compare(&input, &plan, Some(&faults), 17)
+                    .unwrap()
+                    .expect("the replay reaches hour 17");
+                let down = ckpt.fault.unwrap().was_down;
+                assert!(down.len() >= 4, "{kind:?}: fleet of {}", down.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_for_another_input_is_refused_before_any_step() {
+        let input = small_input(15);
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
+        let config = EmulatorConfig::default();
+        let faults = FaultConfig::baseline(3);
+        let mut checkpoint = Replay::new(&input, &plan, &config, Some(&faults)).unwrap();
+        checkpoint.step().unwrap();
+        let checkpoint = checkpoint.checkpoint();
+        let mut vms = input.vms.clone();
+        vms.pop();
+        let shorter = PlanningInput::from_traces(vms, input.history_hours);
+        let foreign = EmulatorError::ForeignPlan {
+            positions: input.vms.len(),
+            traces: input.vms.len() - 1,
+        };
+        for f in [None, Some(&faults)] {
+            let err = Replay::new(&shorter, &plan, &config, f).unwrap_err();
+            assert_eq!(err, foreign);
+        }
+        let err = Replay::resume(&shorter, &plan, &config, Some(&faults), &checkpoint).unwrap_err();
+        assert!(
+            matches!(&err, crate::checkpoint::CheckpointError::Mismatch { detail } if detail == &foreign.to_string()),
+            "{err}"
+        );
+        assert_eq!(crate::sla::analyze(&shorter, &plan).unwrap_err(), foreign);
+        assert!(foreign.to_string().contains("plan covers"));
     }
 }

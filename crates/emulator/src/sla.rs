@@ -9,7 +9,6 @@
 //! violation statistics.
 
 use crate::engine::EmulatorError;
-use std::collections::BTreeMap;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 use vmcw_consolidation::input::PlanningInput;
@@ -98,67 +97,60 @@ impl SlaReport {
 ///
 /// # Errors
 ///
-/// Returns [`EmulatorError::MissingTrace`] if the plan places a VM that
-/// has no demand trace in the input.
+/// Returns [`EmulatorError::ForeignPlan`] if the plan was built for
+/// another input, and [`EmulatorError::UnknownHost`] if it places VMs on
+/// a host its data center does not provision.
 pub fn analyze(
     input: &PlanningInput,
     plan: &ConsolidationPlan,
 ) -> Result<SlaReport, EmulatorError> {
+    crate::engine::check_plan_input(input, plan)?;
     let eval = input.eval_range();
     let hours = eval.len();
     let capacities: Vec<Resources> = plan.dc.iter().map(|h| h.model.capacity()).collect();
-    let mut acc: BTreeMap<VmId, VmSla> = input
-        .vms
-        .iter()
-        .map(|t| {
-            (
-                t.vm.id,
-                VmSla {
-                    vm: t.vm.id,
-                    violation_hours: 0,
-                    unserved_cpu_rpe2_hours: 0.0,
-                    total_cpu_rpe2_hours: 0.0,
-                },
-            )
-        })
-        .collect();
+    // Per input position: violation hours, unserved and total CPU.
+    let mut acc: Vec<(usize, f64, f64)> = vec![(0, 0.0, 0.0); input.vms.len()];
 
     // One demand buffer for the whole sweep; refilled per host-hour.
-    let mut demands: Vec<(VmId, Resources)> = Vec::new();
+    let mut demands: Vec<(usize, Resources)> = Vec::new();
     for h in 0..hours {
         let placement = plan.placements.at_hour(h);
         for (host, vms) in placement.active() {
             demands.clear();
-            for &vm in vms {
-                let trace = input
-                    .vm_trace(vm)
-                    .ok_or(EmulatorError::MissingTrace { vm })?;
-                demands.push((vm, trace.demand_at(eval.start + h)));
-            }
+            demands.extend(vms.iter().map(|&pos| {
+                let pos = pos as usize;
+                (pos, input.vms[pos].demand_at(eval.start + h))
+            }));
             let total_cpu: f64 = demands.iter().map(|(_, d)| d.cpu_rpe2).sum();
             let capacity = capacities
                 .get(host.0 as usize)
                 .ok_or(EmulatorError::UnknownHost { host })?;
             let unserved = (total_cpu - capacity.cpu_rpe2).max(0.0);
-            for &(vm, d) in &demands {
-                let s = acc.entry(vm).or_insert(VmSla {
-                    vm,
-                    violation_hours: 0,
-                    unserved_cpu_rpe2_hours: 0.0,
-                    total_cpu_rpe2_hours: 0.0,
-                });
-                s.total_cpu_rpe2_hours += d.cpu_rpe2;
+            for &(pos, d) in &demands {
+                let (violation_hours, unserved_cpu, total) = &mut acc[pos];
+                *total += d.cpu_rpe2;
                 if unserved > 0.0 && total_cpu > 0.0 {
                     let share = d.cpu_rpe2 / total_cpu;
-                    s.unserved_cpu_rpe2_hours += unserved * share;
-                    s.violation_hours += 1;
+                    *unserved_cpu += unserved * share;
+                    *violation_hours += 1;
                 }
             }
         }
     }
 
     Ok(SlaReport {
-        per_vm: acc.into_values().collect(),
+        per_vm: input
+            .by_id()
+            .map(|(vm, pos)| {
+                let (violation_hours, unserved_cpu_rpe2_hours, total_cpu_rpe2_hours) = acc[pos];
+                VmSla {
+                    vm,
+                    violation_hours,
+                    unserved_cpu_rpe2_hours,
+                    total_cpu_rpe2_hours,
+                }
+            })
+            .collect(),
         hours,
     })
 }

@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = Planner::baseline().plan_stochastic(&input)?;
     let placement = plan.placements.at_hour(0);
 
-    let host_of = |vm: u32| placement.host_of(VmId(vm)).expect("placed");
+    let by_id = placement.as_map(&input);
+    let host_of = |vm: u32| by_id[&VmId(vm)];
     println!(
         "colocated pair      : vm-0 -> {}, vm-1 -> {}",
         host_of(0),
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.dc.host(h5).expect("exists").subnet.0
     );
 
-    let violations = constraints.violations(&placement.as_map(), |h| plan.dc.location(h));
+    let violations = constraints.violations(&by_id, |h| plan.dc.location(h));
     println!(
         "\n{} hosts provisioned, {} constraint violations",
         plan.provisioned_hosts(),

@@ -35,6 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             study.input(),
             placement,
             host,
+            &[],
             &plan.dc,
             4,
             (1.0, 1.0),
@@ -53,14 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         study.input(),
         placement,
         host,
+        &[],
         &plan.dc,
         4,
         (1.0, 1.0),
         &PrecopyConfig::gigabit(),
     )?;
     println!("\nFirst moves:");
-    for (vm, dest) in drain.moves.iter().take(5) {
-        println!("  {vm} -> {dest}");
+    for &(pos, dest) in drain.moves.iter().take(5) {
+        println!("  {} -> {dest}", study.input().vms[pos].vm.id);
     }
     Ok(())
 }

@@ -100,9 +100,7 @@ fn emulator_conserves_demand() {
         let mut total_cpu_demand = 0.0;
         let mut served_plus_unmet = 0.0;
         for host in placement.active_hosts() {
-            let demand = placement.demand_on(host, |vm| {
-                input.vm_trace(vm).unwrap().demand_at(eval.start + h)
-            });
+            let demand = placement.demand_on(host, |pos| input.vms[pos].demand_at(eval.start + h));
             total_cpu_demand += demand.cpu_rpe2;
             served_plus_unmet += demand.cpu_rpe2.min(capacity.cpu_rpe2);
         }
@@ -136,7 +134,7 @@ fn constraints_hold_in_every_dynamic_interval() {
         panic!("dynamic plan must be per interval");
     };
     for (i, p) in placements.iter().enumerate() {
-        let violations = cs.violations(&p.as_map(), |h| plan.dc.location(h));
+        let violations = cs.violations(&p.as_map(&input), |h| plan.dc.location(h));
         assert!(violations.is_empty(), "interval {i}: {violations:?}");
     }
 }
@@ -161,9 +159,10 @@ fn pinned_vm_never_migrates() {
     let PlanPlacements::PerInterval { placements, .. } = &plan.placements else {
         panic!("dynamic plan must be per interval");
     };
+    let pinned_at = input.vm_position(pinned).unwrap();
     for p in placements {
         assert_eq!(
-            p.host_of(pinned),
+            p.host_of(pinned_at),
             Some(vmcw_repro::cluster::datacenter::HostId(0))
         );
     }
@@ -331,6 +330,7 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
     use vmcw_repro::consolidation::fixed_pool::pack_fixed;
     use vmcw_repro::consolidation::planner::{ConsolidationPlan, PlanPlacements, PlannerKind};
     use vmcw_repro::consolidation::sizing::SizingFunction;
+    use vmcw_repro::consolidation::Placement;
 
     let workload = GeneratorConfig::new(DataCenterId::Beverage)
         .scale(0.04)
@@ -365,7 +365,7 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
 
     let plan = ConsolidationPlan {
         kind: PlannerKind::SemiStatic,
-        placements: PlanPlacements::Fixed(fit.placement.clone()),
+        placements: PlanPlacements::Fixed(Placement::from_hosts(&input, &fit.hosts)),
         migrations: Vec::new(),
         dc: estate,
     };

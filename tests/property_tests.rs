@@ -1,9 +1,9 @@
 //! Property-based tests over the core invariants (see DESIGN.md §5).
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use vmcw_repro::cluster::constraints::{Constraint, ConstraintSet};
-use vmcw_repro::cluster::datacenter::DataCenter;
+use vmcw_repro::cluster::datacenter::{DataCenter, HostId};
 use vmcw_repro::cluster::power::PowerModel;
 use vmcw_repro::cluster::resources::Resources;
 use vmcw_repro::cluster::server::ServerModel;
@@ -12,6 +12,28 @@ use vmcw_repro::consolidation::ffd::{pack_scalar, FfdModel, OrderKey, PackingAlg
 use vmcw_repro::consolidation::sizing::SizingFunction;
 use vmcw_repro::migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_repro::trace::stats;
+
+/// The host of every VM in the packers' per-host lists.
+fn host_map(hosts: &[Vec<VmId>]) -> HashMap<VmId, HostId> {
+    hosts
+        .iter()
+        .enumerate()
+        .flat_map(|(h, vms)| vms.iter().map(move |&vm| (vm, HostId(h as u32))))
+        .collect()
+}
+
+/// Each active host with its summed demand under `demand_of`.
+fn host_loads(
+    hosts: &[Vec<VmId>],
+    demand_of: impl Fn(VmId) -> Resources,
+) -> Vec<(HostId, Resources)> {
+    hosts
+        .iter()
+        .enumerate()
+        .filter(|(_, vms)| !vms.is_empty())
+        .map(|(h, vms)| (HostId(h as u32), vms.iter().map(|&vm| demand_of(vm)).sum()))
+        .collect()
+}
 
 fn test_host(cpu: f64, mem: f64) -> ServerModel {
     ServerModel {
@@ -29,7 +51,7 @@ fn assert_capacity_respected(
     bounds: (f64, f64),
 ) -> (usize, usize) {
     let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-    let placement = pack_scalar(
+    let hosts = pack_scalar(
         demands,
         &BTreeMap::new(),
         &mut dc,
@@ -40,19 +62,18 @@ fn assert_capacity_respected(
     )
     .expect("all items fit an empty host by construction");
     let effective = Resources::new(100.0 * bounds.0, 1000.0 * bounds.1);
-    for host in placement.active_hosts() {
-        let load = placement.demand_on(host, |vm| demands[&vm]);
+    for (host, load) in host_loads(&hosts, |vm| demands[&vm]) {
         assert!(
             load.fits_within(&(effective * (1.0 + 1e-9))),
             "host {host} overloaded: {load} > {effective}"
         );
     }
     assert_eq!(
-        placement.len(),
+        host_map(&hosts).len(),
         demands.len(),
         "every VM placed exactly once"
     );
-    (placement.active_host_count(), dc.len())
+    (host_loads(&hosts, |vm| demands[&vm]).len(), dc.len())
 }
 
 proptest! {
@@ -109,7 +130,7 @@ proptest! {
             }
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-        let placement = pack_scalar(
+        let hosts = pack_scalar(
             &map,
             &BTreeMap::new(),
             &mut dc,
@@ -119,7 +140,7 @@ proptest! {
             PackingAlgorithm::FirstFitDecreasing,
         )
         .unwrap();
-        let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
+        let violations = cs.violations(&host_map(&hosts), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
@@ -139,7 +160,7 @@ proptest! {
             }
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-        let placement = pack_scalar(
+        let hosts = pack_scalar(
             &map,
             &BTreeMap::new(),
             &mut dc,
@@ -149,7 +170,7 @@ proptest! {
             PackingAlgorithm::FirstFitDecreasing,
         )
         .unwrap();
-        let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
+        let violations = cs.violations(&host_map(&hosts), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
@@ -264,9 +285,8 @@ proptest! {
         let items = build_items(&map, &ConstraintSet::new()).unwrap();
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
         let mut model = FfdModel::new(Resources::new(100.0, 1000.0), OrderKey::Dominant, 0);
-        let placement = pack(&mut model, items, &mut dc, &ConstraintSet::new()).unwrap();
-        for host in placement.active_hosts() {
-            let expected = placement.demand_on(host, |vm| map[&vm]);
+        let hosts = pack(&mut model, items, &mut dc, &ConstraintSet::new()).unwrap();
+        for (host, expected) in host_loads(&hosts, |vm| map[&vm]) {
             let tracked = model.load(host.0 as usize);
             prop_assert!((expected.cpu_rpe2 - tracked.cpu_rpe2).abs() < 1e-6);
             prop_assert!((expected.mem_mb - tracked.mem_mb).abs() < 1e-6);
@@ -388,19 +408,18 @@ proptest! {
         ) {
             Ok(fit) => {
                 // Every host's load fits its own capacity.
-                for host in fit.placement.active_hosts() {
+                for (host, load) in host_loads(&fit.hosts, |vm| map[&vm]) {
                     let cap = estate.host(host).unwrap().model.capacity();
-                    let load = fit.placement.demand_on(host, |vm| map[&vm]);
                     prop_assert!(
                         load.fits_within(&(cap * (1.0 + 1e-9))),
                         "host {host} ({}) overloaded: {load}",
                         estate.host(host).unwrap().model.name
                     );
                 }
-                prop_assert_eq!(fit.placement.len(), map.len());
+                prop_assert_eq!(host_map(&fit.hosts).len(), map.len());
                 // Empty-host report is consistent.
                 for h in &fit.empty_hosts {
-                    prop_assert!(fit.placement.vms_on(*h).is_empty());
+                    prop_assert!(fit.hosts[h.0 as usize].is_empty());
                 }
             }
             Err(FixedPoolError::PoolExhausted { .. }) => {
@@ -499,19 +518,19 @@ proptest! {
         let residents = placement.vms_on(host).to_vec();
         prop_assert!(!residents.is_empty(), "active hosts hold at least one VM");
         let precopy = vmcw_repro::migration::precopy::PrecopyConfig::gigabit();
-        if let Ok(dp) = plan_drain(input, placement, host, &plan.dc, 0, (1.0, 1.0), &precopy) {
+        if let Ok(dp) = plan_drain(input, placement, host, &[], &plan.dc, 0, (1.0, 1.0), &precopy) {
             let mut after = placement.clone();
-            for &(vm, dest) in &dp.moves {
+            for &(pos, dest) in &dp.moves {
                 prop_assert!(dest != host, "evacuation must leave the crashed host");
-                after.assign(vm, dest);
+                after.assign(pos, dest);
             }
             // No VM lost or duplicated: `assign` re-homes, so the total
             // count is conserved and the drained host ends empty.
             prop_assert_eq!(after.len(), placement.len());
             prop_assert_eq!(dp.moves.len(), residents.len());
             prop_assert!(after.vms_on(host).is_empty(), "host must end empty");
-            for &vm in &residents {
-                prop_assert!(after.host_of(vm).is_some(), "{vm} lost in evacuation");
+            for &pos in &residents {
+                prop_assert!(after.host_of(pos as usize).is_some(), "{pos} lost in evacuation");
             }
         }
     }
