@@ -108,8 +108,11 @@ pub fn build_correlation_items(
         config.signature_buckets > 0,
         "need at least one signature bucket"
     );
+    // Built last trace first, so a repeated id keeps its first trace
+    // (the later insert wins), the one the replay steps.
     let per_vm: std::collections::BTreeMap<VmId, CorrelationItem> = vms
         .iter()
+        .rev()
         .map(|t| {
             let cpu = &t.cpu_rpe2.values()[history.clone()];
             let mem = &t.mem_mb.values()[history.clone()];

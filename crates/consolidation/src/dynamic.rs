@@ -238,7 +238,9 @@ fn plan_dynamic_with(
         eval_mem: Vec<f64>,
         hist_peak_cpu: f64,
     }
-    let mut windows: BTreeMap<VmId, VmWindows> = BTreeMap::new();
+    // Indexed by input position: a group reads its VMs' windows through
+    // their positions, so a repeated id is sized from its first trace.
+    let mut windows: Vec<VmWindows> = Vec::with_capacity(input.vms.len());
     for t in &input.vms {
         let hist_range = input.history_range();
         let fold = |values: &[f64]| -> Vec<f64> {
@@ -252,16 +254,13 @@ fn plan_dynamic_with(
         let eval_cpu = fold(&t.cpu_rpe2.values()[eval.clone()]);
         let eval_mem = fold(&t.mem_mb.values()[eval.clone()]);
         let hist_peak_cpu = hist_cpu.iter().copied().fold(0.0, f64::max);
-        windows.insert(
-            t.vm.id,
-            VmWindows {
-                hist_cpu,
-                hist_mem,
-                eval_cpu,
-                eval_mem,
-                hist_peak_cpu,
-            },
-        );
+        windows.push(VmWindows {
+            hist_cpu,
+            hist_mem,
+            eval_cpu,
+            eval_mem,
+            hist_peak_cpu,
+        });
     }
 
     // Build colocation groups with a dummy demand map (validation only).
@@ -288,7 +287,10 @@ fn plan_dynamic_with(
                 .vms
                 .iter()
                 .any(|&v| input.constraints.pinned_host(v).is_some());
-            let hist_peak_cpu = it.vms.iter().map(|v| windows[v].hist_peak_cpu).sum();
+            let hist_peak_cpu = positions
+                .iter()
+                .map(|&pos| windows[pos as usize].hist_peak_cpu)
+                .sum();
             let net_mbps = traces().map(|t| t.net_peak_mbps).sum();
             Group {
                 vms: it.vms,
@@ -307,10 +309,10 @@ fn plan_dynamic_with(
     for g in &mut groups {
         g.predicted = (0..n_windows)
             .map(|i| {
-                g.vms
+                g.positions
                     .iter()
-                    .map(|v| {
-                        let vw = &windows[v];
+                    .map(|&pos| {
+                        let vw = &windows[pos as usize];
                         let cpu = config.cpu_predictor.predict(
                             &vw.hist_cpu,
                             &vw.eval_cpu,

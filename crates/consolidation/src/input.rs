@@ -6,10 +6,11 @@
 //! replays, Table 3). Demands are absolute: CPU in RPE2, memory in MB.
 
 use crate::sizing::SizingFunction;
+use std::borrow::Borrow;
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::{Vm, VmId};
-use vmcw_trace::datacenters::GeneratedWorkload;
+use vmcw_trace::datacenters::{GeneratedWorkload, ServerStream, SourceServer};
 use vmcw_trace::metrics::Metric;
 use vmcw_trace::series::TimeSeries;
 use vmcw_trace::warehouse::{DataWarehouse, SourceId};
@@ -164,7 +165,7 @@ impl PlanningInput {
     /// Builds the input from a generated data-center workload: each
     /// non-virtualised source server becomes one VM; demands gain the
     /// virtualisation overheads; the first `history_days` form the
-    /// planning history.
+    /// planning history. The servers are borrowed, not cloned.
     ///
     /// # Panics
     ///
@@ -175,15 +176,42 @@ impl PlanningInput {
         history_days: usize,
         virt: VirtualizationModel,
     ) -> Self {
+        Self::from_servers(workload.days, workload.servers.iter(), history_days, virt)
+    }
+
+    /// Builds the input straight from the generator's server stream, with
+    /// the conversion of [`Self::from_workload`]: each server is dropped
+    /// once it is converted, so the whole workload is never held. Equals
+    /// `from_workload(&config.generate(seed), ..)` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is shorter than `history_days`, before any
+    /// server is generated.
+    #[must_use]
+    pub fn from_stream(
+        stream: ServerStream,
+        history_days: usize,
+        virt: VirtualizationModel,
+    ) -> Self {
+        Self::from_servers(stream.days(), stream, history_days, virt)
+    }
+
+    /// The one per-server conversion behind [`Self::from_workload`] and
+    /// [`Self::from_stream`].
+    fn from_servers<S: Borrow<SourceServer>>(
+        days: usize,
+        servers: impl Iterator<Item = S>,
+        history_days: usize,
+        virt: VirtualizationModel,
+    ) -> Self {
         assert!(
-            workload.days >= history_days,
-            "workload covers {} days, history needs {history_days}",
-            workload.days
+            days >= history_days,
+            "workload covers {days} days, history needs {history_days}"
         );
-        let vms = workload
-            .servers
-            .iter()
+        let vms = servers
             .map(|s| {
+                let s = s.borrow();
                 let cpu_rpe2 = s.cpu_demand_rpe2().scale(1.0 + virt.cpu_overhead_frac);
                 let mem_values: Vec<f64> = s
                     .mem_used_mb
@@ -345,12 +373,12 @@ impl PlanningInput {
         self.vms.iter().map(|t| t.vm.id).collect()
     }
 
-    /// Per-VM peak network demand, Mbit/s.
+    /// Per-VM peak network demand, Mbit/s, from each id's first trace
+    /// (the one [`Self::vm_position`] finds and the replay steps).
     #[must_use]
     pub fn net_demands(&self) -> std::collections::BTreeMap<VmId, f64> {
-        self.vms
-            .iter()
-            .map(|t| (t.vm.id, t.net_peak_mbps))
+        self.by_id()
+            .map(|(id, pos)| (id, self.vms[pos].net_peak_mbps))
             .collect()
     }
 }
@@ -450,6 +478,68 @@ mod tests {
             for id in known.chain(probes.iter().copied()).map(VmId) {
                 proptest::prop_assert_eq!(input.vm_position(id), linear_position(&input, id));
             }
+        }
+    }
+
+    fn bits(series: &TimeSeries) -> (StepSecs, Vec<u64>) {
+        (
+            series.step(),
+            series.values().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// Everything a trace holds, floats as bits.
+    fn trace_bits(t: &VmTrace) -> impl PartialEq + std::fmt::Debug {
+        (
+            (t.vm.id, t.vm.name.clone(), t.vm.configured_mem_mb.to_bits()),
+            t.net_peak_mbps.to_bits(),
+            bits(&t.cpu_rpe2),
+            bits(&t.mem_mb),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The streamed input is the collected workload's input, bit for
+        /// bit, and `generate` is the collected stream.
+        #[test]
+        fn streamed_input_matches_the_collected_workload(
+            dc_pick in 0usize..4,
+            scale_pct in 1u32..6,
+            days in 1usize..6,
+            history_pick in 0usize..6,
+            seed in 0u64..u64::MAX,
+            virt_pick in 0usize..2,
+        ) {
+            let cfg = GeneratorConfig::new(DataCenterId::ALL[dc_pick])
+                .scale(f64::from(scale_pct) / 100.0)
+                .days(days);
+            let history_days = history_pick.min(days);
+            let virt = [VirtualizationModel::none(), VirtualizationModel::baseline()][virt_pick];
+            let workload = cfg.generate(seed);
+            let streamed: Vec<SourceServer> = cfg.stream(seed).collect();
+            proptest::prop_assert_eq!(streamed.len(), cfg.server_count());
+            for (a, b) in workload.servers.iter().zip(&streamed) {
+                proptest::prop_assert_eq!(
+                    (a.id, &a.name, a.class, a.cpu_capacity_rpe2.to_bits()),
+                    (b.id, &b.name, b.class, b.cpu_capacity_rpe2.to_bits())
+                );
+                proptest::prop_assert_eq!(
+                    (a.mem_capacity_mb.to_bits(), a.net_peak_mbps.to_bits()),
+                    (b.mem_capacity_mb.to_bits(), b.net_peak_mbps.to_bits())
+                );
+                proptest::prop_assert_eq!(bits(&a.cpu_used_frac), bits(&b.cpu_used_frac));
+                proptest::prop_assert_eq!(bits(&a.mem_used_mb), bits(&b.mem_used_mb));
+            }
+            let reference = PlanningInput::from_workload(&workload, history_days, virt);
+            let input = PlanningInput::from_stream(cfg.stream(seed), history_days, virt);
+            proptest::prop_assert_eq!(input.history_hours, reference.history_hours);
+            proptest::prop_assert_eq!(input.vms.len(), reference.vms.len());
+            for (a, b) in input.vms.iter().zip(&reference.vms) {
+                proptest::prop_assert_eq!(trace_bits(a), trace_bits(b));
+            }
+            proptest::prop_assert!(input.by_id().eq(reference.by_id()));
         }
     }
 

@@ -112,8 +112,11 @@ pub fn build_pcp_items(
     constraints: &ConstraintSet,
 ) -> Result<Vec<PcpItem>, PackError> {
     assert!(config.buckets > 0, "need at least one bucket");
+    // Built last trace first, so a repeated id keeps its first trace
+    // (the later insert wins), the one the replay steps.
     let per_vm: BTreeMap<VmId, PcpItem> = vms
         .iter()
+        .rev()
         .map(|t| {
             let cpu = &t.cpu_rpe2.values()[history.clone()];
             let mem = &t.mem_mb.values()[history.clone()];

@@ -222,15 +222,16 @@ impl Planner {
         DataCenter::new(ServerModel::hs23_elite(), self.hosts_per_rack, self.subnets)
     }
 
+    /// Each id sized over `range` from its first trace, the one the
+    /// replay steps.
     fn sized_demands(
         input: &PlanningInput,
         range: std::ops::Range<usize>,
         sizing: SizingFunction,
     ) -> BTreeMap<VmId, Resources> {
         input
-            .vms
-            .iter()
-            .map(|t| (t.vm.id, t.size_over(range.clone(), sizing)))
+            .by_id()
+            .map(|(id, pos)| (id, input.vms[pos].size_over(range.clone(), sizing)))
             .collect()
     }
 
@@ -331,8 +332,9 @@ impl Planner {
         let mut demands = Self::sized_demands(input, range.clone(), SizingFunction::Max);
         if self.growth == GrowthPolicy::LinearTrend {
             let horizon_days = input.eval_hours() as f64 / 24.0;
-            for t in &input.vms {
-                let Some(d) = demands.get_mut(&t.vm.id) else {
+            for (id, pos) in input.by_id() {
+                let t = &input.vms[pos];
+                let Some(d) = demands.get_mut(&id) else {
                     continue;
                 };
                 let hist_days = (range.end - range.start) as f64 / 24.0;
@@ -470,6 +472,53 @@ mod tests {
             let p0 = plan.placements.at_hour(0);
             assert_eq!(p0.len(), input.vms.len(), "{kind}");
             assert!(plan.provisioned_hosts() > 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_repeated_vm_id_is_sized_from_its_first_trace() {
+        // A second trace of VM 0 at 3x its CPU. Every planner must size
+        // the id from its first trace, the one the replay steps, so the
+        // plan is the plan without the twin and never places the twin.
+        let base = input(DataCenterId::Banking);
+        let mut vms = base.vms.clone();
+        let mut twin = vms[0].clone();
+        twin.cpu_rpe2 = twin.cpu_rpe2.scale(3.0);
+        vms.push(twin);
+        let twinned = PlanningInput::from_traces(vms, base.history_hours);
+        let twin_pos = base.vms.len();
+        let planners = [
+            Planner::baseline(),
+            Planner {
+                growth: GrowthPolicy::LinearTrend,
+                stochastic_variant: StochasticVariant::CorrelationAware,
+                ..Planner::baseline()
+            },
+        ];
+        for planner in planners {
+            for kind in [
+                PlannerKind::Static,
+                PlannerKind::SemiStatic,
+                PlannerKind::Stochastic,
+                PlannerKind::Dynamic,
+            ] {
+                let plan = planner
+                    .plan(kind, &twinned)
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                let alone = planner.plan(kind, &base).unwrap();
+                assert_eq!(plan.migrations, alone.migrations, "{kind}");
+                assert_eq!(plan.dc, alone.dc, "{kind}");
+                assert_eq!(
+                    plan.placements.interval_count(),
+                    alone.placements.interval_count()
+                );
+                for (p, q) in plan.placements.iter().zip(alone.placements.iter()) {
+                    assert_eq!(p.host_of(twin_pos), None, "{kind}");
+                    for pos in 0..twin_pos {
+                        assert_eq!(p.host_of(pos), q.host_of(pos), "{kind}: VM at {pos}");
+                    }
+                }
+            }
         }
     }
 

@@ -107,6 +107,26 @@ impl StudyConfig {
     pub fn total_days(&self) -> usize {
         self.history_days + self.eval_days
     }
+
+    /// The generator of this study's workload.
+    #[must_use]
+    pub fn generator(&self) -> GeneratorConfig {
+        GeneratorConfig::new(self.dc)
+            .scale(self.scale)
+            .days(self.total_days())
+    }
+
+    /// The planning input [`Study::prepare`] builds, streamed from the
+    /// generator without keeping the workload: for callers that only
+    /// plan and replay.
+    #[must_use]
+    pub fn planning_input(&self) -> PlanningInput {
+        PlanningInput::from_stream(
+            self.generator().stream(self.seed),
+            self.history_days,
+            self.virt,
+        )
+    }
 }
 
 /// One planner's outcome within a study.
@@ -134,10 +154,7 @@ impl Study {
     /// Generates the workload and builds the planning input.
     #[must_use]
     pub fn prepare(config: &StudyConfig) -> Self {
-        let workload = GeneratorConfig::new(config.dc)
-            .scale(config.scale)
-            .days(config.total_days())
-            .generate(config.seed);
+        let workload = config.generator().generate(config.seed);
         let input = PlanningInput::from_workload(&workload, config.history_days, config.virt);
         Self {
             config: *config,
@@ -174,18 +191,6 @@ impl Study {
     #[must_use]
     pub fn input(&self) -> &PlanningInput {
         &self.input
-    }
-
-    /// Plans with `kind` without emulating — for callers that drive the
-    /// replay themselves (the crash-safe supervisor steps a
-    /// [`Replay`](vmcw_emulator::Replay) hour by hour under budgets and
-    /// checkpoints).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the planner.
-    pub fn plan(&self, kind: PlannerKind) -> Result<ConsolidationPlan, StudyError> {
-        Ok(self.config.planner.plan(kind, &self.input)?)
     }
 
     /// Plans with `kind` and emulates the evaluation window.

@@ -49,9 +49,10 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
+use vmcw_consolidation::input::PlanningInput;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_emulator::checkpoint::{
     decode_cost, decode_fault_config, decode_report, enc_f64, encode_cost, encode_fault_config,
@@ -69,7 +70,7 @@ use vmcw_trace::datacenters::DataCenterId;
 use crate::health::{CellHealth, HealthSnapshot, HEALTH_FILE};
 use crate::journal::{write_atomic, Frame, Journal, JournalError, TailCorruption};
 use crate::render::{fnum, Table};
-use crate::study::{Study, StudyConfig};
+use crate::study::StudyConfig;
 
 /// Cooperative cancellation shared between a supervisor and whoever
 /// wants to stop it (a signal handler, a test, a deadline).
@@ -1234,6 +1235,102 @@ impl Default for CellHealthState {
     }
 }
 
+/// One data center's planning input, shared by its cells and held only
+/// while one of them can still need it.
+///
+/// The first worker to need the input prepares it under the slot's
+/// lock, so workers that arrive meanwhile wait for it instead of
+/// preparing a second copy. A prepare that panics leaves the slot empty
+/// (`lock` ignores the poisoning), so the next attempt prepares again.
+/// The slot lets go of the input when the data center's last pending
+/// cell reaches a terminal outcome ([`Self::cell_done`]); each attempt
+/// drops its own handle when it ends, so the input is freed then.
+struct InputSlot {
+    state: Mutex<SlotState>,
+}
+
+struct SlotState {
+    /// `None` until prepared, after a prepare panicked, and once
+    /// released.
+    input: Option<Arc<PlanningInput>>,
+    /// This run's cells of the data center not yet terminal.
+    pending: usize,
+}
+
+impl InputSlot {
+    fn new(pending: usize) -> Self {
+        Self {
+            state: Mutex::new(SlotState {
+                input: None,
+                pending,
+            }),
+        }
+    }
+
+    /// The input, prepared with `prepare` unless it is ready.
+    fn get(&self, prepare: impl FnOnce() -> Arc<PlanningInput>) -> Arc<PlanningInput> {
+        Arc::clone(lock(&self.state).input.get_or_insert_with(prepare))
+    }
+
+    /// Counts one of the data center's cells as terminal; the last one
+    /// releases the input (and returns `true`).
+    fn cell_done(&self) -> bool {
+        let mut state = lock(&self.state);
+        state.pending -= 1;
+        if state.pending > 0 {
+            return false;
+        }
+        state.input = None;
+        true
+    }
+}
+
+/// What the supervisor did with each run's inputs, keyed by study
+/// directory: the lifetime tests' view of the executor.
+#[cfg(test)]
+mod probe {
+    use super::{lock, DataCenterId, PlanningInput};
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+    use std::sync::{Arc, Mutex, Weak};
+
+    #[derive(Default)]
+    pub(super) struct Inputs {
+        /// Every prepared input, in prepare order.
+        pub(super) prepared: Vec<(DataCenterId, Weak<PlanningInput>)>,
+        /// Most inputs alive at once.
+        pub(super) high_water: usize,
+        /// Each released data center, and whether its input was already
+        /// freed when its last cell finished.
+        pub(super) released: Vec<(DataCenterId, bool)>,
+    }
+
+    static RUNS: Mutex<BTreeMap<PathBuf, Inputs>> = Mutex::new(BTreeMap::new());
+
+    pub(super) fn prepared(dir: &Path, dc: DataCenterId, input: &Arc<PlanningInput>) {
+        let mut runs = lock(&RUNS);
+        let run = runs.entry(dir.to_path_buf()).or_default();
+        run.prepared.push((dc, Arc::downgrade(input)));
+        let live = run.prepared.iter().filter(|(_, w)| w.strong_count() > 0);
+        run.high_water = run.high_water.max(live.count());
+    }
+
+    pub(super) fn released(dir: &Path, dc: DataCenterId) {
+        let mut runs = lock(&RUNS);
+        let run = runs.entry(dir.to_path_buf()).or_default();
+        let freed = run
+            .prepared
+            .iter()
+            .filter(|(d, _)| *d == dc)
+            .all(|(_, w)| w.strong_count() == 0);
+        run.released.push((dc, freed));
+    }
+
+    pub(super) fn take(dir: &Path) -> Inputs {
+        lock(&RUNS).remove(dir).unwrap_or_default()
+    }
+}
+
 /// Shared per-run executor state, borrowed by every worker thread.
 struct Executor<'a> {
     spec: &'a StudySpec,
@@ -1243,12 +1340,10 @@ struct Executor<'a> {
     grid: &'a [Cell],
     journal: Mutex<Journal>,
     token: &'a CancelToken,
-    /// Lazily prepared per-data-center studies, indexed as `spec.dcs`.
-    /// `OnceLock` blocks racing workers until the first finishes the
-    /// (expensive) trace generation, so each DC is prepared exactly
-    /// once. A panic inside `get_or_init` leaves the lock uninitialised
-    /// (not poisoned), so a retry simply prepares again.
-    studies: Vec<OnceLock<Study>>,
+    /// Per-data-center planning inputs, indexed as `spec.dcs`: each is
+    /// prepared once, by the first cell that needs it, and released
+    /// after the data center's last cell.
+    inputs: Vec<InputSlot>,
     /// Latest known checkpoint per cell: seeded from the journal on
     /// resume, updated as cells checkpoint, and the restart point for
     /// retried attempts.
@@ -1284,6 +1379,7 @@ impl Executor<'_> {
     /// run. Returns the cells it finished, by grid index.
     fn work(&self, pending: &[usize]) -> Result<Vec<(usize, CellReport)>, SuperviseError> {
         let mut finished = Vec::new();
+        let planners = self.spec.planners.len();
         while !self.abort.load(Ordering::SeqCst) {
             let slot = self.next.fetch_add(1, Ordering::SeqCst);
             let Some(&idx) = pending.get(slot) else {
@@ -1294,7 +1390,15 @@ impl Executor<'_> {
                 break;
             }
             match self.run_cell_supervised(idx) {
-                Ok(Some(cell)) => finished.push((idx, cell)),
+                Ok(Some(cell)) => {
+                    let dc = idx / planners;
+                    let _released = self.inputs[dc].cell_done();
+                    #[cfg(test)]
+                    if _released {
+                        probe::released(self.dir, self.spec.dcs[dc]);
+                    }
+                    finished.push((idx, cell));
+                }
                 Ok(None) => break,
                 Err(e) => {
                     self.abort.store(true, Ordering::SeqCst);
@@ -1313,7 +1417,8 @@ impl Executor<'_> {
     fn run_cell_supervised(&self, idx: usize) -> Result<Option<CellReport>, SuperviseError> {
         let cell = self.grid[idx];
         let (dc, kind) = cell;
-        let study = &self.studies[idx / self.spec.planners.len()];
+        let slot = &self.inputs[idx / self.spec.planners.len()];
+        let config = self.spec.study_config(dc);
         let max_attempts = self.opts.retry.max_attempts.max(1);
         let mut incidents: Vec<String> = Vec::new();
         let mut attempt = 1usize;
@@ -1325,8 +1430,20 @@ impl Executor<'_> {
                 h.watch = Some(Arc::clone(&watch));
             });
             let caught = catch_cell_panic(|| {
-                let study = study.get_or_init(|| Study::prepare(&self.spec.study_config(dc)));
-                self.run_attempt(cell, study, &watch, attempt, attempt >= max_attempts)
+                let input = slot.get(|| {
+                    let input = Arc::new(config.planning_input());
+                    #[cfg(test)]
+                    probe::prepared(self.dir, dc, &input);
+                    input
+                });
+                self.run_attempt(
+                    cell,
+                    &config,
+                    &input,
+                    &watch,
+                    attempt,
+                    attempt >= max_attempts,
+                )
             });
             watch.armed.store(false, Ordering::SeqCst);
             let run = match caught {
@@ -1454,7 +1571,8 @@ impl Executor<'_> {
     fn run_attempt(
         &self,
         cell: Cell,
-        study: &Study,
+        config: &StudyConfig,
+        input: &PlanningInput,
         watch: &CellWatch,
         attempt: usize,
         final_attempt: bool,
@@ -1470,8 +1588,7 @@ impl Executor<'_> {
                 cost: None,
             })
         };
-        let config = *study.config();
-        let plan = match study.plan(kind) {
+        let plan = match config.planner.plan(kind, input) {
             Ok(p) => p,
             Err(e) => return abort(e.to_string()),
         };
@@ -1486,23 +1603,12 @@ impl Executor<'_> {
             }
         }
         let mut replay = match prev_ckpt.as_ref() {
-            Some(ck) => Replay::resume(
-                study.input(),
-                &plan,
-                &config.emulator,
-                spec.faults.as_ref(),
-                ck,
-            )?,
+            Some(ck) => Replay::resume(input, &plan, &config.emulator, spec.faults.as_ref(), ck)?,
             None => {
                 if attempt == 1 {
                     self.append(&Record::CellStart(cell))?;
                 }
-                match Replay::new(
-                    study.input(),
-                    &plan,
-                    &config.emulator,
-                    spec.faults.as_ref(),
-                ) {
+                match Replay::new(input, &plan, &config.emulator, spec.faults.as_ref()) {
                     Ok(r) => r,
                     Err(e) => return abort(e.to_string()),
                 }
@@ -1758,15 +1864,26 @@ fn drive(
         grid.iter().map(|cell| resumed.done.remove(cell)).collect();
     let mut pending: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
 
+    let planners = spec.planners.len();
     let workers = opts.jobs.max(1).min(pending.len().max(1));
     if workers > 1 {
-        // Claim planner-major so concurrent workers start on *different*
-        // data centers and their `Study::prepare` calls overlap instead
-        // of serialising on one `OnceLock`. Output order is unaffected:
-        // finished cells are merged back by grid index.
-        let planners = spec.planners.len();
-        pending.sort_by_key(|&idx| (idx % planners, idx / planners));
+        // Claim in batches of `workers` data centers, planner-major
+        // inside a batch: concurrent workers start on *different* data
+        // centers, so their prepares overlap, and every cell of a batch
+        // is claimed before the next batch's first. Live inputs are
+        // then the current batch's plus those of earlier batches that
+        // still run a cell: at most 2 * workers - 1, and at most
+        // workers + 1 with the four data centers. Output order is
+        // unaffected: finished cells are merged back by grid index.
+        pending.sort_by_key(|&idx| {
+            let dc = idx / planners;
+            (dc / workers, idx % planners, dc)
+        });
     }
+    let nothing_pending = pending.is_empty();
+    let inputs = (0..spec.dcs.len())
+        .map(|dc| InputSlot::new(pending.iter().filter(|&&idx| idx / planners == dc).count()))
+        .collect();
 
     let exec = Executor {
         spec: &spec,
@@ -1775,7 +1892,7 @@ fn drive(
         grid: &grid,
         journal: Mutex::new(journal),
         token,
-        studies: spec.dcs.iter().map(|_| OnceLock::new()).collect(),
+        inputs,
         latest: Mutex::new(resumed.ckpts),
         next: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
@@ -1795,9 +1912,9 @@ fn drive(
         let hours = cell.report.as_ref().map_or(0, |r| r.hours);
         exec.set_health((cell.dc, cell.kind), cell.outcome.label(), attempt, Some(hours));
     }
-    exec.write_health(if pending.is_empty() { "completed" } else { "running" });
+    exec.write_health(if nothing_pending { "completed" } else { "running" });
 
-    let ran = if pending.is_empty() {
+    let ran = if nothing_pending {
         Ok(Vec::new())
     } else if token.is_cancelled() {
         exec.interrupted.store(true, Ordering::SeqCst);
@@ -1948,7 +2065,9 @@ fn write_outputs(dir: &Path, report: &StudyReport) -> Result<(), SuperviseError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::Study;
     use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -2284,6 +2403,116 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Four data centers, two planners: enough for the claim order to
+    /// matter at two and three workers.
+    fn four_dc_spec() -> StudySpec {
+        StudySpec {
+            planners: vec![PlannerKind::SemiStatic, PlannerKind::Dynamic],
+            ..StudySpec::new(0.02, 5, 5, 1)
+        }
+    }
+
+    #[test]
+    fn inputs_stay_within_jobs_plus_one_and_die_with_their_last_cell() {
+        let spec = four_dc_spec();
+        let serial_dir = tmp_dir("inputs-serial");
+        let opts = RunOptions::default();
+        run_study_opts(&spec, &serial_dir, &CancelToken::new(), &opts).unwrap();
+        let serial = probe::take(&serial_dir);
+        assert_eq!(serial.high_water, 1, "one worker holds one input");
+        for jobs in [2, 3] {
+            let dir = tmp_dir(&format!("inputs-jobs{jobs}"));
+            let opts = RunOptions {
+                jobs,
+                ..RunOptions::default()
+            };
+            let report = run_study_opts(&spec, &dir, &CancelToken::new(), &opts).unwrap();
+            assert_eq!(report.status, StudyStatus::Completed);
+            let run = probe::take(&dir);
+            let mut prepared: Vec<DataCenterId> = run.prepared.iter().map(|p| p.0).collect();
+            prepared.sort_unstable();
+            assert_eq!(
+                prepared,
+                DataCenterId::ALL,
+                "--jobs {jobs}: each input prepared once"
+            );
+            assert!(
+                (2..=jobs + 1).contains(&run.high_water),
+                "--jobs {jobs}: {} inputs alive at once",
+                run.high_water
+            );
+            let mut released = run.released.clone();
+            released.sort_unstable();
+            let freed: Vec<(DataCenterId, bool)> =
+                DataCenterId::ALL.iter().map(|&dc| (dc, true)).collect();
+            assert_eq!(released, freed, "--jobs {jobs}: freed after the last cell");
+            for file in ["cells.csv", "STUDY.md"] {
+                assert_eq!(
+                    std::fs::read(serial_dir.join(file)).unwrap(),
+                    std::fs::read(dir.join(file)).unwrap(),
+                    "{file} differs between --jobs 1 and --jobs {jobs}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&serial_dir);
+    }
+
+    fn empty_input() -> Arc<PlanningInput> {
+        Arc::new(PlanningInput::from_traces(Vec::new(), 0))
+    }
+
+    #[test]
+    fn a_prepare_that_panics_leaves_the_slot_empty_for_the_retry() {
+        let slot = InputSlot::new(1);
+        let failed = catch_unwind(AssertUnwindSafe(|| slot.get(|| panic!("prepare failed"))));
+        assert!(failed.is_err());
+        assert!(lock(&slot.state).input.is_none());
+        let mut prepares = 0;
+        let a = slot.get(|| {
+            prepares += 1;
+            empty_input()
+        });
+        let b = slot.get(|| {
+            prepares += 1;
+            empty_input()
+        });
+        assert_eq!(prepares, 1, "the retry prepares once, then shares it");
+        assert!(Arc::ptr_eq(&a, &b));
+        let weak = Arc::downgrade(&a);
+        drop((a, b));
+        assert!(slot.cell_done(), "the only cell was the last");
+        assert!(weak.upgrade().is_none(), "released with its last cell");
+    }
+
+    /// The sleep only makes it likely that the second worker is waiting
+    /// on the slot's lock when the first prepare panics; arriving after
+    /// the slot was emptied is the other interleaving, and it must end
+    /// the same way.
+    #[test]
+    fn a_worker_waiting_on_a_prepare_that_panics_prepares_itself() {
+        let slot = InputSlot::new(2);
+        let (started, wait_started) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    slot.get(|| {
+                        started.send(()).unwrap();
+                        std::thread::sleep(Duration::from_millis(50));
+                        panic!("prepare failed")
+                    })
+                }))
+            });
+            wait_started.recv().unwrap();
+            let mine = empty_input();
+            let second = slot.get(|| Arc::clone(&mine));
+            assert!(Arc::ptr_eq(&second, &mine));
+            assert!(first.join().unwrap().is_err());
+        });
+        assert!(!slot.cell_done(), "one cell is still pending");
+        assert!(lock(&slot.state).input.is_some());
+    }
+
     /// One transient panic heals through retry: the final outputs are
     /// byte-identical to a run that never crashed.
     #[test]
@@ -2462,7 +2691,11 @@ mod tests {
             OnceLock::new();
         FIXTURE.get_or_init(|| {
             let study = Study::prepare(&tiny_spec().study_config(DataCenterId::Airlines));
-            let plan = study.plan(PlannerKind::Dynamic).unwrap();
+            let plan = study
+                .config()
+                .planner
+                .plan(PlannerKind::Dynamic, study.input())
+                .unwrap();
             let faults = FaultConfig::baseline(3);
             let emulator = &study.config().emulator;
             let mut replay = Replay::new(study.input(), &plan, emulator, Some(&faults)).unwrap();

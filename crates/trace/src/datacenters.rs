@@ -10,7 +10,8 @@
 //! | D    | Beverage          | 722       | 6%            |
 //!
 //! The raw traces are proprietary, so [`GeneratorConfig::generate`]
-//! synthesises statistically equivalent ones. The per-data-center parameter
+//! synthesises statistically equivalent ones, server by server through
+//! [`GeneratorConfig::stream`]. The per-data-center parameter
 //! distributions below are calibrated against every distribution the paper
 //! publishes: the CPU peak-to-average and CoV CDFs (Figs 2–3), the memory
 //! equivalents (Figs 4–5), the CPU/memory resource-ratio CDFs (Fig 6) and
@@ -275,9 +276,24 @@ impl GeneratorConfig {
         ((self.dc.server_count() as f64 * self.scale).round() as usize).max(1)
     }
 
-    /// Generates the workload. Deterministic in `(config, seed)`.
+    /// Generates the workload: [`Self::stream`] collected. Deterministic
+    /// in `(config, seed)`.
     #[must_use]
     pub fn generate(&self, seed: u64) -> GeneratedWorkload {
+        GeneratedWorkload {
+            dc: self.dc,
+            days: self.days,
+            servers: self.stream(seed).collect(),
+        }
+    }
+
+    /// The workload's servers one at a time, in the order
+    /// [`Self::generate`] lists them and bit-identical to them. Only the
+    /// data-center-wide event trains are held for the whole stream, so a
+    /// caller that keeps a per-server summary (a planning input) never
+    /// holds the whole workload.
+    #[must_use]
+    pub fn stream(&self, seed: u64) -> ServerStream {
         let salt = match self.dc {
             DataCenterId::Banking => 0xA,
             DataCenterId::Airlines => 0xB,
@@ -285,7 +301,51 @@ impl GeneratorConfig {
             DataCenterId::Beverage => 0xD,
         };
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt);
-        let n = self.server_count();
+        let hours = self.days * HOURS_PER_DAY;
+        let events = event_trains(self.dc, &mut rng, hours);
+        ServerStream {
+            dc: self.dc,
+            days: self.days,
+            rng,
+            events,
+            next: 0,
+            count: self.server_count(),
+        }
+    }
+}
+
+/// The servers of one generated workload, yielded one at a time (see
+/// [`GeneratorConfig::stream`]).
+#[derive(Debug, Clone)]
+pub struct ServerStream {
+    dc: DataCenterId,
+    days: usize,
+    rng: StdRng,
+    /// Per-application-group event trains, drawn before any server.
+    events: Vec<Vec<f64>>,
+    /// Index of the next server.
+    next: usize,
+    count: usize,
+}
+
+impl ServerStream {
+    /// Trace length in days.
+    #[must_use]
+    pub fn days(&self) -> usize {
+        self.days
+    }
+}
+
+impl Iterator for ServerStream {
+    type Item = SourceServer;
+
+    fn next(&mut self) -> Option<SourceServer> {
+        if self.next == self.count {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        let rng = &mut self.rng;
         let hours = self.days * HOURS_PER_DAY;
         let prefix = match self.dc {
             DataCenterId::Banking => "bank",
@@ -293,40 +353,37 @@ impl GeneratorConfig {
             DataCenterId::NaturalResources => "mine",
             DataCenterId::Beverage => "bev",
         };
-        let events = event_trains(self.dc, &mut rng, hours);
-        let servers = (0..n)
-            .map(|i| {
-                let sampled = sample_server(self.dc, &mut rng);
-                let group = rng.random_range(0..events.len());
-                let cpu = sampled.cpu.generate(&mut rng, hours, &events[group]);
-                let mem = sampled.mem.generate(&mut rng, &cpu);
-                // Web servers push traffic proportional to their CPU peak
-                // (tens to a few hundred Mbit/s); batch jobs read from SAN
-                // and drive far less front-end network.
-                let peak_cpu = cpu.max().unwrap_or(0.0);
-                let net_peak_mbps = match sampled.cpu.class() {
-                    WorkloadClass::Web => 40.0 + 500.0 * peak_cpu,
-                    WorkloadClass::Batch => 10.0 + 80.0 * peak_cpu,
-                };
-                SourceServer {
-                    id: SourceId(i as u32),
-                    name: format!("{prefix}-{i:04}"),
-                    class: sampled.cpu.class(),
-                    cpu_capacity_rpe2: sampled.rpe2,
-                    mem_capacity_mb: sampled.mem_capacity_mb,
-                    net_peak_mbps,
-                    cpu_used_frac: cpu,
-                    mem_used_mb: mem,
-                }
-            })
-            .collect();
-        GeneratedWorkload {
-            dc: self.dc,
-            days: self.days,
-            servers,
-        }
+        let sampled = sample_server(self.dc, rng);
+        let group = rng.random_range(0..self.events.len());
+        let cpu = sampled.cpu.generate(rng, hours, &self.events[group]);
+        let mem = sampled.mem.generate(rng, &cpu);
+        // Web servers push traffic proportional to their CPU peak (tens
+        // to a few hundred Mbit/s); batch jobs read from SAN and drive
+        // far less front-end network.
+        let peak_cpu = cpu.max().unwrap_or(0.0);
+        let net_peak_mbps = match sampled.cpu.class() {
+            WorkloadClass::Web => 40.0 + 500.0 * peak_cpu,
+            WorkloadClass::Batch => 10.0 + 80.0 * peak_cpu,
+        };
+        Some(SourceServer {
+            id: SourceId(i as u32),
+            name: format!("{prefix}-{i:04}"),
+            class: sampled.cpu.class(),
+            cpu_capacity_rpe2: sampled.rpe2,
+            mem_capacity_mb: sampled.mem_capacity_mb,
+            net_peak_mbps,
+            cpu_used_frac: cpu,
+            mem_used_mb: mem,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.count - self.next;
+        (left, Some(left))
     }
 }
+
+impl ExactSizeIterator for ServerStream {}
 
 /// Everything sampled per server before trace generation.
 struct SampledServer {
@@ -730,6 +787,51 @@ mod tests {
         let a = small(DataCenterId::Banking);
         let b = small(DataCenterId::Banking);
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over every field of every server, floats as bits.
+    fn digest(servers: impl Iterator<Item = SourceServer>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for s in servers {
+            eat(&s.id.0.to_le_bytes());
+            eat(s.name.as_bytes());
+            eat(s.class.label().as_bytes());
+            for x in [s.cpu_capacity_rpe2, s.mem_capacity_mb, s.net_peak_mbps] {
+                eat(&x.to_bits().to_le_bytes());
+            }
+            for x in s.cpu_used_frac.iter().chain(s.mem_used_mb.iter()) {
+                eat(&x.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generation_is_pinned_bit_for_bit() {
+        // Digests of the generator's output before it streamed: the
+        // stream and `generate` must keep producing these exact bits.
+        let pinned = [
+            0xed25_4812_8d4c_85e6_u64,
+            0xb5de_05ff_b153_b759,
+            0xa917_eeb9_c2cc_92e5,
+            0x0843_a57a_451c_32cd,
+        ];
+        for (dc, want) in DataCenterId::ALL.into_iter().zip(pinned) {
+            let cfg = GeneratorConfig::new(dc).scale(0.03).days(3);
+            let stream = cfg.stream(42);
+            assert_eq!(stream.len(), cfg.server_count());
+            assert_eq!(digest(stream), want, "{dc}: stream");
+            assert_eq!(
+                digest(cfg.generate(42).servers.into_iter()),
+                want,
+                "{dc}: generate"
+            );
+        }
     }
 
     #[test]

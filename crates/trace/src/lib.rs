@@ -61,6 +61,8 @@ pub mod synth;
 pub mod warehouse;
 pub mod workload;
 
-pub use datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig, SourceServer};
+pub use datacenters::{
+    DataCenterId, GeneratedWorkload, GeneratorConfig, ServerStream, SourceServer,
+};
 pub use series::TimeSeries;
 pub use stats::Cdf;
