@@ -280,7 +280,10 @@ mod tests {
         let mut a = TestRng::for_test("demo");
         let mut b = TestRng::for_test("demo");
         for _ in 0..50 {
-            assert_eq!((0.0f64..1.0).generate(&mut a), (0.0f64..1.0).generate(&mut b));
+            assert_eq!(
+                (0.0f64..1.0).generate(&mut a),
+                (0.0f64..1.0).generate(&mut b)
+            );
         }
     }
 

@@ -69,8 +69,12 @@ impl StandardSample for u32 {
 /// Types samplable uniformly from a caller-supplied interval.
 pub trait SampleUniform: Sized {
     /// Uniform draw from `[lo, hi)`, or `[lo, hi]` when `inclusive`.
-    fn sample_interval<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_interval<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 macro_rules! impl_sample_uniform_int {
@@ -96,16 +100,24 @@ macro_rules! impl_sample_uniform_int {
 impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for f64 {
-    fn sample_interval<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, _inclusive: bool)
-        -> Self {
+    fn sample_interval<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        _inclusive: bool,
+    ) -> Self {
         assert!(lo < hi, "empty random_range: {lo}..{hi}");
         lo + f64::sample_standard(rng) * (hi - lo)
     }
 }
 
 impl SampleUniform for f32 {
-    fn sample_interval<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, _inclusive: bool)
-        -> Self {
+    fn sample_interval<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        _inclusive: bool,
+    ) -> Self {
         assert!(lo < hi, "empty random_range: {lo}..{hi}");
         lo + f32::sample_standard(rng) * (hi - lo)
     }

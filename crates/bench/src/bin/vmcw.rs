@@ -21,7 +21,7 @@ use vmcw_core::health::HealthSnapshot;
 use vmcw_core::study::{Study, StudyConfig};
 use vmcw_core::supervise::{
     resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
-    RunOptions, StudyStatus, SuperviseError, StudySpec,
+    RunOptions, StudySpec, StudyStatus, SuperviseError,
 };
 use vmcw_emulator::report;
 use vmcw_trace::datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig};
@@ -289,10 +289,9 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
     };
 
     let report = if let Some(dir) = args.flags.get("resume") {
-        let budget = (args.flags.contains_key("max-hours")
-            || args.flags.contains_key("max-secs"))
-        .then(|| parse_budget(&args))
-        .transpose()?;
+        let budget = (args.flags.contains_key("max-hours") || args.flags.contains_key("max-secs"))
+            .then(|| parse_budget(&args))
+            .transpose()?;
         resume_study_opts(Path::new(dir), budget, &token, &opts).map_err(classify)?
     } else {
         let dir = args
@@ -306,10 +305,12 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
             v.parse().map_err(|e| usage(format!("bad --seed: {e}")))
         })?;
         let history_days: usize = args.flags.get("history-days").map_or(Ok(30), |v| {
-            v.parse().map_err(|e| usage(format!("bad --history-days: {e}")))
+            v.parse()
+                .map_err(|e| usage(format!("bad --history-days: {e}")))
         })?;
         let eval_days: usize = args.flags.get("eval-days").map_or(Ok(14), |v| {
-            v.parse().map_err(|e| usage(format!("bad --eval-days: {e}")))
+            v.parse()
+                .map_err(|e| usage(format!("bad --eval-days: {e}")))
         })?;
         let mut spec = StudySpec::new(scale, seed, history_days, eval_days);
         if let Some(v) = args.flags.get("ckpt-hours") {
@@ -449,7 +450,9 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                         if v > 0.0 && v.is_finite() {
                             Ok(v)
                         } else {
-                            Err(usage(format!("--scale must be positive and finite, got {v}")))
+                            Err(usage(format!(
+                                "--scale must be positive and finite, got {v}"
+                            )))
                         }
                     })
             })
@@ -496,8 +499,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, "dc scale days seed out").map_err(usage)?;
-    let dc = parse_dc(args.flags.get("dc").ok_or_else(|| usage("--dc is required"))?)
-        .map_err(usage)?;
+    let dc = parse_dc(
+        args.flags
+            .get("dc")
+            .ok_or_else(|| usage("--dc is required"))?,
+    )
+    .map_err(usage)?;
     let scale: f64 = args.flags.get("scale").map_or(Ok(1.0), |v| {
         v.parse().map_err(|e| usage(format!("bad --scale: {e}")))
     })?;
@@ -507,7 +514,11 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let seed: u64 = args.flags.get("seed").map_or(Ok(42), |v| {
         v.parse().map_err(|e| usage(format!("bad --seed: {e}")))
     })?;
-    let out = PathBuf::from(args.flags.get("out").ok_or_else(|| usage("--out is required"))?);
+    let out = PathBuf::from(
+        args.flags
+            .get("out")
+            .ok_or_else(|| usage("--out is required"))?,
+    );
     let workload = GeneratorConfig::new(dc)
         .scale(scale)
         .days(days)
@@ -803,9 +814,7 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
     let mut faults = FaultConfig::baseline(seed);
     let float_flag = |name: &str, slot: &mut f64| -> Result<(), CliError> {
         if let Some(v) = args.flags.get(name) {
-            *slot = v
-                .parse()
-                .map_err(|e| usage(format!("bad --{name}: {e}")))?;
+            *slot = v.parse().map_err(|e| usage(format!("bad --{name}: {e}")))?;
         }
         Ok(())
     };
@@ -849,7 +858,9 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         "stale_h"
     );
     for kind in PlannerKind::EVALUATED {
-        let run = study.run_faulted(kind, &faults).map_err(|e| CliError::Run(e.to_string()))?;
+        let run = study
+            .run_faulted(kind, &faults)
+            .map_err(|e| CliError::Run(e.to_string()))?;
         let f = run.report.faults;
         println!(
             "{:<12} {:>7} {:>11.1} {:>8} {:>7} {:>10} {:>9} {:>8} {:>10} {:>7}",
@@ -969,9 +980,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(v) = args.flags.get("seed") {
-        config.seed = v
-            .parse()
-            .map_err(|e| usage(format!("bad --seed: {e}")))?;
+        config.seed = v.parse().map_err(|e| usage(format!("bad --seed: {e}")))?;
     }
     if let Some(v) = args.flags.get("max-retries") {
         let retries: usize = v
@@ -1042,7 +1051,10 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
     let expect_status: Option<u16> = args
         .flags
         .get("expect-status")
-        .map(|v| v.parse().map_err(|e| usage(format!("bad --expect-status: {e}"))))
+        .map(|v| {
+            v.parse()
+                .map_err(|e| usage(format!("bad --expect-status: {e}")))
+        })
         .transpose()?;
     let expect_body = args.flags.get("expect-body");
     let default_body = "{\"dcs\": \"A\", \"planners\": [\"Semi-Static\"], \
@@ -1096,7 +1108,8 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
         return Err(usage("load needs --get PATH, --post PATH or --rps R"));
     };
     let retry_for: f64 = args.flags.get("retry-for").map_or(Ok(0.0), |v| {
-        v.parse().map_err(|e| usage(format!("bad --retry-for: {e}")))
+        v.parse()
+            .map_err(|e| usage(format!("bad --retry-for: {e}")))
     })?;
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(retry_for);
     let meets = |status: u16, text: &str| {
@@ -1234,7 +1247,11 @@ mod tests {
             &["--heartbeat-timeout", "inf"],
         ] {
             let args: Vec<&str> = out_flag.iter().chain(bad).copied().collect();
-            assert_eq!(exit_code_for(&dispatch("study", &argv(&args))), 2, "{bad:?}");
+            assert_eq!(
+                exit_code_for(&dispatch("study", &argv(&args))),
+                2,
+                "{bad:?}"
+            );
             let journal = out.join(vmcw_core::supervise::JOURNAL_FILE);
             assert!(!journal.exists(), "{bad:?} wrote a journal");
         }
@@ -1244,7 +1261,11 @@ mod tests {
         for secs in ["-1", "0", "nan", "inf"] {
             let args = [dir.to_str().unwrap(), "--heartbeat-timeout", secs];
             assert_eq!(exit_code_for(&dispatch("serve", &argv(&args))), 2, "{secs}");
-            assert!(!dir.exists(), "--heartbeat-timeout {secs} created {}", dir.display());
+            assert!(
+                !dir.exists(),
+                "--heartbeat-timeout {secs} created {}",
+                dir.display()
+            );
         }
     }
 

@@ -150,7 +150,9 @@ pub fn flood(port: u16, path: &str, body: &str, rps: u32, duration_secs: f64) ->
         let (path, body) = (path.to_owned(), body.to_owned());
         handles.push(std::thread::spawn(move || {
             let outcome = request(port, "POST", &path, &body);
-            let mut r = report.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut r = report
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             r.sent += 1;
             match outcome {
                 Ok(reply) => *r.by_status.entry(reply.status).or_insert(0) += 1,
@@ -162,7 +164,10 @@ pub fn flood(port: u16, path: &str, body: &str, rps: u32, duration_secs: f64) ->
         let _ = h.join();
     }
     Arc::try_unwrap(report)
-        .map(|m| m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        })
         .unwrap_or_default()
 }
 
@@ -185,7 +190,10 @@ mod tests {
 
     #[test]
     fn flood_report_counts() {
-        let mut r = FloodReport { sent: 3, ..FloodReport::default() };
+        let mut r = FloodReport {
+            sent: 3,
+            ..FloodReport::default()
+        };
         *r.by_status.entry(200).or_insert(0) += 2;
         *r.by_status.entry(503).or_insert(0) += 1;
         assert_eq!(r.count(200), 2);

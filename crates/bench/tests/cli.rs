@@ -26,7 +26,11 @@ fn generate(test: &str) -> PathBuf {
         .arg(&path)
         .output()
         .expect("spawn vmcw");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     path
 }
 
@@ -35,7 +39,12 @@ fn generate_analyze_plan_pipeline() {
     let path = generate("pipeline");
     assert!(path.exists());
 
-    let analyze = vmcw().arg("analyze").arg(&path).args(["--dc", "beverage"]).output().unwrap();
+    let analyze = vmcw()
+        .arg("analyze")
+        .arg(&path)
+        .args(["--dc", "beverage"])
+        .output()
+        .unwrap();
     assert!(analyze.status.success());
     let stdout = String::from_utf8_lossy(&analyze.stdout);
     assert!(stdout.contains("peak/average"), "{stdout}");
@@ -74,7 +83,10 @@ fn estate_reports_fit_or_exhaustion() {
         .unwrap();
     assert!(tiny.status.success());
     let stdout = String::from_utf8_lossy(&tiny.stdout);
-    assert!(stdout.contains("fits") || stdout.contains("exhausted"), "{stdout}");
+    assert!(
+        stdout.contains("fits") || stdout.contains("exhausted"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
@@ -87,7 +99,10 @@ fn bad_arguments_fail_cleanly() {
     let unknown = vmcw().arg("frobnicate").output().unwrap();
     assert!(!unknown.status.success());
 
-    let missing = vmcw().args(["generate", "--dc", "beverage"]).output().unwrap();
+    let missing = vmcw()
+        .args(["generate", "--dc", "beverage"])
+        .output()
+        .unwrap();
     assert!(!missing.status.success());
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--out"));
 }

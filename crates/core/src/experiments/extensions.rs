@@ -13,10 +13,10 @@
 
 use super::Suite;
 use crate::render::{fnum, Table};
+use crate::study::StudyError;
 use vmcw_cluster::constraints::{Constraint, ConstraintSet};
 use vmcw_cluster::datacenter::SubnetId;
 use vmcw_cluster::vm::VmId;
-use crate::study::StudyError;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_migration::mechanisms::MigrationMechanism;
 use vmcw_migration::precopy::{PrecopyConfig, VmMigrationProfile};

@@ -7,8 +7,8 @@
 
 use super::Suite;
 use crate::render::fnum;
-use std::fmt::Write as _;
 use crate::study::StudyError;
+use std::fmt::Write as _;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_emulator::report;
 use vmcw_trace::datacenters::DataCenterId;
@@ -267,7 +267,10 @@ pub fn study_markdown(report: &crate::supervise::StudyReport) -> String {
             "> A corrupt journal tail was discarded on resume ({tail}).\n"
         );
     }
-    let _ = writeln!(out, "| dc | planner | outcome | hours | hosts | energy kWh | note |");
+    let _ = writeln!(
+        out,
+        "| dc | planner | outcome | hours | hosts | energy kWh | note |"
+    );
     let _ = writeln!(out, "|---|---|---|---|---|---|---|");
     for cell in &report.cells {
         let (hours, hosts, energy) = cell.report.as_ref().map_or_else(

@@ -319,7 +319,9 @@ mod tests {
 
     #[test]
     fn foreign_schema_is_rejected() {
-        let text = sample().to_json().replace("vmcw-health/v1", "vmcw-health/v9");
+        let text = sample()
+            .to_json()
+            .replace("vmcw-health/v1", "vmcw-health/v9");
         let err = HealthSnapshot::parse(&text).unwrap_err();
         assert!(matches!(err, JsonError::Invalid { .. }), "{err}");
     }

@@ -548,7 +548,12 @@ impl Shared {
             })
             .collect();
         HealthSnapshot {
-            status: if self.draining() { "draining" } else { "running" }.to_owned(),
+            status: if self.draining() {
+                "draining"
+            } else {
+                "running"
+            }
+            .to_owned(),
             cells: Vec::new(),
             serve: Some(ServeHealth {
                 queue_depth,
@@ -565,7 +570,10 @@ impl Shared {
 
     fn write_health(&self) {
         let snap = self.health_snapshot();
-        let _ = write_atomic(&self.config.dir.join(HEALTH_FILE), snap.to_json().as_bytes());
+        let _ = write_atomic(
+            &self.config.dir.join(HEALTH_FILE),
+            snap.to_json().as_bytes(),
+        );
     }
 
     /// Updates a registry entry in place.
@@ -683,12 +691,12 @@ impl Server {
 
         recover_jobs(&shared, &jobs_dir);
 
-        let listener = TcpListener::bind(("127.0.0.1", shared.config.port)).map_err(
-            |source| ServeError::Io {
+        let listener = TcpListener::bind(("127.0.0.1", shared.config.port)).map_err(|source| {
+            ServeError::Io {
                 context: format!("bind 127.0.0.1:{}", shared.config.port),
                 source,
-            },
-        )?;
+            }
+        })?;
         let port = listener
             .local_addr()
             .map_err(|source| ServeError::Io {
@@ -761,9 +769,7 @@ impl Server {
         // the grace window so external health checkers can observe the
         // drain before the socket disappears.
         if self.shared.draining() && self.shared.config.drain_grace_secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(
-                self.shared.config.drain_grace_secs,
-            ));
+            std::thread::sleep(Duration::from_secs_f64(self.shared.config.drain_grace_secs));
         }
         self.shared.stop.set();
         // `accept` blocks; one connection to our own port wakes it, and
@@ -954,9 +960,8 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
         // reject, so no early return can consume its half-open probe
         // without a job carrying it into the queue.
         let mut jobs = shared.lock_jobs();
-        let exists = |id: &str| {
-            jobs.contains_key(id) || shared.job_dir(id).join(JOURNAL_FILE).exists()
-        };
+        let exists =
+            |id: &str| jobs.contains_key(id) || shared.job_dir(id).join(JOURNAL_FILE).exists();
         let id = match job.id {
             Some(id) => {
                 if exists(&id) {
@@ -968,8 +973,7 @@ fn submit(shared: &Arc<Shared>, body: &[u8], allow_faults: bool) -> Response {
             // process (next_id restarts at 1 every boot) and anything
             // else already on disk.
             None => loop {
-                let id =
-                    format!("job-{:04}", shared.next_id.fetch_add(1, Ordering::SeqCst));
+                let id = format!("job-{:04}", shared.next_id.fetch_add(1, Ordering::SeqCst));
                 if !exists(&id) {
                     break id;
                 }
@@ -1271,7 +1275,10 @@ mod tests {
             let lo = 1.0 * 2f64.powi(trips as i32 - 1) * 0.5;
             let hi = 1.0 * 2f64.powi(trips as i32 - 1) * 1.5;
             let c = a.cooldown_secs(trips);
-            assert!((lo..hi).contains(&c), "trip {trips}: {c} not in [{lo},{hi})");
+            assert!(
+                (lo..hi).contains(&c),
+                "trip {trips}: {c} not in [{lo},{hi})"
+            );
         }
         // A different seed jitters differently (with overwhelming odds).
         let c = Breaker::new(3, 1.0, 43);

@@ -58,7 +58,11 @@ impl fmt::Display for HttpError {
             HttpError::Bad { detail } => write!(f, "bad request: {detail}"),
             HttpError::TooLarge { detail } => write!(f, "request too large: {detail}"),
             HttpError::Io { detail, timeout } => {
-                let kind = if *timeout { "request read timeout" } else { "request i/o" };
+                let kind = if *timeout {
+                    "request read timeout"
+                } else {
+                    "request i/o"
+                };
                 write!(f, "{kind}: {detail}")
             }
         }
@@ -158,9 +162,9 @@ pub fn parse_head(head: &[u8]) -> Result<RequestHead, HttpError> {
             if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(bad(format!("bad content-length `{value}`")));
             }
-            let n: usize = value.parse().map_err(|_| {
-                bad(format!("content-length `{value}` does not fit in usize"))
-            })?;
+            let n: usize = value
+                .parse()
+                .map_err(|_| bad(format!("content-length `{value}` does not fit in usize")))?;
             match content_length {
                 Some(prev) if prev != n => {
                     return Err(bad("conflicting content-length headers"));
@@ -359,9 +363,8 @@ mod tests {
 
     #[test]
     fn conflicting_content_lengths_are_rejected_duplicates_allowed() {
-        let err =
-            parse_head(b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n")
-                .unwrap_err();
+        let err = parse_head(b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n")
+            .unwrap_err();
         assert!(matches!(err, HttpError::Bad { .. }), "{err}");
         let ok = parse_head(b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n");
         assert_eq!(ok.unwrap().content_length, 3);
@@ -369,7 +372,10 @@ mod tests {
 
     #[test]
     fn oversized_declared_body_is_too_large() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n", MAX_BODY_BYTES + 1);
+        let raw = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n",
+            MAX_BODY_BYTES + 1
+        );
         let err = parse_head(raw.as_bytes()).unwrap_err();
         assert!(matches!(err, HttpError::TooLarge { .. }), "{err}");
     }
@@ -410,7 +416,10 @@ mod tests {
             .write_to(&mut out)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");

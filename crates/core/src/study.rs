@@ -11,8 +11,8 @@ use vmcw_cluster::cost::FacilityCostModel;
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
 use vmcw_consolidation::placement::PackError;
 use vmcw_consolidation::planner::{ConsolidationPlan, Planner, PlannerKind};
-use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulationReport, EmulatorConfig};
 use vmcw_emulator::engine::EmulatorError;
+use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulationReport, EmulatorConfig};
 use vmcw_emulator::faults::FaultConfig;
 use vmcw_emulator::report::{cost_summary, CostSummary};
 use vmcw_trace::datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig};

@@ -950,9 +950,8 @@ impl Record<'static> {
     ) -> Result<Option<Self>, SuperviseError> {
         let split = rec.iter().position(|&b| b == b'\n');
         let (head, body) = split.map_or((rec, &[][..]), |n| (&rec[..n], &rec[n + 1..]));
-        let text = |bytes| {
-            std::str::from_utf8(bytes).map_err(|_| record_error(i, "record is not UTF-8"))
-        };
+        let text =
+            |bytes| std::str::from_utf8(bytes).map_err(|_| record_error(i, "record is not UTF-8"));
         let mut f = Fields {
             rest: text(head)?,
             record: i,
@@ -988,9 +987,13 @@ impl Record<'static> {
                     other => return Err(f.error(format_args!("unknown outcome `{other}`"))),
                 };
                 let (mut report, mut cost) = (None, None);
-                if matches!(outcome, CellOutcome::Completed | CellOutcome::Degraded { .. }) {
-                    let (cost_line, report_wire) =
-                        body.split_once('\n').ok_or_else(|| f.error("missing cell body"))?;
+                if matches!(
+                    outcome,
+                    CellOutcome::Completed | CellOutcome::Degraded { .. }
+                ) {
+                    let (cost_line, report_wire) = body
+                        .split_once('\n')
+                        .ok_or_else(|| f.error("missing cell body"))?;
                     cost = Some(decode_cost(cost_line)?);
                     report = Some(decode_report(report_wire)?);
                 }
@@ -1158,7 +1161,9 @@ fn catch_cell_panic<T>(f: impl FnOnce() -> T) -> Result<T, (String, String)> {
                 "non-string panic payload".to_owned()
             };
             let message = message.replace(['\n', '\r'], " ");
-            let backtrace = CELL_PANIC.with(|c| c.borrow_mut().take()).unwrap_or_default();
+            let backtrace = CELL_PANIC
+                .with(|c| c.borrow_mut().take())
+                .unwrap_or_default();
             Err((message, backtrace))
         }
     }
@@ -1504,10 +1509,12 @@ impl Executor<'_> {
                         attempt: next,
                     })?;
                     self.set_health(cell, "backoff", attempt, None);
-                    let delay =
-                        self.opts
-                            .retry
-                            .backoff_secs(self.spec.seed, dc.letter(), kind.label(), next);
+                    let delay = self.opts.retry.backoff_secs(
+                        self.spec.seed,
+                        dc.letter(),
+                        kind.label(),
+                        next,
+                    );
                     if !self.backoff(delay) {
                         if self.token.is_cancelled() {
                             self.interrupted.store(true, Ordering::SeqCst);
@@ -1910,9 +1917,18 @@ fn drive(
             _ => 1,
         };
         let hours = cell.report.as_ref().map_or(0, |r| r.hours);
-        exec.set_health((cell.dc, cell.kind), cell.outcome.label(), attempt, Some(hours));
+        exec.set_health(
+            (cell.dc, cell.kind),
+            cell.outcome.label(),
+            attempt,
+            Some(hours),
+        );
     }
-    exec.write_health(if nothing_pending { "completed" } else { "running" });
+    exec.write_health(if nothing_pending {
+        "completed"
+    } else {
+        "running"
+    });
 
     let ran = if nothing_pending {
         Ok(Vec::new())
@@ -2054,8 +2070,7 @@ fn write_outputs(dir: &Path, report: &StudyReport) -> Result<(), SuperviseError>
         }
     };
     let csv_path = dir.join("cells.csv");
-    write_atomic(&csv_path, cells_table(report).to_csv().as_bytes())
-        .map_err(io_err(&csv_path))?;
+    write_atomic(&csv_path, cells_table(report).to_csv().as_bytes()).map_err(io_err(&csv_path))?;
     let md_path = dir.join("STUDY.md");
     let md = crate::experiments::study_markdown(report);
     write_atomic(&md_path, md.as_bytes()).map_err(io_err(&md_path))?;
@@ -2306,7 +2321,11 @@ mod tests {
     fn backoff_is_deterministic_exponential_and_jittered() {
         let p = CellRetryPolicy::default_policy();
         let a = p.backoff_secs(5, 'B', "Dynamic", 2);
-        assert_eq!(a, p.backoff_secs(5, 'B', "Dynamic", 2), "same key, same wait");
+        assert_eq!(
+            a,
+            p.backoff_secs(5, 'B', "Dynamic", 2),
+            "same key, same wait"
+        );
         // Jitter stays within [0.5, 1.5) of the base.
         assert!(a >= p.base_backoff_secs * 0.5 && a < p.base_backoff_secs * 1.5);
         // Distinct cells de-synchronise.
@@ -2337,7 +2356,11 @@ mod tests {
         assert_eq!(report.cells.len(), 2);
         let semi = &report.cells[0];
         assert_eq!(semi.kind, PlannerKind::SemiStatic);
-        assert_eq!(semi.outcome, CellOutcome::Completed, "sibling must be spared");
+        assert_eq!(
+            semi.outcome,
+            CellOutcome::Completed,
+            "sibling must be spared"
+        );
         let dynamic = &report.cells[1];
         match &dynamic.outcome {
             CellOutcome::Quarantined {
@@ -2346,8 +2369,14 @@ mod tests {
             } => {
                 assert_eq!(*attempts, 2);
                 assert_eq!(incidents.len(), 2);
-                assert!(incidents[0].starts_with("attempt 1: panic:"), "{incidents:?}");
-                assert!(incidents[1].contains("chaos: injected panic"), "{incidents:?}");
+                assert!(
+                    incidents[0].starts_with("attempt 1: panic:"),
+                    "{incidents:?}"
+                );
+                assert!(
+                    incidents[1].contains("chaos: injected panic"),
+                    "{incidents:?}"
+                );
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
@@ -2360,7 +2389,13 @@ mod tests {
         let heads: Vec<String> = journal
             .records()
             .iter()
-            .map(|r| String::from_utf8_lossy(r).lines().next().unwrap_or("").to_owned())
+            .map(|r| {
+                String::from_utf8_lossy(r)
+                    .lines()
+                    .next()
+                    .unwrap_or("")
+                    .to_owned()
+            })
             .filter(|head| !head.starts_with("heartbeat "))
             .collect();
         let crash = "panic chaos: injected panic in cell B/Dynamic before hour 2";
@@ -2536,7 +2571,11 @@ mod tests {
         assert_eq!(healed.status, StudyStatus::Completed);
         for (a, b) in clean.cells.iter().zip(&healed.cells) {
             assert_eq!(a.outcome, CellOutcome::Completed);
-            assert_eq!(b.outcome, CellOutcome::Completed, "healed run must complete");
+            assert_eq!(
+                b.outcome,
+                CellOutcome::Completed,
+                "healed run must complete"
+            );
             assert_eq!(
                 encode_report(a.report.as_ref().unwrap()),
                 encode_report(b.report.as_ref().unwrap()),
@@ -2594,9 +2633,8 @@ mod tests {
         let (journal, _) = Journal::open(&healed_dir.join(JOURNAL_FILE)).unwrap();
         assert!(
             journal.records().iter().any(|r| {
-                std::str::from_utf8(r).is_ok_and(|t| {
-                    t.starts_with("cell-crashed B Dynamic 1 watchdog")
-                })
+                std::str::from_utf8(r)
+                    .is_ok_and(|t| t.starts_with("cell-crashed B Dynamic 1 watchdog"))
             }),
             "watchdog stop must be journaled as a crash incident"
         );
@@ -2670,10 +2708,19 @@ mod tests {
         let dir = tmp_dir("bad-spec");
         for spec in bad {
             let err = run_study_opts(&spec, &dir, &CancelToken::new(), &opts).unwrap_err();
-            assert!(matches!(err, SuperviseError::Spec { .. }), "{spec:?}: {err}");
-            assert!(!dir.join(JOURNAL_FILE).exists(), "{spec:?}: journal created");
+            assert!(
+                matches!(err, SuperviseError::Spec { .. }),
+                "{spec:?}: {err}"
+            );
+            assert!(
+                !dir.join(JOURNAL_FILE).exists(),
+                "{spec:?}: journal created"
+            );
             let err = StudySpec::decode(&spec.encode()).unwrap_err();
-            assert!(matches!(err, SuperviseError::Spec { .. }), "{spec:?}: {err}");
+            assert!(
+                matches!(err, SuperviseError::Spec { .. }),
+                "{spec:?}: {err}"
+            );
         }
         // A resume's budget override is checked too.
         std::fs::create_dir_all(&dir).unwrap();
@@ -2731,7 +2778,10 @@ mod tests {
         }
 
         fn cell(&mut self) -> Cell {
-            (self.pick(&DataCenterId::ALL), self.pick(&PlannerKind::EVALUATED))
+            (
+                self.pick(&DataCenterId::ALL),
+                self.pick(&PlannerKind::EVALUATED),
+            )
         }
 
         fn cell_report(&mut self) -> CellReport {
@@ -2749,7 +2799,13 @@ mod tests {
                         .map(|n| format!("attempt {}: panic: {}", n + 1, self.line()))
                         .collect();
                     let attempts = self.next() % 9;
-                    (CellOutcome::Quarantined { attempts, incidents }, false)
+                    (
+                        CellOutcome::Quarantined {
+                            attempts,
+                            incidents,
+                        },
+                        false,
+                    )
                 }
             };
             CellReport {
@@ -2845,7 +2901,10 @@ mod tests {
             ("bogus B Dynamic", "unknown record `bogus`"),
             ("", "unknown record ``"),
             ("cell-done B Dynamic exploded", "unknown outcome `exploded`"),
-            ("cell-done B Dynamic crashed boom\ntrace", "unknown outcome `crashed`"),
+            (
+                "cell-done B Dynamic crashed boom\ntrace",
+                "unknown outcome `crashed`",
+            ),
             ("cell-done B Dynamic completed", "missing cell body"),
             ("cell-start Z Dynamic", "unknown data center `Z`"),
             ("cell-start BB Dynamic", "unknown data center `BB`"),
@@ -2893,7 +2952,10 @@ mod tests {
             std::thread::spawn(move || {
                 ready_tx.send(()).unwrap();
                 let started = Instant::now();
-                (latch.wait_timeout(Duration::from_secs(10)), started.elapsed())
+                (
+                    latch.wait_timeout(Duration::from_secs(10)),
+                    started.elapsed(),
+                )
             })
         };
         ready_rx.recv().unwrap();

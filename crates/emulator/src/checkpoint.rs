@@ -618,7 +618,11 @@ pub fn encode_report(r: &crate::engine::EmulationReport) -> String {
     let _ = writeln!(o, "planner {}", r.planner.label());
     let _ = writeln!(o, "hours {} provisioned {}", r.hours, r.provisioned_hosts);
     let _ = writeln!(o, "energy {}", enc_f64(r.energy_kwh));
-    let _ = writeln!(o, "migrations {} failed {}", r.migrations, r.failed_migrations);
+    let _ = writeln!(
+        o,
+        "migrations {} failed {}",
+        r.migrations, r.failed_migrations
+    );
     let _ = writeln!(o, "ledger {}", encode_ledger(&r.faults));
     let _ = writeln!(o, "perhost {}", r.per_host.len());
     for h in &r.per_host {
@@ -877,7 +881,10 @@ mod tests {
             last_good: vec![(VmId(7), Resources::new(12.5, 800.0), 2)],
             absent: vec![VmId(2), VmId(9)],
             fault: Some(FaultStateCheckpoint {
-                current: vec![(HostId(0), vec![VmId(7), VmId(2)]), (HostId(1), vec![VmId(1)])],
+                current: vec![
+                    (HostId(0), vec![VmId(7), VmId(2)]),
+                    (HostId(1), vec![VmId(1)]),
+                ],
                 was_down: vec![false, true],
                 down_vms: vec![VmId(1)],
             }),

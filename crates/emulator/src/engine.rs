@@ -22,9 +22,7 @@ use vmcw_consolidation::planner::ConsolidationPlan;
 use vmcw_migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_migration::reliability::ReliabilityThresholds;
 
-use crate::checkpoint::{
-    CheckpointError, FaultStateCheckpoint, HostAccState, ReplayCheckpoint,
-};
+use crate::checkpoint::{CheckpointError, FaultStateCheckpoint, HostAccState, ReplayCheckpoint};
 use crate::faults::{
     migration_attempt_fails, sample_dropped, CrashSchedule, FaultConfig, FaultLedger,
     TraceGapError, TraceGapReason,
@@ -517,11 +515,10 @@ impl<'a> Replay<'a> {
         faults: Option<&FaultConfig>,
         ckpt: &ReplayCheckpoint,
     ) -> Result<Self, CheckpointError> {
-        let mut fresh = Self::new(input, plan, config, faults).map_err(|e| {
-            CheckpointError::Mismatch {
+        let mut fresh =
+            Self::new(input, plan, config, faults).map_err(|e| CheckpointError::Mismatch {
                 detail: e.to_string(),
-            }
-        })?;
+            })?;
         let mismatch = |detail: String| CheckpointError::Mismatch { detail };
         if ckpt.fingerprint != fresh.fingerprint {
             return Err(mismatch(format!(
@@ -867,12 +864,7 @@ impl<'a> Replay<'a> {
             energy_kwh: self.energy_wh / 1000.0,
             cpu_contention_samples: self.cpu_contention_samples,
             migrations: self.plan.migrations.len(),
-            failed_migrations: self
-                .plan
-                .migrations
-                .iter()
-                .filter(|m| !m.converged)
-                .count(),
+            failed_migrations: self.plan.migrations.iter().filter(|m| !m.converged).count(),
             faults: self.ledger,
         }
     }
@@ -1103,8 +1095,7 @@ fn survive_sample(
     ledger: &mut FaultLedger,
 ) -> Result<Resources, EmulatorError> {
     let vm = trace.vm.id;
-    let missing =
-        sample.cpu_rpe2.is_nan() || sample.mem_mb.is_nan() || sample_dropped(fcfg, vm, h);
+    let missing = sample.cpu_rpe2.is_nan() || sample.mem_mb.is_nan() || sample_dropped(fcfg, vm, h);
     if !missing {
         last_good.insert(pos, (sample, 0));
         return Ok(sample);
@@ -1117,7 +1108,9 @@ fn survive_sample(
                 return Err(TraceGapError {
                     vm,
                     hour: h,
-                    reason: TraceGapReason::StalenessBudgetExceeded { stale_hours: *stale },
+                    reason: TraceGapReason::StalenessBudgetExceeded {
+                        stale_hours: *stale,
+                    },
                 }
                 .into());
             }
@@ -1297,7 +1290,10 @@ mod tests {
                 let plain = emulate(&input, &plan, &cfg).unwrap();
                 let faulted =
                     emulate_with_faults(&input, &plan, &cfg, &FaultConfig::disabled()).unwrap();
-                assert_eq!(plain, faulted, "{dc:?}/{kind:?} diverged under zero-rate faults");
+                assert_eq!(
+                    plain, faulted,
+                    "{dc:?}/{kind:?} diverged under zero-rate faults"
+                );
                 assert!(faulted.faults.is_clean());
             }
         }
@@ -1316,7 +1312,10 @@ mod tests {
         };
         let plain = emulate(&input, &plan, &cfg).unwrap();
         let faulted = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
-        assert!(faulted.faults.host_crashes > 0, "36h MTBF over 72h must crash");
+        assert!(
+            faulted.faults.host_crashes > 0,
+            "36h MTBF over 72h must crash"
+        );
         // A crashed host draws no power.
         assert!(faulted.energy_kwh < plain.energy_kwh);
         // Downtime accrues only while VMs are down; evacuations restart
@@ -1388,8 +1387,7 @@ mod tests {
             t.cpu_rpe2 = vmcw_trace::series::TimeSeries::new(t.cpu_rpe2.step(), values);
         }
         let cfg = EmulatorConfig::default();
-        let report =
-            emulate_with_faults(&input, &plan, &cfg, &FaultConfig::disabled()).unwrap();
+        let report = emulate_with_faults(&input, &plan, &cfg, &FaultConfig::disabled()).unwrap();
         assert_eq!(report.faults.stale_sample_hours, 1);
         for host in &report.per_host {
             assert!(host.avg_cpu_util.is_finite());
@@ -1445,8 +1443,7 @@ mod tests {
                 }
                 let wire = first.checkpoint().encode();
                 let ckpt = ReplayCheckpoint::decode(&wire).unwrap();
-                let mut second =
-                    Replay::resume(&input, &plan, &cfg, Some(&faults), &ckpt).unwrap();
+                let mut second = Replay::resume(&input, &plan, &cfg, Some(&faults), &ckpt).unwrap();
                 assert_eq!(second.hour(), kill_hour);
                 while !second.is_done() {
                     second.step().unwrap();

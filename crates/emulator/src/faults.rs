@@ -99,10 +99,8 @@ impl FaultConfig {
     /// Rejects NaN or negative times, probabilities outside `[0, 1]`, and
     /// non-positive evacuation bounds.
     pub fn validate(&self) -> Result<(), EmulatorError> {
-        let invalid = |field: &'static str, value: f64| EmulatorError::InvalidFaultConfig {
-            field,
-            value,
-        };
+        let invalid =
+            |field: &'static str, value: f64| EmulatorError::InvalidFaultConfig { field, value };
         if self.host_mtbf_hours.is_nan() || self.host_mtbf_hours < 0.0 {
             return Err(invalid("host_mtbf_hours", self.host_mtbf_hours));
         }
@@ -110,7 +108,10 @@ impl FaultConfig {
             return Err(invalid("host_mttr_hours", self.host_mttr_hours));
         }
         if !(0.0..=1.0).contains(&self.migration_failure_prob) {
-            return Err(invalid("migration_failure_prob", self.migration_failure_prob));
+            return Err(invalid(
+                "migration_failure_prob",
+                self.migration_failure_prob,
+            ));
         }
         if !(0.0..=1.0).contains(&self.trace_dropout_prob) {
             return Err(invalid("trace_dropout_prob", self.trace_dropout_prob));
@@ -321,7 +322,9 @@ fn mix(mut z: u64) -> u64 {
 /// A 64-bit draw keyed by `(seed, domain, a, b)` — no stream state, so
 /// the value is independent of every other draw.
 fn keyed_u64(seed: u64, domain: u64, a: u64, b: u64) -> u64 {
-    let z = mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(domain | 1));
+    let z = mix(seed
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(domain | 1));
     let z = mix(z ^ a.wrapping_mul(0xD1B5_4A32_D192_ED03));
     mix(z ^ b.wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
 }

@@ -66,6 +66,4 @@ pub use engine::{
     HostSummary, HourSummary, Replay,
 };
 pub use faults::{CrashSchedule, FaultConfig, FaultLedger, HostOutage, TraceGapError};
-pub use validate::{
-    check_checkpoint, check_retry_checkpoint, InvariantViolation, ReplayInvariant,
-};
+pub use validate::{check_checkpoint, check_retry_checkpoint, InvariantViolation, ReplayInvariant};

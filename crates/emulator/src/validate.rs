@@ -299,7 +299,11 @@ pub fn check_checkpoint_with(
     if ckpt.per_hour.len() != ckpt.hour {
         return Err(fail(
             ReplayInvariant::AccountingMismatch,
-            format!("{} per-hour rows for {} hours", ckpt.per_hour.len(), ckpt.hour),
+            format!(
+                "{} per-hour rows for {} hours",
+                ckpt.per_hour.len(),
+                ckpt.hour
+            ),
         ));
     }
     if ckpt.accs.len() != n_hosts {
@@ -385,7 +389,8 @@ pub fn check_checkpoint_with(
                 ("stale_sample_hours", l.stale_sample_hours),
             ]
         };
-        for ((name, now), (_, before)) in counters(&ckpt.ledger).into_iter().zip(counters(&p.ledger))
+        for ((name, now), (_, before)) in
+            counters(&ckpt.ledger).into_iter().zip(counters(&p.ledger))
         {
             if now < before {
                 return Err(fail(

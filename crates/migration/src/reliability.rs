@@ -251,8 +251,14 @@ mod tests {
     fn construction_rejects_nan_and_out_of_range() {
         assert!(ReliabilityThresholds::try_new(0.8, 0.85).is_ok());
         for bad in [f64::NAN, -0.1, 1.1, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(ReliabilityThresholds::try_new(bad, 0.85).is_err(), "cpu {bad}");
-            assert!(ReliabilityThresholds::try_new(0.8, bad).is_err(), "mem {bad}");
+            assert!(
+                ReliabilityThresholds::try_new(bad, 0.85).is_err(),
+                "cpu {bad}"
+            );
+            assert!(
+                ReliabilityThresholds::try_new(0.8, bad).is_err(),
+                "mem {bad}"
+            );
             assert!(ReservationPolicy::try_new(bad, 0.2).is_err(), "cpu {bad}");
             assert!(ReservationPolicy::try_new(0.2, bad).is_err(), "mem {bad}");
             assert!(

@@ -138,9 +138,8 @@ pub fn schedule_concurrent(
         free.entry(request.to).or_insert_with(|| vec![0.0; slots]);
         // Earliest slot on each endpoint; the vecs are non-empty because
         // slots ≥ 1, so the folds need no unwrap.
-        let earliest = |host: HostId| -> f64 {
-            free[&host].iter().copied().fold(f64::INFINITY, f64::min)
-        };
+        let earliest =
+            |host: HostId| -> f64 { free[&host].iter().copied().fold(f64::INFINITY, f64::min) };
         let start = earliest(request.from).max(earliest(request.to));
         let start = if start.is_finite() { start } else { 0.0 };
         let end = start + duration;

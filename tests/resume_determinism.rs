@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use vmcw_repro::consolidation::planner::PlannerKind;
 use vmcw_repro::core::journal::Journal;
 use vmcw_repro::core::supervise::{
-    resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy,
-    ChaosConfig, ChaosMode, RunOptions, StudySpec, StudyStatus, JOURNAL_FILE,
+    resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
+    ChaosMode, RunOptions, StudySpec, StudyStatus, JOURNAL_FILE,
 };
 use vmcw_repro::emulator::checkpoint::encode_report;
 use vmcw_repro::emulator::FaultConfig;
@@ -79,7 +79,8 @@ fn resume_after_kill_is_byte_identical_for_every_cell() {
             assert_eq!(b.outcome, CellOutcome::Completed);
             let (ra, rb) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
             assert_eq!(
-                ra.faults, rb.faults,
+                ra.faults,
+                rb.faults,
                 "fault ledger diverged for {}/{} after kill at hour {kill_hour}",
                 a.dc.letter(),
                 a.kind.label()

@@ -55,7 +55,10 @@ fn wait_for(port: u16, what: &str, pred: impl Fn(&HealthSnapshot) -> bool) {
         if pred(&snap) {
             return;
         }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}: {snap:?}");
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for {what}: {snap:?}"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
 }
@@ -98,7 +101,9 @@ fn overload_sheds_the_fourth_request_and_completes_the_queued_ones() {
     let slow = std::thread::spawn(move || post(port, SLOW_JOB.to_owned()));
     wait_for(port, "slow job running", |s| {
         s.serve.as_ref().is_some_and(|sv| {
-            sv.inflight.iter().any(|j| j.job == "slow" && j.state == "running")
+            sv.inflight
+                .iter()
+                .any(|j| j.job == "slow" && j.state == "running")
         })
     });
     // ...fill the admission queue...
@@ -112,14 +117,20 @@ fn overload_sheds_the_fourth_request_and_completes_the_queued_ones() {
     let shed = post(port, tiny_job("q3"));
     assert_eq!(shed.status, 503, "{}", shed.body);
     assert!(shed.body.contains("queue is full"), "{}", shed.body);
-    let retry_after = shed.header("Retry-After").expect("shed responses carry Retry-After");
+    let retry_after = shed
+        .header("Retry-After")
+        .expect("shed responses carry Retry-After");
     assert!(retry_after.parse::<u64>().expect("integral Retry-After") >= 1);
 
     // The admitted jobs are unharmed by the shed.
     for (label, handle) in [("slow", slow), ("q1", q1), ("q2", q2)] {
         let reply = handle.join().expect("join submitter");
         assert_eq!(reply.status, 200, "{label}: {}", reply.body);
-        assert!(reply.body.contains("\"status\": \"completed\""), "{label}: {}", reply.body);
+        assert!(
+            reply.body.contains("\"status\": \"completed\""),
+            "{label}: {}",
+            reply.body
+        );
     }
 
     let snap = healthz(port);
@@ -154,7 +165,11 @@ fn deadline_cancels_cooperatively_and_leaves_a_resumable_checkpoint() {
                 \"checkpoint_every_hours\": 2, \"deadline_ms\": 100}";
     let reply = post(port, body.to_owned());
     assert_eq!(reply.status, 504, "{}", reply.body);
-    assert!(reply.body.contains("\"status\": \"timeout\""), "{}", reply.body);
+    assert!(
+        reply.body.contains("\"status\": \"timeout\""),
+        "{}",
+        reply.body
+    );
     assert!(reply.body.contains("\"resumable\": true"), "{}", reply.body);
 
     // The interrupted replay checkpointed: its journal is on disk.
@@ -168,7 +183,11 @@ fn deadline_cancels_cooperatively_and_leaves_a_resumable_checkpoint() {
     // The registry remembers the timeout.
     let status = request(port, "GET", "/v1/jobs/dl", "").expect("job status");
     assert_eq!(status.status, 200);
-    assert!(status.body.contains("\"state\": \"timeout\""), "{}", status.body);
+    assert!(
+        status.body.contains("\"state\": \"timeout\""),
+        "{}",
+        status.body
+    );
 
     let snap = healthz(port);
     assert!(snap.serve.expect("serve block").deadline_timeouts >= 1);
@@ -218,7 +237,9 @@ fn drain_on_signal_checkpoints_inflight_work_and_recovers_on_reboot() {
     });
     wait_for(port, "inflight job running", |s| {
         s.serve.as_ref().is_some_and(|sv| {
-            sv.inflight.iter().any(|j| j.job == "infl" && j.state == "running")
+            sv.inflight
+                .iter()
+                .any(|j| j.job == "infl" && j.state == "running")
         })
     });
 
@@ -249,7 +270,11 @@ fn drain_on_signal_checkpoints_inflight_work_and_recovers_on_reboot() {
     // The in-flight client gets a retryable interruption, not a hang.
     let reply = inflight.join().expect("join inflight submitter");
     assert_eq!(reply.status, 503, "{}", reply.body);
-    assert!(reply.body.contains("\"status\": \"interrupted\""), "{}", reply.body);
+    assert!(
+        reply.body.contains("\"status\": \"interrupted\""),
+        "{}",
+        reply.body
+    );
     assert!(reply.body.contains("\"resumable\": true"), "{}", reply.body);
     assert!(reply.header("Retry-After").is_some());
 
@@ -287,7 +312,11 @@ fn generated_ids_skip_jobs_recovered_from_a_previous_boot() {
                 \"scale\": 0.02, \"history_days\": 2, \"eval_days\": 1}";
     let reply = post(port, anon.to_owned());
     assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(reply.body.contains("\"job\": \"job-0001\""), "{}", reply.body);
+    assert!(
+        reply.body.contains("\"job\": \"job-0001\""),
+        "{}",
+        reply.body
+    );
     server.drain_handle().drain();
     server.join();
 
@@ -297,7 +326,11 @@ fn generated_ids_skip_jobs_recovered_from_a_previous_boot() {
     let port2 = server2.port();
     let reply = post(port2, anon.to_owned());
     assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(reply.body.contains("\"job\": \"job-0002\""), "{}", reply.body);
+    assert!(
+        reply.body.contains("\"job\": \"job-0002\""),
+        "{}",
+        reply.body
+    );
     server2.drain_handle().drain();
     server2.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -329,9 +362,8 @@ fn wire_garbage_gets_typed_errors_and_exactly_one_response() {
 
     // Pipelined garbage after a complete body is ignored, and the bad
     // body itself is a 400, not a hang or crash.
-    let text = raw(
-        b"POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]\x00\xff pipelined trash",
-    );
+    let text =
+        raw(b"POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]\x00\xff pipelined trash");
     assert!(text.starts_with("HTTP/1.1 400"), "{text}");
 
     // Unparsable content-length.

@@ -7,12 +7,8 @@
 //! silently misparsed data.**
 
 use proptest::prelude::*;
-use vmcw_repro::core::health::{
-    CellHealth, HealthSnapshot, InflightJob, ServeHealth,
-};
-use vmcw_repro::core::serve::http::{
-    parse_head, HttpError, MAX_BODY_BYTES, MAX_HEADER_COUNT,
-};
+use vmcw_repro::core::health::{CellHealth, HealthSnapshot, InflightJob, ServeHealth};
+use vmcw_repro::core::serve::http::{parse_head, HttpError, MAX_BODY_BYTES, MAX_HEADER_COUNT};
 
 fn bytes_strategy(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..=255, 0..max)
