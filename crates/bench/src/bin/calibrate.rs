@@ -12,50 +12,59 @@
 //! * fig7: space  Stochastic ≤ Dynamic@0.8; Dynamic < Vanilla for 3 of 4.
 //! * fig13-16: Dynamic@1.0 ≈ 0.82×Stochastic (Banking), ≈ Stochastic (Airlines).
 
-use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_consolidation::planner::Planner;
-use vmcw_emulator::engine::{emulate, EmulatorConfig};
-use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
+use std::process::ExitCode;
+use vmcw_bench::cli::{parse_args, parse_dc, run_err, usage, CliError};
+use vmcw_consolidation::planner::PlannerKind;
+use vmcw_core::study::{Study, StudyConfig, StudyError};
+use vmcw_trace::datacenters::DataCenterId;
 use vmcw_trace::stats;
 
-fn main() {
-    let mut scale = 0.3;
-    let mut seed = 42u64;
-    let mut dcs: Vec<DataCenterId> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => scale = args.next().unwrap().parse().unwrap(),
-            "--seed" => seed = args.next().unwrap().parse().unwrap(),
-            "banking" => dcs.push(DataCenterId::Banking),
-            "airlines" => dcs.push(DataCenterId::Airlines),
-            "natres" => dcs.push(DataCenterId::NaturalResources),
-            "beverage" => dcs.push(DataCenterId::Beverage),
-            other => panic!("unknown arg {other}"),
-        }
-    }
+const USAGE: &str = "\
+usage: calibrate [--scale F] [--seed N] [DCS...]
+
+  --scale F    server-count scale (default 0.3)
+  --seed N     generator seed (default 42)
+  DCS          banking airlines natres beverage (default: all four)
+
+exit codes: 0 success · 1 a planner or replay failed · 2 bad arguments";
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    vmcw_bench::cli::exit(run(&argv), USAGE)
+}
+
+fn run(argv: &[String]) -> Result<(), CliError> {
+    let args = parse_args(argv, "scale seed").map_err(usage)?;
+    let scale = args.scale_or(0.3)?;
+    let seed = args.get_or("seed", 42)?;
+    let mut dcs = args
+        .positional
+        .iter()
+        .map(|name| parse_dc(name))
+        .collect::<Result<Vec<_>, _>>()?;
     if dcs.is_empty() {
         dcs = DataCenterId::ALL.to_vec();
     }
     for dc in dcs {
-        report(dc, scale, seed);
+        let config = StudyConfig {
+            scale,
+            ..StudyConfig::paper_baseline(dc, seed)
+        };
+        report(&Study::prepare(&config)).map_err(run_err)?;
     }
+    Ok(())
 }
 
-fn frac_above(samples: &[f64], x: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&v| v > x).count() as f64 / samples.len() as f64
-}
-
-fn report(dc: DataCenterId, scale: f64, seed: u64) {
-    let history_days = 30;
-    let eval_days = 14;
-    let w = GeneratorConfig::new(dc)
-        .scale(scale)
-        .days(history_days + eval_days)
-        .generate(seed);
+fn report(study: &Study) -> Result<(), StudyError> {
+    let StudyConfig {
+        dc,
+        scale,
+        seed,
+        history_days,
+        planner,
+        ..
+    } = *study.config();
+    let (w, input) = (study.workload(), study.input());
     let hh = history_days * 24;
 
     // Workload shapes over the history month.
@@ -94,29 +103,27 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
     );
     println!(
         "  cpu  P/A: >2 {:.0}%  >5 {:.0}%  >10 {:.0}%   CoV>=1: {:.0}%",
-        frac_above(&cpu_pa, 2.0) * 100.0,
-        frac_above(&cpu_pa, 5.0) * 100.0,
-        frac_above(&cpu_pa, 10.0) * 100.0,
-        frac_above(&cpu_cov, 1.0) * 100.0
+        stats::fraction_above(&cpu_pa, 2.0) * 100.0,
+        stats::fraction_above(&cpu_pa, 5.0) * 100.0,
+        stats::fraction_above(&cpu_pa, 10.0) * 100.0,
+        stats::fraction_above(&cpu_cov, 1.0) * 100.0
     );
     println!(
         "  mem  P/A: <=1.5 {:.0}%   CoV>=1: {:.0}%  CoV<=0.5: {:.0}%",
-        (1.0 - frac_above(&mem_pa, 1.5)) * 100.0,
-        frac_above(&mem_cov, 1.0) * 100.0,
-        (1.0 - frac_above(&mem_cov, 0.5)) * 100.0
+        (1.0 - stats::fraction_above(&mem_pa, 1.5)) * 100.0,
+        stats::fraction_above(&mem_cov, 1.0) * 100.0,
+        (1.0 - stats::fraction_above(&mem_cov, 0.5)) * 100.0
     );
     println!(
         "  fig6 ratio: >160 {:.0}% of intervals  median {:.0}  max {:.0}",
-        frac_above(&ratios, 160.0) * 100.0,
+        stats::fraction_above(&ratios, 160.0) * 100.0,
         stats::percentile(&ratios, 50.0).unwrap_or(0.0),
         ratios.iter().copied().fold(0.0, f64::max)
     );
 
     // Demand decomposition: what drives each planner's footprint.
-    let input = PlanningInput::from_workload(&w, history_days, VirtualizationModel::baseline());
     {
         use vmcw_consolidation::sizing::SizingFunction;
-        let hh = history_days * 24;
         let sum_tails_cpu: f64 = input
             .vms
             .iter()
@@ -181,27 +188,22 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
             mem_total_max / 131072.0
         );
     }
-    let planner = Planner::baseline();
-    let semi = planner.plan_semi_static(&input).expect("semi");
-    let stoch = planner.plan_stochastic(&input).expect("stoch");
-    let n_semi = semi.provisioned_hosts();
-    let n_stoch = stoch.provisioned_hosts();
-    print!("  hosts: vanilla {n_semi}  stochastic {n_stoch}  dynamic@U:");
-    let mut dyn_hosts = Vec::new();
+    let semi = study.run(PlannerKind::SemiStatic)?;
+    let stoch = study.run(PlannerKind::Stochastic)?;
+    print!(
+        "  hosts: vanilla {}  stochastic {}  dynamic@U:",
+        semi.plan.provisioned_hosts(),
+        stoch.plan.provisioned_hosts()
+    );
     for bound in [0.7, 0.8, 0.9, 1.0] {
-        let p = planner.with_utilization_bound(bound);
-        let plan = p.plan_dynamic(&input).expect("dyn");
-        dyn_hosts.push((bound, plan.provisioned_hosts()));
+        let plan = planner.with_utilization_bound(bound).plan_dynamic(input)?;
         print!(" {bound}:{}", plan.provisioned_hosts());
     }
     println!();
 
     // Baseline emulation for contention and power.
-    let cfg = EmulatorConfig::default();
-    let dynamic = planner.plan_dynamic(&input).expect("dyn");
-    let r_semi = emulate(&input, &semi, &cfg).expect("emulation");
-    let r_stoch = emulate(&input, &stoch, &cfg).expect("emulation");
-    let r_dyn = emulate(&input, &dynamic, &cfg).expect("emulation");
+    let r_dyn = study.run(PlannerKind::Dynamic)?.report;
+    let (r_semi, r_stoch) = (semi.report, stoch.report);
     println!(
         "  power kWh: vanilla {:.0}  stochastic {:.0}  dynamic {:.0} (dyn/stoch {:.2})",
         r_semi.energy_kwh,
@@ -271,4 +273,5 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
             .max()
             .unwrap_or(0),
     );
+    Ok(())
 }

@@ -2,94 +2,91 @@
 //!
 //! ```text
 //! cargo run -p vmcw-bench --release --bin figures -- [OPTIONS] [IDS...]
-//!
-//! OPTIONS:
-//!   --quick          run at reduced scale (8% of servers, shorter traces)
-//!   --scale <f>      server-count scale (default 1.0)
-//!   --seed <n>       generator seed (default 42)
-//!   --out <dir>      output directory (default results/)
-//!
-//! IDS: table1 table2 table3 fig1..fig12 olio migration emuval
-//!      sensitivity (= figs 13-16) | fig13 fig14 fig15 fig16
-//!      (default: everything)
 //! ```
 //!
-//! Each experiment writes `<out>/<id>.csv` and prints a one-line summary.
+//! Each experiment writes `<out>/<id>.csv` and prints a one-line summary;
+//! `<out>/SUMMARY.md` compares the suite with the paper's claims.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+use vmcw_bench::cli::{parse_args, run_err, usage, CliError};
 use vmcw_core::experiments::{
     reproduction_summary, run_experiment, Suite, SuiteConfig, ALL_EXPERIMENTS,
     EXTENSION_EXPERIMENTS,
 };
 
-struct Options {
-    config: SuiteConfig,
-    out: PathBuf,
-    ids: Vec<String>,
+const USAGE: &str = "\
+usage: figures [--quick] [--scale F] [--seed N] [--out DIR] [IDS...]
+
+  --quick      reduced scale (8% of servers, shorter traces); --scale and
+               --seed still override it
+  --scale F    server-count scale (default 1.0)
+  --seed N     generator seed (default 42)
+  --out DIR    output directory (default results)
+
+IDS: table1 table2 table3 fig1..fig12 olio migration emuval
+     sensitivity (= fig13..fig16) | fig13 fig14 fig15 fig16
+     intervals futurework stability constraints timeline rolling ablation
+     (default: everything)
+
+exit codes: 0 success · 1 an experiment failed · 2 bad arguments";
+
+/// Experiment ids besides [`ALL_EXPERIMENTS`] and
+/// [`EXTENSION_EXPERIMENTS`] that `run_experiment` accepts.
+const SENSITIVITY_IDS: [&str; 5] = ["sensitivity", "fig13", "fig14", "fig15", "fig16"];
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    vmcw_bench::cli::exit(run(&argv), USAGE)
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut config = SuiteConfig::paper();
-    let mut out = PathBuf::from("results");
-    let mut ids = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => config = SuiteConfig::quick(),
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                config.scale = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                config.seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().ok_or("--out needs a value")?);
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: figures [--quick] [--scale F] [--seed N] [--out DIR] [ids...]"
-                        .to_owned(),
-                );
-            }
-            id => ids.push(id.to_owned()),
-        }
+fn run(argv: &[String]) -> Result<(), CliError> {
+    let args = parse_args(argv, "quick? help? scale seed out").map_err(usage)?;
+    if args.switch("help") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let mut config = if args.switch("quick") {
+        SuiteConfig::quick()
+    } else {
+        SuiteConfig::paper()
+    };
+    config.scale = args.scale_or(config.scale)?;
+    config.seed = args.get_or("seed", config.seed)?;
+    let out = PathBuf::from(args.str("out").unwrap_or("results"));
+    let mut ids = args.positional;
+    let known = [
+        &ALL_EXPERIMENTS[..],
+        &EXTENSION_EXPERIMENTS,
+        &SENSITIVITY_IDS,
+    ]
+    .concat();
+    if let Some(id) = ids.iter().find(|id| !known.contains(&id.as_str())) {
+        return Err(usage(format!("unknown experiment id `{id}`")));
     }
     if ids.is_empty() {
         ids = ALL_EXPERIMENTS.iter().map(|&s| s.to_owned()).collect();
         ids.push("sensitivity".to_owned());
         ids.extend(EXTENSION_EXPERIMENTS.iter().map(|&s| s.to_owned()));
     }
-    Ok(Options { config, out, ids })
-}
 
-fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
     println!(
         "# vmcw figure harness — scale {}, seed {}, {}+{} days, output {}",
-        options.config.scale,
-        options.config.seed,
-        options.config.history_days,
-        options.config.eval_days,
-        options.out.display()
+        config.scale,
+        config.seed,
+        config.history_days,
+        config.eval_days,
+        out.display()
     );
-    let mut suite = Suite::new(options.config);
+    let mut suite = Suite::new(config);
     let mut failures = 0;
-    for id in &options.ids {
+    for id in &ids {
         let start = Instant::now();
         match run_experiment(id, &mut suite) {
             Ok(tables) => {
                 for table in tables {
-                    match table.write_csv(&options.out) {
+                    match table.write_csv(&out) {
                         Ok(path) => println!(
                             "{id:>12}: {} rows -> {} ({:.1}s)",
                             table.len(),
@@ -112,7 +109,7 @@ fn main() -> ExitCode {
     // Paper-vs-measured summary over the suite's cached runs.
     match reproduction_summary(&mut suite) {
         Ok(md) => {
-            let path = options.out.join("SUMMARY.md");
+            let path = out.join("SUMMARY.md");
             if let Err(e) = std::fs::write(&path, &md) {
                 eprintln!("     SUMMARY: write failed: {e}");
                 failures += 1;
@@ -127,9 +124,8 @@ fn main() -> ExitCode {
         }
     }
     if failures == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!("{failures} experiment(s) failed");
-        ExitCode::FAILURE
+        Err(run_err(format!("{failures} experiment(s) failed")))
     }
 }

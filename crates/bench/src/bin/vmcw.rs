@@ -12,20 +12,25 @@
 //!
 //! `analyze` and `plan` accept any CSV in the documented schema
 //! (`vmcw_trace::io::HEADER`), so real monitored traces drop straight in.
+//! Every subcommand parses its flags through [`vmcw_bench::cli`].
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use vmcw_bench::cli::{parse_args, parse_dc, run_err, usage, Args, CliError};
 use vmcw_cluster::server::ServerModel;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_core::health::HealthSnapshot;
 use vmcw_core::study::{Study, StudyConfig};
 use vmcw_core::supervise::{
-    resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
-    RunOptions, StudySpec, StudyStatus, SuperviseError,
+    resume_study_opts, run_study_opts, CancelToken, CellBudget, CellOutcome, CellRetryPolicy,
+    ChaosConfig, RunOptions, StudySpec, StudyStatus, SuperviseError,
 };
 use vmcw_emulator::report;
 use vmcw_trace::datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig};
 use vmcw_trace::{analysis, io, stats};
+
+#[cfg(test)]
+use vmcw_bench::cli::exit_code_for;
 
 const USAGE: &str = "\
 usage:
@@ -47,68 +52,6 @@ usage:
 
 exit codes: 0 success · 1 runtime failure · 2 bad arguments or unreadable input";
 
-/// A CLI failure, split by whose fault it was: `Usage` (bad arguments,
-/// missing or unreadable files — exit code 2) vs `Run` (the command
-/// itself failed — exit code 1).
-enum CliError {
-    Usage(String),
-    Run(String),
-}
-
-/// Bad arguments or unreadable input — the caller's fault, exit 2.
-fn usage(msg: impl std::fmt::Display) -> CliError {
-    CliError::Usage(msg.to_string())
-}
-
-/// The command itself failed while doing its work — exit 1. Every
-/// fallible *runtime* operation must route here, never to [`usage`]:
-/// a blanket `String -> Usage` conversion once sent genuine runtime
-/// failures (e.g. an unwritable `--out` path) to exit code 2, which
-/// breaks scripts that retry on 1 but give up on 2.
-fn run_err(msg: impl std::fmt::Display) -> CliError {
-    CliError::Run(msg.to_string())
-}
-
-fn parse_dc(name: &str) -> Result<DataCenterId, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "banking" | "a" => Ok(DataCenterId::Banking),
-        "airlines" | "b" => Ok(DataCenterId::Airlines),
-        "natres" | "natural-resources" | "c" => Ok(DataCenterId::NaturalResources),
-        "beverage" | "d" => Ok(DataCenterId::Beverage),
-        other => Err(format!("unknown data center `{other}`")),
-    }
-}
-
-#[derive(Debug)]
-struct Args {
-    positional: Vec<String>,
-    flags: std::collections::BTreeMap<String, String>,
-}
-
-/// Splits `args` into positionals and `--flag value` pairs. A flag not
-/// named in the space-separated `known` is an error: a typo must not
-/// silently run with the default.
-fn parse_args(args: &[String], known: &str) -> Result<Args, String> {
-    let mut positional = Vec::new();
-    let mut flags = std::collections::BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if !known.split_whitespace().any(|k| k == name) {
-                return Err(format!("unknown flag `--{name}`"));
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?
-                .clone();
-            flags.insert(name.to_owned(), value);
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    Ok(Args { positional, flags })
-}
-
 /// Routes one subcommand. Split from [`main`] so unit tests can drive
 /// the dispatcher (and its exit-code classification) without a process.
 fn dispatch(cmd: &str, rest: &[String]) -> Result<(), CliError> {
@@ -129,16 +72,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
-    }
-}
-
-/// Exit code for a dispatch result: 0 / 1 (runtime) / 2 (usage).
-fn exit_code_for(result: &Result<(), CliError>) -> u8 {
-    match result {
-        Ok(()) => 0,
-        Err(CliError::Run(_)) => 1,
-        Err(CliError::Usage(_)) => 2,
+        other => Err(usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
@@ -148,16 +82,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let result = dispatch(cmd, rest);
-    match &result {
-        Ok(()) => {}
-        Err(CliError::Run(msg)) => eprintln!("error: {msg}"),
-        // Every usage failure — unknown subcommand, malformed flags,
-        // missing arguments — prints the usage text so the caller can
-        // self-correct, and exits 2 (never 1: scripts retry on 1).
-        Err(CliError::Usage(msg)) => eprintln!("error: {msg}\n\n{USAGE}"),
-    }
-    ExitCode::from(exit_code_for(&result))
+    vmcw_bench::cli::exit(dispatch(cmd, rest), USAGE)
 }
 
 /// `vmcw study` — a crash-safe, resumable planner × data-center grid.
@@ -205,40 +130,14 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
             drain_token.cancel();
         });
     }
-    if let Some(v) = args.flags.get("kill-after-hours") {
-        token.cancel_after_hours(
-            v.parse()
-                .map_err(|e| usage(format!("bad --kill-after-hours: {e}")))?,
-        );
+    if let Some(hours) = args.opt("kill-after-hours")? {
+        token.cancel_after_hours(hours);
     }
-    let jobs: usize = args.flags.get("jobs").map_or(Ok(1), |v| {
-        v.parse()
-            .map_err(|e| format!("bad --jobs: {e}"))
-            .and_then(|n: usize| {
-                if n == 0 {
-                    Err("--jobs must be at least 1".to_owned())
-                } else {
-                    Ok(n)
-                }
-            })
-            .map_err(usage)
-    })?;
     let mut retry = CellRetryPolicy::default_policy();
-    if let Some(v) = args.flags.get("max-retries") {
+    if let Some(retries) = args.opt::<usize>("max-retries")? {
         // --max-retries counts *re*-runs: 0 means a single attempt.
-        let retries: usize = v
-            .parse()
-            .map_err(|e| usage(format!("bad --max-retries: {e}")))?;
         retry.max_attempts = retries + 1;
     }
-    let heartbeat_timeout_secs = args
-        .flags
-        .get("heartbeat-timeout")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| usage(format!("bad --heartbeat-timeout: {e}")))
-        })
-        .transpose()?;
     let chaos = ChaosConfig::from_env();
     if let Some(c) = &chaos {
         eprintln!(
@@ -254,26 +153,14 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
         );
     }
     let opts = RunOptions {
-        jobs,
+        jobs: args.count("jobs")?.unwrap_or(1),
         retry,
-        heartbeat_timeout_secs,
+        heartbeat_timeout_secs: args.opt("heartbeat-timeout")?,
         chaos,
     };
-    let parse_budget = |args: &Args| -> Result<vmcw_core::supervise::CellBudget, CliError> {
-        let mut budget = vmcw_core::supervise::CellBudget::unlimited();
-        if let Some(v) = args.flags.get("max-hours") {
-            budget.max_hours = Some(
-                v.parse()
-                    .map_err(|e| usage(format!("bad --max-hours: {e}")))?,
-            );
-        }
-        if let Some(v) = args.flags.get("max-secs") {
-            budget.max_wall_secs = Some(
-                v.parse()
-                    .map_err(|e| usage(format!("bad --max-secs: {e}")))?,
-            );
-        }
-        Ok(budget)
+    let budget = CellBudget {
+        max_hours: args.opt("max-hours")?,
+        max_wall_secs: args.opt("max-secs")?,
     };
     let classify = |e: SuperviseError| match &e {
         SuperviseError::Journal(vmcw_core::journal::JournalError::AlreadyExists { .. })
@@ -288,42 +175,28 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
         _ => CliError::Run(e.to_string()),
     };
 
-    let report = if let Some(dir) = args.flags.get("resume") {
-        let budget = (args.flags.contains_key("max-hours") || args.flags.contains_key("max-secs"))
-            .then(|| parse_budget(&args))
-            .transpose()?;
+    let report = if let Some(dir) = args.str("resume") {
+        // No budget flag keeps the budget the study was started with.
+        let budget = (budget != CellBudget::unlimited()).then_some(budget);
         resume_study_opts(Path::new(dir), budget, &token, &opts).map_err(classify)?
     } else {
         let dir = args
-            .flags
-            .get("out")
+            .str("out")
             .ok_or_else(|| usage("--out DIR or --resume DIR is required"))?;
-        let scale: f64 = args.flags.get("scale").map_or(Ok(0.1), |v| {
-            v.parse().map_err(|e| usage(format!("bad --scale: {e}")))
-        })?;
-        let seed: u64 = args.flags.get("seed").map_or(Ok(42), |v| {
-            v.parse().map_err(|e| usage(format!("bad --seed: {e}")))
-        })?;
-        let history_days: usize = args.flags.get("history-days").map_or(Ok(30), |v| {
-            v.parse()
-                .map_err(|e| usage(format!("bad --history-days: {e}")))
-        })?;
-        let eval_days: usize = args.flags.get("eval-days").map_or(Ok(14), |v| {
-            v.parse()
-                .map_err(|e| usage(format!("bad --eval-days: {e}")))
-        })?;
-        let mut spec = StudySpec::new(scale, seed, history_days, eval_days);
-        if let Some(v) = args.flags.get("ckpt-hours") {
-            spec.checkpoint_every_hours = v
-                .parse()
-                .map_err(|e| usage(format!("bad --ckpt-hours: {e}")))?;
+        let seed = args.get_or("seed", 42)?;
+        let mut spec = StudySpec::new(
+            args.get_or("scale", 0.1)?,
+            seed,
+            args.get_or("history-days", 30)?,
+            args.get_or("eval-days", 14)?,
+        );
+        if let Some(hours) = args.opt("ckpt-hours")? {
+            spec.checkpoint_every_hours = hours;
         }
-        match args.flags.get("faults").map_or("off", String::as_str) {
-            "on" => spec.faults = Some(vmcw_emulator::FaultConfig::baseline(seed)),
-            "off" => {}
-            other => return Err(usage(format!("bad --faults `{other}` (want on|off)"))),
+        if args.on_off("faults", false)? {
+            spec.faults = Some(vmcw_emulator::FaultConfig::baseline(seed));
         }
-        spec.budget = parse_budget(&args)?;
+        spec.budget = budget;
         run_study_opts(&spec, Path::new(dir), &token, &opts).map_err(classify)?
     };
 
@@ -432,42 +305,14 @@ fn cmd_health(args: &[String]) -> Result<(), CliError> {
 /// (default: the current directory). Methodology: docs/PERFORMANCE.md.
 fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, "scale seed out").map_err(usage)?;
-    if !args.positional.is_empty() {
+    if let Some(extra) = args.positional.first() {
         return Err(usage(format!(
-            "bench takes no positional arguments, got `{}`",
-            args.positional[0]
+            "bench takes no positional arguments, got `{extra}`"
         )));
     }
-    let mut scales = vec![0.1, 1.0];
-    if let Some(raw) = args.flags.get("scale") {
-        scales = raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|e| usage(format!("bad --scale `{s}`: {e}")))
-                    .and_then(|v| {
-                        if v > 0.0 && v.is_finite() {
-                            Ok(v)
-                        } else {
-                            Err(usage(format!(
-                                "--scale must be positive and finite, got {v}"
-                            )))
-                        }
-                    })
-            })
-            .collect::<Result<Vec<f64>, CliError>>()?;
-        if scales.is_empty() {
-            return Err(usage("--scale needs at least one value"));
-        }
-    }
-    let seed: u64 = match args.flags.get("seed") {
-        Some(s) => s
-            .parse()
-            .map_err(|e| usage(format!("bad --seed `{s}`: {e}")))?,
-        None => 42,
-    };
-    let out_dir = args.flags.get("out").map_or(".", String::as_str);
+    let scales = args.scale_list_or(&[0.1, 1.0])?;
+    let seed = args.get_or("seed", 42)?;
+    let out_dir = args.str("out").unwrap_or(".");
 
     let mut wrote = Vec::new();
     for (suite, file) in [
@@ -499,26 +344,11 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, "dc scale days seed out").map_err(usage)?;
-    let dc = parse_dc(
-        args.flags
-            .get("dc")
-            .ok_or_else(|| usage("--dc is required"))?,
-    )
-    .map_err(usage)?;
-    let scale: f64 = args.flags.get("scale").map_or(Ok(1.0), |v| {
-        v.parse().map_err(|e| usage(format!("bad --scale: {e}")))
-    })?;
-    let days: usize = args.flags.get("days").map_or(Ok(44), |v| {
-        v.parse().map_err(|e| usage(format!("bad --days: {e}")))
-    })?;
-    let seed: u64 = args.flags.get("seed").map_or(Ok(42), |v| {
-        v.parse().map_err(|e| usage(format!("bad --seed: {e}")))
-    })?;
-    let out = PathBuf::from(
-        args.flags
-            .get("out")
-            .ok_or_else(|| usage("--out is required"))?,
-    );
+    let dc = parse_dc(args.str("dc").ok_or_else(|| usage("--dc is required"))?)?;
+    let scale = args.scale_or(1.0)?;
+    let days = args.count("days")?.unwrap_or(44);
+    let seed = args.get_or("seed", 42)?;
+    let out: PathBuf = args.required("out")?;
     let workload = GeneratorConfig::new(dc)
         .scale(scale)
         .days(days)
@@ -535,27 +365,43 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn load_trace(args: &Args) -> Result<GeneratedWorkload, String> {
+/// The trace named by the first positional argument, read as the
+/// `--dc` data center (default Banking).
+fn load_trace(args: &Args) -> Result<GeneratedWorkload, CliError> {
     let path = args
         .positional
         .first()
-        .ok_or("missing trace file argument")?;
-    let dc = args
-        .flags
-        .get("dc")
-        .map(|v| parse_dc(v))
-        .transpose()?
-        .unwrap_or(DataCenterId::Banking);
-    io::load(dc, &PathBuf::from(path)).map_err(|e| e.to_string())
+        .ok_or_else(|| usage("missing trace file argument"))?;
+    let dc = args.str("dc").map_or(Ok(DataCenterId::Banking), parse_dc)?;
+    io::load(dc, Path::new(path)).map_err(usage)
 }
 
-fn frac_above(samples: &[f64], x: f64) -> f64 {
-    samples.iter().filter(|&&v| v > x).count() as f64 / samples.len().max(1) as f64
+/// A study of the trace at the paper's baseline settings: the first
+/// `--history-days` (default: two thirds of the trace) are the planning
+/// history, the rest is replayed.
+fn load_study(args: &Args) -> Result<Study, CliError> {
+    let w = load_trace(args)?;
+    let total_days = w.days;
+    let history_days = args.get_or(
+        "history-days",
+        total_days.saturating_sub(total_days / 3).max(1),
+    )?;
+    if history_days >= total_days {
+        return Err(usage(format!(
+            "--history-days {history_days} leaves no evaluation window in a {total_days}-day trace"
+        )));
+    }
+    let config = StudyConfig {
+        history_days,
+        eval_days: total_days - history_days,
+        ..StudyConfig::paper_baseline(w.dc, 0)
+    };
+    Ok(Study::from_workload(&config, w))
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, "dc").map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
+    let w = load_trace(&args)?;
     println!(
         "{} servers, {} days, mean CPU {:.2}%\n",
         w.servers.len(),
@@ -575,16 +421,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         println!(
             "CPU  peak/average : min {:.1} | q1 {:.1} | median {:.1} | q3 {:.1} | max {:.1}; {:.0}% of servers above 5",
             s5.min, s5.q1, s5.median, s5.q3, s5.max,
-            frac_above(&cpu_pa, 5.0) * 100.0
+            stats::fraction_above(&cpu_pa, 5.0) * 100.0
         );
     }
     println!(
         "CPU  CoV          : {:.0}% of servers heavy-tailed (CoV >= 1)",
-        frac_above(&cpu_cov, 1.0) * 100.0
+        stats::fraction_above(&cpu_cov, 1.0) * 100.0
     );
     println!(
         "mem  peak/average : {:.0}% of servers at or below 1.5",
-        (1.0 - frac_above(&mem_pa, 1.5)) * 100.0
+        (1.0 - stats::fraction_above(&mem_pa, 1.5)) * 100.0
     );
 
     let cpu = w.aggregate_cpu_rpe2();
@@ -598,7 +444,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     println!(
         "resource ratio    : median {:.0} RPE2/GB; above the HS23 blade's 160 for {:.0}% of hours",
         stats::percentile(&ratios, 50.0).unwrap_or(0.0),
-        frac_above(&ratios, 160.0) * 100.0
+        stats::fraction_above(&ratios, 160.0) * 100.0
     );
 
     let series: Vec<&vmcw_trace::series::TimeSeries> = w
@@ -615,33 +461,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn history_days_for(args: &Args, total_days: usize) -> Result<usize, String> {
-    let days: usize = args
-        .flags
-        .get("history-days")
-        .map_or(Ok(total_days.saturating_sub(total_days / 3).max(1)), |v| {
-            v.parse().map_err(|e| format!("bad --history-days: {e}"))
-        })?;
-    if days >= total_days {
-        return Err(format!(
-            "--history-days {days} leaves no evaluation window in a {total_days}-day trace"
-        ));
-    }
-    Ok(days)
-}
-
 fn cmd_compare(args: &[String]) -> Result<(), CliError> {
+    use vmcw_consolidation::planner::{Planner, StochasticVariant};
     use vmcw_core::study::{compare, Scenario};
     let args = parse_args(args, "dc history-days").map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
-    let history_days = history_days_for(&args, w.days).map_err(usage)?;
-    let config = StudyConfig {
-        history_days,
-        eval_days: w.days - history_days,
-        ..StudyConfig::paper_baseline(w.dc, 0)
-    };
-    let study = Study::from_workload(&config, w);
-    let baseline = vmcw_consolidation::planner::Planner::baseline();
+    let study = load_study(&args)?;
+    let baseline = Planner::baseline();
     let rows = compare(
         &study,
         &[
@@ -650,9 +475,8 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
             Scenario::new(
                 "stochastic (corr)",
                 PlannerKind::Stochastic,
-                vmcw_consolidation::planner::Planner {
-                    stochastic_variant:
-                        vmcw_consolidation::planner::StochasticVariant::CorrelationAware,
+                Planner {
+                    stochastic_variant: StochasticVariant::CorrelationAware,
                     ..baseline
                 },
             ),
@@ -664,7 +488,7 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
             ),
         ],
     )
-    .map_err(|e| CliError::Run(e.to_string()))?;
+    .map_err(run_err)?;
     println!(
         "{:<18} {:>7} {:>11} {:>12} {:>12}",
         "scenario", "hosts", "energy_kwh", "migrations", "contention"
@@ -683,37 +507,25 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_drain(args: &[String]) -> Result<(), CliError> {
+    use vmcw_cluster::datacenter::HostId;
     use vmcw_consolidation::drain::plan_drain;
     use vmcw_migration::precopy::PrecopyConfig;
     let args = parse_args(args, "dc history-days host fabric").map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
-    let history_days = history_days_for(&args, w.days).map_err(usage)?;
-    let host: u32 = args
-        .flags
-        .get("host")
-        .ok_or_else(|| usage("--host is required"))?
-        .parse()
-        .map_err(|e| usage(format!("bad --host: {e}")))?;
-    let fabric = match args.flags.get("fabric").map_or("1gbe", String::as_str) {
+    let host = HostId(args.required("host")?);
+    let fabric = match args.str("fabric").unwrap_or("1gbe") {
         "1gbe" => PrecopyConfig::gigabit(),
         "10gbe" => PrecopyConfig::ten_gigabit(),
         other => return Err(usage(format!("unknown --fabric `{other}`"))),
     };
-    let config = StudyConfig {
-        history_days,
-        eval_days: w.days - history_days,
-        ..StudyConfig::paper_baseline(w.dc, 0)
-    };
-    let study = Study::from_workload(&config, w);
-    let plan = config
+    let study = load_study(&args)?;
+    let plan = study
+        .config()
         .planner
         .plan_stochastic(study.input())
-        .map_err(|e| CliError::Run(e.to_string()))?;
-    let placement = plan.placements.at_hour(0);
-    let host = vmcw_cluster::datacenter::HostId(host);
+        .map_err(run_err)?;
     let drain = plan_drain(
         study.input(),
-        placement,
+        plan.placements.at_hour(0),
         host,
         &[],
         &plan.dc,
@@ -721,7 +533,7 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
         (1.0, 1.0),
         &fabric,
     )
-    .map_err(|e| CliError::Run(e.to_string()))?;
+    .map_err(run_err)?;
     println!(
         "drain of {host}: {} migrations, {:.1} min, {:.0} MB moved, {} failed",
         drain.moves.len(),
@@ -740,23 +552,9 @@ fn cmd_estate(args: &[String]) -> Result<(), CliError> {
     use vmcw_consolidation::fixed_pool::{pack_fixed, FixedPoolError};
     use vmcw_consolidation::sizing::SizingFunction;
     let args = parse_args(args, "dc history-days hs23 hs22").map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
-    let history_days = history_days_for(&args, w.days).map_err(usage)?;
-    let hs23: u32 = args
-        .flags
-        .get("hs23")
-        .ok_or_else(|| usage("--hs23 is required"))?
-        .parse()
-        .map_err(|e| usage(format!("bad --hs23: {e}")))?;
-    let hs22: u32 = args.flags.get("hs22").map_or(Ok(0), |v| {
-        v.parse().map_err(|e| usage(format!("bad --hs22: {e}")))
-    })?;
-    let config = StudyConfig {
-        history_days,
-        eval_days: w.days - history_days,
-        ..StudyConfig::paper_baseline(w.dc, 0)
-    };
-    let study = Study::from_workload(&config, w);
+    let hs23: u32 = args.required("hs23")?;
+    let hs22: u32 = args.get_or("hs22", 0)?;
+    let study = load_study(&args)?;
     let input = study.input();
     let demands = input
         .vms
@@ -795,7 +593,7 @@ fn cmd_estate(args: &[String]) -> Result<(), CliError> {
             println!("exhausted: first stranded VM {vm} needs {demand}");
             Ok(())
         }
-        Err(e) => Err(CliError::Run(e.to_string())),
+        Err(e) => Err(run_err(e)),
     }
 }
 
@@ -806,36 +604,20 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         "dc history-days seed mtbf mttr mig-fail dropout thresholds",
     )
     .map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
-    let history_days = history_days_for(&args, w.days).map_err(usage)?;
-    let seed: u64 = args.flags.get("seed").map_or(Ok(42), |v| {
-        v.parse().map_err(|e| usage(format!("bad --seed: {e}")))
-    })?;
+    let seed = args.get_or("seed", 42)?;
     let mut faults = FaultConfig::baseline(seed);
-    let float_flag = |name: &str, slot: &mut f64| -> Result<(), CliError> {
-        if let Some(v) = args.flags.get(name) {
-            *slot = v.parse().map_err(|e| usage(format!("bad --{name}: {e}")))?;
-        }
-        Ok(())
-    };
-    float_flag("mtbf", &mut faults.host_mtbf_hours)?;
-    float_flag("mttr", &mut faults.host_mttr_hours)?;
-    float_flag("mig-fail", &mut faults.migration_failure_prob)?;
-    float_flag("dropout", &mut faults.trace_dropout_prob)?;
-    faults.enforce_reliability_thresholds =
-        match args.flags.get("thresholds").map_or("on", String::as_str) {
-            "on" => true,
-            "off" => false,
-            other => return Err(usage(format!("bad --thresholds `{other}` (want on|off)"))),
-        };
+    for (name, slot) in [
+        ("mtbf", &mut faults.host_mtbf_hours),
+        ("mttr", &mut faults.host_mttr_hours),
+        ("mig-fail", &mut faults.migration_failure_prob),
+        ("dropout", &mut faults.trace_dropout_prob),
+    ] {
+        *slot = args.get_or(name, *slot)?;
+    }
+    faults.enforce_reliability_thresholds = args.on_off("thresholds", true)?;
     faults.validate().map_err(usage)?;
+    let study = load_study(&args)?;
 
-    let config = StudyConfig {
-        history_days,
-        eval_days: w.days - history_days,
-        ..StudyConfig::paper_baseline(w.dc, 0)
-    };
-    let study = Study::from_workload(&config, w);
     println!(
         "fault replay: seed {seed}, MTBF {:.0}h, MTTR {:.0}h, migration failure {:.1}%, dropout {:.1}%\n\
          same seed => same fault timeline for every planner\n",
@@ -858,9 +640,7 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         "stale_h"
     );
     for kind in PlannerKind::EVALUATED {
-        let run = study
-            .run_faulted(kind, &faults)
-            .map_err(|e| CliError::Run(e.to_string()))?;
+        let run = study.run_faulted(kind, &faults).map_err(run_err)?;
         let f = run.report.faults;
         println!(
             "{:<12} {:>7} {:>11.1} {:>8} {:>7} {:>10} {:>9} {:>8} {:>10} {:>7}",
@@ -881,22 +661,8 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     let args = parse_args(args, "dc history-days planner bound").map_err(usage)?;
-    let w = load_trace(&args).map_err(usage)?;
-    let history_days = history_days_for(&args, w.days).map_err(usage)?;
-    let bound: f64 = args.flags.get("bound").map_or(Ok(0.8), |v| {
-        v.parse().map_err(|e| usage(format!("bad --bound: {e}")))
-    })?;
-    let which = args.flags.get("planner").map_or("all", String::as_str);
-
-    let mut config = StudyConfig {
-        history_days,
-        eval_days: w.days - history_days,
-        ..StudyConfig::paper_baseline(w.dc, 0)
-    };
-    config.planner = config.planner.with_utilization_bound(bound);
-    let study = Study::from_workload(&config, w);
-
-    let kinds: Vec<PlannerKind> = match which {
+    let bound = args.get_or("bound", 0.8)?;
+    let kinds: Vec<PlannerKind> = match args.str("planner").unwrap_or("all") {
         "all" => PlannerKind::EVALUATED.to_vec(),
         "semi-static" => vec![PlannerKind::SemiStatic],
         "stochastic" => vec![PlannerKind::Stochastic],
@@ -904,10 +670,14 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         "static" => vec![PlannerKind::Static],
         other => return Err(usage(format!("unknown --planner `{other}`"))),
     };
+    let study = load_study(&args)?;
+    let config = study.config();
+    let planner = config.planner.with_utilization_bound(bound);
 
     println!(
-        "planning {} VMs, {history_days}d history + {}d evaluation, utilization bound {bound}\n",
+        "planning {} VMs, {}d history + {}d evaluation, utilization bound {bound}\n",
         study.input().vms.len(),
+        config.history_days,
         config.eval_days
     );
     println!(
@@ -915,7 +685,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         "planner", "hosts", "energy_kwh", "migrations", "contention", "mean_active"
     );
     for kind in kinds {
-        let run = study.run(kind).map_err(|e| CliError::Run(e.to_string()))?;
+        let run = study.run_with(&planner, kind, None).map_err(run_err)?;
         println!(
             "{:<12} {:>7} {:>11.1} {:>12} {:>11.4}% {:>14.1}",
             kind.label(),
@@ -945,60 +715,26 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .positional
         .first()
         .ok_or_else(|| usage("serve needs a state directory"))?;
-    let port: u16 = args.flags.get("port").map_or(Ok(0), |v| {
-        v.parse().map_err(|e| usage(format!("bad --port: {e}")))
-    })?;
-    let mut config = ServeConfig::new(dir, port);
-    let positive_usize = |name: &str, slot: &mut usize| -> Result<(), CliError> {
-        if let Some(v) = args.flags.get(name) {
-            *slot = v
-                .parse()
-                .map_err(|e| format!("bad --{name}: {e}"))
-                .and_then(|n: usize| {
-                    if n == 0 {
-                        Err(format!("--{name} must be at least 1"))
-                    } else {
-                        Ok(n)
-                    }
-                })
-                .map_err(usage)?;
-        }
-        Ok(())
-    };
-    positive_usize("jobs", &mut config.workers)?;
-    positive_usize("queue", &mut config.queue_depth)?;
-    positive_usize("breaker-trips", &mut config.breaker_trip_after)?;
-    if let Some(v) = args.flags.get("breaker-cooldown") {
-        config.breaker_cooldown_secs = v
-            .parse()
-            .map_err(|e| usage(format!("bad --breaker-cooldown: {e}")))?;
+    let mut config = ServeConfig::new(dir, args.get_or("port", 0)?);
+    for (name, slot) in [
+        ("jobs", &mut config.workers),
+        ("queue", &mut config.queue_depth),
+        ("breaker-trips", &mut config.breaker_trip_after),
+    ] {
+        *slot = args.count(name)?.unwrap_or(*slot);
     }
-    if let Some(v) = args.flags.get("default-deadline-ms") {
-        config.default_deadline_ms = Some(
-            v.parse()
-                .map_err(|e| usage(format!("bad --default-deadline-ms: {e}")))?,
-        );
-    }
-    if let Some(v) = args.flags.get("seed") {
-        config.seed = v.parse().map_err(|e| usage(format!("bad --seed: {e}")))?;
-    }
-    if let Some(v) = args.flags.get("max-retries") {
-        let retries: usize = v
-            .parse()
-            .map_err(|e| usage(format!("bad --max-retries: {e}")))?;
+    config.breaker_cooldown_secs = args.get_or("breaker-cooldown", config.breaker_cooldown_secs)?;
+    config.default_deadline_ms = args
+        .opt("default-deadline-ms")?
+        .or(config.default_deadline_ms);
+    config.seed = args.get_or("seed", config.seed)?;
+    if let Some(retries) = args.opt::<usize>("max-retries")? {
         config.retry.max_attempts = retries + 1;
     }
-    if let Some(v) = args.flags.get("heartbeat-timeout") {
-        config.heartbeat_timeout_secs = Some(
-            v.parse()
-                .map_err(|e| usage(format!("bad --heartbeat-timeout: {e}")))?,
-        );
-    }
-    if let Some(v) = args.flags.get("drain-grace") {
-        config.drain_grace_secs = v
-            .parse()
-            .map_err(|e| usage(format!("bad --drain-grace: {e}")))?;
-    }
+    config.heartbeat_timeout_secs = args
+        .opt("heartbeat-timeout")?
+        .or(config.heartbeat_timeout_secs);
+    config.drain_grace_secs = args.get_or("drain-grace", config.drain_grace_secs)?;
     config.chaos = ChaosConfig::from_env();
 
     // Install the handlers before the listener exists: a client can get
@@ -1042,79 +778,57 @@ fn cmd_load(args: &[String]) -> Result<(), CliError> {
          duration expect-shed expect-ok",
     )
     .map_err(usage)?;
-    let port: u16 = args
-        .flags
-        .get("port")
-        .ok_or_else(|| usage("--port is required"))?
-        .parse()
-        .map_err(|e| usage(format!("bad --port: {e}")))?;
-    let expect_status: Option<u16> = args
-        .flags
-        .get("expect-status")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| usage(format!("bad --expect-status: {e}")))
-        })
-        .transpose()?;
-    let expect_body = args.flags.get("expect-body");
+    let port: u16 = args.required("port")?;
+    let expect_status: Option<u16> = args.opt("expect-status")?;
+    let expect_body = args.str("expect-body");
     let default_body = "{\"dcs\": \"A\", \"planners\": [\"Semi-Static\"], \
                         \"scale\": 0.02, \"history_days\": 2, \"eval_days\": 1}";
-    let body = args.flags.get("body").map_or(default_body, String::as_str);
+    let body = args.str("body").unwrap_or(default_body);
 
-    if let Some(rps) = args.flags.get("rps") {
+    if let Some(rps) = args.opt("rps")? {
         // Flood mode.
-        let rps: u32 = rps.parse().map_err(|e| usage(format!("bad --rps: {e}")))?;
-        let duration: f64 = args
-            .flags
-            .get("duration")
-            .ok_or_else(|| usage("--rps needs --duration SECS"))?
-            .parse()
-            .map_err(|e| usage(format!("bad --duration: {e}")))?;
-        let path = args.flags.get("post").map_or("/v1/plan", String::as_str);
+        let duration = args
+            .opt("duration")?
+            .ok_or_else(|| usage("--rps needs --duration SECS"))?;
+        let expect_shed: Option<usize> = args.opt("expect-shed")?;
+        let expect_ok: Option<usize> = args.opt("expect-ok")?;
+        let path = args.str("post").unwrap_or("/v1/plan");
         let report = flood(port, path, body, rps, duration);
         println!("{}", report.summary());
-        if let Some(v) = args.flags.get("expect-shed") {
-            let want: usize = v
-                .parse()
-                .map_err(|e| usage(format!("bad --expect-shed: {e}")))?;
-            if report.count(503) < want {
-                return Err(run_err(format!(
-                    "expected at least {want} shed (503) responses, saw {}",
-                    report.count(503)
-                )));
-            }
+        if let Some(want) = expect_shed.filter(|&want| report.count(503) < want) {
+            return Err(run_err(format!(
+                "expected at least {want} shed (503) responses, saw {}",
+                report.count(503)
+            )));
         }
-        if let Some(v) = args.flags.get("expect-ok") {
-            let want: usize = v
-                .parse()
-                .map_err(|e| usage(format!("bad --expect-ok: {e}")))?;
-            if report.count(200) < want {
-                return Err(run_err(format!(
-                    "expected at least {want} 200 responses, saw {}",
-                    report.count(200)
-                )));
-            }
+        if let Some(want) = expect_ok.filter(|&want| report.count(200) < want) {
+            return Err(run_err(format!(
+                "expected at least {want} 200 responses, saw {}",
+                report.count(200)
+            )));
         }
         return Ok(());
     }
 
     // One-shot mode: --get PATH or --post PATH, optionally retried
     // until the expectations hold.
-    let (method, path) = if let Some(p) = args.flags.get("get") {
-        ("GET", p.as_str())
-    } else if let Some(p) = args.flags.get("post") {
-        ("POST", p.as_str())
+    let (method, path) = if let Some(p) = args.str("get") {
+        ("GET", p)
+    } else if let Some(p) = args.str("post") {
+        ("POST", p)
     } else {
         return Err(usage("load needs --get PATH, --post PATH or --rps R"));
     };
-    let retry_for: f64 = args.flags.get("retry-for").map_or(Ok(0.0), |v| {
-        v.parse()
-            .map_err(|e| usage(format!("bad --retry-for: {e}")))
-    })?;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(retry_for);
+    let retry_for = std::time::Duration::try_from_secs_f64(args.get_or("retry-for", 0.0)?)
+        .map_err(|e| {
+            usage(format!(
+                "--retry-for must be a non-negative number of seconds: {e}"
+            ))
+        })?;
+    let deadline = std::time::Instant::now() + retry_for;
     let meets = |status: u16, text: &str| {
         expect_status.is_none_or(|want| status == want)
-            && expect_body.is_none_or(|want| text.contains(want.as_str()))
+            && expect_body.is_none_or(|want| text.contains(want))
     };
     loop {
         let outcome = request(port, method, path, if method == "GET" { "" } else { body });

@@ -2,5 +2,6 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod load;
 pub mod perf;

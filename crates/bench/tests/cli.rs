@@ -106,3 +106,86 @@ fn bad_arguments_fail_cleanly() {
     assert!(!missing.status.success());
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--out"));
 }
+
+/// Runs `bin` with `args` and returns (exit code, stdout, stderr).
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn figures_refuses_bad_arguments_before_any_work() {
+    let dir = test_dir("figures-bad").join("results");
+    let out = dir.to_str().unwrap();
+    for bad in [
+        &["--sale", "1", "table1"][..],
+        &["--sale", "0.01", "table1"],
+        &["table1", "--scale"],
+        &["--scale", "x", "table1"],
+        &["--scale", "0", "table1"],
+        &["--scale", "nan", "table1"],
+        &["--seed", "-1", "table1"],
+        &["--quick", "nosuch"],
+    ] {
+        let args: Vec<&str> = ["--out", out].iter().chain(bad).copied().collect();
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_figures"), &args);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("usage: figures"), "{bad:?}: {stderr}");
+        assert!(stdout.is_empty(), "{bad:?} started work: {stdout}");
+        assert!(!dir.exists(), "{bad:?} wrote {}", dir.display());
+    }
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
+#[test]
+fn figures_help_is_success() {
+    for flag in ["--help", "-h"] {
+        let (code, stdout, _) = run(env!("CARGO_BIN_EXE_figures"), &[flag]);
+        assert_eq!(code, Some(0), "{flag}");
+        assert!(stdout.contains("usage: figures"), "{stdout}");
+    }
+}
+
+#[test]
+fn calibrate_refuses_bad_arguments_without_panicking() {
+    for bad in [
+        &["--bogus", "1"][..],
+        &["--scale"],
+        &["--scale", "x"],
+        &["--scale", "0"],
+        &["--scale", "-1"],
+        &["--scale", "nan"],
+        &["--scale", "inf"],
+        &["--seed", "-1"],
+        &["--seed"],
+        &["mars"],
+    ] {
+        let (code, stdout, stderr) = run(env!("CARGO_BIN_EXE_calibrate"), bad);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("usage: calibrate"), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+        assert!(stdout.is_empty(), "{bad:?} started work: {stdout}");
+    }
+}
+
+#[test]
+fn out_of_range_values_are_usage_errors_not_panics() {
+    let dir = test_dir("out-of-range");
+    let path = dir.join("trace.csv");
+    let path = path.to_str().unwrap();
+    for bad in [
+        &["generate", "--dc", "banking", "--scale", "0", "--out", path][..],
+        &["generate", "--dc", "banking", "--days", "0", "--out", path],
+        &["load", "--port", "1", "--get", "/", "--retry-for", "-1"],
+    ] {
+        let (code, _, stderr) = run(env!("CARGO_BIN_EXE_vmcw"), bad);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(path).exists());
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -120,13 +120,11 @@ pub fn ablation(suite: &mut Suite) -> Result<Table, StudyError> {
     let mut runs = Vec::new();
     for (knob, dc, kind, settings) in PLANNER_KNOBS {
         let study = suite.study(dc);
-        let config = study.config();
         for (setting, edit) in settings {
-            let mut planner = config.planner;
+            let mut planner = study.config().planner;
             edit(&mut planner);
-            let plan = planner.plan(kind, study.input())?;
-            let report = emulate(study.input(), &plan, &config.emulator)?;
-            runs.push((knob, *setting, dc, kind, report));
+            let run = study.run_with(&planner, kind, None)?;
+            runs.push((knob, *setting, dc, kind, run.report));
         }
     }
 

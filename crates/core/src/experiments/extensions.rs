@@ -40,7 +40,7 @@ pub const INTERVAL_HOURS: [usize; 4] = [1, 2, 4, 6];
 ///
 /// Propagates [`StudyError`] from the planner.
 pub fn interval_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
-    let study = suite.study(DataCenterId::Banking).clone();
+    let study = suite.study(DataCenterId::Banking);
     let mut t = Table::new(
         "intervals",
         &[
@@ -55,10 +55,9 @@ pub fn interval_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
         ],
     );
     for hours in INTERVAL_HOURS {
-        let mut config = *study.config();
-        config.planner.dynamic.window_hours = hours;
-        let run = crate::study::Study::from_workload(&config, study.workload().clone())
-            .run(PlannerKind::Dynamic)?;
+        let mut planner = study.config().planner;
+        planner.dynamic.window_hours = hours;
+        let run = study.run_with(&planner, PlannerKind::Dynamic, None)?;
 
         // Schedule each interval's migrations with the durations the
         // planner's pre-copy simulation recorded; track the worst
@@ -114,7 +113,7 @@ pub fn future_mechanisms(suite: &mut Suite) -> Result<Table, StudyError> {
     let stochastic = suite
         .run(DataCenterId::Banking, PlannerKind::Stochastic)?
         .cost;
-    let study = suite.study(DataCenterId::Banking).clone();
+    let study = suite.study(DataCenterId::Banking);
     let reference_vm = VmMigrationProfile::new(8192.0, 400.0, 1024.0);
     let fabric = PrecopyConfig::gigabit();
     let mut t = Table::new(
@@ -131,10 +130,8 @@ pub fn future_mechanisms(suite: &mut Suite) -> Result<Table, StudyError> {
     for mechanism in MigrationMechanism::ALL {
         let reservation = mechanism.min_reservation(&fabric, &reference_vm);
         let bound = (1.0 - reservation).clamp(0.05, 1.0);
-        let mut config = *study.config();
-        config.planner = config.planner.with_utilization_bound(bound);
-        let run = crate::study::Study::from_workload(&config, study.workload().clone())
-            .run(PlannerKind::Dynamic)?;
+        let planner = study.config().planner.with_utilization_bound(bound);
+        let run = study.run_with(&planner, PlannerKind::Dynamic, None)?;
         t.push_row([
             mechanism.label().to_owned(),
             fnum(reservation, 2),
@@ -169,7 +166,7 @@ pub fn correlation_stability_experiment(suite: &mut Suite) -> Table {
         ],
     );
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         let sample: Vec<TimeSeries> = w
             .servers
             .iter()
@@ -214,14 +211,15 @@ pub fn constraint_cost(suite: &mut Suite) -> Result<Table, StudyError> {
             "dynamic_hosts",
         ],
     );
+    let seed = suite.config().seed;
     for dc in DataCenterId::ALL {
-        let study = suite.study(dc).clone();
+        let study = suite.study(dc);
         for (label, mix) in [
             ("none", ConstraintMix::none()),
             ("typical", ConstraintMix::typical()),
             ("heavy", ConstraintMix::heavy()),
         ] {
-            let synth = synthesise(study.input().vms.len(), &mix, suite.config().seed);
+            let synth = synthesise(study.input().vms.len(), &mix, seed);
             let mut cs = ConstraintSet::new();
             for &(a, b) in &synth.anti_pairs {
                 cs.add(Constraint::AntiColocate(VmId(a), VmId(b)))
@@ -296,11 +294,11 @@ pub fn timeline(suite: &mut Suite) -> Result<Table, StudyError> {
 ///
 /// Propagates [`StudyError`] from the planners.
 pub fn rolling_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
-    let study = suite.study(DataCenterId::Banking).clone();
     let semi = suite
         .run(DataCenterId::Banking, PlannerKind::SemiStatic)?
         .cost;
     let dynamic = suite.run(DataCenterId::Banking, PlannerKind::Dynamic)?.cost;
+    let study = suite.study(DataCenterId::Banking);
     let mut t = Table::new(
         "rolling",
         &["replan_period_days", "provisioned_hosts", "energy_kwh"],

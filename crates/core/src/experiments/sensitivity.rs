@@ -38,7 +38,7 @@ pub fn sensitivity(suite: &mut Suite, dc: DataCenterId) -> Result<Table, StudyEr
         .run(dc, PlannerKind::Stochastic)?
         .cost
         .provisioned_hosts;
-    let study = suite.study(dc).clone();
+    let study = suite.study(dc);
 
     let mut t = Table::new(
         figure_name(dc),
@@ -50,10 +50,11 @@ pub fn sensitivity(suite: &mut Suite, dc: DataCenterId) -> Result<Table, StudyEr
         ],
     );
     for bound in UTILIZATION_BOUNDS {
-        let mut config = *study.config();
-        config.planner = config.planner.with_utilization_bound(bound);
-        let swept = crate::study::Study::from_workload(&config, study.workload().clone());
-        let dynamic = swept.run(PlannerKind::Dynamic)?.cost.provisioned_hosts;
+        let planner = study.config().planner.with_utilization_bound(bound);
+        let dynamic = study
+            .run_with(&planner, PlannerKind::Dynamic, None)?
+            .cost
+            .provisioned_hosts;
         t.push_row([
             format!("{bound:.2}"),
             dynamic.to_string(),

@@ -27,10 +27,6 @@ pub struct Claim {
     pub holds: bool,
 }
 
-fn frac_above(samples: &[f64], x: f64) -> f64 {
-    samples.iter().filter(|&&v| v > x).count() as f64 / samples.len().max(1) as f64
-}
-
 /// Checks the headline claims against the suite's workloads and runs.
 ///
 /// # Errors
@@ -45,7 +41,7 @@ pub fn check_claims(suite: &mut Suite) -> Result<Vec<Claim>, StudyError> {
     let mut banking_cpu_cov = Vec::new();
     let mut all_mem_pa = Vec::new();
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         for s in &w.servers {
             let cpu = &s.cpu_used_frac.values()[..history_hours.min(s.cpu_used_frac.len())];
             let mem = &s.mem_used_mb.values()[..history_hours.min(s.mem_used_mb.len())];
@@ -56,21 +52,21 @@ pub fn check_claims(suite: &mut Suite) -> Result<Vec<Claim>, StudyError> {
             all_mem_pa.extend(stats::peak_to_average(mem));
         }
     }
-    let pa5 = frac_above(&banking_cpu_pa, 5.0);
+    let pa5 = stats::fraction_above(&banking_cpu_pa, 5.0);
     claims.push(Claim {
         source: "Fig 2 / Obs 1",
         statement: "≥40% of Banking servers have CPU peak/average > 5".into(),
         measured: format!("{:.0}%", pa5 * 100.0),
         holds: pa5 >= 0.40,
     });
-    let cov1 = frac_above(&banking_cpu_cov, 1.0);
+    let cov1 = stats::fraction_above(&banking_cpu_cov, 1.0);
     claims.push(Claim {
         source: "Fig 3 / Obs 1",
         statement: "≥40% of Banking servers are heavy-tailed (CPU CoV ≥ 1)".into(),
         measured: format!("{:.0}%", cov1 * 100.0),
         holds: cov1 >= 0.40,
     });
-    let mem_ok = 1.0 - frac_above(&all_mem_pa, 1.6);
+    let mem_ok = 1.0 - stats::fraction_above(&all_mem_pa, 1.6);
     claims.push(Claim {
         source: "Fig 4 / Obs 2",
         statement: "most servers keep memory peak/average ≤ ~1.5".into(),
@@ -81,7 +77,7 @@ pub fn check_claims(suite: &mut Suite) -> Result<Vec<Claim>, StudyError> {
     // Fig 6 / Obs 3: memory constrains ≥3 of 4 DCs.
     let mut memory_bound = 0;
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         let cpu = w.aggregate_cpu_rpe2();
         let mem = w.aggregate_mem_mb();
         let below: f64 = cpu.values()[history_hours..]

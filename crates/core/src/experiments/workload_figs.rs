@@ -49,7 +49,7 @@ pub fn table2(suite: &mut Suite) -> Table {
         ],
     );
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         let (web, batch) = w.class_counts();
         t.push_row([
             dc.letter().to_string(),
@@ -69,7 +69,7 @@ pub fn table2(suite: &mut Suite) -> Table {
 /// servers over one week (average < 5%, peak > 50%).
 #[must_use]
 pub fn fig1(suite: &mut Suite) -> Table {
-    let w = suite.study(DataCenterId::Banking).workload().clone();
+    let w = suite.study(DataCenterId::Banking).workload();
     let hours = (7 * 24).min(w.hours());
     // "Picked completely at random": the first two servers that show the
     // low-average/high-peak signature of Fig 1. If the (possibly tiny)
@@ -116,11 +116,11 @@ fn burstiness_cdf_table(
     let history_hours = suite.config().history_days * 24;
     let mut t = Table::new(name, &["datacenter", "window_h", "value", "cdf"]);
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         match metric {
             BurstinessMetric::PeakToAverage => {
                 for window in WINDOWS {
-                    let cdf: Cdf = per_server_samples(&w, history_hours, |s| {
+                    let cdf: Cdf = per_server_samples(w, history_hours, |s| {
                         let demands = window_demands(
                             &truncate(resource(s), history_hours),
                             window,
@@ -132,7 +132,7 @@ fn burstiness_cdf_table(
                 }
             }
             BurstinessMetric::CoV => {
-                let cdf: Cdf = per_server_samples(&w, history_hours, |s| {
+                let cdf: Cdf = per_server_samples(w, history_hours, |s| {
                     stats::coefficient_of_variability(
                         &resource(s).values()[..history_hours.min(resource(s).len())],
                     )
@@ -216,7 +216,7 @@ pub fn fig6(suite: &mut Suite) -> Table {
     let hs23 = ServerModel::hs23_elite().cpu_mem_ratio();
     let mut t = Table::new("fig6", &["datacenter", "ratio", "cdf", "hs23_reference"]);
     for dc in DataCenterId::ALL {
-        let w = suite.study(dc).workload().clone();
+        let w = suite.study(dc).workload();
         let total = w.hours();
         let cpu = w
             .aggregate_cpu_rpe2()

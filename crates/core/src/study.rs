@@ -200,15 +200,7 @@ impl Study {
     /// Propagates [`PackError`] from the planner and [`EmulatorError`]
     /// from the replay.
     pub fn run(&self, kind: PlannerKind) -> Result<StudyRun, StudyError> {
-        let plan = self.config.planner.plan(kind, &self.input)?;
-        let report = emulate(&self.input, &plan, &self.config.emulator)?;
-        let cost = cost_summary(&report, &self.config.cost_model);
-        Ok(StudyRun {
-            kind,
-            plan,
-            report,
-            cost,
-        })
+        self.run_with(&self.config.planner, kind, None)
     }
 
     /// Plans with `kind` and replays the evaluation window under fault
@@ -224,8 +216,29 @@ impl Study {
         kind: PlannerKind,
         faults: &FaultConfig,
     ) -> Result<StudyRun, StudyError> {
-        let plan = self.config.planner.plan(kind, &self.input)?;
-        let report = emulate_with_faults(&self.input, &plan, &self.config.emulator, faults)?;
+        self.run_with(&self.config.planner, kind, Some(faults))
+    }
+
+    /// Plans with `kind` under `planner` instead of the configured
+    /// planner, and replays the evaluation window, under `faults` if
+    /// given. The planning input does not depend on the planner, so a
+    /// planner what-if reuses this study as it is.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PackError`] from the planner and [`EmulatorError`]
+    /// from the replay.
+    pub fn run_with(
+        &self,
+        planner: &Planner,
+        kind: PlannerKind,
+        faults: Option<&FaultConfig>,
+    ) -> Result<StudyRun, StudyError> {
+        let plan = planner.plan(kind, &self.input)?;
+        let report = match faults {
+            Some(f) => emulate_with_faults(&self.input, &plan, &self.config.emulator, f)?,
+            None => emulate(&self.input, &plan, &self.config.emulator)?,
+        };
         let cost = cost_summary(&report, &self.config.cost_model);
         Ok(StudyRun {
             kind,
@@ -300,9 +313,7 @@ pub fn compare(study: &Study, scenarios: &[Scenario]) -> Result<Vec<ComparisonRo
     scenarios
         .iter()
         .map(|s| {
-            let mut config = *study.config();
-            config.planner = s.planner;
-            let run = Study::from_workload(&config, study.workload().clone()).run(s.kind)?;
+            let run = study.run_with(&s.planner, s.kind, None)?;
             Ok(ComparisonRow {
                 label: s.label.clone(),
                 hosts: run.cost.provisioned_hosts,

@@ -31,13 +31,14 @@
 //! The supervisor is *self-healing* (docs/ROBUSTNESS.md has the
 //! supervision tree): each cell attempt runs under `catch_unwind`, so a
 //! panicking planner becomes a journaled `cell-crashed` incident and a
-//! retry instead of killing the run; a monitor thread watches
-//! per-cell [`Heartbeat`]s and cooperatively cancels cells that stop
-//! beating (hangs become `Degraded`, never wedged studies); crashed and
-//! watchdog-stopped cells are retried from their last journaled
-//! checkpoint under a [`CellRetryPolicy`] (exponential backoff, jitter
-//! keyed on the study seed) and quarantined into `STUDY.md`'s failure
-//! matrix once attempts are exhausted. A retry resumes from a
+//! retry instead of killing the run; a monitor thread watches each
+//! running cell's heartbeat (one beat per replayed hour) and
+//! cooperatively cancels cells that stop beating (hangs become
+//! `Degraded`, never wedged studies); crashed and watchdog-stopped
+//! cells are retried from their last journaled checkpoint under a
+//! [`CellRetryPolicy`] (exponential backoff, jitter keyed on the study
+//! seed) and quarantined into `STUDY.md`'s failure matrix once
+//! attempts are exhausted. A retry resumes from a
 //! checkpoint, so a healed cell's output is *byte-identical* to an
 //! uninterrupted run. The monitor also rewrites an atomic
 //! `health.json` ([`crate::health`]) so `vmcw health <dir>` can inspect
@@ -58,12 +59,10 @@ use vmcw_emulator::checkpoint::{
     decode_cost, decode_fault_config, decode_report, enc_f64, encode_cost, encode_fault_config,
     encode_report, fnv1a, CheckpointError, Toks,
 };
-use vmcw_emulator::engine::{EmulationReport, Heartbeat, Replay};
+use vmcw_emulator::engine::{EmulationReport, Replay};
 use vmcw_emulator::faults::FaultConfig;
 use vmcw_emulator::report::{cost_summary, CostSummary};
-use vmcw_emulator::validate::{
-    check_checkpoint_with, check_retry_checkpoint, CheckScratch, InvariantViolation,
-};
+use vmcw_emulator::validate::{check_checkpoint_with, CheckScratch, InvariantViolation};
 use vmcw_emulator::ReplayCheckpoint;
 use vmcw_trace::datacenters::DataCenterId;
 
@@ -1172,7 +1171,11 @@ fn catch_cell_panic<T>(f: impl FnOnce() -> T) -> Result<T, (String, String)> {
 /// Live telemetry and cancellation surface of one running cell attempt,
 /// shared between the worker running the cell and the monitor thread.
 struct CellWatch {
-    heartbeat: Arc<Heartbeat>,
+    /// Heartbeats so far: one when the replay is ready, then one per
+    /// replayed hour.
+    steps: AtomicU64,
+    /// When the last beat was, in microseconds since `started`.
+    last_beat_micros: AtomicU64,
     /// Replay hours completed by this attempt so far.
     hours: AtomicUsize,
     started: Instant,
@@ -1190,7 +1193,8 @@ struct CellWatch {
 impl CellWatch {
     fn new() -> Self {
         Self {
-            heartbeat: Arc::new(Heartbeat::new()),
+            steps: AtomicU64::new(0),
+            last_beat_micros: AtomicU64::new(0),
             hours: AtomicUsize::new(0),
             started: Instant::now(),
             fired: AtomicBool::new(false),
@@ -1198,6 +1202,27 @@ impl CellWatch {
             armed: AtomicBool::new(true),
             watermark: Mutex::new((Instant::now(), 0)),
         }
+    }
+
+    fn micros_since_start(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Records progress: `hours` replayed so far, beaten now. The
+    /// watchdog reads the beat from the monitor thread without touching
+    /// the replay; the stores are relaxed because no other memory hangs
+    /// off them.
+    fn beat(&self, hours: usize) {
+        self.hours.store(hours, Ordering::SeqCst);
+        self.last_beat_micros
+            .store(self.micros_since_start(), Ordering::Relaxed);
+        self.steps.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Seconds since the last beat (or since the attempt started).
+    fn secs_since_last_beat(&self) -> f64 {
+        let last = self.last_beat_micros.load(Ordering::Relaxed);
+        self.micros_since_start().saturating_sub(last) as f64 / 1e6
     }
 }
 
@@ -1601,14 +1626,10 @@ impl Executor<'_> {
         };
         let n_hosts = plan.dc.len();
         let mut scratch = CheckScratch::default();
+        // A retry resumes from the last journaled checkpoint, never from
+        // the failed attempt's memory; `Replay::resume` re-checks it
+        // against the replay invariants before trusting it.
         let mut prev_ckpt = lock(&self.latest).get(&cell).cloned();
-        if attempt > 1 {
-            // The previous attempt died uncleanly; re-validate the
-            // restart point before trusting it.
-            if let Some(ck) = prev_ckpt.as_ref() {
-                check_retry_checkpoint(ck, n_hosts).map_err(|v| self.violated(v))?;
-            }
-        }
         let mut replay = match prev_ckpt.as_ref() {
             Some(ck) => Replay::resume(input, &plan, &config.emulator, spec.faults.as_ref(), ck)?,
             None => {
@@ -1621,9 +1642,7 @@ impl Executor<'_> {
                 }
             }
         };
-        replay.set_heartbeat(Arc::clone(&watch.heartbeat));
-        watch.hours.store(replay.hour(), Ordering::SeqCst);
-        watch.heartbeat.beat();
+        watch.beat(replay.hour());
         let chaos = self.opts.chaos.as_ref().filter(|c| c.matches(dc, kind));
 
         let cell_started = Instant::now();
@@ -1704,7 +1723,7 @@ impl Executor<'_> {
                 return abort(e.to_string());
             }
             self.token.note_hour();
-            watch.hours.store(replay.hour(), Ordering::SeqCst);
+            watch.beat(replay.hour());
             if replay.hour() % spec.checkpoint_every_hours == 0 || replay.is_done() {
                 let ck = replay.checkpoint();
                 check_checkpoint_with(&mut scratch, &ck, n_hosts, prev_ckpt.as_deref())
@@ -1761,8 +1780,8 @@ impl Executor<'_> {
                 let mut hours_done = h.hours_done;
                 let (mut steps, mut beat_age_secs, mut steps_per_sec) = (0, 0.0, 0.0);
                 if let Some(w) = &h.watch {
-                    steps = w.heartbeat.steps();
-                    beat_age_secs = round_ms(w.heartbeat.secs_since_last_beat());
+                    steps = w.steps.load(Ordering::Relaxed);
+                    beat_age_secs = round_ms(w.secs_since_last_beat());
                     let elapsed = w.started.elapsed().as_secs_f64();
                     if elapsed > 0.0 {
                         steps_per_sec = round_ms(steps as f64 / elapsed);
@@ -1830,7 +1849,7 @@ impl Executor<'_> {
             let Some(w) = h.watch.as_ref().filter(|w| w.armed.load(Ordering::SeqCst)) else {
                 continue;
             };
-            let age = w.heartbeat.secs_since_last_beat();
+            let age = w.secs_since_last_beat();
             if let Some(timeout) = timeout.filter(|&t| age > t) {
                 if !w.fired.load(Ordering::SeqCst) {
                     *lock(&w.reason) = Some(format!(
@@ -2546,6 +2565,48 @@ mod tests {
         });
         assert!(!slot.cell_done(), "one cell is still pending");
         assert!(lock(&slot.state).input.is_some());
+    }
+
+    /// A restart point that breaks a replay invariant is refused by
+    /// `Replay::resume` with a typed error: never replayed, never a
+    /// panic.
+    #[test]
+    fn a_corrupt_restart_point_fails_cleanly() {
+        let opts = RunOptions::default();
+        let dir = tmp_dir("corrupt-restart");
+        let token = CancelToken::new();
+        token.cancel_after_hours(30); // mid second cell
+        let partial = run_study_opts(&tiny_spec(), &dir, &token, &opts).unwrap();
+        assert_eq!(partial.status, StudyStatus::Interrupted);
+
+        // Journal a copy of the unfinished cell's last checkpoint that
+        // decodes but is one accounting hour short.
+        let (mut journal, _) = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
+        let (cell, mut ck) = journal
+            .records()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rec)| match Record::decode(i, rec, true).unwrap() {
+                Some(Record::Checkpoint(cell, ck)) => Some((cell, ck.into_owned())),
+                _ => None,
+            })
+            .next_back()
+            .expect("the interrupted cell checkpointed");
+        ck.per_hour.pop();
+        journal
+            .append(Record::Checkpoint(cell, Cow::Owned(ck)).encode().as_bytes())
+            .unwrap();
+        drop(journal);
+
+        let err = resume_study_opts(&dir, None, &CancelToken::new(), &opts).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SuperviseError::Checkpoint(CheckpointError::Invariant(_))
+            ),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One transient panic heals through retry: the final outputs are

@@ -9,9 +9,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use vmcw_cluster::datacenter::HostId;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
@@ -346,68 +343,6 @@ impl<T> VmMap<T> {
     }
 }
 
-/// Monotonic micros since the process-wide heartbeat epoch (the first
-/// time any heartbeat is created or beats).
-fn heartbeat_micros() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    u64::try_from(Instant::now().duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
-}
-
-/// A shared, lock-free progress pulse for a running [`Replay`].
-///
-/// A supervisor hands a `Heartbeat` to [`Replay::set_heartbeat`]; every
-/// [`Replay::step`] then beats it. A watchdog on another thread reads
-/// [`secs_since_last_beat`](Self::secs_since_last_beat) to tell a slow
-/// cell from a wedged one without ever touching the replay itself —
-/// the beat is two relaxed atomic stores, so the hot loop pays nothing
-/// measurable for being observable.
-#[derive(Debug)]
-pub struct Heartbeat {
-    steps: AtomicU64,
-    last_beat_micros: AtomicU64,
-}
-
-impl Heartbeat {
-    /// A fresh heartbeat whose "last beat" is the moment of creation,
-    /// so a watchdog never sees an infinite age on a cell that has not
-    /// taken its first step yet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            steps: AtomicU64::new(0),
-            last_beat_micros: AtomicU64::new(heartbeat_micros()),
-        }
-    }
-
-    /// Records one unit of progress at the current instant.
-    pub fn beat(&self) {
-        self.last_beat_micros
-            .store(heartbeat_micros(), Ordering::Relaxed);
-        self.steps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total beats so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Seconds elapsed since the last beat (or since creation).
-    #[must_use]
-    pub fn secs_since_last_beat(&self) -> f64 {
-        let last = self.last_beat_micros.load(Ordering::Relaxed);
-        let now = heartbeat_micros();
-        now.saturating_sub(last) as f64 / 1e6
-    }
-}
-
-impl Default for Heartbeat {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A stepwise, checkpointable replay of one plan.
 ///
 /// [`emulate`] / [`emulate_with_faults`] drive a `Replay` to completion
@@ -435,10 +370,6 @@ pub struct Replay<'a> {
     per_hour: Vec<HourSummary>,
     energy_wh: f64,
     cpu_contention_samples: Vec<f64>,
-    /// Optional progress pulse, beaten once per [`step`](Self::step).
-    /// Not part of the checkpointed state: heartbeats are session-local
-    /// telemetry, never replay semantics.
-    heartbeat: Option<Arc<Heartbeat>>,
 }
 
 impl<'a> Replay<'a> {
@@ -487,15 +418,7 @@ impl<'a> Replay<'a> {
             per_hour: Vec::with_capacity(hours),
             energy_wh: 0.0,
             cpu_contention_samples: Vec::new(),
-            heartbeat: None,
         })
-    }
-
-    /// Attaches a progress pulse that [`step`](Self::step) beats once
-    /// per replayed hour. Purely observational: a replay with and
-    /// without a heartbeat produces bit-identical results.
-    pub fn set_heartbeat(&mut self, heartbeat: Arc<Heartbeat>) {
-        self.heartbeat = Some(heartbeat);
     }
 
     /// Rebuilds a replay mid-run from a checkpoint taken by an earlier
@@ -701,9 +624,6 @@ impl<'a> Replay<'a> {
     /// Panics if the replay is already complete.
     pub fn step(&mut self) -> Result<(), EmulatorError> {
         assert!(!self.is_done(), "replay already complete");
-        if let Some(hb) = &self.heartbeat {
-            hb.beat();
-        }
         let h = self.hour;
         let eval = self.input.eval_range();
         let target = self.plan.placements.at_hour(h);

@@ -62,8 +62,8 @@ pub mod validate;
 
 pub use checkpoint::{CheckpointError, ReplayCheckpoint};
 pub use engine::{
-    emulate, emulate_with_faults, EmulationReport, EmulatorConfig, EmulatorError, Heartbeat,
-    HostSummary, HourSummary, Replay,
+    emulate, emulate_with_faults, EmulationReport, EmulatorConfig, EmulatorError, HostSummary,
+    HourSummary, Replay,
 };
 pub use faults::{CrashSchedule, FaultConfig, FaultLedger, HostOutage, TraceGapError};
-pub use validate::{check_checkpoint, check_retry_checkpoint, InvariantViolation, ReplayInvariant};
+pub use validate::{check_checkpoint, InvariantViolation, ReplayInvariant};

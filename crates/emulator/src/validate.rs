@@ -251,27 +251,6 @@ pub fn check_checkpoint(
     check_checkpoint_with(&mut CheckScratch::default(), ckpt, n_hosts, prev)
 }
 
-/// Re-validates the checkpoint a *retried* cell is about to resume
-/// from.
-///
-/// A retry after a crash or watchdog timeout must not trust anything
-/// the failed attempt left in memory: the supervisor takes the last
-/// checkpoint it journaled and runs the full structural invariant
-/// suite over it before handing it back to `Replay::resume`. The
-/// cross-checkpoint monotonicity context (`prev`) died with the failed
-/// attempt, so only the single-checkpoint invariants are checked —
-/// monotonicity resumes at the next cadence checkpoint.
-///
-/// # Errors
-///
-/// The first violated [`ReplayInvariant`], as an [`InvariantViolation`].
-pub fn check_retry_checkpoint(
-    ckpt: &crate::checkpoint::ReplayCheckpoint,
-    n_hosts: usize,
-) -> Result<(), InvariantViolation> {
-    check_checkpoint(ckpt, n_hosts, None)
-}
-
 /// [`check_checkpoint`] with caller-owned scratch buffers.
 ///
 /// # Errors

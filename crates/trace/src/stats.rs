@@ -59,6 +59,12 @@ pub fn peak_to_average(values: &[f64]) -> Option<f64> {
     Some(peak / m)
 }
 
+/// Fraction of `values` strictly above `x`; 0 for an empty slice.
+#[must_use]
+pub fn fraction_above(values: &[f64], x: f64) -> f64 {
+    values.iter().filter(|&&v| v > x).count() as f64 / values.len().max(1) as f64
+}
+
 /// Percentile with linear interpolation between closest ranks.
 ///
 /// `p` is in percent (`90.0` = 90th percentile, the "body of the
@@ -269,6 +275,12 @@ impl FromIterator<f64> for Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fraction_above_is_strict_and_empty_safe() {
+        assert_eq!(fraction_above(&[1.0, 2.0, 3.0, 4.0], 2.0), 0.5);
+        assert_eq!(fraction_above(&[], 1.0), 0.0);
+    }
 
     #[test]
     fn mean_and_variance_basics() {
