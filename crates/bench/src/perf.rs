@@ -3,7 +3,8 @@
 //! Two suites cover the pipeline's hot paths end to end:
 //!
 //! * **emulator** — trace generation and plan replay (plain and
-//!   fault-injected), the per-hour inner loop of every evaluation figure;
+//!   fault-injected), the per-hour inner loop of every evaluation figure,
+//!   once on a short trace and once shaped like a study cell;
 //! * **planners** — one entry per evaluated planner kind, the
 //!   placement-search cost that dominates large grids.
 //!
@@ -18,17 +19,23 @@
 use std::time::Instant;
 
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_consolidation::planner::{Planner, PlannerKind};
+use vmcw_consolidation::planner::{ConsolidationPlan, Planner, PlannerKind};
 use vmcw_core::json::Json;
 use vmcw_core::object;
 use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulatorConfig};
 use vmcw_emulator::faults::FaultConfig;
-use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
+use vmcw_trace::datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig};
 
 /// History days fed to the planners by every suite.
 pub const HISTORY_DAYS: usize = 7;
 /// Evaluation days replayed by the emulator suite.
 pub const EVAL_DAYS: usize = 3;
+/// History days of the study-shaped replay stages, as in a `vmcw study`
+/// cell.
+pub const STUDY_HISTORY_DAYS: usize = 30;
+/// Evaluation days of the study-shaped replay stages: the 336 hours a
+/// `vmcw study` cell replays.
+pub const STUDY_EVAL_DAYS: usize = 14;
 /// Timed runs per stage. The minimum filters out scheduler noise; the
 /// median shows how far a typical run sits above it.
 pub const REPEATS: usize = 3;
@@ -123,8 +130,11 @@ fn timed_each<I, T>(items: &[I], mut f: impl FnMut(&I) -> T) -> Vec<(T, f64, f64
 pub const BENCH_DC: DataCenterId = DataCenterId::Banking;
 
 /// Times trace generation and plan replay (plain and fault-injected) at
-/// each scale. The replays of all scales are timed round-robin (see
-/// [`timed_each`]), since CI compares them across scales.
+/// each scale, then the same two replays of a study-shaped Dynamic plan
+/// ([`STUDY_HISTORY_DAYS`] + [`STUDY_EVAL_DAYS`], stages
+/// `replay-plain-study` and `replay-faulted-study`). The replays of all
+/// scales are timed round-robin (see [`timed_each`]), since CI compares
+/// them across scales.
 ///
 /// # Panics
 ///
@@ -134,6 +144,7 @@ pub const BENCH_DC: DataCenterId = DataCenterId::Banking;
 pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
     let mut generated = Vec::new();
     let mut replays = Vec::new();
+    let mut studies = Vec::new();
     for &scale in scales {
         let (workload, gen_secs, gen_median) = timed(|| {
             GeneratorConfig::new(BENCH_DC)
@@ -148,33 +159,38 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
             median_seconds: gen_median,
             items: workload.servers.len(),
         });
-        let input =
-            PlanningInput::from_workload(&workload, HISTORY_DAYS, VirtualizationModel::baseline());
-        let plan = Planner::baseline()
-            .plan_dynamic(&input)
-            .expect("dynamic plan");
-        replays.push((input, plan));
+        replays.push(dynamic_case(&workload, HISTORY_DAYS));
+        let workload = GeneratorConfig::new(BENCH_DC)
+            .scale(scale)
+            .days(STUDY_HISTORY_DAYS + STUDY_EVAL_DAYS)
+            .generate(seed);
+        studies.push(dynamic_case(&workload, STUDY_HISTORY_DAYS));
     }
 
     let cfg = EmulatorConfig::default();
     let faults = FaultConfig::baseline(seed);
-    let plain = timed_each(&replays, |(input, plan)| {
+    let plain = |(input, plan): &(PlanningInput, ConsolidationPlan)| {
         emulate(input, plan, &cfg).expect("replay").hours
-    });
-    let faulted = timed_each(&replays, |(input, plan)| {
+    };
+    let faulted = |(input, plan): &(PlanningInput, ConsolidationPlan)| {
         emulate_with_faults(input, plan, &cfg, &faults)
             .expect("faulted replay")
             .hours
-    });
+    };
+    let stages = [
+        ("replay-plain", timed_each(&replays, plain)),
+        ("replay-faulted", timed_each(&replays, faulted)),
+        ("replay-plain-study", timed_each(&studies, plain)),
+        ("replay-faulted-study", timed_each(&studies, faulted)),
+    ];
     let mut entries = Vec::new();
-    for ((gen, plain), faulted) in generated.into_iter().zip(plain).zip(faulted) {
+    for (i, gen) in generated.into_iter().enumerate() {
         let scale = gen.scale;
         entries.push(gen);
-        for (stage, (hours, seconds, median_seconds)) in
-            [("replay-plain", plain), ("replay-faulted", faulted)]
-        {
+        for (stage, timings) in &stages {
+            let (hours, seconds, median_seconds) = timings[i];
             entries.push(BenchEntry {
-                stage: stage.into(),
+                stage: (*stage).into(),
                 scale,
                 seconds,
                 median_seconds,
@@ -187,6 +203,20 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
         seed,
         entries,
     }
+}
+
+/// The planning input of `workload` after `history_days`, with its
+/// Dynamic plan: what the replay stages replay.
+fn dynamic_case(
+    workload: &GeneratedWorkload,
+    history_days: usize,
+) -> (PlanningInput, ConsolidationPlan) {
+    let input =
+        PlanningInput::from_workload(workload, history_days, VirtualizationModel::baseline());
+    let plan = Planner::baseline()
+        .plan_dynamic(&input)
+        .expect("dynamic plan");
+    (input, plan)
 }
 
 /// Times each evaluated planner at each scale.
@@ -232,8 +262,13 @@ mod tests {
         let scales = [0.02, 0.03];
         let emu = run_emulator_suite(&scales, 11);
         assert_eq!(emu.suite, "emulator");
-        // trace-gen + replay-plain + replay-faulted per scale.
-        assert_eq!(emu.entries.len(), 3 * scales.len());
+        // trace-gen, then plain and faulted replays of the short and the
+        // study-shaped plan, per scale.
+        assert_eq!(emu.entries.len(), 5 * scales.len());
+        let study_hours = 24 * STUDY_EVAL_DAYS;
+        for e in emu.entries.iter().filter(|e| e.stage.ends_with("-study")) {
+            assert_eq!(e.items, study_hours, "{} replays a study cell", e.stage);
+        }
         let planners = run_planner_suite(&scales, 11);
         assert_eq!(
             planners.entries.len(),

@@ -10,7 +10,6 @@
 use crate::input::PlanningInput;
 use crate::placement::Placement;
 use crate::ranking::Ranking;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
@@ -75,6 +74,9 @@ impl DrainPlan {
 /// destinations. The hosts in `hidden` (say, other crashed hosts) are
 /// neither destinations nor seen as residents.
 ///
+/// This builds a fresh [`DrainView`] and plans through it; a caller that
+/// drains the same placement again and again keeps one view instead.
+///
 /// # Errors
 ///
 /// See [`DrainError`].
@@ -89,112 +91,255 @@ pub fn plan_drain(
     bounds: (f64, f64),
     precopy: &PrecopyConfig,
 ) -> Result<DrainPlan, DrainError> {
-    if dc.host(host).is_none() {
-        return Err(DrainError::UnknownHost(host));
-    }
-    let eval = input.eval_range();
-    let hour = eval.start + at_hour;
-    let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
-    let effective_net = dc.template().net_mbps * bounds.0;
+    let hour = input.eval_range().start + at_hour;
+    let demands: Vec<Resources> = input.vms.iter().map(|t| t.demand_at(hour)).collect();
+    DrainView::default().plan(
+        input, placement, host, hidden, dc, at_hour, &demands, bounds, precopy,
+    )
+}
 
-    let demand_of = |pos: usize| input.vms[pos].demand_at(hour);
-    let net_of = |pos: usize| input.vms[pos].net_peak_mbps;
-    let id_of = |pos: usize| input.vms[pos].vm.id;
+/// What a drain knows of each destination host: its residents in
+/// ascending VM-id order, their link demand, and their load for one
+/// input hour, all summed in that order.
+///
+/// An entry is built from the placement when a drain first needs it and
+/// kept until the caller reports, through [`DrainView::invalidate`], that
+/// the host's resident list changed; its load is re-summed once per
+/// hour. A replay that drains hour after hour thus re-sums only the hosts
+/// that changed since its previous drain, and plans exactly what
+/// [`plan_drain`] plans from scratch.
+#[derive(Debug, Clone, Default)]
+pub struct DrainView {
+    /// Entries indexed by host id.
+    hosts: Vec<ViewHost>,
+}
 
-    // Current loads of every other visible host, each summed in
-    // ascending VM-id order.
-    let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-    let mut nets: BTreeMap<HostId, f64> = BTreeMap::new();
-    let mut residents: BTreeMap<HostId, Vec<VmId>> = BTreeMap::new();
-    let mut by_id: Vec<usize> = Vec::new();
-    for (h, vms) in placement.active() {
-        if h == host || hidden.contains(&h) {
-            continue;
+#[derive(Debug, Clone, Default)]
+struct ViewHost {
+    /// Whether `by_id`, `ids` and `net` match the host's residents.
+    listed: bool,
+    /// Resident positions in ascending VM-id order.
+    by_id: Vec<u32>,
+    /// Their VM ids, in the same order.
+    ids: Vec<VmId>,
+    /// Their summed peak link demand.
+    net: f64,
+    /// The input hour `load` is summed for, if any.
+    load_hour: Option<usize>,
+    load: Resources,
+}
+
+impl DrainView {
+    /// Forgets what the view knows of `host`: its resident list changed.
+    pub fn invalidate(&mut self, host: HostId) {
+        if let Some(entry) = self.hosts.get_mut(host.0 as usize) {
+            entry.listed = false;
+            entry.load_hour = None;
         }
-        by_id.clear();
-        by_id.extend(vms.iter().map(|&pos| pos as usize));
-        by_id.sort_unstable_by_key(|&pos| id_of(pos));
-        loads.insert(h, by_id.iter().map(|&pos| demand_of(pos)).sum());
-        nets.insert(h, by_id.iter().fold(0.0, |n, &pos| n + net_of(pos)));
-        residents.insert(h, by_id.iter().map(|&pos| id_of(pos)).collect());
     }
-    // Most-loaded first.
-    let mut ranking = Ranking::new(loads.iter().map(|(&h, &l)| (h, l)), effective);
 
-    // Evacuate big VMs first (hardest to place).
-    let mut evacuees: Vec<usize> = placement.vms_on(host).iter().map(|&p| p as usize).collect();
-    for &pos in &evacuees {
-        if input.constraints.pinned_host(id_of(pos)) == Some(host) {
-            return Err(DrainError::PinnedVm(id_of(pos)));
+    /// Brings the entry of `host` up to date with `placement` at input
+    /// hour `hour`, where the VM at position `pos` demands `demands[pos]`.
+    fn refresh(
+        &mut self,
+        input: &PlanningInput,
+        placement: &Placement,
+        host: HostId,
+        hour: usize,
+        demands: &[Resources],
+    ) {
+        let at = host.0 as usize;
+        if self.hosts.len() <= at {
+            self.hosts.resize_with(at + 1, ViewHost::default);
+        }
+        let entry = &mut self.hosts[at];
+        if !entry.listed {
+            entry.by_id.clear();
+            entry.by_id.extend_from_slice(placement.vms_on(host));
+            entry
+                .by_id
+                .sort_unstable_by_key(|&pos| input.vms[pos as usize].vm.id);
+            entry.ids.clear();
+            entry
+                .ids
+                .extend(entry.by_id.iter().map(|&pos| input.vms[pos as usize].vm.id));
+            entry.net = entry
+                .by_id
+                .iter()
+                .fold(0.0, |n, &pos| n + input.vms[pos as usize].net_peak_mbps);
+            entry.listed = true;
+            entry.load_hour = None;
+        }
+        if entry.load_hour != Some(hour) {
+            entry.load = entry.by_id.iter().map(|&pos| demands[pos as usize]).sum();
+            entry.load_hour = Some(hour);
         }
     }
-    evacuees.sort_by(|&a, &b| {
-        demand_of(b)
-            .dominant_share(&effective)
-            .total_cmp(&demand_of(a).dominant_share(&effective))
-            .then_with(|| id_of(a).cmp(&id_of(b)))
-    });
 
-    let src_load = {
-        let total: Resources = evacuees.iter().map(|&pos| demand_of(pos)).sum();
-        HostLoad::new(
-            total.cpu_rpe2 / capacity.cpu_rpe2,
-            total.mem_mb / capacity.mem_mb,
-        )
-    };
-
-    let mut moves = Vec::with_capacity(evacuees.len());
-    let mut requests = Vec::with_capacity(evacuees.len());
-    for pos in evacuees {
-        let (vm, demand) = (id_of(pos), demand_of(pos));
-        let mut dest = None;
-        for &(_, cand) in ranking.may_fit(demand) {
-            if !(loads[&cand] + demand).fits_within(&effective) {
+    /// Checks every entry the view holds as current against one built
+    /// from scratch from `placement`, comparing floats by their bits, and
+    /// returns how many it checked. The replay tests run this after every
+    /// hour.
+    ///
+    /// # Errors
+    ///
+    /// Names the first host whose entry differs.
+    pub fn check(&self, input: &PlanningInput, placement: &Placement) -> Result<usize, String> {
+        let mut checked = 0;
+        for (at, entry) in self.hosts.iter().enumerate() {
+            if !entry.listed {
                 continue;
             }
-            if effective_net > 0.0
-                && nets.get(&cand).copied().unwrap_or(0.0) + net_of(pos) > effective_net
-            {
-                continue;
+            let host = HostId(at as u32);
+            let hour = entry.load_hour.unwrap_or(input.eval_range().start);
+            let demands: Vec<Resources> = input.vms.iter().map(|t| t.demand_at(hour)).collect();
+            let mut fresh = DrainView::default();
+            fresh.refresh(input, placement, host, hour, &demands);
+            let want = &fresh.hosts[at];
+            if entry.by_id != want.by_id || entry.ids != want.ids {
+                return Err(format!("{host}: drain view lists stale residents"));
             }
-            let location = dc.host(cand).expect("provisioned").location();
-            let empty = Vec::new();
-            let dest_residents = residents.get(&cand).unwrap_or(&empty);
-            if !input.constraints.allows(vm, location, dest_residents) {
-                continue;
+            if entry.net.to_bits() != want.net.to_bits() {
+                return Err(format!(
+                    "{host}: drain view net {} != {}",
+                    entry.net, want.net
+                ));
             }
-            dest = Some(cand);
-            break;
+            let bits = |r: Resources| (r.cpu_rpe2.to_bits(), r.mem_mb.to_bits());
+            if entry.load_hour.is_some() && bits(entry.load) != bits(want.load) {
+                return Err(format!(
+                    "{host}: drain view load {} != {}",
+                    entry.load, want.load
+                ));
+            }
+            checked += 1;
         }
-        let Some(dest) = dest else {
-            return Err(DrainError::NoCapacity(vm));
-        };
-        let load = loads.get_mut(&dest).expect("destinations are ranked hosts");
-        let before = *load;
-        *load += demand;
-        ranking.update(dest, Some(before), Some(*load));
-        *nets.entry(dest).or_insert(0.0) += net_of(pos);
-        residents.entry(dest).or_default().push(vm);
-        moves.push((pos, dest));
-        let activity = {
-            let peak = input.vms[pos].cpu_rpe2.max().unwrap_or(1.0).max(1e-9);
-            (demand.cpu_rpe2 / peak).clamp(0.0, 1.0)
-        };
-        requests.push(MigrationRequest {
-            vm,
-            from: host,
-            to: dest,
-            profile: VmMigrationProfile::from_demand(demand.mem_mb.max(64.0), activity),
-            source_load: src_load,
+        Ok(checked)
+    }
+
+    /// Plans the evacuation of `host` at evaluation hour `at_hour`, as
+    /// [`plan_drain`] does, over `placement` — the placement every
+    /// [`DrainView::invalidate`] call so far has kept the view in step
+    /// with. `demands` holds the demand of the VM at each input position
+    /// at that hour.
+    ///
+    /// # Errors
+    ///
+    /// See [`DrainError`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan(
+        &mut self,
+        input: &PlanningInput,
+        placement: &Placement,
+        host: HostId,
+        hidden: &[HostId],
+        dc: &DataCenter,
+        at_hour: usize,
+        demands: &[Resources],
+        bounds: (f64, f64),
+        precopy: &PrecopyConfig,
+    ) -> Result<DrainPlan, DrainError> {
+        if dc.host(host).is_none() {
+            return Err(DrainError::UnknownHost(host));
+        }
+        let hour = input.eval_range().start + at_hour;
+        let capacity = dc.template().capacity();
+        let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
+        let effective_net = dc.template().net_mbps * bounds.0;
+
+        let demand_of = |pos: usize| demands[pos];
+        let net_of = |pos: usize| input.vms[pos].net_peak_mbps;
+        let id_of = |pos: usize| input.vms[pos].vm.id;
+
+        // Every other visible host, its entry current for this hour.
+        let mut visible = Vec::new();
+        for (h, _) in placement.active() {
+            if h != host && !hidden.contains(&h) {
+                self.refresh(input, placement, h, hour, demands);
+                visible.push(h);
+            }
+        }
+        // Most-loaded first.
+        let mut ranking = Ranking::new(
+            visible.iter().map(|&h| (h, self.hosts[h.0 as usize].load)),
+            effective,
+        );
+
+        // Evacuate big VMs first (hardest to place).
+        let mut evacuees: Vec<usize> = placement.vms_on(host).iter().map(|&p| p as usize).collect();
+        for &pos in &evacuees {
+            if input.constraints.pinned_host(id_of(pos)) == Some(host) {
+                return Err(DrainError::PinnedVm(id_of(pos)));
+            }
+        }
+        evacuees.sort_by(|&a, &b| {
+            demand_of(b)
+                .dominant_share(&effective)
+                .total_cmp(&demand_of(a).dominant_share(&effective))
+                .then_with(|| id_of(a).cmp(&id_of(b)))
         });
-    }
 
-    Ok(DrainPlan {
-        host,
-        moves,
-        schedule: schedule(&requests, precopy),
-    })
+        let src_load = {
+            let total: Resources = evacuees.iter().map(|&pos| demand_of(pos)).sum();
+            HostLoad::new(
+                total.cpu_rpe2 / capacity.cpu_rpe2,
+                total.mem_mb / capacity.mem_mb,
+            )
+        };
+
+        let mut moves = Vec::with_capacity(evacuees.len());
+        let mut requests = Vec::with_capacity(evacuees.len());
+        for pos in evacuees {
+            let (vm, demand) = (id_of(pos), demand_of(pos));
+            let mut dest = None;
+            for &(_, cand) in ranking.may_fit(demand) {
+                let entry = &self.hosts[cand.0 as usize];
+                if !(entry.load + demand).fits_within(&effective) {
+                    continue;
+                }
+                if effective_net > 0.0 && entry.net + net_of(pos) > effective_net {
+                    continue;
+                }
+                let location = dc.host(cand).expect("provisioned").location();
+                if !input.constraints.allows(vm, location, &entry.ids) {
+                    continue;
+                }
+                dest = Some(cand);
+                break;
+            }
+            let Some(dest) = dest else {
+                return Err(DrainError::NoCapacity(vm));
+            };
+            // The entry now holds this drain's tentative state, which a
+            // later refresh must rebuild from the placement in id order.
+            let entry = &mut self.hosts[dest.0 as usize];
+            let before = entry.load;
+            entry.load += demand;
+            ranking.update(dest, Some(before), Some(entry.load));
+            entry.net += net_of(pos);
+            entry.ids.push(vm);
+            entry.listed = false;
+            entry.load_hour = None;
+            moves.push((pos, dest));
+            let activity = {
+                let peak = input.vms[pos].cpu_rpe2.max().unwrap_or(1.0).max(1e-9);
+                (demand.cpu_rpe2 / peak).clamp(0.0, 1.0)
+            };
+            requests.push(MigrationRequest {
+                vm,
+                from: host,
+                to: dest,
+                profile: VmMigrationProfile::from_demand(demand.mem_mb.max(64.0), activity),
+                source_load: src_load,
+            });
+        }
+
+        Ok(DrainPlan {
+            host,
+            moves,
+            schedule: schedule(&requests, precopy),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +348,7 @@ mod tests {
     use crate::input::VirtualizationModel;
     use crate::planner::{Planner, PlannerKind};
     use crate::testing::MapPlacement;
+    use std::collections::BTreeMap;
     use vmcw_cluster::constraints::{Constraint, ConstraintSet};
     use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 
@@ -396,9 +542,22 @@ mod tests {
             let hidden: Vec<HostId> = hosts.iter().rev().take(hidden).copied().collect();
             let bounds = (f64::from(cpu_pct) / 100.0, f64::from(mem_pct) / 100.0);
             let precopy = PrecopyConfig::gigabit();
+            // One view kept across every drain of the same placement: each
+            // drain leaves its tentative destinations for the next to
+            // rebuild.
+            let mut view = DrainView::default();
             for host in hosts.iter().copied().chain([HostId(9_999)]) {
                 let fast =
                     plan_drain(&input, &placement, host, &hidden, &plan.dc, hour, bounds, &precopy);
+                let at = input.eval_range().start + hour;
+                let demands: Vec<Resources> = input.vms.iter().map(|t| t.demand_at(at)).collect();
+                let kept = view.plan(
+                    &input, &placement, host, &hidden, &plan.dc, hour, &demands, bounds, &precopy,
+                );
+                proptest::prop_assert_eq!(&kept, &fast);
+                if let Err(e) = view.check(&input, &placement) {
+                    proptest::prop_assert!(false, "{e}");
+                }
                 // The reference sees the other hidden hosts taken out.
                 let mut visible = map.clone();
                 for &h in hidden.iter().filter(|&&h| h != host) {

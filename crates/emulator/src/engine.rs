@@ -12,7 +12,7 @@ use std::fmt;
 use vmcw_cluster::datacenter::HostId;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
-use vmcw_consolidation::drain::plan_drain;
+use vmcw_consolidation::drain::DrainView;
 use vmcw_consolidation::input::{PlanningInput, VmTrace};
 use vmcw_consolidation::placement::Placement;
 use vmcw_consolidation::planner::ConsolidationPlan;
@@ -282,12 +282,149 @@ fn replay_to_completion(
 struct FaultState {
     schedule: CrashSchedule,
     /// The placement actually in effect, chasing the plan's target
-    /// placement through (possibly failing) migrations.
+    /// placement through (possibly failing) migrations. Once the replay
+    /// steps, changed only through [`FaultState::move_vm`] and
+    /// [`FaultState::sync_to`], which keep `loads` and `drains` in step
+    /// with it.
     current: Placement,
     was_down: Vec<bool>,
     /// VMs resident on a crashed host, awaiting evacuation or repair.
     down_vms: VmMap<()>,
     precopy: PrecopyConfig,
+    /// The demand of every traced VM at the hour being replayed, by input
+    /// position: one pass over the traces that the migration checks, the
+    /// drains and the hour's host sums then read instead of the traces.
+    demands: Vec<Resources>,
+    /// Host loads of the hour, for the migration checks. Derived from
+    /// `current`, never checkpointed.
+    loads: HourLoads,
+    /// What the HA drains know of each host. Derived from `current`,
+    /// never checkpointed.
+    drains: DrainView,
+}
+
+impl FaultState {
+    fn new(
+        schedule: CrashSchedule,
+        current: Placement,
+        n_hosts: usize,
+        input: &PlanningInput,
+    ) -> Self {
+        Self {
+            schedule,
+            current,
+            was_down: vec![false; n_hosts],
+            down_vms: VmMap::new(input),
+            precopy: PrecopyConfig::gigabit(),
+            demands: Vec::with_capacity(input.vms.len()),
+            loads: HourLoads::default(),
+            drains: DrainView::default(),
+        }
+    }
+
+    /// Starts input hour `hour`: reads every traced VM's demand then.
+    fn start_hour(&mut self, input: &PlanningInput, hour: usize) {
+        self.demands.clear();
+        self.demands
+            .extend(input.vms.iter().map(|t| t.demand_at(hour)));
+        self.loads.forget_all();
+    }
+
+    /// The load of `host` this hour, summed in resident-list order as
+    /// [`Placement::demand_on`] sums it.
+    fn load(&mut self, host: HostId) -> Resources {
+        self.loads.get(&self.current, host, &self.demands)
+    }
+
+    /// Moves the VM at `pos` to `to` in the in-effect placement.
+    fn move_vm(&mut self, pos: usize, to: HostId) {
+        let from = self.current.assign(pos, to);
+        if from == Some(to) {
+            return;
+        }
+        if let Some(from) = from {
+            self.loads.forget(from);
+            self.drains.invalidate(from);
+        }
+        self.loads.append(to, self.demands[pos]);
+        self.drains.invalidate(to);
+    }
+
+    /// Makes the in-effect placement identical to `target`, including
+    /// each host's resident order.
+    fn sync_to(&mut self, target: &Placement) {
+        let changed = |a: &Placement, b: &Placement| {
+            a.active()
+                .filter(|&(h, vms)| b.vms_on(h) != vms)
+                .map(|(h, _)| h)
+                .collect::<Vec<_>>()
+        };
+        let mut hosts = changed(&self.current, target);
+        hosts.extend(changed(target, &self.current));
+        for host in hosts {
+            self.loads.forget(host);
+            self.drains.invalidate(host);
+        }
+        self.current.clone_from(target);
+    }
+
+    /// Checks every cached host load of input hour `hour`, the last one
+    /// started, and every drain entry against a sum from scratch over
+    /// `current`, comparing floats by their bits; returns how many loads
+    /// and drain entries it checked.
+    #[cfg(test)]
+    fn check_caches(&self, input: &PlanningInput, hour: usize) -> Result<(usize, usize), String> {
+        let mut loads = 0;
+        for (at, &got) in self.loads.loads.iter().enumerate() {
+            let Some(got) = got else { continue };
+            let host = HostId(at as u32);
+            let want = self
+                .current
+                .demand_on(host, |pos| input.vms[pos].demand_at(hour));
+            let bits = |r: Resources| (r.cpu_rpe2.to_bits(), r.mem_mb.to_bits());
+            if bits(got) != bits(want) {
+                return Err(format!("{host}: cached load {got} != {want}"));
+            }
+            loads += 1;
+        }
+        Ok((loads, self.drains.check(input, &self.current)?))
+    }
+}
+
+/// Each host's load for the hour, summed in resident-list order when
+/// first read. A VM appended to a host adds its demand, which is the sum
+/// one step further; a VM leaving a host drops its load until the next
+/// read re-sums it.
+#[derive(Debug, Default)]
+struct HourLoads {
+    /// Indexed by host id.
+    loads: Vec<Option<Resources>>,
+}
+
+impl HourLoads {
+    fn get(&mut self, current: &Placement, host: HostId, demands: &[Resources]) -> Resources {
+        let at = host.0 as usize;
+        if self.loads.len() <= at {
+            self.loads.resize(at + 1, None);
+        }
+        *self.loads[at].get_or_insert_with(|| current.demand_on(host, |pos| demands[pos]))
+    }
+
+    fn append(&mut self, host: HostId, demand: Resources) {
+        if let Some(Some(load)) = self.loads.get_mut(host.0 as usize) {
+            *load += demand;
+        }
+    }
+
+    fn forget(&mut self, host: HostId) {
+        if let Some(load) = self.loads.get_mut(host.0 as usize) {
+            *load = None;
+        }
+    }
+
+    fn forget_all(&mut self) {
+        self.loads.fill(None);
+    }
 }
 
 /// Per-VM replay state, stored densely by the VM's position in the
@@ -395,12 +532,13 @@ impl<'a> Replay<'a> {
         // Per-host capacities: heterogeneous pools are supported; the
         // homogeneous paper-scale studies see identical values everywhere.
         let capacities: Vec<Resources> = plan.dc.iter().map(|h| h.model.capacity()).collect();
-        let state = faults.map(|f| FaultState {
-            schedule: CrashSchedule::generate(f, n_hosts, hours),
-            current: plan.placements.at_hour(0).clone(),
-            was_down: vec![false; n_hosts],
-            down_vms: VmMap::new(input),
-            precopy: PrecopyConfig::gigabit(),
+        let state = faults.map(|f| {
+            FaultState::new(
+                CrashSchedule::generate(f, n_hosts, hours),
+                plan.placements.at_hour(0).clone(),
+                n_hosts,
+                input,
+            )
         });
         Ok(Self {
             input,
@@ -577,6 +715,16 @@ impl<'a> Replay<'a> {
             .collect()
     }
 
+    /// Checks the fault path's derived host state against sums from
+    /// scratch (see `FaultState::check_caches`).
+    #[cfg(test)]
+    pub(crate) fn check_fault_caches(&self) -> Result<(usize, usize), String> {
+        let hour = self.input.eval_range().start + self.hour.saturating_sub(1);
+        self.state
+            .as_ref()
+            .map_or(Ok((0, 0)), |st| st.check_caches(self.input, hour))
+    }
+
     /// Captures the complete replay state at the current hour boundary.
     #[must_use]
     pub fn checkpoint(&self) -> ReplayCheckpoint {
@@ -667,7 +815,8 @@ impl<'a> Replay<'a> {
             for &pos in vms {
                 let pos = pos as usize;
                 let t = &self.input.vms[pos];
-                let sample = t.demand_at(eval.start + h);
+                let sample =
+                    state.map_or_else(|| t.demand_at(eval.start + h), |st| st.demands[pos]);
                 let sample = match faults {
                     Some(fcfg) => survive_sample(
                         fcfg,
@@ -865,8 +1014,7 @@ fn step_faults(
     capacities: &[Resources],
     ledger: &mut FaultLedger,
 ) {
-    let eval_start = input.eval_range().start;
-    let demand_of = |pos: usize| input.vms[pos].demand_at(eval_start + h);
+    st.start_hour(input, input.eval_range().start + h);
 
     // 1. Crash onsets and recoveries. On a crash the host's VMs go down
     //    but stay resident (awaiting evacuation); on repair any VM still
@@ -904,32 +1052,26 @@ fn step_faults(
                 clean = false;
                 continue;
             }
-            let violates = fcfg.enforce_reliability_thresholds && {
-                let cur = &st.current;
-                let load_of = |host: HostId| -> HostLoad {
-                    let cap = capacities
-                        .get(host.0 as usize)
-                        .copied()
-                        .unwrap_or(Resources::new(1.0, 1.0));
-                    let d = cur.demand_on(host, demand_of);
-                    HostLoad::new(d.cpu_rpe2 / cap.cpu_rpe2, d.mem_mb / cap.mem_mb)
-                };
-                !config.thresholds.is_reliable(load_of(from))
-                    || !config.thresholds.is_reliable(load_of(to))
+            let cap_of = |host: HostId| {
+                capacities
+                    .get(host.0 as usize)
+                    .copied()
+                    .unwrap_or(Resources::new(1.0, 1.0))
             };
-            let demand = demand_of(pos);
-            let cap = capacities
-                .get(from.0 as usize)
-                .copied()
-                .unwrap_or(Resources::new(1.0, 1.0));
+            let mut load_of = |host: HostId| -> HostLoad {
+                let (cap, d) = (cap_of(host), st.load(host));
+                HostLoad::new(d.cpu_rpe2 / cap.cpu_rpe2, d.mem_mb / cap.mem_mb)
+            };
+            let violates = fcfg.enforce_reliability_thresholds
+                && (!config.thresholds.is_reliable(load_of(from))
+                    || !config.thresholds.is_reliable(load_of(to)));
+            let src_load = load_of(from);
+            let demand = st.demands[pos];
+            let cap = cap_of(from);
             let profile = VmMigrationProfile::from_demand(
                 demand.mem_mb,
                 (demand.cpu_rpe2 / cap.cpu_rpe2).clamp(0.0, 1.0),
             );
-            let src_load = {
-                let d = st.current.demand_on(from, demand_of);
-                HostLoad::new(d.cpu_rpe2 / cap.cpu_rpe2, d.mem_mb / cap.mem_mb)
-            };
             let duration = st.precopy.simulate(&profile, src_load).total_secs;
             let outcome = fcfg.retry.run(duration, |attempt| {
                 violates || migration_attempt_fails(fcfg, vm, h, attempt)
@@ -939,7 +1081,7 @@ fn step_faults(
                 ledger.retried_migrations += 1;
             }
             if outcome.succeeded {
-                st.current.assign(pos, to);
+                st.move_vm(pos, to);
             } else {
                 ledger.abandoned_migrations += 1;
                 clean = false;
@@ -949,7 +1091,7 @@ fn step_faults(
             // Fully synced: the in-effect placement becomes *identical*
             // (including per-host order) to the plan's target for this
             // hour, which keeps zero-rate replay bit-identical.
-            st.current.clone_from(target);
+            st.sync_to(target);
         }
     }
 
@@ -963,8 +1105,8 @@ fn step_faults(
             .map(|i| HostId(i as u32))
             .collect();
         for &host in &down_hosts {
-            let cur = &st.current;
-            if !cur
+            if !st
+                .current
                 .vms_on(host)
                 .iter()
                 .any(|&pos| st.down_vms.contains(pos as usize))
@@ -973,19 +1115,20 @@ fn step_faults(
             }
             // Other crashed hosts are invisible to the drain's
             // destination search.
-            let dp = plan_drain(
+            let dp = st.drains.plan(
                 input,
-                cur,
+                &st.current,
                 host,
                 &down_hosts,
                 &plan.dc,
                 h,
+                &st.demands,
                 fcfg.evacuation_bounds,
                 &st.precopy,
             );
             if let Ok(dp) = dp {
                 for (pos, dest) in dp.moves {
-                    st.current.assign(pos, dest);
+                    st.move_vm(pos, dest);
                     if st.down_vms.remove(pos) {
                         ledger.evacuations += 1;
                     }

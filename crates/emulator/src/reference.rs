@@ -574,6 +574,8 @@ mod tests {
             if a != b {
                 return Err(format!("hour {}: {a:?} vs {b:?}", reference.hour));
             }
+            fast.check_fault_caches()
+                .map_err(|e| format!("hour {}: {e}", reference.hour))?;
             outcome = a;
         }
         if outcome.is_ok() && reference.into_report() != fast.into_report() {
@@ -845,6 +847,37 @@ mod tests {
                 assert!(down.len() >= 4, "{kind:?}: fleet of {}", down.len());
             }
         }
+    }
+
+    #[test]
+    fn fault_path_caches_match_sums_from_scratch_with_three_hosts_down() {
+        // A faulted Dynamic replay with three or more hosts down at once:
+        // after every hour, each cached resident-order load must equal
+        // `demand_on` and each drain entry an id-ordered sum from scratch.
+        let w = GeneratorConfig::new(DataCenterId::Beverage)
+            .scale(0.1)
+            .days(5)
+            .generate(21);
+        let input = PlanningInput::from_workload(&w, 3, VirtualizationModel::baseline());
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
+        let faults = multi_crash(&input, &plan, &FaultConfig::baseline(4), 4)
+            .expect("frequent long outages overlap");
+        assert!(most_hosts_down(&input, &plan, &faults) >= 3);
+        let config = EmulatorConfig::default();
+        let mut replay = Replay::new(&input, &plan, &config, Some(&faults)).unwrap();
+        let (mut loads, mut entries) = (0, 0);
+        while !replay.is_done() {
+            replay.step().unwrap();
+            let (l, e) = replay
+                .check_fault_caches()
+                .unwrap_or_else(|e| panic!("hour {}: {e}", replay.hour()));
+            loads += l;
+            entries += e;
+        }
+        // The check must have had something to check.
+        assert!(loads > 0 && entries > 0, "{loads} loads, {entries} entries");
     }
 
     #[test]

@@ -71,9 +71,13 @@ pub fn fraction_above(values: &[f64], x: f64) -> f64 {
 /// distribution" parameter of the PCP planner). Returns `None` for an empty
 /// slice.
 ///
+/// The two order statistics are read by selection in O(n), not by
+/// sorting; the result has the bits a stable sort of `values` gives.
+///
 /// # Panics
 ///
-/// Panics if `p` is outside `0.0..=100.0` or NaN.
+/// Panics if `p` is outside `0.0..=100.0` or NaN, or if a sample of a
+/// slice of two or more is NaN.
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     assert!(
@@ -83,17 +87,43 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile input"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (values.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    let mut scratch = values.to_vec();
+    let (_, &mut at_lo, upper) = scratch.select_nth_unstable_by(lo, |a, b| {
+        a.partial_cmp(b).expect("NaN sample in percentile input")
+    });
+    let at_lo = stable_rank_value(values, lo, at_lo);
     if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        return Some(at_lo);
     }
+    // Rank `hi` is `lo + 1`: the least value above the selected one.
+    let at_hi = upper
+        .iter()
+        .copied()
+        .reduce(|a, b| if b < a { b } else { a })
+        .expect("rank hi is within the slice");
+    let at_hi = stable_rank_value(values, hi, at_hi);
+    let frac = rank - lo as f64;
+    Some(at_lo * (1.0 - frac) + at_hi * frac)
+}
+
+/// The value at `rank` of the stable ascending sort of `values`, given
+/// `value`, the one a selection put there. Samples that compare equal
+/// have equal bits except `0.0` and `-0.0`, which a stable sort leaves
+/// in input order after every negative sample.
+fn stable_rank_value(values: &[f64], rank: usize, value: f64) -> f64 {
+    if value != 0.0 {
+        return value;
+    }
+    let below = values.iter().filter(|&&v| v < 0.0).count();
+    values
+        .iter()
+        .copied()
+        .filter(|&v| v == 0.0)
+        .nth(rank - below)
+        .expect("a zero sits at the rank")
 }
 
 /// Pearson correlation coefficient between two equally long slices.
@@ -329,6 +359,107 @@ mod tests {
     #[should_panic(expected = "percentile must be within")]
     fn percentile_rejects_out_of_range() {
         let _ = percentile(&[1.0], 101.0);
+    }
+
+    /// The percentile before selection: a stable sort of a copy. Kept as
+    /// the oracle for [`percentile`].
+    fn percentile_by_sort(values: &[f64], p: f64) -> Option<f64> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile input"));
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        if lo == hi {
+            Some(sorted[lo])
+        } else {
+            let frac = rank - lo as f64;
+            Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        }
+    }
+
+    /// A sample drawn from a small palette, so slices repeat values and
+    /// mix `0.0` with `-0.0` and infinities.
+    fn palette(pick: u32, x: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => 1.5,
+            5 => -2.25,
+            6 => x.round(),
+            _ => x,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Selection returns the bits of the stable sort for every `p`
+        /// (0, 100 and random), on slices of length 1 to 40 with
+        /// duplicates, both signed zeros and infinities.
+        #[test]
+        fn selection_matches_the_sorted_percentile(
+            samples in proptest::collection::vec((0u32..9, -50.0f64..50.0), 1..41),
+            p_pick in (0u32..4, 0.0f64..100.0),
+        ) {
+            let values: Vec<f64> = samples.iter().map(|&(pick, x)| palette(pick, x)).collect();
+            let p = match p_pick.0 {
+                0 => 0.0,
+                1 => 100.0,
+                2 => (p_pick.1).round(),
+                _ => p_pick.1,
+            };
+            let fast = percentile(&values, p).map(f64::to_bits);
+            let oracle = percentile_by_sort(&values, p).map(f64::to_bits);
+            proptest::prop_assert_eq!(fast, oracle, "{:?} at p = {}", values, p);
+        }
+    }
+
+    #[test]
+    fn selection_keeps_the_input_order_of_signed_zeros() {
+        let v = [-0.0, 0.0, 0.0, -0.0, 1.0];
+        for p in [0.0, 12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 100.0] {
+            assert_eq!(
+                percentile(&v, p).map(f64::to_bits),
+                percentile_by_sort(&v, p).map(f64::to_bits),
+                "p = {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_sample_still_panics() {
+        // Short slices take the insertion path of the selection, long
+        // ones its partitioning; a NaN anywhere in either must panic.
+        for len in [2usize, 3, 17, 64] {
+            for at in [0, len / 2, len - 1] {
+                let mut v: Vec<f64> = (0..len).map(|i| i as f64).collect();
+                v[at] = f64::NAN;
+                for p in [0.0, 50.0, 90.0, 100.0] {
+                    let panic = std::panic::catch_unwind(|| percentile(&v, p))
+                        .expect_err("a NaN sample must panic");
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    assert!(
+                        message.contains("NaN sample in percentile input"),
+                        "len {len}, NaN at {at}, p {p}: {message}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN sample in percentile input")]
+    fn percentile_rejects_a_nan_sample() {
+        let _ = percentile(&[3.0, f64::NAN, 1.0], 90.0);
     }
 
     #[test]

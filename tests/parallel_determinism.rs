@@ -119,7 +119,13 @@ fn bench_artifacts_are_strict_json_with_the_v1_schema() {
     for (suite, stages) in [
         (
             run_emulator_suite(&scales, 11),
-            &["trace-gen", "replay-plain", "replay-faulted"][..],
+            &[
+                "trace-gen",
+                "replay-plain",
+                "replay-faulted",
+                "replay-plain-study",
+                "replay-faulted-study",
+            ][..],
         ),
         (run_planner_suite(&scales, 11), &planner_stages[..]),
     ] {
