@@ -815,20 +815,18 @@ impl<'a> Replay<'a> {
             for &pos in vms {
                 let pos = pos as usize;
                 let t = &self.input.vms[pos];
-                let sample =
-                    state.map_or_else(|| t.demand_at(eval.start + h), |st| st.demands[pos]);
-                let sample = match faults {
-                    Some(fcfg) => survive_sample(
+                let sample = match faults.zip(state) {
+                    Some((fcfg, st)) => survive_sample(
                         fcfg,
                         &mut self.last_good,
                         t,
                         pos,
                         h,
                         eval.start,
-                        sample,
+                        st.demands[pos],
                         &mut self.ledger,
                     )?,
-                    None => sample,
+                    None => t.demand_at(eval.start + h),
                 };
                 demand += sample;
             }
