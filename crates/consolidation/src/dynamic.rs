@@ -26,7 +26,7 @@
 //! reports (§4.3's risk in action).
 
 use crate::ffd::{self, OrderKey};
-use crate::input::PlanningInput;
+use crate::input::{PlanningInput, VmTrace};
 use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
 use crate::ranking::Ranking;
@@ -171,7 +171,7 @@ struct Group {
     vms: Vec<VmId>,
     /// The members' positions in the planning input.
     positions: Vec<u32>,
-    /// Predicted demand per window (filled lazily window by window).
+    /// Predicted demand per evaluation window.
     predicted: Vec<Resources>,
     /// Configured memory of the group (copied on migration).
     mem_mb: f64,
@@ -182,6 +182,121 @@ struct Group {
     /// Peak historical CPU demand (activity normalisation for the
     /// migration dirty-rate model).
     hist_peak_cpu: f64,
+}
+
+/// The colocation groups of `input`, each with the per-window predicted
+/// demand and the summed history CPU peak that `predict` returns for its
+/// members' input positions.
+fn build_groups(
+    input: &PlanningInput,
+    mut predict: impl FnMut(&[u32]) -> (Vec<Resources>, f64),
+) -> Result<Vec<Group>, PackError> {
+    // Build colocation groups with a dummy demand map (validation only).
+    let unit: BTreeMap<VmId, Resources> = input
+        .vm_ids()
+        .into_iter()
+        .map(|v| (v, Resources::ZERO))
+        .collect();
+    let group_items = ffd::build_items(&unit, &input.constraints)?;
+    Ok(group_items
+        .into_iter()
+        .map(|it| {
+            // A group reads its VMs through their positions, so a
+            // repeated id is sized from its first trace.
+            let positions: Vec<u32> = it
+                .vms
+                .iter()
+                .map(|&v| {
+                    let pos = input.vm_position(v).expect("groups hold traced VMs");
+                    u32::try_from(pos).expect("fewer than 2^32 VM traces")
+                })
+                .collect();
+            let traces = || positions.iter().map(|&pos| &input.vms[pos as usize]);
+            let mem_mb = traces().map(|t| t.vm.configured_mem_mb).sum();
+            let pinned = it
+                .vms
+                .iter()
+                .any(|&v| input.constraints.pinned_host(v).is_some());
+            let net_mbps = traces().map(|t| t.net_peak_mbps).sum();
+            let (predicted, hist_peak_cpu) = predict(&positions);
+            Group {
+                vms: it.vms,
+                positions,
+                predicted,
+                mem_mb,
+                net_mbps,
+                pinned,
+                hist_peak_cpu,
+            }
+        })
+        .collect())
+}
+
+/// One VM's demand folded into consolidation windows, each sized at its
+/// peak: the series the predictors read. The buffers are refilled for
+/// each VM in turn, so only one VM's windows exist at a time.
+#[derive(Debug, Default)]
+struct VmWindows {
+    hist_cpu: Vec<f64>,
+    hist_mem: Vec<f64>,
+    eval_cpu: Vec<f64>,
+    eval_mem: Vec<f64>,
+}
+
+impl VmWindows {
+    /// Refills the buffers from `trace`'s history and evaluation hours.
+    fn fold(&mut self, input: &PlanningInput, trace: &VmTrace, w: usize) {
+        let fold = |out: &mut Vec<f64>, values: &[f64]| {
+            out.clear();
+            out.extend(values.chunks(w).map(|c| SizingFunction::Max.size(c)));
+        };
+        let (hist, eval) = (input.history_range(), input.eval_range());
+        fold(&mut self.hist_cpu, &trace.cpu_rpe2.values()[hist.clone()]);
+        fold(&mut self.hist_mem, &trace.mem_mb.values()[hist]);
+        fold(&mut self.eval_cpu, &trace.cpu_rpe2.values()[eval.clone()]);
+        fold(&mut self.eval_mem, &trace.mem_mb.values()[eval]);
+    }
+
+    /// One group's predicted demand per evaluation window and its summed
+    /// history CPU peak, read straight from the members' traces. Each
+    /// member is folded in turn and added into every window in member
+    /// order: the order, and so the bits, of summing each window's
+    /// members.
+    fn predict_group(
+        &mut self,
+        input: &PlanningInput,
+        config: &DynamicConfig,
+        windows_per_day: usize,
+        positions: &[u32],
+    ) -> (Vec<Resources>, f64) {
+        let w = config.window_hours;
+        let mut predicted = vec![Resources::ZERO; input.eval_range().len().div_ceil(w)];
+        // The map adds each member into `predicted` and yields its peak,
+        // so both sums run in member order.
+        let hist_peak_cpu = positions
+            .iter()
+            .map(|&pos| {
+                self.fold(input, &input.vms[pos as usize], w);
+                for (i, p) in predicted.iter_mut().enumerate() {
+                    let cpu = config.cpu_predictor.predict(
+                        &self.hist_cpu,
+                        &self.eval_cpu,
+                        i,
+                        windows_per_day,
+                    );
+                    let mem = config.mem_predictor.predict(
+                        &self.hist_mem,
+                        &self.eval_mem,
+                        i,
+                        windows_per_day,
+                    );
+                    *p += Resources::new(cpu, mem);
+                }
+                self.hist_cpu.iter().copied().fold(0.0, f64::max)
+            })
+            .sum();
+        (predicted, hist_peak_cpu)
+    }
 }
 
 /// Runs the dynamic planner over the evaluation window of `input`,
@@ -216,10 +331,8 @@ fn plan_dynamic_with(
     consolidate: Consolidate,
 ) -> Result<DynamicOutcome, PackError> {
     let w = config.window_hours;
-    let eval = input.eval_range();
-    let eval_hours = eval.len();
-    let n_windows = eval_hours.div_ceil(w.max(1));
     let windows_per_day = config.windows_per_day();
+    let n_windows = input.eval_range().len().div_ceil(w);
     let capacity = dc.template().capacity();
     let bounds = (
         config.reservation.cpu_bound(),
@@ -230,107 +343,13 @@ fn plan_dynamic_with(
     // traffic may only use the bounded share of it.
     let effective_net = dc.template().net_mbps * bounds.0;
 
-    // Per-VM window-demand series (history + eval) sized with max.
-    struct VmWindows {
-        hist_cpu: Vec<f64>,
-        hist_mem: Vec<f64>,
-        eval_cpu: Vec<f64>,
-        eval_mem: Vec<f64>,
-        hist_peak_cpu: f64,
-    }
-    // Indexed by input position: a group reads its VMs' windows through
-    // their positions, so a repeated id is sized from its first trace.
-    let mut windows: Vec<VmWindows> = Vec::with_capacity(input.vms.len());
-    for t in &input.vms {
-        let hist_range = input.history_range();
-        let fold = |values: &[f64]| -> Vec<f64> {
-            values
-                .chunks(w)
-                .map(|c| SizingFunction::Max.size(c))
-                .collect()
-        };
-        let hist_cpu = fold(&t.cpu_rpe2.values()[hist_range.clone()]);
-        let hist_mem = fold(&t.mem_mb.values()[hist_range.clone()]);
-        let eval_cpu = fold(&t.cpu_rpe2.values()[eval.clone()]);
-        let eval_mem = fold(&t.mem_mb.values()[eval.clone()]);
-        let hist_peak_cpu = hist_cpu.iter().copied().fold(0.0, f64::max);
-        windows.push(VmWindows {
-            hist_cpu,
-            hist_mem,
-            eval_cpu,
-            eval_mem,
-            hist_peak_cpu,
-        });
-    }
-
-    // Build colocation groups with a dummy demand map (validation only).
-    let unit: BTreeMap<VmId, Resources> = input
-        .vm_ids()
-        .into_iter()
-        .map(|v| (v, Resources::ZERO))
-        .collect();
-    let group_items = ffd::build_items(&unit, &input.constraints)?;
-    let mut groups: Vec<Group> = group_items
-        .into_iter()
-        .map(|it| {
-            let positions: Vec<u32> = it
-                .vms
-                .iter()
-                .map(|&v| {
-                    let pos = input.vm_position(v).expect("groups hold traced VMs");
-                    u32::try_from(pos).expect("fewer than 2^32 VM traces")
-                })
-                .collect();
-            let traces = || positions.iter().map(|&pos| &input.vms[pos as usize]);
-            let mem_mb = traces().map(|t| t.vm.configured_mem_mb).sum();
-            let pinned = it
-                .vms
-                .iter()
-                .any(|&v| input.constraints.pinned_host(v).is_some());
-            let hist_peak_cpu = positions
-                .iter()
-                .map(|&pos| windows[pos as usize].hist_peak_cpu)
-                .sum();
-            let net_mbps = traces().map(|t| t.net_peak_mbps).sum();
-            Group {
-                vms: it.vms,
-                positions,
-                predicted: Vec::new(),
-                mem_mb,
-                net_mbps,
-                pinned,
-                hist_peak_cpu,
-            }
-        })
-        .collect();
-
-    // Predict all windows for all groups up front (prediction only reads
-    // actuals before the predicted index, so this is causal).
-    for g in &mut groups {
-        g.predicted = (0..n_windows)
-            .map(|i| {
-                g.positions
-                    .iter()
-                    .map(|&pos| {
-                        let vw = &windows[pos as usize];
-                        let cpu = config.cpu_predictor.predict(
-                            &vw.hist_cpu,
-                            &vw.eval_cpu,
-                            i,
-                            windows_per_day,
-                        );
-                        let mem = config.mem_predictor.predict(
-                            &vw.hist_mem,
-                            &vw.eval_mem,
-                            i,
-                            windows_per_day,
-                        );
-                        Resources::new(cpu, mem)
-                    })
-                    .sum()
-            })
-            .collect();
-    }
+    // Predict every window of every group up front (prediction reads
+    // only actuals before the predicted window, so this is causal),
+    // straight from the traces: one VM's window series exist at a time.
+    let mut member = VmWindows::default();
+    let groups = build_groups(input, |positions| {
+        member.predict_group(input, config, windows_per_day, positions)
+    })?;
 
     // Initial placement: FFD on window-0 predictions.
     let demands0: BTreeMap<VmId, Resources> = groups
@@ -539,20 +558,21 @@ impl<'c, 'a> Interval<'c, 'a> {
     }
 
     /// Whether the deployment constraints let group `gi` join `host`'s
-    /// current residents.
+    /// current residents: the check of
+    /// [`ConstraintSet::allows_group`](vmcw_cluster::constraints::ConstraintSet::allows_group),
+    /// with the residents read in place instead of collected.
     fn allows(&self, gi: usize, host: HostId, dc: &DataCenter) -> bool {
         let groups = self.ctx.groups;
+        let constraints = &self.ctx.input.constraints;
         let location = dc.host(host).expect("provisioned").location();
-        let dest_residents: Vec<VmId> = self
-            .host(host)
-            .residents
-            .iter()
-            .flat_map(|&g| groups[g].vms.iter().copied())
-            .collect();
-        self.ctx
-            .input
-            .constraints
-            .allows_group(&groups[gi].vms, location, &dest_residents)
+        let residents = &self.host(host).residents;
+        groups[gi].vms.iter().all(|&vm| {
+            constraints.allows(vm, location, &[])
+                && residents
+                    .iter()
+                    .flat_map(|&g| &groups[g].vms)
+                    .all(|&r| !constraints.are_anti_colocated(vm, r))
+        })
     }
 
     /// The source load a migration off `host` runs against.
@@ -1230,6 +1250,89 @@ mod tests {
         }
     }
 
+    /// The prediction builder before per-group working sets: fold every
+    /// VM's four window series into one table up front, then sum each
+    /// window's members from it. Kept as the oracle for
+    /// [`VmWindows::predict_group`].
+    fn build_groups_reference(
+        input: &PlanningInput,
+        config: &DynamicConfig,
+    ) -> Result<Vec<Group>, PackError> {
+        let w = config.window_hours;
+        let eval = input.eval_range();
+        let n_windows = eval.len().div_ceil(w.max(1));
+        let windows_per_day = config.windows_per_day();
+        struct WindowRow {
+            hist_cpu: Vec<f64>,
+            hist_mem: Vec<f64>,
+            eval_cpu: Vec<f64>,
+            eval_mem: Vec<f64>,
+            hist_peak_cpu: f64,
+        }
+        let mut windows: Vec<WindowRow> = Vec::with_capacity(input.vms.len());
+        for t in &input.vms {
+            let hist_range = input.history_range();
+            let fold = |values: &[f64]| -> Vec<f64> {
+                values
+                    .chunks(w)
+                    .map(|c| SizingFunction::Max.size(c))
+                    .collect()
+            };
+            let hist_cpu = fold(&t.cpu_rpe2.values()[hist_range.clone()]);
+            let hist_mem = fold(&t.mem_mb.values()[hist_range.clone()]);
+            let eval_cpu = fold(&t.cpu_rpe2.values()[eval.clone()]);
+            let eval_mem = fold(&t.mem_mb.values()[eval.clone()]);
+            let hist_peak_cpu = hist_cpu.iter().copied().fold(0.0, f64::max);
+            windows.push(WindowRow {
+                hist_cpu,
+                hist_mem,
+                eval_cpu,
+                eval_mem,
+                hist_peak_cpu,
+            });
+        }
+        build_groups(input, |positions| {
+            let predicted = (0..n_windows)
+                .map(|i| {
+                    positions
+                        .iter()
+                        .map(|&pos| {
+                            let vw = &windows[pos as usize];
+                            let cpu = config.cpu_predictor.predict(
+                                &vw.hist_cpu,
+                                &vw.eval_cpu,
+                                i,
+                                windows_per_day,
+                            );
+                            let mem = config.mem_predictor.predict(
+                                &vw.hist_mem,
+                                &vw.eval_mem,
+                                i,
+                                windows_per_day,
+                            );
+                            Resources::new(cpu, mem)
+                        })
+                        .sum()
+                })
+                .collect();
+            let hist_peak_cpu = positions
+                .iter()
+                .map(|&pos| windows[pos as usize].hist_peak_cpu)
+                .sum();
+            (predicted, hist_peak_cpu)
+        })
+    }
+
+    /// The bits of a group's predictions and history peak.
+    fn group_bits(g: &Group) -> (Vec<(u64, u64)>, u64) {
+        let predicted = g
+            .predicted
+            .iter()
+            .map(|r| (r.cpu_rpe2.to_bits(), r.mem_mb.to_bits()))
+            .collect();
+        (predicted, g.hist_peak_cpu.to_bits())
+    }
+
     /// `input` relabelled, plus a few colocation and anti-colocation
     /// constraints on the new ids.
     fn relabelled_with_constraints(input: &PlanningInput, seed: u64, spread: u32) -> PlanningInput {
@@ -1299,6 +1402,60 @@ mod tests {
             );
             proptest::prop_assert_eq!(&fast, &reference);
             proptest::prop_assert_eq!(dc_fast.len(), dc_ref.len());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Building each group's predictions from one member at a time
+        /// gives the bits of the all-VM window table: same groups, same
+        /// per-window sums, same history peaks, over random colocation
+        /// groups, repeated ids, signed zeros, every window length that
+        /// divides a day and every predictor.
+        #[test]
+        fn group_predictions_match_the_window_table(
+            shape in (0u64..1_000_000, 1usize..14, 1u32..12, 0usize..12),
+            hours in (1usize..80, 0usize..80),
+            picks in (0usize..8, 0usize..5, 0usize..5, 1u32..100),
+        ) {
+            let (seed, n, ids, pairs) = shape;
+            let (eval_hours, history_hours) = hours;
+            let (window_pick, cpu_pick, mem_pick, knob) = picks;
+            let input = crate::testing::random_input(
+                seed,
+                n,
+                ids,
+                (history_hours + eval_hours, history_hours),
+                pairs,
+            );
+            let knob = f64::from(knob) / 100.0;
+            let predictors = [
+                Predictor::Oracle,
+                Predictor::PreviousWindow,
+                Predictor::SameWindowYesterday,
+                Predictor::RecentAndPeriodic { safety: 1.0 + knob },
+                Predictor::Ewma { alpha: knob },
+            ];
+            let config = DynamicConfig {
+                window_hours: [1, 2, 3, 4, 6, 8, 12, 24][window_pick],
+                cpu_predictor: predictors[cpu_pick],
+                mem_predictor: predictors[mem_pick],
+                ..DynamicConfig::baseline()
+            };
+            let windows_per_day = config.windows_per_day();
+            let mut member = VmWindows::default();
+            let fast = build_groups(&input, |positions| {
+                member.predict_group(&input, &config, windows_per_day, positions)
+            })
+            .expect("colocation alone is consistent");
+            let reference = build_groups_reference(&input, &config).expect("same groups");
+            proptest::prop_assert_eq!(fast.len(), reference.len());
+            for (f, r) in fast.iter().zip(&reference) {
+                proptest::prop_assert_eq!(&f.vms, &r.vms);
+                proptest::prop_assert_eq!(&f.positions, &r.positions);
+                proptest::prop_assert_eq!(group_bits(f), group_bits(r));
+            }
         }
     }
 

@@ -94,6 +94,14 @@ fn envelope(values: &[f64], offset: usize, buckets: usize, body: f64, tail: f64)
     env
 }
 
+/// A trace's CPU and memory samples over `range`.
+fn samples(t: &VmTrace, range: Range<usize>) -> (&[f64], &[f64]) {
+    (
+        &t.cpu_rpe2.values()[range.clone()],
+        &t.mem_mb.values()[range],
+    )
+}
+
 /// Builds PCP items from VM traces over the planning-history range,
 /// merging colocation groups by summing their envelopes.
 ///
@@ -112,38 +120,29 @@ pub fn build_pcp_items(
     constraints: &ConstraintSet,
 ) -> Result<Vec<PcpItem>, PackError> {
     assert!(config.buckets > 0, "need at least one bucket");
-    // Built last trace first, so a repeated id keeps its first trace
-    // (the later insert wins), the one the replay steps.
-    let per_vm: BTreeMap<VmId, PcpItem> = vms
+    // Each id's trace with its body and tail. Built last trace first, so
+    // a repeated id keeps its first trace (the later insert wins), the
+    // one the replay steps.
+    let per_vm: BTreeMap<VmId, (&VmTrace, Resources, Resources)> = vms
         .iter()
         .rev()
         .map(|t| {
-            let cpu = &t.cpu_rpe2.values()[history.clone()];
-            let mem = &t.mem_mb.values()[history.clone()];
+            let (cpu, mem) = samples(t, history.clone());
             let body = Resources::new(config.body.size(cpu), config.body.size(mem));
             let tail = Resources::new(config.tail.size(cpu), config.tail.size(mem));
-            let item = PcpItem {
-                vms: vec![t.vm.id],
-                body,
-                tail,
-                cpu_env: envelope(
-                    cpu,
-                    history.start,
-                    config.buckets,
-                    body.cpu_rpe2,
-                    tail.cpu_rpe2,
-                ),
-                mem_env: envelope(mem, history.start, config.buckets, body.mem_mb, tail.mem_mb),
-                net_mbps: t.net_peak_mbps,
-            };
-            (t.vm.id, item)
+            (t.vm.id, (t, body, tail))
         })
         .collect();
 
     // Reuse the scalar group validation (anti-colocation & pin checks).
-    let scalar: BTreeMap<VmId, Resources> = per_vm.iter().map(|(&id, it)| (id, it.body)).collect();
+    let scalar: BTreeMap<VmId, Resources> = per_vm
+        .iter()
+        .map(|(&id, &(_, body, _))| (id, body))
+        .collect();
     let groups = crate::ffd::build_items(&scalar, constraints)?;
 
+    // A member's envelopes are built while its group is merged, and
+    // dropped once they are added in.
     Ok(groups
         .into_iter()
         .map(|g| {
@@ -156,14 +155,18 @@ pub fn build_pcp_items(
                 net_mbps: 0.0,
             };
             for vm in g.vms {
-                let it = &per_vm[&vm];
+                let (t, body, tail) = per_vm[&vm];
+                let (cpu, mem) = samples(t, history.clone());
                 merged.vms.push(vm);
-                merged.body += it.body;
-                merged.tail += it.tail;
-                merged.net_mbps += it.net_mbps;
+                merged.body += body;
+                merged.tail += tail;
+                merged.net_mbps += t.net_peak_mbps;
+                let start = history.start;
+                let cpu_env = envelope(cpu, start, config.buckets, body.cpu_rpe2, tail.cpu_rpe2);
+                let mem_env = envelope(mem, start, config.buckets, body.mem_mb, tail.mem_mb);
                 for b in 0..config.buckets {
-                    merged.cpu_env[b] += it.cpu_env[b];
-                    merged.mem_env[b] += it.mem_env[b];
+                    merged.cpu_env[b] += cpu_env[b];
+                    merged.mem_env[b] += mem_env[b];
                 }
             }
             merged
@@ -330,6 +333,129 @@ mod tests {
         PcpConfig {
             buckets: 24,
             ..PcpConfig::paper()
+        }
+    }
+
+    /// The item builder before per-group working sets: every VM's item,
+    /// envelopes included, in one id map, merged by group afterwards.
+    /// Kept as the oracle for [`build_pcp_items`].
+    fn build_pcp_items_reference(
+        vms: &[VmTrace],
+        history: Range<usize>,
+        config: &PcpConfig,
+        constraints: &ConstraintSet,
+    ) -> Result<Vec<PcpItem>, PackError> {
+        let per_vm: BTreeMap<VmId, PcpItem> = vms
+            .iter()
+            .rev()
+            .map(|t| {
+                let cpu = &t.cpu_rpe2.values()[history.clone()];
+                let mem = &t.mem_mb.values()[history.clone()];
+                let body = Resources::new(config.body.size(cpu), config.body.size(mem));
+                let tail = Resources::new(config.tail.size(cpu), config.tail.size(mem));
+                let item = PcpItem {
+                    vms: vec![t.vm.id],
+                    body,
+                    tail,
+                    cpu_env: envelope(
+                        cpu,
+                        history.start,
+                        config.buckets,
+                        body.cpu_rpe2,
+                        tail.cpu_rpe2,
+                    ),
+                    mem_env: envelope(mem, history.start, config.buckets, body.mem_mb, tail.mem_mb),
+                    net_mbps: t.net_peak_mbps,
+                };
+                (t.vm.id, item)
+            })
+            .collect();
+        let scalar: BTreeMap<VmId, Resources> =
+            per_vm.iter().map(|(&id, it)| (id, it.body)).collect();
+        let groups = crate::ffd::build_items(&scalar, constraints)?;
+        Ok(groups
+            .into_iter()
+            .map(|g| {
+                let mut merged = PcpItem {
+                    vms: Vec::new(),
+                    body: Resources::ZERO,
+                    tail: Resources::ZERO,
+                    cpu_env: vec![0.0; config.buckets],
+                    mem_env: vec![0.0; config.buckets],
+                    net_mbps: 0.0,
+                };
+                for vm in g.vms {
+                    let it = &per_vm[&vm];
+                    merged.vms.push(vm);
+                    merged.body += it.body;
+                    merged.tail += it.tail;
+                    merged.net_mbps += it.net_mbps;
+                    for b in 0..config.buckets {
+                        merged.cpu_env[b] += it.cpu_env[b];
+                        merged.mem_env[b] += it.mem_env[b];
+                    }
+                }
+                merged
+            })
+            .collect())
+    }
+
+    /// Every field of an item, floats as bits.
+    type ItemBits = (Vec<VmId>, [u64; 5], Vec<u64>, Vec<u64>);
+
+    fn item_bits(it: &PcpItem) -> ItemBits {
+        let bits = |env: &[f64]| env.iter().map(|v| v.to_bits()).collect();
+        (
+            it.vms.clone(),
+            [
+                it.body.cpu_rpe2.to_bits(),
+                it.body.mem_mb.to_bits(),
+                it.tail.cpu_rpe2.to_bits(),
+                it.tail.mem_mb.to_bits(),
+                it.net_mbps.to_bits(),
+            ],
+            bits(&it.cpu_env),
+            bits(&it.mem_env),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Building each member's envelopes while its group is merged gives
+        /// the bits of the per-VM item map, over random colocation groups,
+        /// repeated ids, signed zeros, bucket counts, history offsets and
+        /// body sizings.
+        #[test]
+        fn group_items_match_the_per_vm_map(
+            shape in (0u64..1_000_000, 1usize..14, 1u32..12, 0usize..12),
+            hours in (1usize..200, 0usize..40, 1usize..200),
+            picks in (0usize..4, 1u32..100),
+        ) {
+            let (seed, n, ids, pairs) = shape;
+            let (total, start, buckets) = hours;
+            let (body_pick, p) = picks;
+            let input = crate::testing::random_input(seed, n, ids, (start + total, 0), pairs);
+            let config = PcpConfig {
+                body: [
+                    SizingFunction::BODY_P90,
+                    SizingFunction::Percentile(f64::from(p)),
+                    SizingFunction::Mean,
+                    SizingFunction::Max,
+                ][body_pick],
+                buckets,
+                ..PcpConfig::paper()
+            };
+            let history = start..start + total;
+            let cs = &input.constraints;
+            let fast = build_pcp_items(&input.vms, history.clone(), &config, cs)
+                .expect("colocation alone is consistent");
+            let reference = build_pcp_items_reference(&input.vms, history, &config, cs)
+                .expect("same groups");
+            proptest::prop_assert_eq!(fast.len(), reference.len());
+            for (f, r) in fast.iter().zip(&reference) {
+                proptest::prop_assert_eq!(item_bits(f), item_bits(r));
+            }
         }
     }
 

@@ -60,6 +60,63 @@ pub(crate) fn three_templates(input: &PlanningInput) -> PlanningInput {
     PlanningInput::from_traces(vms, input.history_hours)
 }
 
+/// A small random input for the planner-builder oracles: `n` traces of
+/// `hours.0` samples, the first `hours.1` of them history, under ids drawn from
+/// `0..ids` (so ids repeat), plus `pairs` random colocation constraints
+/// (which chain into groups of three and more). Samples come from `0.0`,
+/// `-0.0`, a repeat of the previous sample and non-integer values, so
+/// sums in another order round differently.
+pub(crate) fn random_input(
+    seed: u64,
+    n: usize,
+    ids: u32,
+    hours: (usize, usize),
+    pairs: usize,
+) -> PlanningInput {
+    use vmcw_cluster::constraints::{Constraint, ConstraintSet};
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+    fn series(state: &mut u64, len: usize, scale: f64) -> TimeSeries {
+        let mut values: Vec<f64> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let r = next(state);
+            values.push(match r % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => values.last().copied().unwrap_or(0.0),
+                _ => (r >> 11) as f64 / (1u64 << 53) as f64 * scale,
+            });
+        }
+        TimeSeries::new(StepSecs::HOUR, values)
+    }
+    let state = &mut (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let ids = u64::from(ids.max(1));
+    let (total, history_hours) = hours;
+    let vms = (0..n)
+        .map(|_| {
+            let id = (next(state) % ids) as u32;
+            VmTrace {
+                vm: Vm::new(VmId(id), format!("vm-{id}"), 1024.0),
+                cpu_rpe2: series(state, total, 300.0),
+                mem_mb: series(state, total, 8192.0),
+                net_peak_mbps: (next(state) % 4) as f64 * 12.5,
+            }
+        })
+        .collect();
+    let mut constraints = ConstraintSet::new();
+    for _ in 0..pairs {
+        let a = (next(state) % ids) as u32;
+        let b = (next(state) % ids) as u32;
+        // A self-pair is refused; it adds nothing.
+        let _ = constraints.add(Constraint::Colocate(VmId(a), VmId(b)));
+    }
+    PlanningInput::from_traces(vms, history_hours).with_constraints(constraints)
+}
+
 /// A flat two-hour input tracing `ids` in the given order.
 pub(crate) fn traced(ids: &[u32]) -> PlanningInput {
     let vms = ids
