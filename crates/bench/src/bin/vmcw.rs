@@ -20,6 +20,7 @@ use vmcw_bench::cli::{parse_args, parse_dc, run_err, usage, Args, CliError};
 use vmcw_cluster::server::ServerModel;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_core::health::HealthSnapshot;
+use vmcw_core::journal::write_atomic;
 use vmcw_core::study::{Study, StudyConfig};
 use vmcw_core::supervise::{
     resume_study_opts, run_study_opts, CancelToken, CellBudget, CellOutcome, CellRetryPolicy,
@@ -312,7 +313,12 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     }
     let scales = args.scale_list_or(&[0.1, 1.0])?;
     let seed = args.get_or("seed", 42)?;
-    let out_dir = args.str("out").unwrap_or(".");
+    let out_dir = Path::new(args.str("out").unwrap_or("."));
+    // The suites take a while: make the output directory before timing
+    // anything, so an unusable --out fails at once. Writing results is
+    // runtime work, so that is exit 1.
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| run_err(format!("failed to create {}: {e}", out_dir.display())))?;
 
     let mut wrote = Vec::new();
     for (suite, file) in [
@@ -332,9 +338,8 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 e.stage, e.scale, e.seconds, e.median_seconds, e.items
             );
         }
-        let path = Path::new(out_dir).join(file);
-        // Writing results is runtime work: an unwritable --out is exit 1.
-        std::fs::write(&path, suite.to_json())
+        let path = out_dir.join(file);
+        write_atomic(&path, suite.to_json().as_bytes())
             .map_err(|e| run_err(format!("failed to write {}: {e}", path.display())))?;
         wrote.push(path.display().to_string());
     }
@@ -525,7 +530,7 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
         .map_err(run_err)?;
     let drain = plan_drain(
         study.input(),
-        plan.placements.at_hour(0),
+        &plan.placement,
         host,
         &[],
         &plan.dc,

@@ -107,6 +107,36 @@ fn bad_arguments_fail_cleanly() {
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--out"));
 }
 
+#[test]
+fn bench_makes_a_missing_output_directory() {
+    let root = test_dir("bench-out");
+    let nested = root.join("fresh").join("nested");
+    let out = nested.to_str().unwrap();
+    let bin = env!("CARGO_BIN_EXE_vmcw");
+    let (code, stdout, stderr) = run(
+        bin,
+        &["bench", "--scale", "0.01", "--seed", "3", "--out", out],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    for file in ["BENCH_emulator.json", "BENCH_planners.json"] {
+        let json = std::fs::read_to_string(nested.join(file)).unwrap();
+        assert!(json.contains("\"entries\""), "{file}: {json}");
+        assert!(stdout.contains(file), "{stdout}");
+    }
+    // A directory that cannot be made fails before any stage is timed.
+    let blocked = root.join("a-file");
+    std::fs::write(&blocked, b"").unwrap();
+    let under = blocked.join("out");
+    let (code, stdout, stderr) = run(
+        bin,
+        &["bench", "--scale", "0.01", "--out", under.to_str().unwrap()],
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("failed to create"), "{stderr}");
+    assert!(!stdout.contains("suite"), "timed before failing: {stdout}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Runs `bin` with `args` and returns (exit code, stdout, stderr).
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(bin).args(args).output().expect("spawn");

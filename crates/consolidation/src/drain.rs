@@ -530,7 +530,7 @@ mod tests {
                 .expect("plan");
             // Rebuilt in a shuffled order: each host's VM list then runs
             // in an arbitrary order, as after replayed migrations.
-            let pairs: Vec<(usize, HostId)> = plan.placements.at_hour(hour).iter().collect();
+            let pairs: Vec<(usize, HostId)> = plan.cursor().at_hour(&input, hour).iter().collect();
             let mut placement = Placement::new(input.vms.len());
             let mut map = MapPlacement::default();
             for i in crate::testing::permutation(pairs.len(), seed) {
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn drain_moves_every_vm_off_the_host() {
         let (input, plan) = setup();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let host = placement.active_hosts()[0];
         let before = placement.vms_on(host).len();
         assert!(before > 0);
@@ -646,7 +646,7 @@ mod tests {
     #[test]
     fn drain_respects_capacity_on_destinations() {
         let (input, plan) = setup();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let host = placement.active_hosts()[0];
         let drain = plan_drain(
             &input,
@@ -695,7 +695,7 @@ mod tests {
         let plan = Planner::baseline()
             .plan(PlannerKind::SemiStatic, &input)
             .unwrap();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let err = plan_drain(
             &input,
             placement,
@@ -714,7 +714,7 @@ mod tests {
     #[test]
     fn unknown_host_is_an_error() {
         let (input, plan) = setup();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let err = plan_drain(
             &input,
             placement,
@@ -732,7 +732,7 @@ mod tests {
     #[test]
     fn tight_bounds_can_make_a_drain_infeasible() {
         let (input, plan) = setup();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let host = placement.active_hosts()[0];
         // Absurdly tight bounds: nothing fits anywhere.
         let result = plan_drain(

@@ -31,6 +31,7 @@ use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
 use crate::ranking::Ranking;
 use crate::sizing::SizingFunction;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
 use vmcw_cluster::resources::Resources;
@@ -132,24 +133,144 @@ pub struct MigrationEvent {
     pub cost_wh: f64,
 }
 
+/// The consolidation windows of a plan that migrates: how its migration
+/// events fall into windows, and where a migrated VM joins its
+/// destination's residents.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Windows {
+    /// Window length in hours.
+    pub hours: usize,
+    /// Number of windows; hours past the last one stay in it.
+    pub count: usize,
+    /// Each input position's rank in resident order. Every host lists its
+    /// residents by ascending rank (the planner's colocation-group order),
+    /// so a migrated VM joins its destination at its rank.
+    pub order: Vec<u32>,
+}
+
+impl Windows {
+    /// The window in effect at evaluation hour `h`.
+    #[must_use]
+    pub fn at_hour(&self, h: usize) -> usize {
+        (h / self.hours).min(self.count - 1)
+    }
+
+    /// Whether evaluation hour `h` opens a window.
+    #[must_use]
+    pub fn opens(&self, h: usize) -> bool {
+        h.is_multiple_of(self.hours) && h / self.hours < self.count
+    }
+}
+
+/// The events of `migrations` (in execution order) that run in window
+/// `w`.
+#[must_use]
+pub fn window_events(migrations: &[MigrationEvent], w: usize) -> &[MigrationEvent] {
+    let start = migrations.partition_point(|m| m.interval < w);
+    let len = migrations[start..].partition_point(|m| m.interval <= w);
+    &migrations[start..start + len]
+}
+
+/// A plan's placement, walked window by window: the first window's
+/// placement with every later window's migration events applied in
+/// execution order. A plan without windows keeps its placement, and a
+/// window-0 cursor borrows it.
+#[derive(Debug)]
+pub struct PlanCursor<'p> {
+    initial: &'p Placement,
+    migrations: &'p [MigrationEvent],
+    windows: Option<&'p Windows>,
+    placement: Cow<'p, Placement>,
+    window: usize,
+    applied: usize,
+}
+
+impl<'p> PlanCursor<'p> {
+    /// A cursor at window 0 of the plan made of `initial`, the
+    /// `migrations` and the `windows` they run in.
+    #[must_use]
+    pub fn new(
+        initial: &'p Placement,
+        migrations: &'p [MigrationEvent],
+        windows: Option<&'p Windows>,
+    ) -> Self {
+        Self {
+            initial,
+            migrations,
+            windows,
+            placement: Cow::Borrowed(initial),
+            window: 0,
+            applied: 0,
+        }
+    }
+
+    /// The placement of window `w`, or of the last window for a `w` past
+    /// it. Moving forward applies the events in between; moving back
+    /// walks again from window 0.
+    ///
+    /// # Panics
+    ///
+    /// If a migrated VM is not traced by `input`, the input the plan was
+    /// made on.
+    pub fn at_window(&mut self, input: &PlanningInput, w: usize) -> &Placement {
+        let Some(windows) = self.windows else {
+            return &self.placement;
+        };
+        let w = w.min(windows.count - 1);
+        if w < self.window {
+            *self = Self::new(self.initial, self.migrations, self.windows);
+        }
+        let pending = &self.migrations[self.applied..];
+        let end = pending.partition_point(|m| m.interval <= w);
+        for m in &pending[..end] {
+            let pos = input
+                .vm_position(m.vm)
+                .unwrap_or_else(|| panic!("{} migrates but has no trace", m.vm));
+            self.placement
+                .to_mut()
+                .assign_ranked(pos, m.to, &windows.order);
+        }
+        self.applied += end;
+        self.window = w;
+        &self.placement
+    }
+
+    /// The placement in effect at evaluation hour `h`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::at_window`].
+    pub fn at_hour(&mut self, input: &PlanningInput, h: usize) -> &Placement {
+        let w = self.windows.map_or(0, |windows| windows.at_hour(h));
+        self.at_window(input, w)
+    }
+}
+
 /// Output of the dynamic planner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicOutcome {
-    /// One placement per consolidation interval.
-    pub placements: Vec<Placement>,
+    /// The placement of the first consolidation window.
+    pub placement: Placement,
     /// All migrations, in execution order.
     pub migrations: Vec<MigrationEvent>,
-    /// Window length in hours.
-    pub window_hours: usize,
+    /// The consolidation windows the migrations run in.
+    pub windows: Windows,
 }
 
 impl DynamicOutcome {
-    /// Active (powered-on) host count per interval.
+    /// A cursor over the placements of the consolidation windows.
     #[must_use]
-    pub fn active_host_counts(&self) -> Vec<usize> {
-        self.placements
-            .iter()
-            .map(Placement::active_host_count)
+    pub fn cursor(&self) -> PlanCursor<'_> {
+        PlanCursor::new(&self.placement, &self.migrations, Some(&self.windows))
+    }
+
+    /// Active (powered-on) host count per interval, walking the windows
+    /// of `input`, the input the plan was made on.
+    #[must_use]
+    pub fn active_host_counts(&self, input: &PlanningInput) -> Vec<usize> {
+        let mut cursor = self.cursor();
+        (0..self.windows.count)
+            .map(|w| cursor.at_window(input, w).active_host_count())
             .collect()
     }
 
@@ -312,7 +433,7 @@ pub fn plan_dynamic(
     dc: &mut DataCenter,
     config: &DynamicConfig,
 ) -> Result<DynamicOutcome, PackError> {
-    plan_dynamic_with(input, dc, config, find_destination, consolidate)
+    plan_dynamic_with(input, dc, config, find_destination, consolidate, |_, _| {})
 }
 
 /// Phase 1's destination search for one evicted group.
@@ -321,14 +442,29 @@ type FindDestination =
 /// Phase 2, the least-cost consolidation pass over one interval.
 type Consolidate = fn(&mut Interval<'_, '_>, &DataCenter);
 
+/// A window's placement: every group's members on its host, in group
+/// order.
+fn place(input: &PlanningInput, groups: &[Group], assignment: &[HostId]) -> Placement {
+    let mut p = Placement::new(input.vms.len());
+    for (g, &h) in groups.iter().zip(assignment) {
+        for &pos in &g.positions {
+            p.assign(pos as usize, h);
+        }
+    }
+    p
+}
+
 /// [`plan_dynamic`] with its two per-interval searches passed in, so the
-/// tests can run the reference versions against them.
+/// tests can run the reference versions against them, and `window_done`
+/// called with each window's group-to-host assignment once it is
+/// planned.
 fn plan_dynamic_with(
     input: &PlanningInput,
     dc: &mut DataCenter,
     config: &DynamicConfig,
     find_destination: FindDestination,
     consolidate: Consolidate,
+    mut window_done: impl FnMut(&[Group], &[HostId]),
 ) -> Result<DynamicOutcome, PackError> {
     let w = config.window_hours;
     let windows_per_day = config.windows_per_day();
@@ -380,21 +516,17 @@ fn plan_dynamic_with(
                 .expect("initial placement covers all VMs")
         })
         .collect();
+    drop(initial);
 
-    // Each window's placement: every group's members on its host, in
-    // group order.
-    let place = |assignment: &[HostId]| {
-        let mut p = Placement::new(input.vms.len());
-        for (g, &h) in groups.iter().zip(assignment) {
-            for &pos in &g.positions {
-                p.assign(pos as usize, h);
-            }
-        }
-        p
-    };
-    let mut placements = Vec::with_capacity(n_windows);
+    // The plan keeps the first window's placement; each later window is
+    // its migrations, applied at each member's rank in group order.
+    let placement = place(input, &groups, &assignment);
+    window_done(&groups, &assignment);
+    let mut order = vec![u32::MAX; input.vms.len()];
+    for (rank, &pos) in groups.iter().flat_map(|g| &g.positions).enumerate() {
+        order[pos as usize] = u32::try_from(rank).expect("fewer than 2^32 VM traces");
+    }
     let mut migrations = Vec::new();
-    placements.push(place(&assignment));
 
     let idle_w = dc.template().power.idle_w();
     let ctx = Ctx {
@@ -444,13 +576,18 @@ fn plan_dynamic_with(
         // --- Phase 2: least-cost consolidation -------------------------
         consolidate(&mut iv, dc);
 
-        placements.push(place(&assignment));
+        window_done(&groups, &assignment);
     }
 
+    migrations.shrink_to_fit();
     Ok(DynamicOutcome {
-        placements,
+        placement,
         migrations,
-        window_hours: w,
+        windows: Windows {
+            hours: w,
+            count: n_windows.max(1),
+            order,
+        },
     })
 }
 
@@ -617,6 +754,14 @@ impl<'c, 'a> Interval<'c, 'a> {
         }
 
         let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
+        // The events are the plan's largest part: grow them by a quarter
+        // at a time, so at most a fifth of the list is spare while the
+        // planner's working set peaks (doubling leaves up to half).
+        let spare = self.migrations.capacity() - self.migrations.len();
+        if spare < group.vms.len() {
+            let grow = group.vms.len().max(self.migrations.len() / 4);
+            self.migrations.reserve_exact(grow);
+        }
         for &vm in &group.vms {
             self.migrations.push(MigrationEvent {
                 interval: self.win,
@@ -885,16 +1030,17 @@ mod tests {
         let input = small_input(DataCenterId::Banking);
         let (out, _) = run(&input, &DynamicConfig::baseline());
         // 3 eval days × 12 two-hour windows.
-        assert_eq!(out.placements.len(), 36);
-        assert_eq!(out.window_hours, 2);
+        assert_eq!(out.windows.count, 36);
+        assert_eq!(out.windows.hours, 2);
     }
 
     #[test]
     fn every_vm_is_always_placed() {
         let input = small_input(DataCenterId::Banking);
         let (out, _) = run(&input, &DynamicConfig::baseline());
-        for p in &out.placements {
-            assert_eq!(p.len(), input.vms.len());
+        let mut cursor = out.cursor();
+        for w in 0..out.windows.count {
+            assert_eq!(cursor.at_window(&input, w).len(), input.vms.len());
         }
     }
 
@@ -912,7 +1058,9 @@ mod tests {
         let capacity = dc.template().capacity();
         let effective = Resources::new(capacity.cpu_rpe2 * 0.8, capacity.mem_mb * 0.8);
         let eval = input.eval_range();
-        for (win, p) in out.placements.iter().enumerate() {
+        let mut cursor = out.cursor();
+        for win in 0..out.windows.count {
+            let p = cursor.at_window(&input, win);
             let lo = eval.start + win * 2;
             let hi = (lo + 2).min(eval.end);
             for host in p.active_hosts() {
@@ -945,7 +1093,7 @@ mod tests {
     fn consolidation_switches_hosts_off_at_night() {
         let input = small_input(DataCenterId::Banking);
         let (out, dc) = run(&input, &DynamicConfig::baseline());
-        let counts = out.active_host_counts();
+        let counts = out.active_host_counts(&input);
         let min = counts.iter().min().copied().unwrap();
         let max = counts.iter().max().copied().unwrap();
         assert!(min < max, "active hosts should vary: min {min}, max {max}");
@@ -983,7 +1131,7 @@ mod tests {
         let (out_costly, _) = run(&input, &costly);
         let (out_free, _) = run(&input, &free);
         let avg = |o: &DynamicOutcome| {
-            let c = o.active_host_counts();
+            let c = o.active_host_counts(&input);
             c.iter().sum::<usize>() as f64 / c.len() as f64
         };
         assert!(avg(&out_free) <= avg(&out_costly) + 0.5);
@@ -998,7 +1146,7 @@ mod tests {
             ..DynamicConfig::baseline()
         };
         let (out, _) = run(&input, &config);
-        assert_eq!(out.placements.len(), 18); // 72 h / 4 h
+        assert_eq!(out.windows.count, 18); // 72 h / 4 h
     }
 
     #[test]
@@ -1053,7 +1201,9 @@ mod tests {
         let mut dc = DataCenter::hs23_default();
         let out = plan_dynamic(&input, &mut dc, &config).expect("plan");
         let effective_net = dc.template().net_mbps * config.reservation.cpu_bound();
-        for (win, p) in out.placements.iter().enumerate() {
+        let mut cursor = out.cursor();
+        for win in 0..out.windows.count {
+            let p = cursor.at_window(&input, win);
             for host in p.active_hosts() {
                 let net: f64 = p
                     .vms_on(host)
@@ -1082,7 +1232,7 @@ mod tests {
         let (out_shy, _) = run(&input, &shy);
         let (out_eager, _) = run(&input, &eager);
         let mean = |o: &DynamicOutcome| {
-            let c = o.active_host_counts();
+            let c = o.active_host_counts(&input);
             c.iter().sum::<usize>() as f64 / c.len() as f64
         };
         assert!(
@@ -1399,6 +1549,7 @@ mod tests {
                 &config,
                 find_destination_reference,
                 consolidate_reference,
+                |_, _| {},
             );
             proptest::prop_assert_eq!(&fast, &reference);
             proptest::prop_assert_eq!(dc_fast.len(), dc_ref.len());
@@ -1456,6 +1607,133 @@ mod tests {
                 proptest::prop_assert_eq!(&f.positions, &r.positions);
                 proptest::prop_assert_eq!(group_bits(f), group_bits(r));
             }
+        }
+    }
+
+    /// The per-window placements the planner returned before a plan kept
+    /// only its moves: each window's group assignment laid out anew, in
+    /// group order. Kept as the oracle for the event plans.
+    fn plan_windows_reference(
+        input: &PlanningInput,
+        config: &DynamicConfig,
+    ) -> Result<(DynamicOutcome, Vec<Placement>), PackError> {
+        let mut dc = DataCenter::hs23_default();
+        let mut placements = Vec::new();
+        let out = plan_dynamic_with(
+            input,
+            &mut dc,
+            config,
+            find_destination,
+            consolidate,
+            |groups, assignment| placements.push(place(input, groups, assignment)),
+        )?;
+        Ok((out, placements))
+    }
+
+    /// Walks `out`'s windows with a cursor against the oracle's
+    /// placements; returns how many windows hold a VM that moves twice.
+    fn check_rebuild(
+        input: &PlanningInput,
+        out: &DynamicOutcome,
+        reference: &[Placement],
+    ) -> Result<usize, String> {
+        if out.windows.count != reference.len() {
+            return Err(format!(
+                "{} windows != {}",
+                out.windows.count,
+                reference.len()
+            ));
+        }
+        let mut cursor = out.cursor();
+        let mut twice = 0;
+        for (w, want) in reference.iter().enumerate() {
+            if cursor.at_window(input, w) != want {
+                return Err(format!("window {w} differs from the per-window placement"));
+            }
+            let mut vms: Vec<VmId> = window_events(&out.migrations, w)
+                .iter()
+                .map(|m| m.vm)
+                .collect();
+            let moves = vms.len();
+            vms.sort_unstable();
+            vms.dedup();
+            twice += usize::from(vms.len() < moves);
+        }
+        Ok(twice)
+    }
+
+    #[test]
+    fn a_vm_moving_twice_in_a_window_lands_where_the_window_puts_it() {
+        // Free migrations with a tight hysteresis churn enough that a VM
+        // is evicted onto a host that is then evacuated in the same
+        // window.
+        let config = DynamicConfig {
+            cost_model: MigrationCostModel::free(),
+            underload_threshold: 0.9,
+            ..DynamicConfig::baseline()
+        };
+        let mut twice = 0;
+        for dcid in DataCenterId::ALL {
+            let input = small_input(dcid);
+            let (out, reference) = plan_windows_reference(&input, &config).expect("plan");
+            twice += check_rebuild(&input, &out, &reference).unwrap();
+        }
+        assert!(twice > 0, "no window moved a VM twice");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Applying each window's migration events, in order, to the
+        /// first window's placement gives every window's placement as the
+        /// planner lays it out, per-host order included: over random
+        /// inputs with chained colocation groups and repeated ids, every
+        /// window length that divides a day, and costly or free
+        /// migrations (free ones move VMs twice in a window).
+        #[test]
+        fn window_events_rebuild_every_window(
+            shape in (0u64..1_000_000, 2usize..40, 1u32..48, 0usize..12),
+            hours in (1usize..60, 24usize..72, 1u32..6),
+            knobs in (0usize..8, 0u32..2, 10u32..95),
+        ) {
+            let (seed, n, ids, pairs) = shape;
+            let (eval_hours, history_hours, heft) = hours;
+            let (window_pick, free_moves, threshold_pct) = knobs;
+            let input = crate::testing::random_input(
+                seed,
+                n,
+                ids,
+                (history_hours + eval_hours, history_hours),
+                pairs,
+            );
+            // Heavier VMs fill hosts sooner, so more windows move some.
+            let vms = input
+                .vms
+                .iter()
+                .map(|t| VmTrace {
+                    cpu_rpe2: t.cpu_rpe2.scale(f64::from(heft)),
+                    mem_mb: t.mem_mb.scale(f64::from(heft)),
+                    ..t.clone()
+                })
+                .collect();
+            let input = PlanningInput::from_traces(vms, history_hours)
+                .with_constraints(input.constraints.clone());
+            let config = DynamicConfig {
+                window_hours: [1, 2, 3, 4, 6, 8, 12, 24][window_pick],
+                underload_threshold: f64::from(threshold_pct) / 100.0,
+                cost_model: if free_moves == 1 {
+                    MigrationCostModel::free()
+                } else {
+                    MigrationCostModel::default_calibration()
+                },
+                ..DynamicConfig::baseline()
+            };
+            let Ok((out, reference)) = plan_windows_reference(&input, &config) else {
+                // A group too large for any host has no plan to check.
+                return Ok(());
+            };
+            proptest::prop_assert_eq!(&out.placement, &reference[0]);
+            check_rebuild(&input, &out, &reference)?;
         }
     }
 

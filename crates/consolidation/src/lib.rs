@@ -77,9 +77,10 @@ pub mod sizing;
 #[cfg(test)]
 mod testing;
 
+pub use dynamic::{PlanCursor, Windows};
 pub use ffd::PackingAlgorithm;
 pub use input::{PlanningInput, VirtualizationModel, VmTrace};
 pub use placement::{PackError, Placement};
-pub use planner::{ConsolidationPlan, PlanPlacements, Planner, PlannerKind, StochasticVariant};
+pub use planner::{ConsolidationPlan, Planner, PlannerKind, StochasticVariant};
 pub use prediction::Predictor;
 pub use sizing::SizingFunction;

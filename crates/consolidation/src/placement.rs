@@ -4,7 +4,8 @@
 //! keyed by each VM's *position* in the [`PlanningInput`] it was planned
 //! on, so the replay and the dynamic planner index it instead of
 //! searching it. Semi-static plans hold one placement for the whole
-//! study; the dynamic plan holds one per consolidation interval.
+//! study; the dynamic plan holds its first window's placement and the
+//! migrations that turn it into every later one.
 //!
 //! The packers work on VM ids; [`Placement::from_hosts`] turns their
 //! per-host id lists into positions once per plan.
@@ -68,6 +69,27 @@ impl Placement {
     ///
     /// If `pos` is not below [`Self::positions`].
     pub fn assign(&mut self, pos: usize, host: HostId) -> Option<HostId> {
+        self.assign_at(pos, host, None)
+    }
+
+    /// Assigns (or re-assigns) the VM at input position `pos` to a host,
+    /// listing it among the host's residents by ascending `rank` (indexed
+    /// by position) instead of last. Returns its previous host, if any.
+    ///
+    /// When every host lists its residents by ascending rank, so does the
+    /// result: the order of a placement built by assigning positions in
+    /// rank order, whatever order the moves arrive in.
+    ///
+    /// # Panics
+    ///
+    /// If `pos` is not below [`Self::positions`] or `rank` misses a
+    /// resident of `host`.
+    pub fn assign_ranked(&mut self, pos: usize, host: HostId, rank: &[u32]) -> Option<HostId> {
+        self.assign_at(pos, host, Some(rank))
+    }
+
+    /// [`Self::assign`], or [`Self::assign_ranked`] under `rank`.
+    fn assign_at(&mut self, pos: usize, host: HostId, rank: Option<&[u32]>) -> Option<HostId> {
         let prev = self.hosts[pos].replace(host);
         match prev {
             Some(p) if p == host => return prev,
@@ -80,14 +102,39 @@ impl Placement {
         }
         let list = &mut self.residents[h];
         self.active += usize::from(list.is_empty());
-        list.push(u32::try_from(pos).expect("fewer than 2^32 VM traces"));
+        let at = rank.map_or(list.len(), |rank| {
+            list.partition_point(|&p| rank[p as usize] < rank[pos])
+        });
+        list.insert(at, u32::try_from(pos).expect("fewer than 2^32 VM traces"));
         prev
     }
 
     fn unlist(&mut self, pos: usize, host: HostId) {
         let list = &mut self.residents[host.0 as usize];
-        list.retain(|&p| p as usize != pos);
+        if let Some(at) = list.iter().position(|&p| p as usize == pos) {
+            list.remove(at);
+        }
         self.active -= usize::from(list.is_empty());
+    }
+
+    /// Lists `host`'s residents in `other`'s order, for a placement that
+    /// already puts on `host` the VMs `other` does.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the two placements put different VMs on
+    /// `host`.
+    pub fn order_like(&mut self, other: &Placement, host: HostId) {
+        let want = other.vms_on(host);
+        let Some(list) = self.residents.get_mut(host.0 as usize) else {
+            debug_assert!(want.is_empty(), "{host} holds other VMs");
+            return;
+        };
+        debug_assert!(
+            list.len() == want.len() && want.iter().all(|p| list.contains(p)),
+            "{host} holds other VMs"
+        );
+        list.copy_from_slice(want);
     }
 
     /// The host the VM at position `pos` is placed on.

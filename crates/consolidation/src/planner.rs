@@ -1,7 +1,9 @@
 //! Planner facade: one entry point per consolidation variant (§5.1).
 
 use crate::correlation::{correlation_pack, CorrelationConfig};
-use crate::dynamic::{plan_dynamic, DynamicConfig, MigrationEvent};
+use crate::dynamic::{
+    plan_dynamic, window_events, DynamicConfig, MigrationEvent, PlanCursor, Windows,
+};
 use crate::ffd::{pack_scalar, OrderKey, PackingAlgorithm};
 use crate::input::PlanningInput;
 use crate::pcp::{pcp_pack, PcpConfig};
@@ -67,66 +69,25 @@ impl fmt::Display for PlannerKind {
     }
 }
 
-/// The placements of a plan: fixed for (semi-)static variants, one per
-/// consolidation interval for the dynamic variant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanPlacements {
-    /// A single placement for the whole study.
-    Fixed(Placement),
-    /// One placement per consolidation interval.
-    PerInterval {
-        /// The per-interval placements.
-        placements: Vec<Placement>,
-        /// Interval length in hours.
-        window_hours: usize,
-    },
-}
-
-impl PlanPlacements {
-    /// The placement in effect at evaluation hour `h`.
-    ///
-    /// Returns the last placement for hours beyond the plan's horizon.
-    #[must_use]
-    pub fn at_hour(&self, h: usize) -> &Placement {
-        match self {
-            PlanPlacements::Fixed(p) => p,
-            PlanPlacements::PerInterval {
-                placements,
-                window_hours,
-            } => {
-                let idx = (h / window_hours).min(placements.len().saturating_sub(1));
-                &placements[idx]
-            }
-        }
-    }
-
-    /// Every placement of the plan, in interval order.
-    pub fn iter(&self) -> impl Iterator<Item = &Placement> {
-        match self {
-            PlanPlacements::Fixed(p) => std::slice::from_ref(p).iter(),
-            PlanPlacements::PerInterval { placements, .. } => placements.iter(),
-        }
-    }
-
-    /// Number of distinct intervals (1 for fixed plans).
-    #[must_use]
-    pub fn interval_count(&self) -> usize {
-        match self {
-            PlanPlacements::Fixed(_) => 1,
-            PlanPlacements::PerInterval { placements, .. } => placements.len(),
-        }
-    }
-}
-
 /// A complete consolidation plan, ready for emulation.
+///
+/// A (semi-)static plan is one placement. A dynamic plan is its moves:
+/// the first consolidation window's placement plus the migrations that
+/// turn it into every later window's, which a [`PlanCursor`] applies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConsolidationPlan {
     /// Which planner produced it.
     pub kind: PlannerKind,
-    /// The placement(s).
-    pub placements: PlanPlacements,
-    /// Migrations scheduled by the dynamic planner (empty otherwise).
+    /// The placement in effect from evaluation hour 0: for the whole
+    /// study under a (semi-)static planner, for the first window under
+    /// the dynamic one.
+    pub placement: Placement,
+    /// Migrations scheduled by the dynamic planner, in execution order
+    /// (empty otherwise).
     pub migrations: Vec<MigrationEvent>,
+    /// The consolidation windows the migrations run in; `None` for a
+    /// plan that keeps its placement.
+    pub windows: Option<Windows>,
     /// The data center with all hosts the plan provisioned.
     pub dc: DataCenter,
 }
@@ -138,6 +99,32 @@ impl ConsolidationPlan {
     #[must_use]
     pub fn provisioned_hosts(&self) -> usize {
         self.dc.len()
+    }
+
+    /// Number of consolidation windows (1 for a plan without windows).
+    #[must_use]
+    pub fn interval_count(&self) -> usize {
+        self.windows.as_ref().map_or(1, |w| w.count)
+    }
+
+    /// Whether evaluation hour `h` opens a window, the only hours at
+    /// which the placement in effect can change: hour 0, and each
+    /// window's first hour.
+    #[must_use]
+    pub fn opens_window(&self, h: usize) -> bool {
+        h == 0 || self.windows.as_ref().is_some_and(|w| w.opens(h))
+    }
+
+    /// The migrations that run in window `w`, in execution order.
+    #[must_use]
+    pub fn window_events(&self, w: usize) -> &[MigrationEvent] {
+        window_events(&self.migrations, w)
+    }
+
+    /// A cursor over the placements in effect, at window 0.
+    #[must_use]
+    pub fn cursor(&self) -> PlanCursor<'_> {
+        PlanCursor::new(&self.placement, &self.migrations, self.windows.as_ref())
     }
 }
 
@@ -260,9 +247,11 @@ impl Planner {
     /// Rolling semi-static consolidation: the placement is re-planned
     /// every `period_days` of the evaluation window using all data seen so
     /// far — the "once a week or once a month" relocation cycle of
-    /// §2.2.2. Re-planning uses VM *relocation* (scheduled downtime), so
-    /// no migrations are recorded and no live-migration reservation is
-    /// needed.
+    /// §2.2.2. Returns one fixed plan per period, in period order, each
+    /// on the fleet its own packing provisioned; the footprint is the
+    /// largest of them. Re-planning uses VM *relocation* (scheduled
+    /// downtime), so no migrations are recorded and no live-migration
+    /// reservation is needed.
     ///
     /// # Errors
     ///
@@ -275,12 +264,11 @@ impl Planner {
         &self,
         input: &PlanningInput,
         period_days: usize,
-    ) -> Result<ConsolidationPlan, PackError> {
+    ) -> Result<Vec<ConsolidationPlan>, PackError> {
         assert!(period_days > 0, "re-planning period must be positive");
         let period_hours = period_days * 24;
         let eval = input.eval_range();
-        let mut placements = Vec::new();
-        let mut dc = self.new_dc();
+        let mut plans = Vec::new();
         let mut start = eval.start;
         while start < eval.end {
             // Size on the most recent `history_hours` of observed data —
@@ -289,33 +277,27 @@ impl Planner {
             let window_start = window_end.saturating_sub(input.history_hours);
             let demands = Self::sized_demands(input, window_start..window_end, SizingFunction::Max);
             let net = input.net_demands();
-            // Each period re-plans from scratch onto a fresh host pool;
-            // the provisioned footprint is the largest of the periods.
-            let mut period_dc = self.new_dc();
+            // Each period re-plans from scratch onto a fresh host pool.
+            let mut dc = self.new_dc();
             let hosts = pack_scalar(
                 &demands,
                 &net,
-                &mut period_dc,
+                &mut dc,
                 &input.constraints,
                 (1.0, 1.0),
                 self.order,
                 PackingAlgorithm::FirstFitDecreasing,
             )?;
-            while dc.len() < period_dc.len() {
-                dc.provision();
-            }
-            placements.push(Placement::from_hosts(input, &hosts));
+            plans.push(ConsolidationPlan {
+                kind: PlannerKind::SemiStatic,
+                placement: Placement::from_hosts(input, &hosts),
+                migrations: Vec::new(),
+                windows: None,
+                dc,
+            });
             start += period_hours;
         }
-        Ok(ConsolidationPlan {
-            kind: PlannerKind::SemiStatic,
-            placements: PlanPlacements::PerInterval {
-                placements,
-                window_hours: period_hours,
-            },
-            migrations: Vec::new(),
-            dc,
-        })
+        Ok(plans)
     }
 
     fn plan_fixed(
@@ -363,8 +345,9 @@ impl Planner {
         )?;
         Ok(ConsolidationPlan {
             kind,
-            placements: PlanPlacements::Fixed(Placement::from_hosts(input, &hosts)),
+            placement: Placement::from_hosts(input, &hosts),
             migrations: Vec::new(),
+            windows: None,
             dc,
         })
     }
@@ -396,8 +379,9 @@ impl Planner {
         };
         Ok(ConsolidationPlan {
             kind: PlannerKind::Stochastic,
-            placements: PlanPlacements::Fixed(Placement::from_hosts(input, &hosts)),
+            placement: Placement::from_hosts(input, &hosts),
             migrations: Vec::new(),
+            windows: None,
             dc,
         })
     }
@@ -413,11 +397,9 @@ impl Planner {
         let outcome = plan_dynamic(input, &mut dc, &self.dynamic)?;
         Ok(ConsolidationPlan {
             kind: PlannerKind::Dynamic,
-            placements: PlanPlacements::PerInterval {
-                placements: outcome.placements,
-                window_hours: outcome.window_hours,
-            },
+            placement: outcome.placement,
             migrations: outcome.migrations,
+            windows: Some(outcome.windows),
             dc,
         })
     }
@@ -469,7 +451,7 @@ mod tests {
             PlannerKind::Dynamic,
         ] {
             let plan = planner.plan(kind, &input).unwrap();
-            let p0 = plan.placements.at_hour(0);
+            let p0 = &plan.placement;
             assert_eq!(p0.len(), input.vms.len(), "{kind}");
             assert!(plan.provisioned_hosts() > 0, "{kind}");
         }
@@ -508,11 +490,11 @@ mod tests {
                 let alone = planner.plan(kind, &base).unwrap();
                 assert_eq!(plan.migrations, alone.migrations, "{kind}");
                 assert_eq!(plan.dc, alone.dc, "{kind}");
-                assert_eq!(
-                    plan.placements.interval_count(),
-                    alone.placements.interval_count()
-                );
-                for (p, q) in plan.placements.iter().zip(alone.placements.iter()) {
+                assert_eq!(plan.interval_count(), alone.interval_count());
+                let (mut cursor, mut alone_cursor) = (plan.cursor(), alone.cursor());
+                for w in 0..plan.interval_count() {
+                    let p = cursor.at_window(&twinned, w);
+                    let q = alone_cursor.at_window(&base, w);
                     assert_eq!(p.host_of(twin_pos), None, "{kind}");
                     for pos in 0..twin_pos {
                         assert_eq!(p.host_of(pos), q.host_of(pos), "{kind}: VM at {pos}");
@@ -564,8 +546,10 @@ mod tests {
     fn fixed_plan_is_constant_over_time() {
         let input = input(DataCenterId::Airlines);
         let plan = Planner::baseline().plan_semi_static(&input).unwrap();
-        assert_eq!(plan.placements.at_hour(0), plan.placements.at_hour(71));
-        assert_eq!(plan.placements.interval_count(), 1);
+        let mut cursor = plan.cursor();
+        assert_eq!(cursor.at_hour(&input, 71), &plan.placement);
+        assert_eq!(plan.interval_count(), 1);
+        assert!((1..72).all(|h| !plan.opens_window(h)));
         assert!(plan.migrations.is_empty());
     }
 
@@ -573,13 +557,15 @@ mod tests {
     fn dynamic_plan_changes_over_time() {
         let input = input(DataCenterId::Banking);
         let plan = Planner::baseline().plan_dynamic(&input).unwrap();
-        assert!(plan.placements.interval_count() > 1);
-        let distinct = match &plan.placements {
-            PlanPlacements::PerInterval { placements, .. } => {
-                placements.windows(2).filter(|w| w[0] != w[1]).count()
-            }
-            PlanPlacements::Fixed(_) => 0,
-        };
+        assert!(plan.interval_count() > 1);
+        let mut cursor = plan.cursor();
+        let mut last = plan.placement.clone();
+        let mut distinct = 0;
+        for w in 1..plan.interval_count() {
+            let p = cursor.at_window(&input, w);
+            distinct += usize::from(*p != last);
+            last = p.clone();
+        }
         assert!(
             distinct > 0,
             "dynamic placements should change across intervals"
@@ -596,8 +582,11 @@ mod tests {
     fn at_hour_clamps_to_last_interval() {
         let input = input(DataCenterId::Airlines);
         let plan = Planner::baseline().plan_dynamic(&input).unwrap();
-        let last = plan.placements.at_hour(1_000_000);
+        let mut cursor = plan.cursor();
+        let last = cursor.at_hour(&input, 1_000_000).clone();
         assert_eq!(last.len(), input.vms.len());
+        let final_window = plan.interval_count() - 1;
+        assert_eq!(cursor.at_window(&input, final_window), &last);
     }
 
     #[test]
@@ -618,16 +607,20 @@ mod tests {
     fn rolling_semi_static_replans_per_period() {
         let input = input(DataCenterId::Banking); // 10 days: 7 history + 3 eval
         let planner = Planner::baseline();
-        let plan = planner.plan_semi_static_rolling(&input, 1).unwrap();
-        assert_eq!(plan.placements.interval_count(), 3, "one placement per day");
-        assert!(plan.migrations.is_empty(), "relocation, not live migration");
-        // Every interval covers all VMs.
-        for h in [0usize, 24, 48, 71] {
-            assert_eq!(plan.placements.at_hour(h).len(), input.vms.len());
+        let plans = planner.plan_semi_static_rolling(&input, 1).unwrap();
+        assert_eq!(plans.len(), 3, "one plan per day");
+        for plan in &plans {
+            assert!(plan.migrations.is_empty(), "relocation, not live migration");
+            assert_eq!(plan.interval_count(), 1);
+            // Every period covers all VMs.
+            assert_eq!(plan.placement.len(), input.vms.len());
         }
-        // The footprint is the max across periods and at least vanilla's.
+        // The first period plans on the history, as vanilla does; the
+        // footprint, the max across periods, is then at least vanilla's.
         let vanilla = planner.plan_semi_static(&input).unwrap();
-        assert!(plan.provisioned_hosts() >= vanilla.provisioned_hosts());
+        assert_eq!(plans[0], vanilla);
+        let footprint = plans.iter().map(ConsolidationPlan::provisioned_hosts).max();
+        assert!(footprint >= Some(vanilla.provisioned_hosts()));
     }
 
     #[test]
@@ -651,7 +644,7 @@ mod tests {
             ..Planner::baseline()
         };
         let plan = planner.plan_semi_static(&input).unwrap();
-        assert_eq!(plan.placements.at_hour(0).len(), input.vms.len());
+        assert_eq!(plan.placement.len(), input.vms.len());
         // BFD lands within one host of FFD on enterprise mixes.
         let ffd = Planner::baseline().plan_semi_static(&input).unwrap();
         let diff = plan.provisioned_hosts() as i64 - ffd.provisioned_hosts() as i64;
@@ -671,7 +664,7 @@ mod tests {
             ..Planner::baseline()
         };
         let plan = planner.plan_stochastic(&input).unwrap();
-        assert_eq!(plan.placements.at_hour(0).len(), input.vms.len());
+        assert_eq!(plan.placement.len(), input.vms.len());
         let vanilla = Planner::baseline().plan_semi_static(&input).unwrap();
         assert!(
             plan.provisioned_hosts() <= vanilla.provisioned_hosts(),

@@ -4,11 +4,14 @@
 //! not build a second per-VM copy of them. For each evaluated planner
 //! this binary measures the peak heap that `Planner::plan` adds on top of
 //! the input, less the bytes of the plan it returns, and bounds it by a
-//! quarter of the input's demand-series bytes. The allocator counts every
-//! thread, so the binary holds this one test.
+//! quarter of the input's demand-series bytes. The Dynamic plan's own
+//! bytes are bounded too: one placement plus 1.2 times its migration
+//! events. The allocator counts every thread, so the binary holds this
+//! one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use vmcw_consolidation::dynamic::MigrationEvent;
 use vmcw_consolidation::{Planner, PlannerKind, PlanningInput, VirtualizationModel};
 use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 
@@ -97,6 +100,23 @@ fn planners_hold_no_per_vm_copy_of_the_traces() {
             .expect("the planner places every VM");
         let peak = PEAK.load(Ordering::SeqCst) - before;
         let kept = LIVE.load(Ordering::SeqCst).saturating_sub(before);
+        if kind == PlannerKind::Dynamic {
+            // The plan is its moves: one placement plus the events, with
+            // at most a fifth of the event list spare.
+            let at = LIVE.load(Ordering::SeqCst);
+            let placement = plan.placement.clone();
+            let placement_bytes = LIVE.load(Ordering::SeqCst) - at;
+            drop(placement);
+            let event_bytes = plan.migrations.len() * size_of::<MigrationEvent>();
+            let allowed = placement_bytes + event_bytes * 6 / 5;
+            eprintln!(
+                "{kind}: plan keeps {kept} B for a {placement_bytes} B placement and {} events of {event_bytes} B; {allowed} B allowed",
+                plan.migrations.len()
+            );
+            if kept > allowed {
+                over.push(format!("{kind} plan {kept} B > {allowed} B"));
+            }
+        }
         drop(plan);
         let extra = peak.saturating_sub(kept);
         let share = extra as f64 / series_bytes as f64;
@@ -110,7 +130,7 @@ fn planners_hold_no_per_vm_copy_of_the_traces() {
     }
     assert!(
         over.is_empty(),
-        "planners above {:.0}% of the demand-series bytes: {}",
+        "planners above their bounds ({:.0}% of the demand-series bytes, the Dynamic plan's size): {}",
         MAX_SHARE * 100.0,
         over.join(", ")
     );

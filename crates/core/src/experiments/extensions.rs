@@ -17,7 +17,9 @@ use crate::study::StudyError;
 use vmcw_cluster::constraints::{Constraint, ConstraintSet};
 use vmcw_cluster::datacenter::SubnetId;
 use vmcw_cluster::vm::VmId;
-use vmcw_consolidation::planner::PlannerKind;
+use vmcw_consolidation::planner::{ConsolidationPlan, PlannerKind};
+use vmcw_consolidation::PlanningInput;
+use vmcw_emulator::engine::{EmulatorConfig, EmulatorError, Replay};
 use vmcw_migration::mechanisms::MigrationMechanism;
 use vmcw_migration::precopy::{PrecopyConfig, VmMigrationProfile};
 use vmcw_migration::schedule::schedule_recorded;
@@ -64,20 +66,20 @@ pub fn interval_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
         // interval's makespan.
         let mut worst = 0.0f64;
         let mut worst_link = 0.0f64;
-        let mut by_interval: std::collections::BTreeMap<usize, Vec<(_, _, f64)>> =
-            std::collections::BTreeMap::new();
-        for m in &run.plan.migrations {
-            by_interval
-                .entry(m.interval)
-                .or_default()
-                .push((m.from, m.to, m.duration_secs));
-        }
-        for transfers in by_interval.values() {
-            worst = worst.max(schedule_recorded(transfers).1);
+        for w in 0..run.plan.interval_count() {
+            let events = run.plan.window_events(w);
+            if events.is_empty() {
+                continue;
+            }
+            let transfers: Vec<_> = events
+                .iter()
+                .map(|m| (m.from, m.to, m.duration_secs))
+                .collect();
+            worst = worst.max(schedule_recorded(&transfers).1);
             // Pipelined lower bound: each link must at least carry its own
             // transfers, chains aside.
             let mut busy: std::collections::BTreeMap<_, f64> = std::collections::BTreeMap::new();
-            for &(from, to, d) in transfers {
+            for &(from, to, d) in &transfers {
                 *busy.entry(from).or_default() += d;
                 *busy.entry(to).or_default() += d;
             }
@@ -309,16 +311,17 @@ pub fn rolling_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
         fnum(semi.energy_kwh, 1),
     ]);
     for period in [7usize, 3, 1] {
-        let plan = study
+        let plans = study
             .config()
             .planner
             .plan_semi_static_rolling(study.input(), period)?;
-        let report =
-            vmcw_emulator::engine::emulate(study.input(), &plan, &study.config().emulator)?;
+        let hosts = plans.iter().map(ConsolidationPlan::provisioned_hosts).max();
+        let energy_kwh =
+            rolling_energy_kwh(study.input(), &plans, period * 24, &study.config().emulator)?;
         t.push_row([
             period.to_string(),
-            plan.provisioned_hosts().to_string(),
-            fnum(report.energy_kwh, 1),
+            hosts.unwrap_or(0).to_string(),
+            fnum(energy_kwh, 1),
         ]);
     }
     t.push_row([
@@ -327,6 +330,30 @@ pub fn rolling_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
         fnum(dynamic.energy_kwh, 1),
     ]);
     Ok(t)
+}
+
+/// The energy of replaying `plans` in turn, each for its `period_hours`
+/// of the evaluation window (the last one to the end), in kWh: every
+/// hour's draw under the plan in effect then, summed in hour order as one
+/// replay sums it.
+fn rolling_energy_kwh(
+    input: &PlanningInput,
+    plans: &[ConsolidationPlan],
+    period_hours: usize,
+    config: &EmulatorConfig,
+) -> Result<f64, EmulatorError> {
+    let hours = input.eval_range().len();
+    let mut energy_wh = 0.0;
+    for (k, plan) in plans.iter().enumerate() {
+        let mut replay = Replay::new(input, plan, config, None)?;
+        while replay.hour() < ((k + 1) * period_hours).min(hours) {
+            replay.step()?;
+        }
+        for hour in &replay.into_report().per_hour[k * period_hours..] {
+            energy_wh += hour.watts;
+        }
+    }
+    Ok(energy_wh / 1000.0)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! The trace-replay engine.
 //!
 //! For every evaluation hour the engine looks up the placement in effect
-//! (fixed for semi-static plans, the current interval's for dynamic
-//! plans), sums the *actual* demand of the VMs on each host, and records
+//! (fixed for semi-static plans; for dynamic plans, the first window's
+//! with each later window's migrations applied at its start), sums the
+//! *actual* demand of the VMs on each host, and records
 //! utilisation, contention, and power. "Resource contention for a
 //! physical server captures the additional demand from virtual machines
 //! that can not be met within the server's capacity" (§5.3).
@@ -13,9 +14,11 @@ use vmcw_cluster::datacenter::HostId;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 use vmcw_consolidation::drain::DrainView;
+use vmcw_consolidation::dynamic::MigrationEvent;
 use vmcw_consolidation::input::{PlanningInput, VmTrace};
 use vmcw_consolidation::placement::Placement;
 use vmcw_consolidation::planner::ConsolidationPlan;
+use vmcw_consolidation::PlanCursor;
 use vmcw_migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_migration::reliability::ReliabilityThresholds;
 
@@ -41,6 +44,12 @@ pub enum EmulatorError {
         /// The unprovisioned host.
         host: HostId,
     },
+    /// The plan migrates a VM the input does not trace: it was built
+    /// for another input.
+    UntracedMigration {
+        /// The migrated VM.
+        vm: VmId,
+    },
     /// A trace gap could not be survived by holding the last good value.
     TraceGap(TraceGapError),
     /// A fault-injection parameter is NaN or outside its domain.
@@ -61,6 +70,9 @@ impl fmt::Display for EmulatorError {
             ),
             EmulatorError::UnknownHost { host } => {
                 write!(f, "plan references unprovisioned host {host}")
+            }
+            EmulatorError::UntracedMigration { vm } => {
+                write!(f, "plan migrates {vm}, which the input does not trace")
             }
             EmulatorError::TraceGap(gap) => gap.fmt(f),
             EmulatorError::InvalidFaultConfig { field, value } => {
@@ -283,10 +295,14 @@ struct FaultState {
     schedule: CrashSchedule,
     /// The placement actually in effect, chasing the plan's target
     /// placement through (possibly failing) migrations. Once the replay
-    /// steps, changed only through [`FaultState::move_vm`] and
-    /// [`FaultState::sync_to`], which keep `loads` and `drains` in step
-    /// with it.
+    /// steps, changed only through [`FaultState::move_vm`],
+    /// [`FaultState::sync_to`] and [`FaultState::sync_hosts`], which keep
+    /// `loads` and `drains` in step with it.
     current: Placement,
+    /// Whether `current` is the plan's placement of the last window
+    /// start, per-host order included. Then the next window's placement
+    /// differs from it only where that window's events move VMs.
+    synced: bool,
     was_down: Vec<bool>,
     /// VMs resident on a crashed host, awaiting evacuation or repair.
     down_vms: VmMap<()>,
@@ -313,6 +329,7 @@ impl FaultState {
         Self {
             schedule,
             current,
+            synced: false,
             was_down: vec![false; n_hosts],
             down_vms: VmMap::new(input),
             precopy: PrecopyConfig::gigabit(),
@@ -366,6 +383,46 @@ impl FaultState {
             self.drains.invalidate(host);
         }
         self.current.clone_from(target);
+    }
+
+    /// The VMs `events` move whose host in the in-effect placement
+    /// differs from `target`'s, as [`Placement::moved_vms`] lists them:
+    /// every such VM while `current` is synced and `target` is the next
+    /// window's placement.
+    fn moved_by(
+        &self,
+        events: &[MigrationEvent],
+        target: &Placement,
+        input: &PlanningInput,
+    ) -> Vec<(usize, HostId, HostId)> {
+        let mut vms: Vec<VmId> = events.iter().map(|m| m.vm).collect();
+        vms.sort_unstable();
+        vms.dedup();
+        vms.into_iter()
+            .filter_map(|vm| {
+                let pos = input.vm_position(vm)?;
+                match (self.current.host_of(pos), target.host_of(pos)) {
+                    (Some(from), Some(to)) if from != to => Some((pos, from, to)),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    /// [`Self::sync_to`] for an in-effect placement that already puts
+    /// every VM on its `target` host and differs from `target` at most in
+    /// the order of the hosts `events` touch.
+    fn sync_hosts(&mut self, target: &Placement, events: &[MigrationEvent]) {
+        let mut hosts: Vec<HostId> = events.iter().flat_map(|m| [m.from, m.to]).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        for host in hosts {
+            if self.current.vms_on(host) != target.vms_on(host) {
+                self.current.order_like(target, host);
+                self.loads.forget(host);
+                self.drains.invalidate(host);
+            }
+        }
     }
 
     /// Checks every cached host load of input hour `hour`, the last one
@@ -494,6 +551,8 @@ impl<T> VmMap<T> {
 pub struct Replay<'a> {
     input: &'a PlanningInput,
     plan: &'a ConsolidationPlan,
+    /// The plan's placement in effect, walked to the hour being replayed.
+    target: PlanCursor<'a>,
     config: &'a EmulatorConfig,
     faults: Option<FaultConfig>,
     capacities: Vec<Resources>,
@@ -535,7 +594,7 @@ impl<'a> Replay<'a> {
         let state = faults.map(|f| {
             FaultState::new(
                 CrashSchedule::generate(f, n_hosts, hours),
-                plan.placements.at_hour(0).clone(),
+                plan.placement.clone(),
                 n_hosts,
                 input,
             )
@@ -543,6 +602,7 @@ impl<'a> Replay<'a> {
         Ok(Self {
             input,
             plan,
+            target: plan.cursor(),
             config,
             faults: faults.copied(),
             capacities,
@@ -774,11 +834,12 @@ impl<'a> Replay<'a> {
         assert!(!self.is_done(), "replay already complete");
         let h = self.hour;
         let eval = self.input.eval_range();
-        let target = self.plan.placements.at_hour(h);
-        // An interval boundary is where the in-effect placement changes;
-        // recomputing it from h-1 (rather than carrying loop state) keeps
-        // step() resumable at any hour.
-        let boundary = h == 0 || !std::ptr::eq(self.plan.placements.at_hour(h - 1), target);
+        // A window boundary is where the planned placement changes. The
+        // cursor walks to the hour's window from wherever it stands, so
+        // a resumed replay rebuilds its placement from the events up to
+        // the checkpoint's window on its first step.
+        let boundary = self.plan.opens_window(h);
+        let target = self.target.at_hour(self.input, h);
         if let (Some(fcfg), Some(st)) = (self.faults.as_ref(), self.state.as_mut()) {
             step_faults(
                 self.input,
@@ -937,18 +998,26 @@ impl<'a> Replay<'a> {
     }
 }
 
-/// Refuses a plan built for another input: every placement must cover
-/// exactly the input's positions.
+/// Refuses a plan built for another input: its placement and resident
+/// order must cover exactly the input's positions, and every VM it
+/// migrates must be traced.
 pub(crate) fn check_plan_input(
     input: &PlanningInput,
     plan: &ConsolidationPlan,
 ) -> Result<(), EmulatorError> {
     let traces = input.vms.len();
-    match plan.placements.iter().find(|p| p.positions() != traces) {
-        Some(p) => Err(EmulatorError::ForeignPlan {
-            positions: p.positions(),
-            traces,
-        }),
+    let order = plan.windows.as_ref().map(|w| w.order.len());
+    for positions in std::iter::once(plan.placement.positions()).chain(order) {
+        if positions != traces {
+            return Err(EmulatorError::ForeignPlan { positions, traces });
+        }
+    }
+    match plan
+        .migrations
+        .iter()
+        .find(|m| input.vm_position(m.vm).is_none())
+    {
+        Some(m) => Err(EmulatorError::UntracedMigration { vm: m.vm }),
         None => Ok(()),
     }
 }
@@ -964,9 +1033,10 @@ fn run_fingerprint(
     hours: usize,
 ) -> u64 {
     use std::fmt::Write as _;
-    use vmcw_consolidation::planner::PlanPlacements;
-    // Hashed as it is formatted: a per-interval plan spells out every
-    // window's placement, far too much text to build just to hash.
+    // Hashed as it is formatted: a dynamic plan spells out every
+    // window's placement, far too much text to build just to hash. The
+    // windows are walked one at a time over a scratch copy of the
+    // placement's hosts, and each id and host is spelled once.
     let mut h = crate::checkpoint::Fnv1a::new();
     let _ = write!(
         h,
@@ -982,13 +1052,30 @@ fn run_fingerprint(
         }
         None => h.update(b"faults none|"),
     }
-    if let PlanPlacements::PerInterval { window_hours, .. } = &plan.placements {
-        let _ = write!(h, "w{window_hours}|");
+    if let Some(windows) = &plan.windows {
+        let _ = write!(h, "w{}|", windows.hours);
     }
-    for p in plan.placements.iter() {
-        for (vm, pos) in input.by_id() {
-            if let Some(host) = p.host_of(pos) {
-                let _ = write!(h, "{} {};", vm.0, host.0);
+    let ids: Vec<(usize, String)> = input
+        .by_id()
+        .map(|(vm, pos)| (pos, format!("{} ", vm.0)))
+        .collect();
+    let host_texts: Vec<String> = (0..n_hosts).map(|host| format!("{host};")).collect();
+    let mut hosts: Vec<Option<HostId>> = (0..input.vms.len())
+        .map(|pos| plan.placement.host_of(pos))
+        .collect();
+    for w in 0..plan.interval_count() {
+        for m in plan.window_events(w) {
+            let pos = input.vm_position(m.vm).expect("the plan input was checked");
+            hosts[pos] = Some(m.to);
+        }
+        for (pos, id) in &ids {
+            let Some(host) = hosts[*pos] else { continue };
+            h.update(id.as_bytes());
+            match host_texts.get(host.0 as usize) {
+                Some(text) => h.update(text.as_bytes()),
+                None => {
+                    let _ = write!(h, "{};", host.0);
+                }
             }
         }
         h.update(b"|");
@@ -1039,8 +1126,17 @@ fn step_faults(
     //    and abandoned moves leave the VM on its source until the next
     //    boundary re-requests them.
     if boundary {
+        let events = plan
+            .windows
+            .as_ref()
+            .map_or(&[][..], |w| plan.window_events(w.at_hour(h)));
+        let moved = if st.synced {
+            st.moved_by(events, target, input)
+        } else {
+            st.current.moved_vms(target, input)
+        };
         let mut clean = true;
-        for (pos, from, to) in st.current.moved_vms(target, input) {
+        for (pos, from, to) in moved {
             let vm = input.vms[pos].vm.id;
             if st.down_vms.contains(pos)
                 || st.schedule.is_down(from, h)
@@ -1089,7 +1185,14 @@ fn step_faults(
             // Fully synced: the in-effect placement becomes *identical*
             // (including per-host order) to the plan's target for this
             // hour, which keeps zero-rate replay bit-identical.
-            st.sync_to(target);
+            if st.synced {
+                st.sync_hosts(target, events);
+            } else {
+                st.sync_to(target);
+            }
+            st.synced = true;
+        } else {
+            st.synced = false;
         }
     }
 
@@ -1125,6 +1228,7 @@ fn step_faults(
                 &st.precopy,
             );
             if let Ok(dp) = dp {
+                st.synced &= dp.moves.is_empty();
                 for (pos, dest) in dp.moves {
                     st.move_vm(pos, dest);
                     if st.down_vms.remove(pos) {
@@ -1202,6 +1306,7 @@ fn survive_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use vmcw_consolidation::input::VirtualizationModel;
     use vmcw_consolidation::planner::Planner;
     use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
@@ -1650,6 +1755,135 @@ mod tests {
         ckpt.per_hour.pop();
         let err = Replay::resume(&input, &plan, &cfg, None, &ckpt).unwrap_err();
         assert!(matches!(err, CheckpointError::Invariant(_)), "{err}");
+    }
+
+    /// The fingerprint as it was hashed from a plan that held every
+    /// window's placement: `placements` spelled out one after another.
+    /// Kept as the oracle for the windows walk of [`run_fingerprint`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_fingerprint_reference(
+        input: &PlanningInput,
+        plan: &ConsolidationPlan,
+        placements: &[Placement],
+        config: &EmulatorConfig,
+        faults: Option<&FaultConfig>,
+        n_hosts: usize,
+        hours: usize,
+    ) -> u64 {
+        use std::fmt::Write as _;
+        let mut text = format!(
+            "{}|{n_hosts}|{hours}|{:016x}|{:016x}|{:016x}|",
+            plan.kind.label(),
+            config.dedup_savings_frac.to_bits(),
+            config.thresholds.max_cpu_util.to_bits(),
+            config.thresholds.max_mem_util.to_bits(),
+        );
+        match faults {
+            Some(f) => {
+                let _ = write!(
+                    text,
+                    "faults {}|",
+                    crate::checkpoint::encode_fault_config(f)
+                );
+            }
+            None => text.push_str("faults none|"),
+        }
+        if let Some(windows) = &plan.windows {
+            let _ = write!(text, "w{}|", windows.hours);
+        }
+        for p in placements {
+            for (vm, pos) in input.by_id() {
+                if let Some(host) = p.host_of(pos) {
+                    let _ = write!(text, "{} {};", vm.0, host.0);
+                }
+            }
+            text.push('|');
+        }
+        let mut h = crate::checkpoint::Fnv1a::new();
+        h.update(text.as_bytes());
+        h.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Walking a plan's windows over one placement hashes the bytes
+        /// of the plan with every window's placement materialized: over
+        /// random populations, planners, window lengths and fault
+        /// configs, the two fingerprints are equal.
+        #[test]
+        fn fingerprint_of_the_events_matches_the_materialized_windows(
+            population in (0usize..4, 0u64..1_000, 2u32..7),
+            knobs in (0usize..8, 0usize..3, 0u64..3),
+        ) {
+            let (dc_pick, seed, scale_pct) = population;
+            let (window_pick, kind_pick, fault_seed) = knobs;
+            let w = GeneratorConfig::new(DataCenterId::ALL[dc_pick])
+                .scale(f64::from(scale_pct) / 100.0)
+                .days(6)
+                .generate(seed);
+            let input = PlanningInput::from_workload(&w, 4, VirtualizationModel::baseline());
+            let mut planner = Planner::baseline();
+            planner.dynamic.window_hours = [1, 2, 3, 4, 6, 8, 12, 24][window_pick];
+            let kind = vmcw_consolidation::planner::PlannerKind::EVALUATED[kind_pick];
+            let plan = planner.plan(kind, &input).expect("plan");
+            let mut cursor = plan.cursor();
+            let placements: Vec<Placement> = (0..plan.interval_count())
+                .map(|w| cursor.at_window(&input, w).clone())
+                .collect();
+            let faults = (fault_seed > 0).then(|| FaultConfig::baseline(fault_seed));
+            let config = EmulatorConfig::default();
+            let (n_hosts, hours) = (plan.dc.len(), input.eval_range().len());
+            proptest::prop_assert_eq!(
+                run_fingerprint(&input, &plan, &config, faults.as_ref(), n_hosts, hours),
+                run_fingerprint_reference(
+                    &input,
+                    &plan,
+                    &placements,
+                    &config,
+                    faults.as_ref(),
+                    n_hosts,
+                    hours,
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn fingerprints_keep_their_bits() {
+        // Values a replay computed when a dynamic plan held every
+        // window's placement: journals written then must still resume.
+        let (input, planner) = setup(DataCenterId::Banking);
+        let cfg = EmulatorConfig::default();
+        let pinned = [
+            (0x075f_1bdc_c681_5dae, 0x6a13_aceb_fe83_8591),
+            (0xf644_8db9_908d_406c, 0x9f32_a93e_58ae_40a5),
+            (0x9488_742d_2981_09b2, 0xc7dc_1dac_51e7_3d9b),
+        ];
+        for (kind, (plain, faulted)) in vmcw_consolidation::planner::PlannerKind::EVALUATED
+            .into_iter()
+            .zip(pinned)
+        {
+            let plan = planner.plan(kind, &input).unwrap();
+            let faults = FaultConfig::baseline(5);
+            for (f, want) in [(None, plain), (Some(&faults), faulted)] {
+                let replay = Replay::new(&input, &plan, &cfg, f).unwrap();
+                assert_eq!(replay.checkpoint().fingerprint, want, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_migrating_an_untraced_vm_is_refused() {
+        let (input, planner) = setup(DataCenterId::Banking);
+        let mut plan = planner.plan_dynamic(&input).unwrap();
+        let untraced = VmId(u32::MAX);
+        plan.migrations.last_mut().expect("the plan migrates").vm = untraced;
+        let want = EmulatorError::UntracedMigration { vm: untraced };
+        let err = Replay::new(&input, &plan, &EmulatorConfig::default(), None).unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(crate::sla::analyze(&input, &plan).unwrap_err(), want);
+        assert!(want.to_string().contains("does not trace"));
     }
 
     #[test]

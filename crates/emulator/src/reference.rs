@@ -4,10 +4,11 @@
 //! Every trace lookup is a linear scan of the planning input, the
 //! in-effect placement and the fault-path state are keyed by `VmId` in
 //! ordered maps, the in-effect placement is cloned eagerly at every clean
-//! boundary, and a drain sees a copy with the other crashed hosts' VMs
-//! taken out. It is slow on purpose and serves only as the oracle the
-//! optimised [`Replay`](crate::engine::Replay) must match bit for bit,
-//! mid-run checkpoints included.
+//! boundary, a dynamic plan's window placement is rebuilt from all of its
+//! events at each boundary, and a drain sees a copy with the other
+//! crashed hosts' VMs taken out. It is slow on purpose and serves only as
+//! the oracle the optimised [`Replay`](crate::engine::Replay) must match
+//! bit for bit, mid-run checkpoints included.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,6 +92,36 @@ impl MapPlacement {
         self.vms_on(host).iter().map(|&v| demand_of(v)).sum()
     }
 
+    /// The placement `plan` has in effect in the window of evaluation
+    /// hour `h`, built from scratch: each VM's host after the last event
+    /// of the windows up to there, every host's residents listed by
+    /// ascending rank.
+    fn planned(input: &PlanningInput, plan: &ConsolidationPlan, h: usize) -> Self {
+        let Some(windows) = &plan.windows else {
+            return Self::of(input, &plan.placement);
+        };
+        let w = (h / windows.hours).min(windows.count - 1);
+        let mut hosts: BTreeMap<VmId, HostId> = plan
+            .placement
+            .iter()
+            .map(|(pos, host)| (input.vms[pos].vm.id, host))
+            .collect();
+        for m in plan.migrations.iter().filter(|m| m.interval <= w) {
+            hosts.insert(m.vm, m.to);
+        }
+        let rank = |vm: &VmId| {
+            let pos = input.vms.iter().position(|t| t.vm.id == *vm);
+            windows.order[pos.expect("traced")]
+        };
+        let mut vms: Vec<VmId> = hosts.keys().copied().collect();
+        vms.sort_by_key(rank);
+        let mut out = Self::default();
+        for vm in vms {
+            out.assign(vm, hosts[&vm]);
+        }
+        out
+    }
+
     fn moved_vms(&self, next: &Self) -> Vec<(VmId, HostId, HostId)> {
         self.forward
             .iter()
@@ -127,6 +158,8 @@ pub(crate) struct ReferenceReplay<'a> {
     input: &'a PlanningInput,
     plan: &'a ConsolidationPlan,
     config: &'a EmulatorConfig,
+    /// The plan's placement in the current window.
+    planned: MapPlacement,
     capacities: Vec<Resources>,
     pub(crate) hour: usize,
     hours: usize,
@@ -152,6 +185,7 @@ impl<'a> ReferenceReplay<'a> {
             input,
             plan,
             config,
+            planned: MapPlacement::of(input, &plan.placement),
             capacities: plan.dc.iter().map(|h| h.model.capacity()).collect(),
             hour: 0,
             hours,
@@ -159,7 +193,7 @@ impl<'a> ReferenceReplay<'a> {
             faulted: faults.map(|f| Faulted {
                 fcfg: *f,
                 schedule: CrashSchedule::generate(f, n_hosts, hours),
-                current: MapPlacement::of(input, plan.placements.at_hour(0)),
+                current: MapPlacement::of(input, &plan.placement),
                 was_down: vec![false; n_hosts],
                 down_vms: BTreeSet::new(),
                 precopy: PrecopyConfig::gigabit(),
@@ -186,23 +220,30 @@ impl<'a> ReferenceReplay<'a> {
     pub(crate) fn step(&mut self) -> Result<(), EmulatorError> {
         let h = self.hour;
         let eval = self.input.eval_range();
-        let target = self.plan.placements.at_hour(h);
-        let boundary = h == 0 || !std::ptr::eq(self.plan.placements.at_hour(h - 1), target);
+        let window = |h: usize| {
+            self.plan
+                .windows
+                .as_ref()
+                .map_or(0, |w| (h / w.hours).min(w.count - 1))
+        };
+        let boundary = h == 0 || window(h) != window(h - 1);
+        if boundary {
+            self.planned = MapPlacement::planned(self.input, self.plan, h);
+        }
         if let Some(f) = self.faulted.as_mut() {
             step_faults(
                 self.input,
                 self.plan,
                 self.config,
                 f,
-                target,
+                &self.planned,
                 boundary,
                 h,
                 &self.capacities,
                 &mut self.ledger,
             );
         }
-        let planned = MapPlacement::of(self.input, target);
-        let placement = self.faulted.as_ref().map_or(&planned, |f| &f.current);
+        let placement = self.faulted.as_ref().map_or(&self.planned, |f| &f.current);
         let (mut active_hosts, mut watts, mut contended_hosts) = (0, 0.0, 0);
         let (mut cpu_cont_total, mut mem_cont_total) = (0.0, 0.0);
         for (&host, vms) in &placement.reverse {
@@ -322,7 +363,7 @@ fn step_faults(
     plan: &ConsolidationPlan,
     config: &EmulatorConfig,
     f: &mut Faulted,
-    target: &Placement,
+    target: &MapPlacement,
     boundary: bool,
     h: usize,
     capacities: &[Resources],
@@ -332,7 +373,6 @@ fn step_faults(
     let demand_of = |vm: VmId| -> Resources {
         linear_trace(input, vm).map_or(Resources::ZERO, |t| t.demand_at(eval_start + h))
     };
-    let target = MapPlacement::of(input, target);
     let cap_of = |host: HostId| {
         capacities
             .get(host.0 as usize)
@@ -354,7 +394,7 @@ fn step_faults(
     }
     if boundary {
         let mut clean = true;
-        for (vm, from, to) in f.current.moved_vms(&target) {
+        for (vm, from, to) in f.current.moved_vms(target) {
             if f.down_vms.contains(&vm) || f.schedule.is_down(from, h) || f.schedule.is_down(to, h)
             {
                 clean = false;
@@ -392,7 +432,7 @@ fn step_faults(
             }
         }
         if clean && f.down_vms.is_empty() {
-            f.current = target;
+            f.current = target.clone();
         }
     }
     if !f.down_vms.is_empty() {
@@ -803,11 +843,11 @@ mod tests {
         let plan = Planner::baseline()
             .plan(PlannerKind::Dynamic, &input)
             .unwrap();
-        assert!(plan
-            .placements
-            .iter()
-            .all(|p| p.host_of(twin_pos).is_none()));
-        assert!(plan.placements.iter().all(|p| p.host_of(0).is_some()));
+        let mut cursor = plan.cursor();
+        for w in 0..plan.interval_count() {
+            let p = cursor.at_window(&input, w);
+            assert!(p.host_of(twin_pos).is_none() && p.host_of(0).is_some());
+        }
         let faults = FaultConfig {
             trace_dropout_prob: 0.1,
             max_stale_hours: 48,

@@ -97,7 +97,8 @@ impl SlaReport {
 ///
 /// # Errors
 ///
-/// Returns [`EmulatorError::ForeignPlan`] if the plan was built for
+/// Returns [`EmulatorError::ForeignPlan`] or
+/// [`EmulatorError::UntracedMigration`] if the plan was built for
 /// another input, and [`EmulatorError::UnknownHost`] if it places VMs on
 /// a host its data center does not provision.
 pub fn analyze(
@@ -113,8 +114,9 @@ pub fn analyze(
 
     // One demand buffer for the whole sweep; refilled per host-hour.
     let mut demands: Vec<(usize, Resources)> = Vec::new();
+    let mut cursor = plan.cursor();
     for h in 0..hours {
-        let placement = plan.placements.at_hour(h);
+        let placement = cursor.at_hour(input, h);
         for (host, vms) in placement.active() {
             demands.clear();
             demands.extend(vms.iter().map(|&pos| {

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(constraints.clone());
     let plan = Planner::baseline().plan_stochastic(&input)?;
-    let placement = plan.placements.at_hour(0);
+    let placement = &plan.placement;
 
     let by_id = placement.as_map(&input);
     let host_of = |vm: u32| by_id[&VmId(vm)];

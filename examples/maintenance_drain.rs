@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let study = Study::prepare(&config);
     let plan = config.planner.plan_stochastic(study.input())?;
-    let placement = plan.placements.at_hour(0);
+    let placement = &plan.placement;
 
     // Drain the busiest host at the quietest hour of the first day.
     let host = placement.active_hosts()[0];

@@ -8,7 +8,7 @@ use vmcw_repro::cluster::constraints::{Constraint, ConstraintSet};
 use vmcw_repro::cluster::resources::Resources;
 use vmcw_repro::cluster::vm::VmId;
 use vmcw_repro::consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_repro::consolidation::planner::{PlanPlacements, Planner, PlannerKind};
+use vmcw_repro::consolidation::planner::{Planner, PlannerKind};
 use vmcw_repro::core::study::{Study, StudyConfig};
 use vmcw_repro::emulator::engine::{emulate, EmulatorConfig};
 use vmcw_repro::trace::datacenters::{DataCenterId, GeneratorConfig};
@@ -95,8 +95,9 @@ fn emulator_conserves_demand() {
     let input = study.input();
     let eval = input.eval_range();
     let capacity = run.plan.dc.template().capacity();
+    let mut cursor = run.plan.cursor();
     for (h, hour) in run.report.per_hour.iter().enumerate() {
-        let placement = run.plan.placements.at_hour(h);
+        let placement = cursor.at_hour(input, h);
         let mut total_cpu_demand = 0.0;
         let mut served_plus_unmet = 0.0;
         for host in placement.active_hosts() {
@@ -130,10 +131,13 @@ fn constraints_hold_in_every_dynamic_interval() {
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(cs.clone());
     let plan = Planner::baseline().plan_dynamic(&input).unwrap();
-    let PlanPlacements::PerInterval { placements, .. } = &plan.placements else {
-        panic!("dynamic plan must be per interval");
-    };
-    for (i, p) in placements.iter().enumerate() {
+    assert!(
+        plan.interval_count() > 1,
+        "dynamic plan must be per interval"
+    );
+    let mut cursor = plan.cursor();
+    for i in 0..plan.interval_count() {
+        let p = cursor.at_window(&input, i);
         let violations = cs.violations(&p.as_map(&input), |h| plan.dc.location(h));
         assert!(violations.is_empty(), "interval {i}: {violations:?}");
     }
@@ -156,11 +160,14 @@ fn pinned_vm_never_migrates() {
         .with_constraints(cs);
     let plan = Planner::baseline().plan_dynamic(&input).unwrap();
     assert!(plan.migrations.iter().all(|m| m.vm != pinned));
-    let PlanPlacements::PerInterval { placements, .. } = &plan.placements else {
-        panic!("dynamic plan must be per interval");
-    };
+    assert!(
+        plan.interval_count() > 1,
+        "dynamic plan must be per interval"
+    );
     let pinned_at = input.vm_position(pinned).unwrap();
-    for p in placements {
+    let mut cursor = plan.cursor();
+    for w in 0..plan.interval_count() {
+        let p = cursor.at_window(&input, w);
         assert_eq!(
             p.host_of(pinned_at),
             Some(vmcw_repro::cluster::datacenter::HostId(0))
@@ -239,7 +246,7 @@ fn study_runs_share_a_single_workload() {
     // All plans cover the same VM population.
     let n = study.input().vms.len();
     for run in runs.values() {
-        assert_eq!(run.plan.placements.at_hour(0).len(), n);
+        assert_eq!(run.plan.placement.len(), n);
     }
 }
 
@@ -328,7 +335,7 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
     use vmcw_repro::cluster::server::ServerModel;
     use vmcw_repro::consolidation::ffd::OrderKey;
     use vmcw_repro::consolidation::fixed_pool::pack_fixed;
-    use vmcw_repro::consolidation::planner::{ConsolidationPlan, PlanPlacements, PlannerKind};
+    use vmcw_repro::consolidation::planner::{ConsolidationPlan, PlannerKind};
     use vmcw_repro::consolidation::sizing::SizingFunction;
     use vmcw_repro::consolidation::Placement;
 
@@ -365,8 +372,9 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
 
     let plan = ConsolidationPlan {
         kind: PlannerKind::SemiStatic,
-        placements: PlanPlacements::Fixed(Placement::from_hosts(&input, &fit.hosts)),
+        placement: Placement::from_hosts(&input, &fit.hosts),
         migrations: Vec::new(),
+        windows: None,
         dc: estate,
     };
     let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();

@@ -365,8 +365,9 @@ proptest! {
         let w = GeneratorConfig::new(DataCenterId::Beverage).scale(0.015).days(6).generate(seed);
         let input = PlanningInput::from_workload(&w, 4, VirtualizationModel::baseline());
         let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+        let mut cursor = plan.cursor();
         for h in [0usize, 13, 47] {
-            prop_assert_eq!(plan.placements.at_hour(h).len(), input.vms.len());
+            prop_assert_eq!(cursor.at_hour(&input, h).len(), input.vms.len());
         }
         prop_assert!(plan.provisioned_hosts() >= 1);
     }
@@ -512,7 +513,7 @@ proptest! {
     #[test]
     fn evacuation_conserves_vm_count(host_idx in 0usize..64) {
         let (input, plan) = fault_fixture();
-        let placement = plan.placements.at_hour(0);
+        let placement = &plan.placement;
         let active = placement.active_hosts();
         let host = active[host_idx % active.len()];
         let residents = placement.vms_on(host).to_vec();
