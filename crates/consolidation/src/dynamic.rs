@@ -756,7 +756,9 @@ impl<'c, 'a> Interval<'c, 'a> {
         let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
         // The events are the plan's largest part: grow them by a quarter
         // at a time, so at most a fifth of the list is spare while the
-        // planner's working set peaks (doubling leaves up to half).
+        // planner's working set peaks (doubling leaves up to half, which
+        // puts the planner above the working-set bound of
+        // tests/planner_working_set.rs).
         let spare = self.migrations.capacity() - self.migrations.len();
         if spare < group.vms.len() {
             let grow = group.vms.len().max(self.migrations.len() / 4);

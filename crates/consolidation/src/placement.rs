@@ -117,26 +117,6 @@ impl Placement {
         self.active -= usize::from(list.is_empty());
     }
 
-    /// Lists `host`'s residents in `other`'s order, for a placement that
-    /// already puts on `host` the VMs `other` does.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, if the two placements put different VMs on
-    /// `host`.
-    pub fn order_like(&mut self, other: &Placement, host: HostId) {
-        let want = other.vms_on(host);
-        let Some(list) = self.residents.get_mut(host.0 as usize) else {
-            debug_assert!(want.is_empty(), "{host} holds other VMs");
-            return;
-        };
-        debug_assert!(
-            list.len() == want.len() && want.iter().all(|p| list.contains(p)),
-            "{host} holds other VMs"
-        );
-        list.copy_from_slice(want);
-    }
-
     /// The host the VM at position `pos` is placed on.
     #[must_use]
     pub fn host_of(&self, pos: usize) -> Option<HostId> {

@@ -14,7 +14,6 @@ use vmcw_cluster::datacenter::HostId;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 use vmcw_consolidation::drain::DrainView;
-use vmcw_consolidation::dynamic::MigrationEvent;
 use vmcw_consolidation::input::{PlanningInput, VmTrace};
 use vmcw_consolidation::placement::Placement;
 use vmcw_consolidation::planner::ConsolidationPlan;
@@ -295,14 +294,10 @@ struct FaultState {
     schedule: CrashSchedule,
     /// The placement actually in effect, chasing the plan's target
     /// placement through (possibly failing) migrations. Once the replay
-    /// steps, changed only through [`FaultState::move_vm`],
-    /// [`FaultState::sync_to`] and [`FaultState::sync_hosts`], which keep
-    /// `loads` and `drains` in step with it.
+    /// steps, changed only through [`FaultState::move_vm`] and
+    /// [`FaultState::sync_to`], which keep `loads` and `drains` in step
+    /// with it.
     current: Placement,
-    /// Whether `current` is the plan's placement of the last window
-    /// start, per-host order included. Then the next window's placement
-    /// differs from it only where that window's events move VMs.
-    synced: bool,
     was_down: Vec<bool>,
     /// VMs resident on a crashed host, awaiting evacuation or repair.
     down_vms: VmMap<()>,
@@ -329,7 +324,6 @@ impl FaultState {
         Self {
             schedule,
             current,
-            synced: false,
             was_down: vec![false; n_hosts],
             down_vms: VmMap::new(input),
             precopy: PrecopyConfig::gigabit(),
@@ -383,46 +377,6 @@ impl FaultState {
             self.drains.invalidate(host);
         }
         self.current.clone_from(target);
-    }
-
-    /// The VMs `events` move whose host in the in-effect placement
-    /// differs from `target`'s, as [`Placement::moved_vms`] lists them:
-    /// every such VM while `current` is synced and `target` is the next
-    /// window's placement.
-    fn moved_by(
-        &self,
-        events: &[MigrationEvent],
-        target: &Placement,
-        input: &PlanningInput,
-    ) -> Vec<(usize, HostId, HostId)> {
-        let mut vms: Vec<VmId> = events.iter().map(|m| m.vm).collect();
-        vms.sort_unstable();
-        vms.dedup();
-        vms.into_iter()
-            .filter_map(|vm| {
-                let pos = input.vm_position(vm)?;
-                match (self.current.host_of(pos), target.host_of(pos)) {
-                    (Some(from), Some(to)) if from != to => Some((pos, from, to)),
-                    _ => None,
-                }
-            })
-            .collect()
-    }
-
-    /// [`Self::sync_to`] for an in-effect placement that already puts
-    /// every VM on its `target` host and differs from `target` at most in
-    /// the order of the hosts `events` touch.
-    fn sync_hosts(&mut self, target: &Placement, events: &[MigrationEvent]) {
-        let mut hosts: Vec<HostId> = events.iter().flat_map(|m| [m.from, m.to]).collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        for host in hosts {
-            if self.current.vms_on(host) != target.vms_on(host) {
-                self.current.order_like(target, host);
-                self.loads.forget(host);
-                self.drains.invalidate(host);
-            }
-        }
     }
 
     /// Checks every cached host load of input hour `hour`, the last one
@@ -1126,17 +1080,8 @@ fn step_faults(
     //    and abandoned moves leave the VM on its source until the next
     //    boundary re-requests them.
     if boundary {
-        let events = plan
-            .windows
-            .as_ref()
-            .map_or(&[][..], |w| plan.window_events(w.at_hour(h)));
-        let moved = if st.synced {
-            st.moved_by(events, target, input)
-        } else {
-            st.current.moved_vms(target, input)
-        };
         let mut clean = true;
-        for (pos, from, to) in moved {
+        for (pos, from, to) in st.current.moved_vms(target, input) {
             let vm = input.vms[pos].vm.id;
             if st.down_vms.contains(pos)
                 || st.schedule.is_down(from, h)
@@ -1185,14 +1130,7 @@ fn step_faults(
             // Fully synced: the in-effect placement becomes *identical*
             // (including per-host order) to the plan's target for this
             // hour, which keeps zero-rate replay bit-identical.
-            if st.synced {
-                st.sync_hosts(target, events);
-            } else {
-                st.sync_to(target);
-            }
-            st.synced = true;
-        } else {
-            st.synced = false;
+            st.sync_to(target);
         }
     }
 
@@ -1228,7 +1166,6 @@ fn step_faults(
                 &st.precopy,
             );
             if let Ok(dp) = dp {
-                st.synced &= dp.moves.is_empty();
                 for (pos, dest) in dp.moves {
                     st.move_vm(pos, dest);
                     if st.down_vms.remove(pos) {
