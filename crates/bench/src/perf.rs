@@ -133,8 +133,8 @@ pub const BENCH_DC: DataCenterId = DataCenterId::Banking;
 /// each scale, then the same two replays of a study-shaped Dynamic plan
 /// ([`STUDY_HISTORY_DAYS`] + [`STUDY_EVAL_DAYS`], stages
 /// `replay-plain-study` and `replay-faulted-study`). The replays of all
-/// scales are timed round-robin (see [`timed_each`]), since CI compares
-/// them across scales.
+/// scales are timed round-robin, one repeat of each scale in turn, since
+/// CI compares them across scales.
 ///
 /// # Panics
 ///

@@ -530,7 +530,7 @@ mod tests {
                 .expect("plan");
             // Rebuilt in a shuffled order: each host's VM list then runs
             // in an arbitrary order, as after replayed migrations.
-            let pairs: Vec<(usize, HostId)> = plan.cursor().at_hour(&input, hour).iter().collect();
+            let pairs: Vec<(usize, HostId)> = plan.cursor().at_hour(hour).iter().collect();
             let mut placement = Placement::new(input.vms.len());
             let mut map = MapPlacement::default();
             for i in crate::testing::permutation(pairs.len(), seed) {

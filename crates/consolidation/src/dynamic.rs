@@ -28,6 +28,7 @@
 use crate::ffd::{self, OrderKey};
 use crate::input::{PlanningInput, VmTrace};
 use crate::placement::{PackError, Placement};
+use crate::planner::{ConsolidationPlan, PlannerKind};
 use crate::prediction::Predictor;
 use crate::ranking::Ranking;
 use crate::sizing::SizingFunction;
@@ -117,8 +118,8 @@ impl Default for DynamicConfig {
 pub struct MigrationEvent {
     /// Consolidation interval in which the migration runs.
     pub interval: usize,
-    /// The migrated VM.
-    pub vm: VmId,
+    /// The migrated VM's position in the planning input.
+    pub pos: u32,
     /// Source host.
     pub from: HostId,
     /// Destination host.
@@ -162,43 +163,24 @@ impl Windows {
     }
 }
 
-/// The events of `migrations` (in execution order) that run in window
-/// `w`.
-#[must_use]
-pub fn window_events(migrations: &[MigrationEvent], w: usize) -> &[MigrationEvent] {
-    let start = migrations.partition_point(|m| m.interval < w);
-    let len = migrations[start..].partition_point(|m| m.interval <= w);
-    &migrations[start..start + len]
-}
-
 /// A plan's placement, walked window by window: the first window's
 /// placement with every later window's migration events applied in
 /// execution order. A plan without windows keeps its placement, and a
 /// window-0 cursor borrows it.
 #[derive(Debug)]
 pub struct PlanCursor<'p> {
-    initial: &'p Placement,
-    migrations: &'p [MigrationEvent],
-    windows: Option<&'p Windows>,
+    plan: &'p ConsolidationPlan,
     placement: Cow<'p, Placement>,
     window: usize,
     applied: usize,
 }
 
 impl<'p> PlanCursor<'p> {
-    /// A cursor at window 0 of the plan made of `initial`, the
-    /// `migrations` and the `windows` they run in.
-    #[must_use]
-    pub fn new(
-        initial: &'p Placement,
-        migrations: &'p [MigrationEvent],
-        windows: Option<&'p Windows>,
-    ) -> Self {
+    /// A cursor at window 0 of `plan`.
+    pub(crate) fn new(plan: &'p ConsolidationPlan) -> Self {
         Self {
-            initial,
-            migrations,
-            windows,
-            placement: Cow::Borrowed(initial),
+            plan,
+            placement: Cow::Borrowed(&plan.placement),
             window: 0,
             applied: 0,
         }
@@ -210,25 +192,22 @@ impl<'p> PlanCursor<'p> {
     ///
     /// # Panics
     ///
-    /// If a migrated VM is not traced by `input`, the input the plan was
-    /// made on.
-    pub fn at_window(&mut self, input: &PlanningInput, w: usize) -> &Placement {
-        let Some(windows) = self.windows else {
+    /// If an event names a position past the plan's placement.
+    pub fn at_window(&mut self, w: usize) -> &Placement {
+        let plan = self.plan;
+        let Some(windows) = &plan.windows else {
             return &self.placement;
         };
         let w = w.min(windows.count - 1);
         if w < self.window {
-            *self = Self::new(self.initial, self.migrations, self.windows);
+            *self = Self::new(plan);
         }
-        let pending = &self.migrations[self.applied..];
+        let pending = &plan.migrations[self.applied..];
         let end = pending.partition_point(|m| m.interval <= w);
         for m in &pending[..end] {
-            let pos = input
-                .vm_position(m.vm)
-                .unwrap_or_else(|| panic!("{} migrates but has no trace", m.vm));
             self.placement
                 .to_mut()
-                .assign_ranked(pos, m.to, &windows.order);
+                .assign_ranked(m.pos as usize, m.to, &windows.order);
         }
         self.applied += end;
         self.window = w;
@@ -240,50 +219,9 @@ impl<'p> PlanCursor<'p> {
     /// # Panics
     ///
     /// As [`Self::at_window`].
-    pub fn at_hour(&mut self, input: &PlanningInput, h: usize) -> &Placement {
-        let w = self.windows.map_or(0, |windows| windows.at_hour(h));
-        self.at_window(input, w)
-    }
-}
-
-/// Output of the dynamic planner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicOutcome {
-    /// The placement of the first consolidation window.
-    pub placement: Placement,
-    /// All migrations, in execution order.
-    pub migrations: Vec<MigrationEvent>,
-    /// The consolidation windows the migrations run in.
-    pub windows: Windows,
-}
-
-impl DynamicOutcome {
-    /// A cursor over the placements of the consolidation windows.
-    #[must_use]
-    pub fn cursor(&self) -> PlanCursor<'_> {
-        PlanCursor::new(&self.placement, &self.migrations, Some(&self.windows))
-    }
-
-    /// Active (powered-on) host count per interval, walking the windows
-    /// of `input`, the input the plan was made on.
-    #[must_use]
-    pub fn active_host_counts(&self, input: &PlanningInput) -> Vec<usize> {
-        let mut cursor = self.cursor();
-        (0..self.windows.count)
-            .map(|w| cursor.at_window(input, w).active_host_count())
-            .collect()
-    }
-
-    /// Migrations that failed to converge.
-    #[must_use]
-    pub fn failed_migrations(&self) -> Vec<&MigrationEvent> {
-        self.migrations.iter().filter(|m| !m.converged).collect()
-    }
-
-    /// Total number of migrations.
-    #[must_use]
-    pub fn migration_count(&self) -> usize {
-        self.migrations.len()
+    pub fn at_hour(&mut self, h: usize) -> &Placement {
+        let w = self.plan.windows.as_ref().map_or(0, |ws| ws.at_hour(h));
+        self.at_window(w)
     }
 }
 
@@ -421,7 +359,7 @@ impl VmWindows {
 }
 
 /// Runs the dynamic planner over the evaluation window of `input`,
-/// provisioning hosts in `dc` as needed.
+/// provisioning hosts in `dc` as needed; the plan keeps `dc`.
 ///
 /// # Errors
 ///
@@ -430,9 +368,9 @@ impl VmWindows {
 /// host under the reservation bounds).
 pub fn plan_dynamic(
     input: &PlanningInput,
-    dc: &mut DataCenter,
+    dc: DataCenter,
     config: &DynamicConfig,
-) -> Result<DynamicOutcome, PackError> {
+) -> Result<ConsolidationPlan, PackError> {
     plan_dynamic_with(input, dc, config, find_destination, consolidate, |_, _| {})
 }
 
@@ -460,12 +398,12 @@ fn place(input: &PlanningInput, groups: &[Group], assignment: &[HostId]) -> Plac
 /// planned.
 fn plan_dynamic_with(
     input: &PlanningInput,
-    dc: &mut DataCenter,
+    mut dc: DataCenter,
     config: &DynamicConfig,
     find_destination: FindDestination,
     consolidate: Consolidate,
     mut window_done: impl FnMut(&[Group], &[HostId]),
-) -> Result<DynamicOutcome, PackError> {
+) -> Result<ConsolidationPlan, PackError> {
     let w = config.window_hours;
     let windows_per_day = config.windows_per_day();
     let n_windows = input.eval_range().len().div_ceil(w);
@@ -499,7 +437,7 @@ fn plan_dynamic_with(
     let initial = ffd::pack_scalar(
         &demands0,
         &net_demands,
-        dc,
+        &mut dc,
         &input.constraints,
         bounds,
         config.order,
@@ -568,26 +506,28 @@ fn plan_dynamic_with(
                 else {
                     break; // only pinned groups left: contention stands
                 };
-                let dest = find_destination(&iv, gi, host, dc)?;
+                let dest = find_destination(&iv, gi, host, &mut dc)?;
                 iv.commit(gi, host, dest);
             }
         }
 
         // --- Phase 2: least-cost consolidation -------------------------
-        consolidate(&mut iv, dc);
+        consolidate(&mut iv, &dc);
 
         window_done(&groups, &assignment);
     }
 
     migrations.shrink_to_fit();
-    Ok(DynamicOutcome {
+    Ok(ConsolidationPlan {
+        kind: PlannerKind::Dynamic,
         placement,
         migrations,
-        windows: Windows {
+        windows: Some(Windows {
             hours: w,
             count: n_windows.max(1),
             order,
-        },
+        }),
+        dc,
     })
 }
 
@@ -760,14 +700,14 @@ impl<'c, 'a> Interval<'c, 'a> {
         // puts the planner above the working-set bound of
         // tests/planner_working_set.rs).
         let spare = self.migrations.capacity() - self.migrations.len();
-        if spare < group.vms.len() {
-            let grow = group.vms.len().max(self.migrations.len() / 4);
+        if spare < group.positions.len() {
+            let grow = group.positions.len().max(self.migrations.len() / 4);
             self.migrations.reserve_exact(grow);
         }
-        for &vm in &group.vms {
+        for &pos in &group.positions {
             self.migrations.push(MigrationEvent {
                 interval: self.win,
-                vm,
+                pos,
                 from,
                 to,
                 mem_mb: per_vm_mem,
@@ -1021,28 +961,35 @@ mod tests {
         PlanningInput::from_workload(&w, 7, VirtualizationModel::baseline())
     }
 
-    fn run(input: &PlanningInput, config: &DynamicConfig) -> (DynamicOutcome, DataCenter) {
-        let mut dc = DataCenter::hs23_default();
-        let out = plan_dynamic(input, &mut dc, config).expect("plan");
-        (out, dc)
+    fn run(input: &PlanningInput, config: &DynamicConfig) -> ConsolidationPlan {
+        plan_dynamic(input, DataCenter::hs23_default(), config).expect("plan")
+    }
+
+    /// Active (powered-on) host count per window.
+    fn active_host_counts(plan: &ConsolidationPlan) -> Vec<usize> {
+        let mut cursor = plan.cursor();
+        (0..plan.interval_count())
+            .map(|w| cursor.at_window(w).active_host_count())
+            .collect()
     }
 
     #[test]
     fn produces_one_placement_per_window() {
         let input = small_input(DataCenterId::Banking);
-        let (out, _) = run(&input, &DynamicConfig::baseline());
+        let out = run(&input, &DynamicConfig::baseline());
+        let windows = out.windows.as_ref().expect("windows");
         // 3 eval days × 12 two-hour windows.
-        assert_eq!(out.windows.count, 36);
-        assert_eq!(out.windows.hours, 2);
+        assert_eq!(windows.count, 36);
+        assert_eq!(windows.hours, 2);
     }
 
     #[test]
     fn every_vm_is_always_placed() {
         let input = small_input(DataCenterId::Banking);
-        let (out, _) = run(&input, &DynamicConfig::baseline());
+        let out = run(&input, &DynamicConfig::baseline());
         let mut cursor = out.cursor();
-        for w in 0..out.windows.count {
-            assert_eq!(cursor.at_window(&input, w).len(), input.vms.len());
+        for w in 0..out.interval_count() {
+            assert_eq!(cursor.at_window(w).len(), input.vms.len());
         }
     }
 
@@ -1056,13 +1003,13 @@ mod tests {
             mem_predictor: Predictor::Oracle,
             ..DynamicConfig::baseline()
         };
-        let (out, dc) = run(&input, &config);
-        let capacity = dc.template().capacity();
+        let out = run(&input, &config);
+        let capacity = out.dc.template().capacity();
         let effective = Resources::new(capacity.cpu_rpe2 * 0.8, capacity.mem_mb * 0.8);
         let eval = input.eval_range();
         let mut cursor = out.cursor();
-        for win in 0..out.windows.count {
-            let p = cursor.at_window(&input, win);
+        for win in 0..out.interval_count() {
+            let p = cursor.at_window(win);
             let lo = eval.start + win * 2;
             let hi = (lo + 2).min(eval.end);
             for host in p.active_hosts() {
@@ -1080,9 +1027,9 @@ mod tests {
     #[test]
     fn migrations_are_recorded_with_costs() {
         let input = small_input(DataCenterId::Banking);
-        let (out, _) = run(&input, &DynamicConfig::baseline());
+        let out = run(&input, &DynamicConfig::baseline());
         // A bursty workload over 36 windows must trigger some migrations.
-        assert!(out.migration_count() > 0, "expected migrations");
+        assert!(!out.migrations.is_empty(), "expected migrations");
         for m in &out.migrations {
             assert!(m.interval >= 1);
             assert_ne!(m.from, m.to);
@@ -1094,12 +1041,12 @@ mod tests {
     #[test]
     fn consolidation_switches_hosts_off_at_night() {
         let input = small_input(DataCenterId::Banking);
-        let (out, dc) = run(&input, &DynamicConfig::baseline());
-        let counts = out.active_host_counts(&input);
+        let out = run(&input, &DynamicConfig::baseline());
+        let counts = active_host_counts(&out);
         let min = counts.iter().min().copied().unwrap();
         let max = counts.iter().max().copied().unwrap();
         assert!(min < max, "active hosts should vary: min {min}, max {max}");
-        assert!(dc.len() >= max);
+        assert!(out.dc.len() >= max);
     }
 
     #[test]
@@ -1110,10 +1057,8 @@ mod tests {
             reservation: ReservationPolicy::none(),
             ..DynamicConfig::baseline()
         };
-        let mut dc_a = DataCenter::hs23_default();
-        let mut dc_b = DataCenter::hs23_default();
-        plan_dynamic(&input, &mut dc_a, &reserved).unwrap();
-        plan_dynamic(&input, &mut dc_b, &unreserved).unwrap();
+        let dc_a = run(&input, &reserved).dc;
+        let dc_b = run(&input, &unreserved).dc;
         assert!(
             dc_b.len() <= dc_a.len(),
             "no reservation should never need more hosts ({} vs {})",
@@ -1130,14 +1075,14 @@ mod tests {
             cost_model: MigrationCostModel::free(),
             ..DynamicConfig::baseline()
         };
-        let (out_costly, _) = run(&input, &costly);
-        let (out_free, _) = run(&input, &free);
-        let avg = |o: &DynamicOutcome| {
-            let c = o.active_host_counts(&input);
+        let out_costly = run(&input, &costly);
+        let out_free = run(&input, &free);
+        let avg = |o: &ConsolidationPlan| {
+            let c = active_host_counts(o);
             c.iter().sum::<usize>() as f64 / c.len() as f64
         };
         assert!(avg(&out_free) <= avg(&out_costly) + 0.5);
-        assert!(out_free.migration_count() >= out_costly.migration_count());
+        assert!(out_free.migrations.len() >= out_costly.migrations.len());
     }
 
     #[test]
@@ -1147,8 +1092,8 @@ mod tests {
             window_hours: 4,
             ..DynamicConfig::baseline()
         };
-        let (out, _) = run(&input, &config);
-        assert_eq!(out.windows.count, 18); // 72 h / 4 h
+        let out = run(&input, &config);
+        assert_eq!(out.interval_count(), 18); // 72 h / 4 h
     }
 
     #[test]
@@ -1157,7 +1102,7 @@ mod tests {
         // one interval exceeds the budget by more than one repair move.
         let input = small_input(DataCenterId::Banking);
         let config = DynamicConfig::baseline();
-        let (out, _) = run(&input, &config);
+        let out = run(&input, &config);
         let budget = config.window_hours as f64 * 3600.0 * config.migration_time_budget_frac;
         let mut busy: BTreeMap<(usize, HostId), f64> = BTreeMap::new();
         for m in &out.migrations {
@@ -1184,13 +1129,13 @@ mod tests {
             migration_time_budget_frac: 0.05,
             ..DynamicConfig::baseline()
         };
-        let (out_loose, _) = run(&input, &loose);
-        let (out_tight, _) = run(&input, &tight);
+        let out_loose = run(&input, &loose);
+        let out_tight = run(&input, &tight);
         assert!(
-            out_tight.migration_count() <= out_loose.migration_count(),
+            out_tight.migrations.len() <= out_loose.migrations.len(),
             "tight {} vs loose {}",
-            out_tight.migration_count(),
-            out_loose.migration_count()
+            out_tight.migrations.len(),
+            out_loose.migrations.len()
         );
     }
 
@@ -1200,12 +1145,11 @@ mod tests {
         // within the bounded link.
         let input = small_input(DataCenterId::Banking);
         let config = DynamicConfig::baseline();
-        let mut dc = DataCenter::hs23_default();
-        let out = plan_dynamic(&input, &mut dc, &config).expect("plan");
-        let effective_net = dc.template().net_mbps * config.reservation.cpu_bound();
+        let out = run(&input, &config);
+        let effective_net = out.dc.template().net_mbps * config.reservation.cpu_bound();
         let mut cursor = out.cursor();
-        for win in 0..out.windows.count {
-            let p = cursor.at_window(&input, win);
+        for win in 0..out.interval_count() {
+            let p = cursor.at_window(win);
             for host in p.active_hosts() {
                 let net: f64 = p
                     .vms_on(host)
@@ -1231,10 +1175,10 @@ mod tests {
             underload_threshold: 0.9,
             ..DynamicConfig::baseline()
         };
-        let (out_shy, _) = run(&input, &shy);
-        let (out_eager, _) = run(&input, &eager);
-        let mean = |o: &DynamicOutcome| {
-            let c = o.active_host_counts(&input);
+        let out_shy = run(&input, &shy);
+        let out_eager = run(&input, &eager);
+        let mean = |o: &ConsolidationPlan| {
+            let c = active_host_counts(o);
             c.iter().sum::<usize>() as f64 / c.len() as f64
         };
         assert!(
@@ -1542,19 +1486,16 @@ mod tests {
                 },
                 ..DynamicConfig::baseline()
             };
-            let mut dc_fast = DataCenter::hs23_default();
-            let mut dc_ref = DataCenter::hs23_default();
-            let fast = plan_dynamic(&input, &mut dc_fast, &config);
+            let fast = plan_dynamic(&input, DataCenter::hs23_default(), &config);
             let reference = plan_dynamic_with(
                 &input,
-                &mut dc_ref,
+                DataCenter::hs23_default(),
                 &config,
                 find_destination_reference,
                 consolidate_reference,
                 |_, _| {},
             );
             proptest::prop_assert_eq!(&fast, &reference);
-            proptest::prop_assert_eq!(dc_fast.len(), dc_ref.len());
         }
     }
 
@@ -1618,12 +1559,11 @@ mod tests {
     fn plan_windows_reference(
         input: &PlanningInput,
         config: &DynamicConfig,
-    ) -> Result<(DynamicOutcome, Vec<Placement>), PackError> {
-        let mut dc = DataCenter::hs23_default();
+    ) -> Result<(ConsolidationPlan, Vec<Placement>), PackError> {
         let mut placements = Vec::new();
         let out = plan_dynamic_with(
             input,
-            &mut dc,
+            DataCenter::hs23_default(),
             config,
             find_destination,
             consolidate,
@@ -1634,28 +1574,21 @@ mod tests {
 
     /// Walks `out`'s windows with a cursor against the oracle's
     /// placements; returns how many windows hold a VM that moves twice.
-    fn check_rebuild(
-        input: &PlanningInput,
-        out: &DynamicOutcome,
-        reference: &[Placement],
-    ) -> Result<usize, String> {
-        if out.windows.count != reference.len() {
+    fn check_rebuild(out: &ConsolidationPlan, reference: &[Placement]) -> Result<usize, String> {
+        if out.interval_count() != reference.len() {
             return Err(format!(
                 "{} windows != {}",
-                out.windows.count,
+                out.interval_count(),
                 reference.len()
             ));
         }
         let mut cursor = out.cursor();
         let mut twice = 0;
         for (w, want) in reference.iter().enumerate() {
-            if cursor.at_window(input, w) != want {
+            if cursor.at_window(w) != want {
                 return Err(format!("window {w} differs from the per-window placement"));
             }
-            let mut vms: Vec<VmId> = window_events(&out.migrations, w)
-                .iter()
-                .map(|m| m.vm)
-                .collect();
+            let mut vms: Vec<u32> = out.window_events(w).iter().map(|m| m.pos).collect();
             let moves = vms.len();
             vms.sort_unstable();
             vms.dedup();
@@ -1678,7 +1611,7 @@ mod tests {
         for dcid in DataCenterId::ALL {
             let input = small_input(dcid);
             let (out, reference) = plan_windows_reference(&input, &config).expect("plan");
-            twice += check_rebuild(&input, &out, &reference).unwrap();
+            twice += check_rebuild(&out, &reference).unwrap();
         }
         assert!(twice > 0, "no window moved a VM twice");
     }
@@ -1735,7 +1668,7 @@ mod tests {
                 return Ok(());
             };
             proptest::prop_assert_eq!(&out.placement, &reference[0]);
-            check_rebuild(&input, &out, &reference)?;
+            check_rebuild(&out, &reference)?;
         }
     }
 

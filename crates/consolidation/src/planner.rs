@@ -1,9 +1,7 @@
 //! Planner facade: one entry point per consolidation variant (§5.1).
 
 use crate::correlation::{correlation_pack, CorrelationConfig};
-use crate::dynamic::{
-    plan_dynamic, window_events, DynamicConfig, MigrationEvent, PlanCursor, Windows,
-};
+use crate::dynamic::{plan_dynamic, DynamicConfig, MigrationEvent, PlanCursor, Windows};
 use crate::ffd::{pack_scalar, OrderKey, PackingAlgorithm};
 use crate::input::PlanningInput;
 use crate::pcp::{pcp_pack, PcpConfig};
@@ -118,13 +116,15 @@ impl ConsolidationPlan {
     /// The migrations that run in window `w`, in execution order.
     #[must_use]
     pub fn window_events(&self, w: usize) -> &[MigrationEvent] {
-        window_events(&self.migrations, w)
+        let start = self.migrations.partition_point(|m| m.interval < w);
+        let len = self.migrations[start..].partition_point(|m| m.interval <= w);
+        &self.migrations[start..start + len]
     }
 
     /// A cursor over the placements in effect, at window 0.
     #[must_use]
     pub fn cursor(&self) -> PlanCursor<'_> {
-        PlanCursor::new(&self.placement, &self.migrations, self.windows.as_ref())
+        PlanCursor::new(self)
     }
 }
 
@@ -393,15 +393,7 @@ impl Planner {
     /// Propagates [`PackError`] from the initial placement or a stranded
     /// re-placement.
     pub fn plan_dynamic(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
-        let mut dc = self.new_dc();
-        let outcome = plan_dynamic(input, &mut dc, &self.dynamic)?;
-        Ok(ConsolidationPlan {
-            kind: PlannerKind::Dynamic,
-            placement: outcome.placement,
-            migrations: outcome.migrations,
-            windows: Some(outcome.windows),
-            dc,
-        })
+        plan_dynamic(input, self.new_dc(), &self.dynamic)
     }
 
     /// Dispatches on the planner kind.
@@ -489,12 +481,16 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{kind}: {e}"));
                 let alone = planner.plan(kind, &base).unwrap();
                 assert_eq!(plan.migrations, alone.migrations, "{kind}");
+                assert!(
+                    plan.migrations.iter().all(|m| m.pos as usize != twin_pos),
+                    "{kind}: an event names the twin"
+                );
                 assert_eq!(plan.dc, alone.dc, "{kind}");
                 assert_eq!(plan.interval_count(), alone.interval_count());
                 let (mut cursor, mut alone_cursor) = (plan.cursor(), alone.cursor());
                 for w in 0..plan.interval_count() {
-                    let p = cursor.at_window(&twinned, w);
-                    let q = alone_cursor.at_window(&base, w);
+                    let p = cursor.at_window(w);
+                    let q = alone_cursor.at_window(w);
                     assert_eq!(p.host_of(twin_pos), None, "{kind}");
                     for pos in 0..twin_pos {
                         assert_eq!(p.host_of(pos), q.host_of(pos), "{kind}: VM at {pos}");
@@ -547,7 +543,7 @@ mod tests {
         let input = input(DataCenterId::Airlines);
         let plan = Planner::baseline().plan_semi_static(&input).unwrap();
         let mut cursor = plan.cursor();
-        assert_eq!(cursor.at_hour(&input, 71), &plan.placement);
+        assert_eq!(cursor.at_hour(71), &plan.placement);
         assert_eq!(plan.interval_count(), 1);
         assert!((1..72).all(|h| !plan.opens_window(h)));
         assert!(plan.migrations.is_empty());
@@ -562,7 +558,7 @@ mod tests {
         let mut last = plan.placement.clone();
         let mut distinct = 0;
         for w in 1..plan.interval_count() {
-            let p = cursor.at_window(&input, w);
+            let p = cursor.at_window(w);
             distinct += usize::from(*p != last);
             last = p.clone();
         }
@@ -583,10 +579,10 @@ mod tests {
         let input = input(DataCenterId::Airlines);
         let plan = Planner::baseline().plan_dynamic(&input).unwrap();
         let mut cursor = plan.cursor();
-        let last = cursor.at_hour(&input, 1_000_000).clone();
+        let last = cursor.at_hour(1_000_000).clone();
         assert_eq!(last.len(), input.vms.len());
         let final_window = plan.interval_count() - 1;
-        assert_eq!(cursor.at_window(&input, final_window), &last);
+        assert_eq!(cursor.at_window(final_window), &last);
     }
 
     #[test]

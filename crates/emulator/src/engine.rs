@@ -31,9 +31,10 @@ use crate::faults::{
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EmulatorError {
     /// The plan was built for another input: its placements cover a
-    /// different number of positions than the input traces.
+    /// different number of positions than the input traces, or one of
+    /// its migrations moves a position past them.
     ForeignPlan {
-        /// Positions a placement of the plan covers.
+        /// Positions the plan covers.
         positions: usize,
         /// Traces in the planning input.
         traces: usize,
@@ -42,12 +43,6 @@ pub enum EmulatorError {
     UnknownHost {
         /// The unprovisioned host.
         host: HostId,
-    },
-    /// The plan migrates a VM the input does not trace: it was built
-    /// for another input.
-    UntracedMigration {
-        /// The migrated VM.
-        vm: VmId,
     },
     /// A trace gap could not be survived by holding the last good value.
     TraceGap(TraceGapError),
@@ -69,9 +64,6 @@ impl fmt::Display for EmulatorError {
             ),
             EmulatorError::UnknownHost { host } => {
                 write!(f, "plan references unprovisioned host {host}")
-            }
-            EmulatorError::UntracedMigration { vm } => {
-                write!(f, "plan migrates {vm}, which the input does not trace")
             }
             EmulatorError::TraceGap(gap) => gap.fmt(f),
             EmulatorError::InvalidFaultConfig { field, value } => {
@@ -793,7 +785,7 @@ impl<'a> Replay<'a> {
         // a resumed replay rebuilds its placement from the events up to
         // the checkpoint's window on its first step.
         let boundary = self.plan.opens_window(h);
-        let target = self.target.at_hour(self.input, h);
+        let target = self.target.at_hour(h);
         if let (Some(fcfg), Some(st)) = (self.faults.as_ref(), self.state.as_mut()) {
             step_faults(
                 self.input,
@@ -953,8 +945,8 @@ impl<'a> Replay<'a> {
 }
 
 /// Refuses a plan built for another input: its placement and resident
-/// order must cover exactly the input's positions, and every VM it
-/// migrates must be traced.
+/// order must cover exactly the input's positions, and every position it
+/// migrates must be one of them.
 pub(crate) fn check_plan_input(
     input: &PlanningInput,
     plan: &ConsolidationPlan,
@@ -966,12 +958,11 @@ pub(crate) fn check_plan_input(
             return Err(EmulatorError::ForeignPlan { positions, traces });
         }
     }
-    match plan
-        .migrations
-        .iter()
-        .find(|m| input.vm_position(m.vm).is_none())
-    {
-        Some(m) => Err(EmulatorError::UntracedMigration { vm: m.vm }),
+    match plan.migrations.iter().find(|m| m.pos as usize >= traces) {
+        Some(m) => Err(EmulatorError::ForeignPlan {
+            positions: m.pos as usize + 1,
+            traces,
+        }),
         None => Ok(()),
     }
 }
@@ -1019,8 +1010,7 @@ fn run_fingerprint(
         .collect();
     for w in 0..plan.interval_count() {
         for m in plan.window_events(w) {
-            let pos = input.vm_position(m.vm).expect("the plan input was checked");
-            hosts[pos] = Some(m.to);
+            hosts[m.pos as usize] = Some(m.to);
         }
         for (pos, id) in &ids {
             let Some(host) = hosts[*pos] else { continue };
@@ -1766,7 +1756,7 @@ mod tests {
             let plan = planner.plan(kind, &input).expect("plan");
             let mut cursor = plan.cursor();
             let placements: Vec<Placement> = (0..plan.interval_count())
-                .map(|w| cursor.at_window(&input, w).clone())
+                .map(|w| cursor.at_window(w).clone())
                 .collect();
             let faults = (fault_seed > 0).then(|| FaultConfig::baseline(fault_seed));
             let config = EmulatorConfig::default();
@@ -1814,13 +1804,16 @@ mod tests {
     fn a_plan_migrating_an_untraced_vm_is_refused() {
         let (input, planner) = setup(DataCenterId::Banking);
         let mut plan = planner.plan_dynamic(&input).unwrap();
-        let untraced = VmId(u32::MAX);
-        plan.migrations.last_mut().expect("the plan migrates").vm = untraced;
-        let want = EmulatorError::UntracedMigration { vm: untraced };
+        let traces = input.vms.len();
+        plan.migrations.last_mut().expect("the plan migrates").pos = u32::try_from(traces).unwrap();
+        let want = EmulatorError::ForeignPlan {
+            positions: traces + 1,
+            traces,
+        };
         let err = Replay::new(&input, &plan, &EmulatorConfig::default(), None).unwrap_err();
         assert_eq!(err, want);
         assert_eq!(crate::sla::analyze(&input, &plan).unwrap_err(), want);
-        assert!(want.to_string().contains("does not trace"));
+        assert!(want.to_string().contains("but the input traces"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 2. **Migration failures** — any migration scheduled while the source
 //!    or destination violates the reliability thresholds (or by injected
 //!    probability) fails, is rolled back, and is retried under a
-//!    [`RetryPolicy`](vmcw_migration::RetryPolicy).
+//!    [`RetryPolicy`].
 //! 3. **Trace dropouts** — missing or NaN hourly samples are survived by
 //!    holding the last good value, with staleness tracking.
 //!

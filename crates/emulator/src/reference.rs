@@ -107,7 +107,7 @@ impl MapPlacement {
             .map(|(pos, host)| (input.vms[pos].vm.id, host))
             .collect();
         for m in plan.migrations.iter().filter(|m| m.interval <= w) {
-            hosts.insert(m.vm, m.to);
+            hosts.insert(input.vms[m.pos as usize].vm.id, m.to);
         }
         let rank = |vm: &VmId| {
             let pos = input.vms.iter().position(|t| t.vm.id == *vm);
@@ -845,7 +845,7 @@ mod tests {
             .unwrap();
         let mut cursor = plan.cursor();
         for w in 0..plan.interval_count() {
-            let p = cursor.at_window(&input, w);
+            let p = cursor.at_window(w);
             assert!(p.host_of(twin_pos).is_none() && p.host_of(0).is_some());
         }
         let faults = FaultConfig {

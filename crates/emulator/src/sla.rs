@@ -97,9 +97,9 @@ impl SlaReport {
 ///
 /// # Errors
 ///
-/// Returns [`EmulatorError::ForeignPlan`] or
-/// [`EmulatorError::UntracedMigration`] if the plan was built for
-/// another input, and [`EmulatorError::UnknownHost`] if it places VMs on
+/// Returns [`EmulatorError::ForeignPlan`] if the plan was built for
+/// another input (its placement covers other positions, or it migrates
+/// a position past the input's), and [`EmulatorError::UnknownHost`] if it places VMs on
 /// a host its data center does not provision.
 pub fn analyze(
     input: &PlanningInput,
@@ -116,7 +116,7 @@ pub fn analyze(
     let mut demands: Vec<(usize, Resources)> = Vec::new();
     let mut cursor = plan.cursor();
     for h in 0..hours {
-        let placement = cursor.at_hour(input, h);
+        let placement = cursor.at_hour(h);
         for (host, vms) in placement.active() {
             demands.clear();
             demands.extend(vms.iter().map(|&pos| {

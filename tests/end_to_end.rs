@@ -97,7 +97,7 @@ fn emulator_conserves_demand() {
     let capacity = run.plan.dc.template().capacity();
     let mut cursor = run.plan.cursor();
     for (h, hour) in run.report.per_hour.iter().enumerate() {
-        let placement = cursor.at_hour(input, h);
+        let placement = cursor.at_hour(h);
         let mut total_cpu_demand = 0.0;
         let mut served_plus_unmet = 0.0;
         for host in placement.active_hosts() {
@@ -137,7 +137,7 @@ fn constraints_hold_in_every_dynamic_interval() {
     );
     let mut cursor = plan.cursor();
     for i in 0..plan.interval_count() {
-        let p = cursor.at_window(&input, i);
+        let p = cursor.at_window(i);
         let violations = cs.violations(&p.as_map(&input), |h| plan.dc.location(h));
         assert!(violations.is_empty(), "interval {i}: {violations:?}");
     }
@@ -159,15 +159,15 @@ fn pinned_vm_never_migrates() {
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(cs);
     let plan = Planner::baseline().plan_dynamic(&input).unwrap();
-    assert!(plan.migrations.iter().all(|m| m.vm != pinned));
+    let pinned_at = input.vm_position(pinned).unwrap();
+    assert!(plan.migrations.iter().all(|m| m.pos as usize != pinned_at));
     assert!(
         plan.interval_count() > 1,
         "dynamic plan must be per interval"
     );
-    let pinned_at = input.vm_position(pinned).unwrap();
     let mut cursor = plan.cursor();
     for w in 0..plan.interval_count() {
-        let p = cursor.at_window(&input, w);
+        let p = cursor.at_window(w);
         assert_eq!(
             p.host_of(pinned_at),
             Some(vmcw_repro::cluster::datacenter::HostId(0))

@@ -367,7 +367,7 @@ proptest! {
         let plan = Planner::baseline().plan_dynamic(&input).unwrap();
         let mut cursor = plan.cursor();
         for h in [0usize, 13, 47] {
-            prop_assert_eq!(cursor.at_hour(&input, h).len(), input.vms.len());
+            prop_assert_eq!(cursor.at_hour(h).len(), input.vms.len());
         }
         prop_assert!(plan.provisioned_hosts() >= 1);
     }
