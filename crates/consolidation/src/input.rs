@@ -10,7 +10,7 @@ use std::borrow::Borrow;
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::{Vm, VmId};
-use vmcw_trace::datacenters::{GeneratedWorkload, ServerStream, SourceServer};
+use vmcw_trace::datacenters::{GeneratedWorkload, ServerRecipes, ServerStream, SourceServer};
 use vmcw_trace::metrics::Metric;
 use vmcw_trace::series::TimeSeries;
 use vmcw_trace::warehouse::{DataWarehouse, SourceId};
@@ -94,6 +94,26 @@ pub struct VmTrace {
 }
 
 impl VmTrace {
+    /// The VM of a generated source server: its demands gain the
+    /// virtualisation overheads, and it is configured at the server's
+    /// installed memory. The one per-server conversion of the
+    /// [`PlanningInput`] constructors for generated workloads.
+    #[must_use]
+    pub fn from_server(s: &SourceServer, virt: VirtualizationModel) -> Self {
+        let cpu_rpe2 = s.cpu_demand_rpe2().scale(1.0 + virt.cpu_overhead_frac);
+        let mem_values: Vec<f64> = s
+            .mem_used_mb
+            .iter()
+            .map(|m| m + virt.mem_overhead_mb)
+            .collect();
+        VmTrace {
+            vm: Vm::new(VmId(s.id.0), s.name.clone(), s.mem_capacity_mb),
+            cpu_rpe2,
+            mem_mb: TimeSeries::new(s.mem_used_mb.step(), mem_values),
+            net_peak_mbps: s.net_peak_mbps,
+        }
+    }
+
     /// Demand vector at hour `h` (zero past the end of the trace).
     #[must_use]
     pub fn demand_at(&self, h: usize) -> Resources {
@@ -210,27 +230,7 @@ impl PlanningInput {
             "workload covers {days} days, history needs {history_days}"
         );
         let vms = servers
-            .map(|s| {
-                let s = s.borrow();
-                let cpu_rpe2 = s.cpu_demand_rpe2().scale(1.0 + virt.cpu_overhead_frac);
-                let mem_values: Vec<f64> = s
-                    .mem_used_mb
-                    .iter()
-                    .map(|m| m + virt.mem_overhead_mb)
-                    .collect();
-                VmTrace {
-                    vm: Vm::new(
-                        VmId(s.id.0),
-                        s.name.clone(),
-                        // VMs are configured at the source server's
-                        // installed memory.
-                        s.mem_capacity_mb,
-                    ),
-                    cpu_rpe2,
-                    mem_mb: TimeSeries::new(s.mem_used_mb.step(), mem_values),
-                    net_peak_mbps: s.net_peak_mbps,
-                }
-            })
+            .map(|s| VmTrace::from_server(s.borrow(), virt))
             .collect();
         Self::from_traces(vms, history_days * HOURS_PER_DAY)
     }
@@ -380,6 +380,68 @@ impl PlanningInput {
         self.by_id()
             .map(|(id, pos)| (id, self.vms[pos].net_peak_mbps))
             .collect()
+    }
+}
+
+/// A planning input as independent per-VM work: the generator's
+/// [`ServerRecipes`] plus the conversion of [`PlanningInput::from_stream`].
+/// Each VM is realized on its own, in any order and on any thread, and
+/// the parts assemble into the input `from_stream` builds, bit for bit.
+#[derive(Debug, Clone)]
+pub struct InputRecipe {
+    servers: ServerRecipes,
+    history_days: usize,
+    virt: VirtualizationModel,
+}
+
+impl InputRecipe {
+    /// The recipe of `from_stream(config.stream(seed), history_days,
+    /// virt)` from `config.recipes(seed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload is shorter than `history_days`.
+    #[must_use]
+    pub fn new(servers: ServerRecipes, history_days: usize, virt: VirtualizationModel) -> Self {
+        let days = servers.days();
+        assert!(
+            days >= history_days,
+            "workload covers {days} days, history needs {history_days}"
+        );
+        Self {
+            servers,
+            history_days,
+            virt,
+        }
+    }
+
+    /// Number of VMs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// Whether there are no VMs.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.servers.is_empty()
+    }
+
+    /// VM `i`'s trace, allocated by the calling thread.
+    #[must_use]
+    pub fn realize(&self, i: usize) -> VmTrace {
+        VmTrace::from_server(&self.servers.realize(i), self.virt)
+    }
+
+    /// The input from every VM's trace, in position order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one trace per VM.
+    #[must_use]
+    pub fn assemble(&self, vms: Vec<VmTrace>) -> PlanningInput {
+        assert_eq!(vms.len(), self.len(), "one trace per VM");
+        PlanningInput::from_traces(vms, self.history_days * HOURS_PER_DAY)
     }
 }
 
@@ -534,6 +596,68 @@ mod tests {
             }
             let reference = PlanningInput::from_workload(&workload, history_days, virt);
             let input = PlanningInput::from_stream(cfg.stream(seed), history_days, virt);
+            proptest::prop_assert_eq!(input.history_hours, reference.history_hours);
+            proptest::prop_assert_eq!(input.vms.len(), reference.vms.len());
+            for (a, b) in input.vms.iter().zip(&reference.vms) {
+                proptest::prop_assert_eq!(trace_bits(a), trace_bits(b));
+            }
+            proptest::prop_assert!(input.by_id().eq(reference.by_id()));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Realizing the recipe in chunks, on 1–4 threads that claim the
+        /// chunks in a shuffled order, assembles the streamed input bit
+        /// for bit.
+        #[test]
+        fn cooperative_generation_matches_the_stream(
+            dc_pick in 0usize..4,
+            scale_pct in 1u32..6,
+            days in 1usize..6,
+            history_pick in 0usize..6,
+            seed in 0u64..u64::MAX,
+            virt_pick in 0usize..2,
+            threads in 1usize..5,
+            chunk in 1usize..12,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            use std::sync::Mutex;
+
+            let cfg = GeneratorConfig::new(DataCenterId::ALL[dc_pick])
+                .scale(f64::from(scale_pct) / 100.0)
+                .days(days);
+            let history_days = history_pick.min(days);
+            let virt = [VirtualizationModel::none(), VirtualizationModel::baseline()][virt_pick];
+            let recipe = InputRecipe::new(cfg.recipes(seed), history_days, virt);
+            let mut chunks: Vec<usize> = (0..recipe.len().div_ceil(chunk)).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(shuffle);
+            for i in (1..chunks.len()).rev() {
+                chunks.swap(i, rng.random_range(0..=i));
+            }
+            let next = AtomicUsize::new(0);
+            let parts: Mutex<Vec<Option<VmTrace>>> = Mutex::new(vec![None; recipe.len()]);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        while let Some(&c) = chunks.get(next.fetch_add(1, Ordering::SeqCst)) {
+                            let span = c * chunk..((c + 1) * chunk).min(recipe.len());
+                            let vms: Vec<VmTrace> =
+                                span.clone().map(|i| recipe.realize(i)).collect();
+                            let mut parts = parts.lock().unwrap();
+                            for (slot, vm) in parts[span].iter_mut().zip(vms) {
+                                *slot = Some(vm);
+                            }
+                        }
+                    });
+                }
+            });
+            let vms = parts.into_inner().unwrap().into_iter().map(Option::unwrap).collect();
+            let input = recipe.assemble(vms);
+            let reference = PlanningInput::from_stream(cfg.stream(seed), history_days, virt);
             proptest::prop_assert_eq!(input.history_hours, reference.history_hours);
             proptest::prop_assert_eq!(input.vms.len(), reference.vms.len());
             for (a, b) in input.vms.iter().zip(&reference.vms) {

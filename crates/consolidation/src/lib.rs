@@ -79,7 +79,7 @@ mod testing;
 
 pub use dynamic::{PlanCursor, Windows};
 pub use ffd::PackingAlgorithm;
-pub use input::{PlanningInput, VirtualizationModel, VmTrace};
+pub use input::{InputRecipe, PlanningInput, VirtualizationModel, VmTrace};
 pub use placement::{PackError, Placement};
 pub use planner::{ConsolidationPlan, Planner, PlannerKind, StochasticVariant};
 pub use prediction::Predictor;

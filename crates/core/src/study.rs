@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use vmcw_cluster::cost::FacilityCostModel;
-use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
+use vmcw_consolidation::input::{InputRecipe, PlanningInput, VirtualizationModel};
 use vmcw_consolidation::placement::PackError;
 use vmcw_consolidation::planner::{ConsolidationPlan, Planner, PlannerKind};
 use vmcw_emulator::engine::EmulatorError;
@@ -123,6 +123,17 @@ impl StudyConfig {
     pub fn planning_input(&self) -> PlanningInput {
         PlanningInput::from_stream(
             self.generator().stream(self.seed),
+            self.history_days,
+            self.virt,
+        )
+    }
+
+    /// [`Self::planning_input`] as independent per-VM work, for building
+    /// it on several threads; it assembles the same input bit for bit.
+    #[must_use]
+    pub fn input_recipe(&self) -> InputRecipe {
+        InputRecipe::new(
+            self.generator().recipes(self.seed),
             self.history_days,
             self.virt,
         )

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
-use vmcw_consolidation::input::PlanningInput;
+use vmcw_consolidation::input::{InputRecipe, PlanningInput, VmTrace};
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_emulator::checkpoint::{
     decode_cost, decode_fault_config, decode_report, enc_f64, encode_cost, encode_fault_config,
@@ -1268,38 +1268,212 @@ impl Default for CellHealthState {
 /// One data center's planning input, shared by its cells and held only
 /// while one of them can still need it.
 ///
-/// The first worker to need the input prepares it under the slot's
-/// lock, so workers that arrive meanwhile wait for it instead of
-/// preparing a second copy. A prepare that panics leaves the slot empty
-/// (`lock` ignores the poisoning), so the next attempt prepares again.
-/// The slot lets go of the input when the data center's last pending
-/// cell reaches a terminal outcome ([`Self::cell_done`]); each attempt
-/// drops its own handle when it ends, so the input is freed then.
-struct InputSlot {
-    state: Mutex<SlotState>,
+/// The input is prepared once. With one worker, the first cell to need
+/// it prepares it whole under the slot's lock ([`Self::get`]). With
+/// more, every worker that needs it helps prepare it ([`Self::share`]):
+/// the slot goes from empty to preparing (a recipe whose parts are
+/// realized in chunks, each by the worker that claims it) to ready.
+/// A prepare that panics, or a participant that panics, leaves the slot
+/// empty and wakes every waiter, so the next attempt prepares again,
+/// once. The slot lets go of the input when the data center's last
+/// pending cell reaches a terminal outcome ([`Self::cell_done`]); each
+/// attempt drops its own handle when it ends, so the input is freed
+/// then.
+struct InputSlot<R = InputRecipe> {
+    state: Mutex<SlotState<R>>,
+    /// Signalled when a shared preparation ends, ready or abandoned.
+    settled: Condvar,
 }
 
-struct SlotState {
+struct SlotState<R> {
     /// `None` until prepared, after a prepare panicked, and once
     /// released.
     input: Option<Arc<PlanningInput>>,
+    /// The shared preparation under way, if any.
+    preparing: Option<Arc<Preparing<R>>>,
     /// This run's cells of the data center not yet terminal.
     pending: usize,
 }
 
-impl InputSlot {
+/// Work an [`InputSlot`] shares out: `len` parts realized on any thread
+/// in any order, then assembled in position order.
+trait Recipe: Send + Sync {
+    fn len(&self) -> usize;
+    fn realize(&self, i: usize) -> VmTrace;
+    fn assemble(&self, vms: Vec<VmTrace>) -> PlanningInput;
+}
+
+impl Recipe for InputRecipe {
+    fn len(&self) -> usize {
+        InputRecipe::len(self)
+    }
+
+    fn realize(&self, i: usize) -> VmTrace {
+        InputRecipe::realize(self, i)
+    }
+
+    fn assemble(&self, vms: Vec<VmTrace>) -> PlanningInput {
+        InputRecipe::assemble(self, vms)
+    }
+}
+
+/// Parts per claim in a shared preparation: at the Table 2 population
+/// a chunk takes about a millisecond to realize.
+const CHUNK: usize = 8;
+
+/// A shared preparation: the recipe, the next chunk to claim, and the
+/// parts realized so far.
+struct Preparing<R> {
+    recipe: R,
+    /// Index of the next chunk to claim.
+    next: AtomicUsize,
+    /// Set when a participant panicked: the rest stop claiming.
+    abandoned: AtomicBool,
+    realized: Mutex<Realized>,
+}
+
+struct Realized {
+    vms: Vec<Option<VmTrace>>,
+    /// Chunks not yet realized.
+    left: usize,
+}
+
+impl<R: Recipe> Preparing<R> {
+    fn new(recipe: R) -> Self {
+        let len = recipe.len();
+        Self {
+            realized: Mutex::new(Realized {
+                vms: std::iter::repeat_with(|| None).take(len).collect(),
+                // An empty recipe is one empty chunk, so someone assembles.
+                left: len.div_ceil(CHUNK).max(1),
+            }),
+            recipe,
+            next: AtomicUsize::new(0),
+            abandoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Realizes chunks until none is left to claim. Returns the
+    /// assembled input if this caller realized the last one.
+    fn help(&self) -> Option<PlanningInput> {
+        let len = self.recipe.len();
+        while !self.abandoned.load(Ordering::SeqCst) {
+            let start = self.next.fetch_add(1, Ordering::SeqCst) * CHUNK;
+            if start >= len.max(1) {
+                return None;
+            }
+            let span = start..len.min(start + CHUNK);
+            let vms: Vec<VmTrace> = span.clone().map(|i| self.recipe.realize(i)).collect();
+            let mut realized = lock(&self.realized);
+            for (part, vm) in realized.vms[span].iter_mut().zip(vms) {
+                *part = Some(vm);
+            }
+            realized.left -= 1;
+            if realized.left == 0 {
+                let vms = std::mem::take(&mut realized.vms);
+                drop(realized);
+                return Some(self.recipe.assemble(vms.into_iter().flatten().collect()));
+            }
+        }
+        None
+    }
+}
+
+/// Abandons a shared preparation if its participant unwinds: the slot
+/// is emptied so that the next caller prepares afresh, and every waiter
+/// wakes to see it.
+struct Abandon<'a, R> {
+    slot: &'a InputSlot<R>,
+    job: &'a Arc<Preparing<R>>,
+}
+
+impl<R> Drop for Abandon<'_, R> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        self.job.abandoned.store(true, Ordering::SeqCst);
+        let mut state = lock(&self.slot.state);
+        if state
+            .preparing
+            .as_ref()
+            .is_some_and(|p| Arc::ptr_eq(p, self.job))
+        {
+            state.preparing = None;
+        }
+        drop(state);
+        self.slot.settled.notify_all();
+    }
+}
+
+impl<R: Recipe> InputSlot<R> {
     fn new(pending: usize) -> Self {
         Self {
             state: Mutex::new(SlotState {
                 input: None,
+                preparing: None,
                 pending,
             }),
+            settled: Condvar::new(),
         }
     }
 
-    /// The input, prepared with `prepare` unless it is ready.
+    /// The input, prepared whole with `prepare` unless it is ready.
     fn get(&self, prepare: impl FnOnce() -> Arc<PlanningInput>) -> Arc<PlanningInput> {
         Arc::clone(lock(&self.state).input.get_or_insert_with(prepare))
+    }
+
+    /// The input, prepared by every caller that needs it. The first
+    /// computes the recipe with `recipe` (under the lock, so callers that
+    /// arrive meanwhile wait for it instead of computing a second); then
+    /// each realizes chunks until none is left to claim and waits for
+    /// the rest. The caller that realizes the last chunk assembles the
+    /// input, passes it to `ready`, and wakes the others.
+    fn share(
+        &self,
+        recipe: impl Fn() -> R,
+        ready: impl Fn(&Arc<PlanningInput>),
+    ) -> Arc<PlanningInput> {
+        loop {
+            let job = {
+                let mut state = lock(&self.state);
+                if let Some(input) = &state.input {
+                    return Arc::clone(input);
+                }
+                let job = state
+                    .preparing
+                    .get_or_insert_with(|| Arc::new(Preparing::new(recipe())));
+                Arc::clone(job)
+            };
+            let _abandon = Abandon {
+                slot: self,
+                job: &job,
+            };
+            if let Some(input) = job.help() {
+                let input = Arc::new(input);
+                ready(&input);
+                let mut state = lock(&self.state);
+                state.input = Some(Arc::clone(&input));
+                state.preparing = None;
+                drop(state);
+                self.settled.notify_all();
+                return input;
+            }
+            // Wait until the preparation is ready or abandoned, then
+            // look again.
+            let mut state = lock(&self.state);
+            while state.input.is_none()
+                && state
+                    .preparing
+                    .as_ref()
+                    .is_some_and(|p| Arc::ptr_eq(p, &job))
+            {
+                state = self
+                    .settled
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
     }
 
     /// Counts one of the data center's cells as terminal; the last one
@@ -1371,9 +1545,12 @@ struct Executor<'a> {
     journal: Mutex<Journal>,
     token: &'a CancelToken,
     /// Per-data-center planning inputs, indexed as `spec.dcs`: each is
-    /// prepared once, by the first cell that needs it, and released
-    /// after the data center's last cell.
+    /// prepared once, when the first cell needs it, and released after
+    /// the data center's last cell.
     inputs: Vec<InputSlot>,
+    /// Whether the workers that need an input prepare it together
+    /// ([`InputSlot::share`]): set when there is more than one.
+    shared: bool,
     /// Latest known checkpoint per cell: seeded from the journal on
     /// resume, updated as cells checkpoint, and the restart point for
     /// retried attempts.
@@ -1460,12 +1637,22 @@ impl Executor<'_> {
                 h.watch = Some(Arc::clone(&watch));
             });
             let caught = catch_cell_panic(|| {
-                let input = slot.get(|| {
-                    let input = Arc::new(config.planning_input());
-                    #[cfg(test)]
-                    probe::prepared(self.dir, dc, &input);
-                    input
-                });
+                let input = if self.shared {
+                    slot.share(
+                        || config.input_recipe(),
+                        |_input| {
+                            #[cfg(test)]
+                            probe::prepared(self.dir, dc, _input);
+                        },
+                    )
+                } else {
+                    slot.get(|| {
+                        let input = Arc::new(config.planning_input());
+                        #[cfg(test)]
+                        probe::prepared(self.dir, dc, &input);
+                        input
+                    })
+                };
                 self.run_attempt(
                     cell,
                     &config,
@@ -1871,6 +2058,26 @@ impl Executor<'_> {
     }
 }
 
+/// Orders `pending` grid indices for more than one worker: one data
+/// center at a time, smallest first (ties in grid order), and Dynamic
+/// first within one. Workers that claim cells of the same data center
+/// prepare its input together ([`InputSlot::share`]), and a data
+/// center's input lives only while one of its cells is in flight, so at
+/// most one input per worker is alive. Dynamic is the longest cell
+/// (plan plus replay) in every data center, so claiming it first keeps
+/// the workers' finishing times close (longest processing time first).
+/// One worker keeps grid order. Output order is unaffected either way:
+/// finished cells are merged back by grid index.
+fn claim_order(spec: &StudySpec, pending: &mut [usize]) {
+    let planners = spec.planners.len();
+    pending.sort_by_key(|&idx| {
+        let dc = idx / planners;
+        let size = spec.study_config(spec.dcs[dc]).generator().server_count();
+        let kind = spec.planners[idx % planners];
+        (size, dc, kind != PlannerKind::Dynamic, idx % planners)
+    });
+}
+
 fn drive(
     spec: StudySpec,
     journal: Journal,
@@ -1893,18 +2100,7 @@ fn drive(
     let planners = spec.planners.len();
     let workers = opts.jobs.max(1).min(pending.len().max(1));
     if workers > 1 {
-        // Claim in batches of `workers` data centers, planner-major
-        // inside a batch: concurrent workers start on *different* data
-        // centers, so their prepares overlap, and every cell of a batch
-        // is claimed before the next batch's first. Live inputs are
-        // then the current batch's plus those of earlier batches that
-        // still run a cell: at most 2 * workers - 1, and at most
-        // workers + 1 with the four data centers. Output order is
-        // unaffected: finished cells are merged back by grid index.
-        pending.sort_by_key(|&idx| {
-            let dc = idx / planners;
-            (dc / workers, idx % planners, dc)
-        });
+        claim_order(&spec, &mut pending);
     }
     let nothing_pending = pending.is_empty();
     let inputs = (0..spec.dcs.len())
@@ -1919,6 +2115,7 @@ fn drive(
         journal: Mutex::new(journal),
         token,
         inputs,
+        shared: workers > 1,
         latest: Mutex::new(resumed.ckpts),
         next: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
@@ -2102,6 +2299,8 @@ mod tests {
     use crate::study::Study;
     use proptest::prelude::*;
     use std::sync::OnceLock;
+    use vmcw_cluster::vm::{Vm, VmId};
+    use vmcw_trace::series::{StepSecs, TimeSeries};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -2466,8 +2665,13 @@ mod tests {
         }
     }
 
+    /// A data center's input lives only while one of its cells is in
+    /// flight, so no more inputs are alive than there are workers. There
+    /// is no floor: at this scale a data center's cells often end within
+    /// microseconds of each other, so whether the next input is prepared
+    /// before the last one is freed is down to timing.
     #[test]
-    fn inputs_stay_within_jobs_plus_one_and_die_with_their_last_cell() {
+    fn inputs_stay_within_jobs_and_die_with_their_last_cell() {
         let spec = four_dc_spec();
         let serial_dir = tmp_dir("inputs-serial");
         let opts = RunOptions::default();
@@ -2491,7 +2695,7 @@ mod tests {
                 "--jobs {jobs}: each input prepared once"
             );
             assert!(
-                (2..=jobs + 1).contains(&run.high_water),
+                (1..=jobs).contains(&run.high_water),
                 "--jobs {jobs}: {} inputs alive at once",
                 run.high_water
             );
@@ -2512,13 +2716,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&serial_dir);
     }
 
+    /// Several workers claim one data center at a time, smallest first,
+    /// Dynamic first within it; one worker claims in grid order.
+    #[test]
+    fn workers_claim_the_smallest_data_center_first_and_dynamic_first() {
+        let spec = StudySpec::new(0.02, 5, 5, 1);
+        // Grid order: Banking (816 servers at full scale), Airlines
+        // (445), Natural Resources (1390), Beverage (722); each with
+        // Semi-Static, Stochastic, Dynamic.
+        let mut pending: Vec<usize> = (0..12).collect();
+        claim_order(&spec, &mut pending);
+        assert_eq!(pending, [5, 3, 4, 11, 9, 10, 2, 0, 1, 8, 6, 7]);
+        // A resumed run claims what is left in the same order.
+        let mut resumed = vec![0, 3, 5, 7, 10];
+        claim_order(&spec, &mut resumed);
+        assert_eq!(resumed, [5, 3, 10, 0, 7]);
+
+        let spec = four_dc_spec();
+        for (jobs, order) in [
+            (1, DataCenterId::ALL),
+            (
+                2,
+                [
+                    DataCenterId::Airlines,
+                    DataCenterId::Beverage,
+                    DataCenterId::Banking,
+                    DataCenterId::NaturalResources,
+                ],
+            ),
+        ] {
+            let dir = tmp_dir(&format!("claim-order-jobs{jobs}"));
+            let opts = RunOptions {
+                jobs,
+                ..RunOptions::default()
+            };
+            run_study_opts(&spec, &dir, &CancelToken::new(), &opts).unwrap();
+            let prepared: Vec<DataCenterId> =
+                probe::take(&dir).prepared.iter().map(|p| p.0).collect();
+            assert_eq!(prepared, order, "--jobs {jobs}: prepare order");
+            if jobs == 1 {
+                let (journal, _) = Journal::open(&dir.join(JOURNAL_FILE)).unwrap();
+                let started: Vec<Cell> = journal
+                    .records()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, rec)| match Record::decode(i, rec, false).unwrap() {
+                        Some(Record::CellStart(cell)) => Some(cell),
+                        _ => None,
+                    })
+                    .collect();
+                let grid: Vec<Cell> = spec
+                    .dcs
+                    .iter()
+                    .flat_map(|&dc| spec.planners.iter().map(move |&kind| (dc, kind)))
+                    .collect();
+                assert_eq!(started, grid, "--jobs 1 starts cells in grid order");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     fn empty_input() -> Arc<PlanningInput> {
         Arc::new(PlanningInput::from_traces(Vec::new(), 0))
     }
 
     #[test]
     fn a_prepare_that_panics_leaves_the_slot_empty_for_the_retry() {
-        let slot = InputSlot::new(1);
+        let slot: InputSlot = InputSlot::new(1);
         let failed = catch_unwind(AssertUnwindSafe(|| slot.get(|| panic!("prepare failed"))));
         assert!(failed.is_err());
         assert!(lock(&slot.state).input.is_none());
@@ -2545,7 +2809,7 @@ mod tests {
     /// the same way.
     #[test]
     fn a_worker_waiting_on_a_prepare_that_panics_prepares_itself() {
-        let slot = InputSlot::new(2);
+        let slot: InputSlot = InputSlot::new(2);
         let (started, wait_started) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             let first = s.spawn(|| {
@@ -2565,6 +2829,100 @@ mod tests {
         });
         assert!(!slot.cell_done(), "one cell is still pending");
         assert!(lock(&slot.state).input.is_some());
+    }
+
+    /// A recipe of `len` one-hour traces whose part `PANIC_PART`
+    /// panics while `fail` is set (once: the panic clears it).
+    struct FlakyRecipe {
+        len: usize,
+        fail: Arc<AtomicBool>,
+    }
+
+    const PANIC_PART: usize = 40;
+
+    impl Recipe for FlakyRecipe {
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn realize(&self, i: usize) -> VmTrace {
+            std::thread::sleep(Duration::from_millis(1));
+            if i == PANIC_PART && self.fail.swap(false, Ordering::SeqCst) {
+                panic!("realize failed");
+            }
+            let one_hour = || TimeSeries::new(StepSecs::HOUR, vec![1.0]);
+            VmTrace {
+                vm: Vm::new(VmId(i as u32), format!("vm-{i}"), 1024.0),
+                cpu_rpe2: one_hour(),
+                mem_mb: one_hour(),
+                net_peak_mbps: 1.0,
+            }
+        }
+
+        fn assemble(&self, vms: Vec<VmTrace>) -> PlanningInput {
+            assert_eq!(vms.len(), self.len);
+            PlanningInput::from_traces(vms, 0)
+        }
+    }
+
+    /// Three workers share a preparation and one of them panics
+    /// mid-realization: the slot is emptied, every waiter wakes, and the
+    /// two survivors prepare the input again, once, and share it. A
+    /// hang fails the test at the channel timeout instead of wedging it.
+    #[test]
+    fn a_participant_that_panics_mid_realization_empties_the_slot() {
+        let slot: Arc<InputSlot<FlakyRecipe>> = Arc::new(InputSlot::new(3));
+        let fail = Arc::new(AtomicBool::new(true));
+        let recipes = Arc::new(AtomicUsize::new(0));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let (done, results) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let (slot, fail, recipes, start, done) = (
+                Arc::clone(&slot),
+                Arc::clone(&fail),
+                Arc::clone(&recipes),
+                Arc::clone(&start),
+                done.clone(),
+            );
+            std::thread::spawn(move || {
+                start.wait();
+                let got = catch_unwind(AssertUnwindSafe(|| {
+                    slot.share(
+                        || {
+                            recipes.fetch_add(1, Ordering::SeqCst);
+                            FlakyRecipe {
+                                len: 64,
+                                fail: Arc::clone(&fail),
+                            }
+                        },
+                        |_| {},
+                    )
+                }));
+                let _ = done.send(got.ok());
+            });
+        }
+        let got: Vec<Option<Arc<PlanningInput>>> = (0..3)
+            .map(|_| {
+                results
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("every participant returns")
+            })
+            .collect();
+        let inputs: Vec<&Arc<PlanningInput>> = got.iter().flatten().collect();
+        assert_eq!(inputs.len(), 2, "only the participant that panicked fails");
+        assert!(
+            Arc::ptr_eq(inputs[0], inputs[1]),
+            "the survivors share one input"
+        );
+        assert_eq!(inputs[0].vms.len(), 64);
+        assert_eq!(
+            recipes.load(Ordering::SeqCst),
+            2,
+            "the abandoned preparation, then the retry, once"
+        );
+        let state = lock(&slot.state);
+        assert!(state.preparing.is_none());
+        assert!(Arc::ptr_eq(state.input.as_ref().unwrap(), inputs[0]));
     }
 
     /// A restart point that breaks a replay invariant is refused by

@@ -312,6 +312,47 @@ impl GeneratorConfig {
             count: self.server_count(),
         }
     }
+
+    /// The workload split into independent per-server work, for
+    /// generating it on several threads. One sequential pass takes every
+    /// draw [`Self::stream`] takes except a server's trace draws: it
+    /// samples each server's profile and group, keeps the generator state
+    /// its trace draws start from, and skips them (their count depends
+    /// only on uniform draws, never on drawn values). Server `i` of
+    /// [`ServerRecipes::realize`] equals the `i`-th of the stream bit for
+    /// bit.
+    #[must_use]
+    pub fn recipes(&self, seed: u64) -> ServerRecipes {
+        let ServerStream {
+            dc,
+            days,
+            mut rng,
+            events,
+            count,
+            ..
+        } = self.stream(seed);
+        let hours = days * HOURS_PER_DAY;
+        let servers = (0..count)
+            .map(|_| {
+                let sampled = sample_server(dc, &mut rng);
+                let group = rng.random_range(0..events.len());
+                let draws = rng.clone();
+                sampled.cpu.skip(&mut rng, hours);
+                sampled.mem.skip(&mut rng, hours);
+                Recipe {
+                    sampled,
+                    group,
+                    draws,
+                }
+            })
+            .collect();
+        ServerRecipes {
+            dc,
+            days,
+            events,
+            servers,
+        }
+    }
 }
 
 /// The servers of one generated workload, yielded one at a time (see
@@ -346,35 +387,9 @@ impl Iterator for ServerStream {
         let i = self.next;
         self.next += 1;
         let rng = &mut self.rng;
-        let hours = self.days * HOURS_PER_DAY;
-        let prefix = match self.dc {
-            DataCenterId::Banking => "bank",
-            DataCenterId::Airlines => "air",
-            DataCenterId::NaturalResources => "mine",
-            DataCenterId::Beverage => "bev",
-        };
         let sampled = sample_server(self.dc, rng);
         let group = rng.random_range(0..self.events.len());
-        let cpu = sampled.cpu.generate(rng, hours, &self.events[group]);
-        let mem = sampled.mem.generate(rng, &cpu);
-        // Web servers push traffic proportional to their CPU peak (tens
-        // to a few hundred Mbit/s); batch jobs read from SAN and drive
-        // far less front-end network.
-        let peak_cpu = cpu.max().unwrap_or(0.0);
-        let net_peak_mbps = match sampled.cpu.class() {
-            WorkloadClass::Web => 40.0 + 500.0 * peak_cpu,
-            WorkloadClass::Batch => 10.0 + 80.0 * peak_cpu,
-        };
-        Some(SourceServer {
-            id: SourceId(i as u32),
-            name: format!("{prefix}-{i:04}"),
-            class: sampled.cpu.class(),
-            cpu_capacity_rpe2: sampled.rpe2,
-            mem_capacity_mb: sampled.mem_capacity_mb,
-            net_peak_mbps,
-            cpu_used_frac: cpu,
-            mem_used_mb: mem,
-        })
+        Some(sampled.realize(self.dc, i, self.days, &self.events[group], rng))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -385,12 +400,108 @@ impl Iterator for ServerStream {
 
 impl ExactSizeIterator for ServerStream {}
 
+/// A workload's servers as independent recipes (see
+/// [`GeneratorConfig::recipes`]): each one is realized on its own, in any
+/// order and on any thread.
+#[derive(Debug, Clone)]
+pub struct ServerRecipes {
+    dc: DataCenterId,
+    days: usize,
+    /// Per-application-group event trains, shared by every server.
+    events: Vec<Vec<f64>>,
+    servers: Vec<Recipe>,
+}
+
+/// One server up to its trace draws.
+#[derive(Debug, Clone)]
+struct Recipe {
+    sampled: SampledServer,
+    /// Index of the server's application group in the event trains.
+    group: usize,
+    /// The generator state the server's trace draws start from.
+    draws: StdRng,
+}
+
+impl ServerRecipes {
+    /// Number of servers.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// Whether there are no servers.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.servers.is_empty()
+    }
+
+    /// Trace length in days.
+    #[must_use]
+    pub fn days(&self) -> usize {
+        self.days
+    }
+
+    /// Server `i`, bit-identical to the `i`-th server of the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Self::len`].
+    #[must_use]
+    pub fn realize(&self, i: usize) -> SourceServer {
+        let recipe = &self.servers[i];
+        let mut rng = recipe.draws.clone();
+        recipe
+            .sampled
+            .realize(self.dc, i, self.days, &self.events[recipe.group], &mut rng)
+    }
+}
+
 /// Everything sampled per server before trace generation.
+#[derive(Debug, Clone)]
 struct SampledServer {
     cpu: CpuProfile,
     mem: MemoryProfile,
     rpe2: f64,
     mem_capacity_mb: f64,
+}
+
+impl SampledServer {
+    /// Server `i` of data center `dc`, its traces drawn from `rng`.
+    fn realize(
+        &self,
+        dc: DataCenterId,
+        i: usize,
+        days: usize,
+        events: &[f64],
+        rng: &mut StdRng,
+    ) -> SourceServer {
+        let prefix = match dc {
+            DataCenterId::Banking => "bank",
+            DataCenterId::Airlines => "air",
+            DataCenterId::NaturalResources => "mine",
+            DataCenterId::Beverage => "bev",
+        };
+        let cpu = self.cpu.generate(rng, days * HOURS_PER_DAY, events);
+        let mem = self.mem.generate(rng, &cpu);
+        // Web servers push traffic proportional to their CPU peak (tens
+        // to a few hundred Mbit/s); batch jobs read from SAN and drive
+        // far less front-end network.
+        let peak_cpu = cpu.max().unwrap_or(0.0);
+        let net_peak_mbps = match self.cpu.class() {
+            WorkloadClass::Web => 40.0 + 500.0 * peak_cpu,
+            WorkloadClass::Batch => 10.0 + 80.0 * peak_cpu,
+        };
+        SourceServer {
+            id: SourceId(i as u32),
+            name: format!("{prefix}-{i:04}"),
+            class: self.cpu.class(),
+            cpu_capacity_rpe2: self.rpe2,
+            mem_capacity_mb: self.mem_capacity_mb,
+            net_peak_mbps,
+            cpu_used_frac: cpu,
+            mem_used_mb: mem,
+        }
+    }
 }
 
 fn uni(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
@@ -831,6 +942,21 @@ mod tests {
                 want,
                 "{dc}: generate"
             );
+        }
+    }
+
+    #[test]
+    fn recipes_realize_the_stream_in_any_order() {
+        for dc in DataCenterId::ALL {
+            let cfg = GeneratorConfig::new(dc).scale(0.03).days(3);
+            let recipes = cfg.recipes(42);
+            assert_eq!(recipes.len(), cfg.server_count());
+            let mut servers: Vec<SourceServer> = (0..recipes.len())
+                .rev()
+                .map(|i| recipes.realize(i))
+                .collect();
+            servers.reverse();
+            assert_eq!(digest(servers.into_iter()), digest(cfg.stream(42)), "{dc}");
         }
     }
 

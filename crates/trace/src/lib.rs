@@ -62,7 +62,7 @@ pub mod warehouse;
 pub mod workload;
 
 pub use datacenters::{
-    DataCenterId, GeneratedWorkload, GeneratorConfig, ServerStream, SourceServer,
+    DataCenterId, GeneratedWorkload, GeneratorConfig, ServerRecipes, ServerStream, SourceServer,
 };
 pub use series::TimeSeries;
 pub use stats::Cdf;

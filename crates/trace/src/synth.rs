@@ -64,12 +64,23 @@ impl BoundedPareto {
 }
 
 /// Draws a standard-normal sample via the Box–Muller transform, scaled to
-/// `mean` and `std`.
+/// `mean` and `std`. Always takes [`GAUSSIAN_DRAWS`] uniform draws.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.random();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     mean + std * z
+}
+
+/// Draws one [`gaussian`] sample takes, whatever it returns.
+pub const GAUSSIAN_DRAWS: usize = 2;
+
+/// Advances `rng` by `draws` draws, as many calls of `rng.random::<f64>()`
+/// would, without computing anything from them.
+pub fn discard<R: Rng + ?Sized>(rng: &mut R, draws: usize) {
+    for _ in 0..draws {
+        rng.next_u64();
+    }
 }
 
 /// A spike train: for each step, with probability `rate`, a spike of
@@ -86,18 +97,35 @@ pub fn spike_train<R: Rng + ?Sized>(
     magnitude: BoundedPareto,
     mean_width: f64,
 ) -> Vec<f64> {
+    let mut out = vec![1.0_f64; len];
+    spikes(rng, len, rate, magnitude, mean_width, |t, mag| {
+        out[t] = out[t].max(mag);
+    });
+    out
+}
+
+/// The draws behind [`spike_train`]: calls `hit(step, magnitude)` for
+/// every step a spike covers. Only uniform draws decide how many draws
+/// follow, so a caller that ignores the hits takes the same draws.
+pub(crate) fn spikes<R: Rng + ?Sized>(
+    rng: &mut R,
+    len: usize,
+    rate: f64,
+    magnitude: BoundedPareto,
+    mean_width: f64,
+    mut hit: impl FnMut(usize, f64),
+) {
     assert!(
         mean_width >= 1.0,
         "mean spike width must be at least one step"
     );
-    let mut out = vec![1.0_f64; len];
     let continue_p = 1.0 - 1.0 / mean_width;
     for start in 0..len {
         if rng.random::<f64>() < rate {
             let mag = magnitude.sample(rng);
             let mut t = start;
             loop {
-                out[t] = out[t].max(mag);
+                hit(t, mag);
                 t += 1;
                 if t >= len || rng.random::<f64>() >= continue_p {
                     break;
@@ -105,7 +133,6 @@ pub fn spike_train<R: Rng + ?Sized>(
             }
         }
     }
-    out
 }
 
 /// Simple exponential smoothing with factor `alpha` in `(0, 1]`

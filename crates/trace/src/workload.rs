@@ -19,7 +19,7 @@
 //! day of a 30-day month.
 
 use crate::series::{StepSecs, TimeSeries};
-use crate::synth::{gaussian, smooth, spike_train, BoundedPareto};
+use crate::synth::{discard, gaussian, smooth, spike_train, spikes, BoundedPareto, GAUSSIAN_DRAWS};
 use rand::Rng;
 
 /// Hours per day.
@@ -167,6 +167,20 @@ impl WebProfile {
         }
         TimeSeries::new(StepSecs::HOUR, smooth(&values, 0.85))
     }
+
+    /// Advances `rng` past exactly the draws [`Self::generate`] takes for
+    /// `hours`, without building the series.
+    fn skip<R: Rng + ?Sized>(&self, rng: &mut R, hours: usize) {
+        spikes(
+            rng,
+            hours,
+            self.spike_rate,
+            self.spike_magnitude,
+            self.spike_width_hours,
+            |_, _| {},
+        );
+        discard(rng, GAUSSIAN_DRAWS * hours);
+    }
 }
 
 /// Generative model of a batch/computational server's CPU demand.
@@ -229,6 +243,12 @@ impl BatchProfile {
         }
         TimeSeries::new(StepSecs::HOUR, values)
     }
+
+    /// Advances `rng` past exactly the draws [`Self::generate`] takes for
+    /// `hours`: one per day for the run decision, then the hourly noise.
+    fn skip<R: Rng + ?Sized>(&self, rng: &mut R, hours: usize) {
+        discard(rng, hours.div_ceil(HOURS_PER_DAY) + GAUSSIAN_DRAWS * hours);
+    }
 }
 
 /// Generative model of a server's committed-memory demand.
@@ -270,6 +290,12 @@ impl MemoryProfile {
             .collect();
         TimeSeries::new(cpu.step(), smooth(&values, 0.75))
     }
+
+    /// Advances `rng` past exactly the draws [`Self::generate`] takes for
+    /// a CPU series of `hours`: the hourly noise.
+    pub(crate) fn skip<R: Rng + ?Sized>(&self, rng: &mut R, hours: usize) {
+        discard(rng, GAUSSIAN_DRAWS * hours);
+    }
 }
 
 /// CPU demand model of a server: one of the two workload classes.
@@ -304,6 +330,15 @@ impl CpuProfile {
         match self {
             CpuProfile::Web(p) => p.generate(rng, hours, events),
             CpuProfile::Batch(p) => p.generate(rng, hours),
+        }
+    }
+
+    /// Advances `rng` past exactly the draws [`Self::generate`] takes for
+    /// `hours`, without building the series.
+    pub(crate) fn skip<R: Rng + ?Sized>(&self, rng: &mut R, hours: usize) {
+        match self {
+            CpuProfile::Web(p) => p.skip(rng, hours),
+            CpuProfile::Batch(p) => p.skip(rng, hours),
         }
     }
 }
